@@ -661,6 +661,122 @@ let test_input_coefficients () =
   close "u0" 0.125 (Mat.get u 0 0) ~tol:1e-12;
   close "u3" 0.875 (Mat.get u 0 3) ~tol:1e-12
 
+(* ---------- frozen bits ---------- *)
+
+(* Every engine route, pinned to its exact output bits: the FNV-1a-64
+   digest of [Int64.bits_of_float] over every entry of the coefficient
+   matrix (row-major, bytes little-endian). A refactor of the column
+   engine must reproduce these bit for bit; a digest may only change
+   together with an intended change of the arithmetic. *)
+let fnv1a64_bits x =
+  let rows, cols = Mat.dims x in
+  let h = ref 0xcbf29ce484222325L in
+  for r = 0 to rows - 1 do
+    for i = 0 to cols - 1 do
+      let bits = Int64.bits_of_float (Mat.get x r i) in
+      for b = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done
+    done
+  done;
+  Printf.sprintf "%016Lx" !h
+
+let frozen_routes (backend : Opm.backend) =
+  let sys = Descriptor.random_stable ~seed:17 ~n:6 ~p:1 ~q:1 () in
+  let src =
+    [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.3; offset = 0.2 } |]
+  in
+  let uniform m = Grid.uniform ~t_end:3.0 ~m in
+  let adaptive = Grid.geometric ~t_end:3.0 ~m:48 ~ratio:1.03 in
+  let two_term =
+    Multi_term.make
+      ~terms:[ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]
+      ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+  in
+  let x r = r.Sim_result.x in
+  let frac ?window ?memory_len m =
+    x (Opm.simulate_fractional ~backend ?window ?memory_len ~grid:(uniform m)
+         ~alpha:0.5 sys src)
+  in
+  let integral grid =
+    x (Opm.simulate_linear_integral ~backend ~x0:(Array.make 6 0.1) ~grid sys src)
+  in
+  [
+    ("general naive", fun () -> frac 64);
+    ("general fft", fun () -> frac 512);
+    ( "two-term",
+      fun () ->
+        x (Opm.simulate_multi_term ~backend ~grid:(uniform 64) two_term src) );
+    ("order-1 uniform", fun () -> x (Opm.simulate_linear ~backend ~grid:(uniform 64) sys src));
+    ("order-1 adaptive", fun () -> x (Opm.simulate_linear ~backend ~grid:adaptive sys src));
+    ("windowed general", fun () -> frac ~window:16 64);
+    ("windowed general memory 8", fun () -> frac ~window:16 ~memory_len:8 64);
+    ( "windowed order-1",
+      fun () -> x (Opm.simulate_linear ~backend ~window:16 ~grid:(uniform 64) sys src) );
+    ( "compiled query",
+      fun () ->
+        let model =
+          Compiled_model.compile_fractional ~backend ~grid:(uniform 64) ~alpha:0.5 sys
+        in
+        ignore (Compiled_model.solve model src);
+        x (Compiled_model.solve model src) );
+    ("integral uniform", fun () -> integral (uniform 512));
+    ("integral adaptive", fun () -> integral adaptive);
+  ]
+
+let frozen_digests =
+  [
+    ( (`Dense : Opm.backend),
+      [
+          ("general naive", "9bb40b64ae63f526");
+          ("general fft", "777a0a4b21f7af56");
+          ("two-term", "547b12d7749b2ab0");
+          ("order-1 uniform", "be73f1f2650cfae2");
+          ("order-1 adaptive", "71a55382c072ce4f");
+          ("windowed general", "bb63454818c89a36");
+          ("windowed general memory 8", "d7ecb39638dd061d");
+          ("windowed order-1", "9647d0af996461ad");
+          ("compiled query", "9bb40b64ae63f526");
+          ("integral uniform", "89c50a4e66eae189");
+          ("integral adaptive", "2ded33315d029ead");
+      ] );
+    ( `Sparse,
+      [
+          ("general naive", "b3eb5661b889f1f6");
+          ("general fft", "298e947ef0debdc5");
+          ("two-term", "6e4c332e3ea1d3c4");
+          ("order-1 uniform", "262d649541f9da67");
+          ("order-1 adaptive", "ddc6f412fa7e8da0");
+          ("windowed general", "85be6aacf485f87d");
+          ("windowed general memory 8", "08f5af7e17497cfd");
+          ("windowed order-1", "28afbcef6281fb7b");
+          ("compiled query", "b3eb5661b889f1f6");
+          ("integral uniform", "d4ce985f2f6cfc18");
+          ("integral adaptive", "15d9df76fcee453f");
+      ] );
+  ]
+
+let test_frozen_bits () =
+  let fft_was = Engine.fft_rhs_enabled () in
+  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was)
+  @@ fun () ->
+  List.iter
+    (fun (backend, expected) ->
+      let tag = match backend with `Sparse -> "sparse" | _ -> "dense" in
+      List.iter
+        (fun (name, run) ->
+          let is_integral = String.length name > 8 && String.sub name 0 8 = "integral" in
+          Engine.set_fft_rhs_enabled (not is_integral);
+          let got = fnv1a64_bits (run ()) in
+          match List.assoc_opt name expected with
+          | Some want when want = got -> ()
+          | Some want ->
+              Alcotest.failf "%s %s: digest %s, frozen %s" tag name got want
+          | None -> Alcotest.failf "%s %s: no frozen digest (got %s)" tag name got)
+        (frozen_routes backend))
+    frozen_digests
+
 (* ---------- adaptive ---------- *)
 
 let test_adaptive_accuracy () =
@@ -764,6 +880,7 @@ let () =
           t "result shape" test_result_waveform_shape;
           t "input coefficients" test_input_coefficients;
         ] );
+      ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
       ( "adaptive",
         [
           t "accuracy" test_adaptive_accuracy;
