@@ -392,6 +392,15 @@ let table2 cli =
 (* ------------------------------------------------------------------ *)
 (* Ablation: basis choice (BPF triangular vs Walsh/Haar similarity)    *)
 
+(* the generic column engine on one order-1 differential term with an
+   explicit D (naive history scan, dense LU) *)
+let column_solve (sys : Descriptor.t) d bu =
+  Engine.run
+    (Engine.prepare Engine.default
+       (Engine.pencil `Dense [ sys.Descriptor.e; sys.Descriptor.a ])
+       (Engine.toeplitz ~orders:[ 1.0 ] ~step:None ~horizon:0 [ d ]))
+    bu
+
 let ablation_basis () =
   header "Ablation — basis functions (paper §I: BPF vs Walsh vs Haar)";
   let input = Source.Step { amplitude = 1.0; delay = 0.0 } in
@@ -405,7 +414,7 @@ let ablation_basis () =
   (* BPF: the triangular structure admits the fast column solver *)
   let d_bpf = Block_pulse.differential_matrix grid in
   let t_bpf, x_bpf =
-    timed (fun () -> Engine.solve_dense ~terms:[ (e, d_bpf) ] ~a ~bu ())
+    timed (fun () -> column_solve sys d_bpf bu)
   in
   (* Walsh: the similarity-transported D is dense, so only the full
      Kronecker solve applies — same answer, triangularity lost *)
@@ -522,7 +531,7 @@ let ablation_kron () =
       let st = Random.State.make [| 3 |] in
       let bu = Mat.init n m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let t_col, x1 =
-        timed (fun () -> Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu ())
+        timed (fun () -> column_solve sys d bu)
       in
       let t_kron, x2 =
         timed ~runs:1 (fun () ->

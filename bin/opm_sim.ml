@@ -347,7 +347,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
     | None -> failwith "transient analysis needs --tend"
   in
   (match (window, method_) with
-  | Some _, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive) ->
+  | Some _, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive | Integral) ->
       Printf.eprintf
         "opm_sim: warning: --window only applies to the opm methods; ignored\n%!"
   | _ -> ());
@@ -390,8 +390,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
         let sys, srcs = Mna.stamp_linear ?outputs net in
         let grid = Grid.uniform ~t_end ~m:steps in
         with_state_names sys.Descriptor.state_names (fun () ->
-            (Opm.simulate_linear_integral ?health ?budget ?window ~grid sys
-               srcs)
+            (Opm.simulate_linear_integral ?health ?budget ~grid sys srcs)
               .Sim_result.outputs)
     | Opm_adaptive ->
         let sys, srcs = Mna.stamp_linear ?outputs net in

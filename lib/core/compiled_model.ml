@@ -23,12 +23,6 @@ let input_coefficients ~grid sources =
     sources;
   u
 
-let pick_backend backend n =
-  match backend with
-  | `Dense -> `Dense
-  | `Sparse -> `Sparse
-  | `Auto -> if n > 64 then `Sparse else `Dense
-
 (* input derivative d^r u/dt^r acts on coefficients as U · D^r; [deriv]
    lets a compiled model substitute its cached differentiation matrix *)
 let apply_input_order ?deriv ~grid (sys : Multi_term.t) u =
@@ -52,72 +46,32 @@ let bu_matrix ?deriv ~grid (sys : Multi_term.t) sources =
   let u = input_coefficients ~grid sources in
   Mat.mul sys.Multi_term.b (apply_input_order ?deriv ~grid sys u)
 
-(* On exactly-uniform grids every operational matrix is upper-triangular
-   Toeplitz, so its first row drives the engine's FFT history fast path.
-   Extracting the row from the built matrix (rather than recomputing the
-   ρ series) keeps the two representations consistent by construction.
-   Near-uniform adaptive grids are deliberately excluded: the acceptance
-   contract keeps every [Grid.Adaptive] solve bit-identical to the naive
-   engine.
-
-   Orders above 1 are excluded too, for accuracy rather than structure:
-   |ρ_α(l)| grows like l^{α−1} with alternating sign for α > 1, and the
-   naive j-ascending scan sums those terms in an order whose partial
-   sums cancel pairwise and stay small. Blockwise FFT reassociation
-   forfeits that cancellation, and the marginally-stable high-order
-   recurrence then integrates the roundoff (≈5e-4 absolute drift on the
-   α = 2 oscillator at m = 1000). Non-growing kernels (α ≤ 1) keep the
-   conv/naive agreement within the ≤ 1e-10 contract. *)
-let fft_safe_terms terms =
-  List.for_all (fun { Multi_term.alpha; _ } -> alpha <= 1.0) terms
-
-let uniform_toeplitz ~grid ~terms dmats =
-  match grid with
-  | Grid.Uniform _ when Engine.fft_rhs_enabled () && fft_safe_terms terms ->
-      let m = Grid.size grid in
-      Some (List.map (fun (_, d) -> Array.init m (Mat.get d 0)) dmats)
-  | _ -> None
-
 let shift_by_x0 x x0 =
   let n, m = Mat.dims x in
   Mat.init n m (fun r i -> Mat.get x r i +. x0.(r))
 
 (* ------------------------------------------------------------------ *)
 
-(* Everything plant-dependent, computed once at [compile]: the
-   operational matrices, the Toeplitz first rows, the FFT convolver
-   plan state, and the factored (pinned) pencil. Queries touch only the
-   input-dependent RHS. *)
+(* Everything plant-dependent, computed once at [compile]: the pencil,
+   the operational matrices (held by the column history, together with
+   the FFT convolver it reuses across queries) and the factored (pinned)
+   column-0 block. Queries touch only the input-dependent RHS. *)
 type plan =
   | Spectral of Spectral_solver.t
   | Windowed of { w : int }
-  | Linear of { steps : float array; e_s : Csr.t; e_d : Mat.t Lazy.t }
-  | General of {
-      terms_s : (Csr.t * Mat.t) list;
-      terms_d : (Mat.t * Mat.t) list Lazy.t;
-      toeplitz : float array list option;
-      key_salt : float list;
-      conv : Fft.Blocked_conv.t option;
-    }
+  | Column of Engine.history
 
 type t = {
   sys : Multi_term.t;
   grid : Grid.t;
-  backend : [ `Dense | `Sparse ];
   memory_len : int option;
-  uniform : bool;
-      (* pinning is gated on uniformity: an adaptive grid would pin one
-         entry per distinct step, and the pinned set is unbounded *)
   plan : plan;
-  fc_d : (float list, Engine.dense_block) Engine.Factor_cache.t;
-  fc_s : (float list, Engine.sparse_block) Engine.Factor_cache.t;
-  slu_sym : Slu.symbolic option ref;
-      (* one symbolic analysis per model: every sparse pencil this model
-         ever factors (prefactor at compile, cache misses at query)
-         shares one sparsity structure, so later factorisations replay
-         the recorded elimination numerically *)
+  pencil : Engine.pencil;
+  fcache : Engine.cache;
+      (* one cache per model: every block this model ever factors
+         (prefactor at compile, cache misses at query) lives here, and
+         the pencil replays one symbolic analysis for all of them *)
   series_cache : (float * int, float array) Hashtbl.t;
-  a_dense : Mat.t Lazy.t;
   u_deriv : Mat.t Lazy.t;
   mutable queries : int;
 }
@@ -128,40 +82,45 @@ let system t = t.sys
 
 let queries t = t.queries
 
-let backend t = t.backend
+let backend t = Engine.backend t.pencil
 
-(* Per-model factor statistics, read from this model's own caches. The
+(* Per-model factor statistics, read from this model's own cache. The
    [compiled.factor_reuse] metrics counter aggregates over every model
    in the process — useless to a server that hosts many plants and
    must report (and test) reuse per plant — whereas the
-   [Engine.Factor_cache] hit/miss counters live on the cache records
-   themselves, so summing the model's two caches is exactly the
-   per-plant view. *)
+   [Engine.Factor_cache] hit/miss counters live on the cache record
+   itself, so the model's cache is exactly the per-plant view. *)
 let factor_reuse t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factor_reuse sp
-  | Windowed _ | Linear _ | General _ ->
-      Engine.Factor_cache.hits t.fc_d + Engine.Factor_cache.hits t.fc_s
+  | Windowed _ | Column _ -> Engine.Factor_cache.hits t.fcache
 
 let factorisations t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factorisations sp
-  | Windowed _ | Linear _ | General _ ->
-      Engine.Factor_cache.misses t.fc_d + Engine.Factor_cache.misses t.fc_s
+  | Windowed _ | Column _ -> Engine.Factor_cache.misses t.fcache
 
 let basis t =
-  match t.plan with
-  | Spectral _ -> `Spectral
-  | Windowed _ | Linear _ | General _ -> `Bpf
+  match t.plan with Spectral _ -> `Spectral | Windowed _ | Column _ -> `Bpf
 
 let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
     ~grid (sys : Multi_term.t) =
   Trace.with_span "compiled.compile" @@ fun () ->
-  let n = Multi_term.order sys in
   let m = Grid.size grid in
   (match window with
   | Some w when w < 1 -> invalid_arg "Opm: window width must be >= 1"
   | _ -> ());
+  let pencil =
+    Engine.pencil backend
+      (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
+      @ [ sys.Multi_term.a ])
+  in
+  let fcache = Engine.Factor_cache.create () in
+  let series_cache = Hashtbl.create 8 in
+  let u_deriv = lazy (Block_pulse.differential_matrix grid) in
+  let model plan memory_len =
+    { sys; grid; memory_len; plan; pencil; fcache; series_cache; u_deriv; queries = 0 }
+  in
   match basis with
   | `Spectral ->
       (* the collocation operator has no windowed/streaming form: the
@@ -171,158 +130,52 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
         invalid_arg "Opm: ?window streaming requires the block-pulse basis";
       if memory_len <> None then
         invalid_arg "Opm: ?memory_len requires the block-pulse basis";
-      {
-        sys;
-        grid;
-        backend = pick_backend backend n;
-        memory_len = None;
-        uniform = true;
-        plan = Spectral (Spectral_solver.compile ?health ~grid sys);
-        fc_d = Engine.Factor_cache.create ();
-        fc_s = Engine.Factor_cache.create ();
-        slu_sym = ref None;
-        series_cache = Hashtbl.create 1;
-        a_dense = lazy (Csr.to_dense sys.Multi_term.a);
-        u_deriv = lazy (Block_pulse.differential_matrix grid);
-        queries = 0;
-      }
+      model (Spectral (Spectral_solver.compile ?health ~grid sys)) None
   | `Bpf ->
-  let backend = pick_backend backend n in
-  let uniform =
-    match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
-  in
-  let h = Grid.t_end grid /. float_of_int m in
-  let fc_d = Engine.Factor_cache.create () in
-  let fc_s = Engine.Factor_cache.create () in
-  let slu_sym = ref None in
-  let series_cache : (float * int, float array) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let series alpha len =
-    match Hashtbl.find_opt series_cache (alpha, len) with
-    | Some s -> s
-    | None ->
-        let s = Series.one_minus_over_one_plus_pow alpha len in
-        Hashtbl.add series_cache (alpha, len) s;
-        s
-  in
-  let a_dense = lazy (Csr.to_dense sys.Multi_term.a) in
-  let u_deriv = lazy (Block_pulse.differential_matrix grid) in
-  let windowed =
-    match window with Some w when w < m -> Some w | _ -> None
-  in
-  let plan =
-    match (windowed, sys.Multi_term.terms, sys.Multi_term.input_order) with
-    | Some w, _, _ ->
-        (* prefactor the very pencil the Window driver will look up —
-           same caches, same keys, same builders. Adaptive grids are
-           rejected by Window at query time, so nothing to warm. *)
-        if uniform then
-          (match (sys.Multi_term.terms, sys.Multi_term.input_order) with
-          | [ { Multi_term.coeff = e; alpha = 1.0 } ], 0 -> (
-              match backend with
-              | `Sparse ->
-                  Engine.prefactor_linear_sparse ?health ~slu_symbolic:slu_sym
-                    fc_s ~h ~e ~a:sys.Multi_term.a
-              | `Dense ->
-                  Engine.prefactor_linear_dense fc_d ~h ~e:(Csr.to_dense e)
-                    ~a:(Lazy.force a_dense))
-          | terms, _ -> (
-              let key_salt =
-                List.map (fun { Multi_term.alpha; _ } -> alpha) terms @ [ h ]
-              in
-              let diag =
-                List.map
-                  (fun { Multi_term.alpha; _ } ->
-                    let rho = series alpha m in
-                    (2.0 /. h) ** alpha *. rho.(0))
-                  terms
-              in
-              (* warm the β series of the ρ_n ⊛ ρ_β split so queries
-                 skip the O(m²) Cauchy products too *)
-              List.iter
-                (fun { Multi_term.alpha; _ } ->
-                  let _, beta = Window.split_alpha alpha in
-                  if beta <> 0.0 then ignore (series beta m : float array))
-                terms;
-              match backend with
-              | `Sparse ->
-                  Engine.prefactor_sparse ?health ~slu_symbolic:slu_sym fc_s
-                    ~key_salt ~diag
-                    ~es:(List.map (fun { Multi_term.coeff; _ } -> coeff) terms)
-                    ~a:sys.Multi_term.a
-              | `Dense ->
-                  Engine.prefactor_dense fc_d ~key_salt ~diag
-                    ~es:
-                      (List.map
-                         (fun { Multi_term.coeff; _ } -> Csr.to_dense coeff)
-                         terms)
-                    ~a:(Lazy.force a_dense)));
-        Windowed { w }
-    | None, [ { Multi_term.coeff = e; alpha = 1.0 } ], 0 ->
-        let steps = Grid.steps grid in
-        let e_d = lazy (Csr.to_dense e) in
-        if uniform && Array.length steps > 0 then
-          (match backend with
-          | `Sparse ->
-              Engine.prefactor_linear_sparse ?health ~slu_symbolic:slu_sym
-                fc_s ~h:steps.(0) ~e ~a:sys.Multi_term.a
-          | `Dense ->
-              Engine.prefactor_linear_dense fc_d ~h:steps.(0)
-                ~e:(Lazy.force e_d) ~a:(Lazy.force a_dense));
-        Linear { steps; e_s = e; e_d }
-    | None, terms, _ ->
-        let dmats =
-          Trace.with_span "opm.operational_matrices" @@ fun () ->
-          List.map
-            (fun { Multi_term.coeff; alpha } ->
-              (coeff, Block_pulse.fractional_differential_matrix grid alpha))
-            terms
-        in
-        let toeplitz = uniform_toeplitz ~grid ~terms dmats in
-        let key_salt =
-          if uniform then
-            List.map (fun { Multi_term.alpha; _ } -> alpha) terms @ [ h ]
-          else []
-        in
-        let terms_d =
-          lazy (List.map (fun (e, d) -> (Csr.to_dense e, d)) dmats)
-        in
-        if uniform then
-          (let diag = List.map (fun (_, d) -> Mat.get d 0 0) dmats in
-           match backend with
-           | `Sparse ->
-               Engine.prefactor_sparse ?health ~slu_symbolic:slu_sym fc_s
-                 ~key_salt ~diag ~es:(List.map fst dmats) ~a:sys.Multi_term.a
-           | `Dense ->
-               Engine.prefactor_dense fc_d ~key_salt ~diag
-                 ~es:(List.map fst (Lazy.force terms_d))
-                 ~a:(Lazy.force a_dense));
-        let conv =
-          match toeplitz with
-          | Some rows when m > 1 && m >= Engine.fft_rhs_min_m ->
-              Some
-                (Fft.Blocked_conv.create ~kernels:(Array.of_list rows) ~rows:n
-                   ~m ())
-          | _ -> None
-        in
-        General { terms_s = dmats; terms_d; toeplitz; key_salt; conv }
-  in
-  {
-    sys;
-    grid;
-    backend;
-    memory_len;
-    uniform;
-    plan;
-    fc_d;
-    fc_s;
-    slu_sym;
-    series_cache;
-    a_dense;
-    u_deriv;
-    queries = 0;
-  }
+      (* pinning and prefactoring are gated on uniformity: an adaptive
+         grid would pin one entry per distinct step, and the pinned set
+         is unbounded; its first query factors instead *)
+      let uniform =
+        match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
+      in
+      let ctx = { Engine.default with health; fcache = Some fcache } in
+      let plan =
+        match window with
+        | Some w when w < m ->
+            (* prefactor the very block the Window driver will look up —
+               same cache, same keys. Adaptive grids are rejected by
+               Window at query time, so nothing to warm. *)
+            if uniform then
+              Window.prefactor ctx pencil ~series_cache ~window:w ~grid sys;
+            Windowed { w }
+        | _ ->
+            let history =
+              match (sys.Multi_term.terms, sys.Multi_term.input_order) with
+              | [ { Multi_term.alpha = 1.0; _ } ], 0 ->
+                  Engine.alternating (Grid.steps grid)
+              | terms, _ ->
+                  (* near-uniform adaptive grids stay off the Toeplitz
+                     path: every [Grid.Adaptive] solve is bit-identical
+                     to the naive engine *)
+                  let step =
+                    if uniform then Some (Grid.t_end grid /. float_of_int m)
+                    else None
+                  in
+                  let dmats =
+                    Trace.with_span "opm.operational_matrices" @@ fun () ->
+                    List.map
+                      (fun { Multi_term.alpha; _ } ->
+                        Block_pulse.fractional_differential_matrix grid alpha)
+                      terms
+                  in
+                  Engine.toeplitz
+                    ~orders:(List.map (fun { Multi_term.alpha; _ } -> alpha) terms)
+                    ~step ~horizon:m dmats
+            in
+            if uniform then ignore (Engine.prepare ctx pencil history : Engine.plan);
+            Column history
+      in
+      model plan memory_len
 
 let compile_linear ?backend ?basis ?health ?window ?memory_len ~grid sys =
   compile ?backend ?basis ?health ?window ?memory_len ~grid
@@ -341,54 +194,34 @@ let solve_bu ?health ?budget ?checkpoint ?checkpoint_every ?resume_from t bu =
       invalid_arg
         "Compiled_model: spectral-basis models sample sources at the \
          collocation nodes — use solve, not BPF coefficients"
-  | Linear _ | General _ ->
+  | Column _ ->
       if checkpoint <> None || resume_from <> None then
         invalid_arg
           "Compiled_model.solve: checkpointing requires a windowed model \
            (compile with ?window)");
   t.queries <- t.queries + 1;
   Metrics.incr m_queries;
-  let hits0 =
-    Engine.Factor_cache.hits t.fc_d + Engine.Factor_cache.hits t.fc_s
-  in
+  let hits0 = Engine.Factor_cache.hits t.fcache in
   let x =
     match t.plan with
     | Spectral _ -> assert false (* rejected above *)
     | Windowed { w } ->
         let x, _stats =
           Window.solve
-            ~backend:(t.backend :> backend)
-            ?health ?memory_len:t.memory_len ~fc_d:t.fc_d ~fc_s:t.fc_s
+            ~backend:(backend t :> backend)
+            ?health ?memory_len:t.memory_len ~fcache:t.fcache
             ~series_cache:t.series_cache ?budget ?checkpoint
             ?checkpoint_every ?resume_from ~window:w ~grid:t.grid t.sys ~bu
         in
         x
-    | Linear { steps; e_s; e_d } -> (
-        match t.backend with
-        | `Sparse ->
-            Engine.solve_linear_sparse ?health ~fcache:t.fc_s
-              ~pin_factors:t.uniform ?budget ~slu_symbolic:t.slu_sym ~steps
-              ~e:e_s ~a:t.sys.Multi_term.a ~bu ()
-        | `Dense ->
-            Engine.solve_linear_dense ?health ~fcache:t.fc_d
-              ~pin_factors:t.uniform ?budget ~steps ~e:(Lazy.force e_d)
-              ~a:(Lazy.force t.a_dense) ~bu ())
-    | General { terms_s; terms_d; toeplitz; key_salt; conv } -> (
-        match t.backend with
-        | `Sparse ->
-            Engine.solve_sparse ?health ~fcache:t.fc_s ~key_salt
-              ~pin_factors:t.uniform ?toeplitz ?conv_reuse:conv ?budget
-              ~slu_symbolic:t.slu_sym ~terms:terms_s ~a:t.sys.Multi_term.a
-              ~bu ()
-        | `Dense ->
-            Engine.solve_dense ?health ~fcache:t.fc_d ~key_salt
-              ~pin_factors:t.uniform ?toeplitz ?conv_reuse:conv ?budget
-              ~terms:(Lazy.force terms_d) ~a:(Lazy.force t.a_dense) ~bu ())
+    | Column history ->
+        Engine.run
+          (Engine.prepare
+             { Engine.health; budget; fcache = Some t.fcache }
+             t.pencil history)
+          bu
   in
-  let hits1 =
-    Engine.Factor_cache.hits t.fc_d + Engine.Factor_cache.hits t.fc_s
-  in
-  Metrics.incr ~by:(hits1 - hits0) m_factor_reuse;
+  Metrics.incr ~by:(Engine.Factor_cache.hits t.fcache - hits0) m_factor_reuse;
   x
 
 let solve_coeffs ?health ?budget t u =
@@ -420,7 +253,7 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
       let result = Spectral_solver.solve ?health ?budget ?x0 sp sources in
       Metrics.incr m_factor_reuse;
       result
-  | Windowed _ | Linear _ | General _ ->
+  | Windowed _ | Column _ ->
   let bu =
     bu_matrix ~deriv:(fun () -> Lazy.force t.u_deriv) ~grid:t.grid t.sys
       sources

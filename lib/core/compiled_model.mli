@@ -12,26 +12,25 @@ open Opm_signal
     work at exactly that line:
 
     - {b plant-dependent}, done once in {!compile}: BPF expansion
-      scaffolding, the operational matrices [D^{α_k}] (O(m²) each), the
-      ρ series, the Toeplitz first rows, the
-      {!Opm_numkit.Fft.Blocked_conv} plan state (kernel spectra), and
-      the factored pencil — inserted {e pinned} into an
-      {!Engine.Factor_cache} so the bounded cache can never evict it
-      mid-sweep;
+      scaffolding, the {!Engine.pencil}, the operational matrices
+      [D^{α_k}] (O(m²) each) and the ρ series held by the column
+      history, and the factored column-0 block — {!Engine.prepare}
+      inserts it {e pinned} into the model's {!Engine.Factor_cache} so
+      the bounded cache can never evict it mid-sweep;
     - {b input-dependent}, per {!solve} query: project the sources,
-      form [B·U·D^r], and run the engine's column recurrence against
-      the cached factors — zero factorisations, O(n·m·log m) per
-      query.
+      form [B·U·D^r], and {!Engine.prepare}/{!Engine.run} the column
+      recurrence against the cached factor — zero factorisations,
+      O(n·m·log m) per query; the history keeps its
+      {!Opm_numkit.Fft.Blocked_conv} (kernel spectra) across queries.
 
     A query is bit-identical to the corresponding one-shot
     [Opm.simulate_*] call (which is itself implemented as
-    compile-then-solve), because the prefactored blocks are built by the
-    same pencil code the engine would run and looked up under the same
-    keys.
+    compile-then-solve), because compile and query prepare the same
+    pencil and history under the same keys.
 
     Windowed models delegate queries to {!Window.solve}, sharing the
-    factor caches, the ρ-series cache, and the per-window Toeplitz
-    machinery across windows {e and} queries.
+    factor cache and the ρ-series cache across windows {e and}
+    queries.
 
     Queries are sequential: a compiled model carries mutable per-query
     scratch (the FFT convolver), so one [t] must not be queried from
@@ -39,7 +38,7 @@ open Opm_signal
 
     Observability: [compiled.queries] counts queries,
     [compiled.factor_reuse] counts pencil lookups served from the
-    model's caches, and each query runs in a ["compiled_solve"] trace
+    model's cache, and each query runs in a ["compiled_solve"] trace
     span ([compile] in a ["compiled.compile"] span). *)
 
 type backend = [ `Auto | `Dense | `Sparse ]
@@ -145,7 +144,7 @@ val queries : t -> int
 (** Queries answered so far. *)
 
 val factor_reuse : t -> int
-(** Pencil lookups served from {e this model's} factor caches — the
+(** Pencil lookups served from {e this model's} factor cache — the
     per-plant counterpart of the process-global [compiled.factor_reuse]
     metrics counter (which sums every model in the process and
     therefore cannot attribute reuse to a plant). On a uniform-grid
@@ -153,7 +152,7 @@ val factor_reuse : t -> int
 
 val factorisations : t -> int
 (** Pencil factorisations {e this model} has performed (cache misses of
-    its own caches, the compile-time prefactorisation included). A
+    its own cache, the compile-time prefactorisation included). A
     healthy uniform-grid model reports [1] for its whole lifetime —
     the factor-once contract a serving layer asserts per plant. *)
 
@@ -176,15 +175,3 @@ val input_coefficients : grid:Grid.t -> Source.t array -> Mat.t
 
 val bu_matrix :
   ?deriv:(unit -> Mat.t) -> grid:Grid.t -> Multi_term.t -> Source.t array -> Mat.t
-
-val pick_backend : backend -> int -> [ `Dense | `Sparse ]
-
-val fft_safe_terms : Multi_term.term list -> bool
-
-val uniform_toeplitz :
-  grid:Grid.t ->
-  terms:Multi_term.term list ->
-  ('a * Mat.t) list ->
-  float array list option
-
-val shift_by_x0 : Mat.t -> Vec.t -> Mat.t

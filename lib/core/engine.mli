@@ -2,24 +2,33 @@ open Opm_numkit
 open Opm_sparse
 open Opm_robust
 
-(** The OPM linear-matrix-equation kernel.
+(** The OPM column engine.
 
-    Solves the coefficient equation
+    Every OPM form is one upper-triangular column recurrence (paper
+    §III-A): column [i] of the coefficient matrix [X] solves
 
-    [Σ_k E_k · X · D_k = A · X + BU]
+    [(Σ_j c_j(i)·M_j) x_i = bu_i − history_i]
 
-    for the [n×m] matrix [X], where every [D_k] is the (upper-triangular)
-    operational matrix of the [k]-th differential term. This is the
-    paper's eq. (14)/(27) generalised to several terms; because each
-    [D_k] is upper triangular, [Dᵀ ⊗ E − I ⊗ A] is block lower
-    triangular and [X] is solved column by column (§III-A, §IV):
+    where the {e pencil} [M = [M_1 … M_J]] is a fixed operator set and
+    the {e history} strategy supplies both the per-column coefficients
+    [c(i)] and the history term:
 
-    [(Σ_k d^{(k)}_{ii} E_k − A) x_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j]
+    - differential form [Σ_k E_k·X·D_k = A·X + BU] (paper eq. (14)/(27),
+      several terms): [M = [E_1 … E_K; A]], [c = [d^{(1)}_{ii} … d^{(K)}_{ii}; −1]],
+      history [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j] ({!toeplitz});
+    - order-1 form ([D]'s special pattern — [2/h_i] on the diagonal,
+      [4(−1)^{i−j}/h_i] above): [M = [E; A]], [c = [2/h_i; −1]], history
+      [(4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j], one running alternating sum
+      ({!alternating}) — [O(n^β·#distinct steps + n·m)] instead of
+      [O(n·m²)];
+    - integral form [E·X = A·X·H + B·U·H + (E x₀)·1ᵀ] (the lineage of
+      the paper's refs [2], [4]; initial conditions enter for free):
+      [M = [E; A]], [c = [1; −H_{ii}]], history [A·Σ_{j<i} h_j x_j], one
+      running sum ({!running_sum}).
 
-    When the [d^{(k)}_{ii}] are constant across columns (uniform time
-    step) the left-hand matrix is factorised once and reused — that is
-    why Table II shows OPM's runtime on par with one-factorisation
-    transient schemes.
+    When the coefficients are constant across columns (uniform step)
+    one factorisation serves every column — why Table II shows OPM's
+    runtime on par with one-factorisation transient schemes.
 
     {2 Guardrails}
 
@@ -27,33 +36,36 @@ open Opm_robust
     column escalates — for the sparse backend: re-factor with strict
     partial pivoting ([pivot_tol = 1.0]), then fall back to a dense LU
     of the same block — and a factor whose Hager 1-norm condition
-    estimate exceeds [cond_limit] (default
-    {!Health.default_cond_limit}) gets one step of iterative
-    refinement, kept only when it strictly reduces the residual. On
-    well-conditioned inputs every guard is a bit-identical no-op. When
-    the cascade is exhausted the solvers raise the structured
-    {!Opm_error.Error} ([Singular_pencil] from the factorisations,
-    [Non_finite] from the solves) instead of a bare backend exception.
-    Pass [?health] to additionally collect per-column NaN/Inf counts,
-    the maximum residual [‖(Σ_k d_ii E_k − A) x_i − rhs_i‖∞] (equal,
-    column-wise, to [‖Σ_k E_k X D_k − A X − BU‖∞]), the worst condition
-    estimate, and the fallback events taken — collection never changes
-    the result.
+    estimate exceeds {!Health.default_cond_limit} gets one step of
+    iterative refinement, kept only when it strictly reduces the
+    residual. On well-conditioned inputs every guard is a bit-identical
+    no-op. When the cascade is exhausted the engine raises the
+    structured {!Opm_error.Error} ([Singular_pencil] from the
+    factorisations, [Non_finite] from the solves) instead of a bare
+    backend exception. A [health] collector additionally receives
+    per-column NaN/Inf counts, the maximum residual
+    [‖(Σ_j c_j(i) M_j) x_i − rhs_i‖∞], the worst condition estimate, and
+    the fallback events taken — collection never changes the result.
+
+    A [budget] arms cooperative resource enforcement: the wall-clock
+    deadline is checked before every column, and each factorisation is
+    charged (with an estimated footprint — [n²·8] bytes dense, [nnz·16]
+    sparse) before it runs; on breach a structured
+    [Opm_error.Deadline_exceeded] / [Budget_exhausted] is raised. The
+    engine also carries three fault-injection sites ([factor],
+    [column-solve], [fft-block], see {i Opm_robust.Fault}); when no plan
+    is armed each site is a single atomic load.
 
     {2 Fast history convolution}
 
-    The per-column history term [Σ_{j<i} d^{(k)}_{ji} x_j] is the
-    [O(n·m²)] hot path. On uniform grids every [D_k] is upper-triangular
-    {e Toeplitz} ([d_{j,j+l}] depends only on the lag [l]), so the
-    history is a causal convolution of the first-row coefficients with
-    the solved-column sequence. Passing [?toeplitz] (one first-row array
-    per term) routes it through {!Opm_numkit.Fft.Blocked_conv} —
-    [O(n·m·log² m)] — instead of the naive scan. The FFT reassociates
-    the summation: results agree with the naive path to ≤ 1e-10
-    relative, not bit-identically. {!fft_rhs_enabled} gates the fast
-    path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]);
-    callers omitting [?toeplitz] (adaptive grids) are unaffected either
-    way. *)
+    On uniform grids every [D_k] is upper-triangular {e Toeplitz}, so
+    the differential history is a causal convolution of the first-row
+    coefficients with the solved-column sequence, routed through
+    {!Opm_numkit.Fft.Blocked_conv} — [O(n·m·log² m)] instead of the
+    naive [O(n·m²)] scan. The FFT reassociates the summation: results
+    agree with the naive path to ≤ 1e-10 relative, not bit-identically.
+    {!fft_rhs_enabled} gates the fast path globally ([OPM_NO_FFT_RHS],
+    the CLI's [--no-fft-rhs]). *)
 
 val fft_rhs_enabled : unit -> bool
 (** Whether the FFT Toeplitz history path may be used. Defaults to
@@ -64,33 +76,21 @@ val set_fft_rhs_enabled : bool -> unit
 (** Override the switch for the rest of the process (takes precedence
     over the environment). *)
 
-type dense_block
-(** A factorised diagonal block of the dense backend (pencil matrix +
-    its LU). *)
-
-type sparse_block
-(** A factorised diagonal block of the sparse backend; mutable so the
-    fallback cascade can upgrade the factorisation in place. *)
-
-(** Bounded factorisation cache keyed by an arbitrary hashable key
-    ([float] step for the order-1 fast paths, salted
-    [float list] diagonal-coefficient keys for cross-call sharing). A
+(** Bounded factorisation cache keyed by an arbitrary hashable key. A
     hashtable keyed on the exact key gives O(1) lookups (the former
     assoc list scanned linearly — O(m²) over a fully-adaptive grid —
     and grew without bound); when [capacity] distinct keys are exceeded
     the cache resets, bounding memory while keeping uniform and
     few-distinct-step grids fully cached.
 
-    {b Key discipline.} A cache shared across solve calls must be keyed
-    on the full [(α₁…α_K, h)] identity of the pencil, not just the
-    diagonal coefficients: [(2/h)^α] coincides for different [(α, h)]
-    pairs (at [h = 2] it is [1.0] for {e every} α), so a diagonal-only
-    key silently reuses the wrong factorisation when a process mixes
-    differentiation orders on one grid. {!solve_dense}/{!solve_sparse}
-    prepend the caller's [?key_salt] (the term orders and the step, see
-    {!Opm_core.Window}) to every lookup; the order-1 fast paths key on
-    [[1.0; h]] — α pinned by construction, but carried in the key so a
-    shared cache stays collision-free. *)
+    {b Key discipline.} The engine keys its blocks on the full
+    [(α₁…α_K, h)] identity of the pencil plus the column coefficients,
+    never on the diagonal coefficients alone: [(2/h)^α] coincides for
+    different [(α, h)] pairs (at [h = 2] it is [1.0] for {e every} α),
+    so a diagonal-only key would silently reuse the wrong factorisation
+    when a process mixes differentiation orders on one grid. One cache
+    serves one operator set: share a cache only between runs of the
+    same [E_k], [A]. *)
 module Factor_cache : sig
   type ('k, 'f) t
 
@@ -119,244 +119,96 @@ module Factor_cache : sig
   val pinned_count : ('k, 'f) t -> int
 
   val hits : ('k, 'f) t -> int
-  (** Cache accesses served from the table (pinned or not). The solvers
-      consult the shared cache once per call — consecutive columns are
-      served by a per-call memo — so on uniform grids [hits]/[misses]
-      count {e engine calls}, not columns. *)
+  (** Cache accesses served from the table (pinned or not). A
+      {!prepare}/{!run} pair consults the cache once on a uniform grid —
+      consecutive columns are served by a per-run memo — so [hits] and
+      [misses] count engine runs, not columns. *)
 
   val misses : ('k, 'f) t -> int
 end
 
-val fft_rhs_min_m : int
-(** Minimum effective history length (256) below which the naive scan
-    is kept — under the measured crossover the convolver's setup never
-    amortises, and short horizons stay bit-identical to the historical
-    engine. *)
+type block
+(** A factorised column block, either backend; the sparse one is
+    upgraded in place by the fallback cascade. *)
 
-val solve_dense :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, dense_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?toeplitz:float array list ->
-  ?history_len:int ->
-  ?conv_reuse:Fft.Blocked_conv.t ->
-  ?budget:Budget.t ->
-  terms:(Mat.t * Mat.t) list ->
-  a:Mat.t ->
-  bu:Mat.t ->
-  unit ->
-  Mat.t
-(** [terms] are [(E_k, D_k)] pairs. Raises [Invalid_argument] on
-    dimension mismatches, {!Opm_error.Error} if a diagonal block is
-    singular or a column stays non-finite.
+type cache = (float list, block) Factor_cache.t
 
-    [?budget] (here and on every [solve_*] below) arms cooperative
-    resource enforcement: the wall-clock deadline is checked before
-    every column, and each factorisation is charged (with an estimated
-    footprint — [n²·8] bytes dense, [nnz·16] sparse) before it runs;
-    on breach a structured [Opm_error.Deadline_exceeded] /
-    [Budget_exhausted] is raised. Without a budget the hook is one
-    [Option] match per column. The engine also carries three
-    fault-injection sites ([factor], [column-solve], [fft-block], see
-    {i Opm_robust.Fault}); when no plan is armed each site is a single
-    atomic load.
+(** {1 Pencil} *)
 
-    [?fcache] substitutes a caller-owned cross-call cache for the
-    per-call one, so repeated solves against the same pencil (the
-    windowed streaming driver, compiled models) factorise once; lookups
-    are keyed [key_salt @ diagonal coefficients] — pass the term orders
-    and step in [key_salt] whenever the cache outlives one call (see
-    {!Factor_cache}). [?pin_factors] pins the blocks this call inserts
-    or touches in [?fcache], shielding them from capacity eviction.
+type pencil
+(** A backend-tagged operator set [M_1 … M_J] whose last operator is
+    [A]. The sparse pencil owns the symbolic analysis of its first
+    factorisation: every block it factors shares one sparsity pattern,
+    so the rest replay the recorded elimination numerically
+    ({!Slu.factor_hinted}). *)
 
-    [?toeplitz] asserts that each [D_k] is upper-triangular Toeplitz and
-    supplies its first row (length [m], one array per term, same order
-    as [terms]); the history term then takes the FFT fast path when
-    {!fft_rhs_enabled} and the horizon is long enough to amortise it
-    ([>= ]{!fft_rhs_min_m}[ ]— below the measured crossover the naive
-    scan is kept, bit-identically). The gate compares
-    [max m history_len]: a windowed caller solving a long horizon in
-    short blocks passes the {e global} horizon as [?history_len] so the
-    per-window column count does not mask a workload deep enough to
-    amortise the FFT. [?conv_reuse] recycles a previously created
-    convolver of matching shape (its kernel spectra — the plan state —
-    are kept, its data reset); on shape mismatch a fresh one is
-    allocated. Raises [Invalid_argument] when the list length or row
-    lengths disagree with [terms]/[m]. *)
+val pencil : [ `Auto | `Dense | `Sparse ] -> Csr.t list -> pencil
+(** [pencil backend [M_1; …; A]]. [`Auto] picks the sparse LU for
+    systems larger than 64 states and the dense LU otherwise; [`Dense]
+    converts the operators once. Raises [Invalid_argument] on fewer
+    than two operators or mismatched [n×n] dimensions. *)
 
-val solve_sparse :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, sparse_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?toeplitz:float array list ->
-  ?history_len:int ->
-  ?conv_reuse:Fft.Blocked_conv.t ->
-  ?budget:Budget.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  terms:(Csr.t * Mat.t) list ->
-  a:Csr.t ->
-  bu:Mat.t ->
-  unit ->
-  Mat.t
-(** Same algorithm with sparse [E_k], [A] and the sparse LU backend
-    (plus the strict-pivoting and sparse→dense escalation rungs).
+val backend : pencil -> [ `Dense | `Sparse ]
 
-    The [⌈m⌉] distinct pencils of one call share one sparsity pattern,
-    so the symbolic analysis (ordering, elimination reaches, fill
-    pattern) is computed once and replayed numerically for the rest
-    ({!Slu.factor_hinted}); [?slu_symbolic] substitutes a caller-owned
-    hint ref so the reuse extends across calls sharing [?fcache] — e.g.
-    a windowed driver or a compiled model re-solving the same
-    structure. The strict-pivoting escalation rung never uses the
-    hint. *)
+(** {1 History} *)
+
+type history
+
+val toeplitz :
+  orders:float list -> step:float option -> horizon:int -> Mat.t list -> history
+(** Differential form: [D_1 … D_K] ([m×m] upper triangular, one per
+    [E_k]) with their differentiation [orders]. [~step:(Some h)]
+    asserts a uniform grid of step [h]: every [D_k] is then
+    upper-triangular Toeplitz, its column block is pinned in the cache,
+    and the history takes the FFT path when every order is ≤ 1,
+    {!fft_rhs_enabled}, and [max m horizon ≥ 256] — [horizon] is the
+    global history length, so a windowed caller solving a long horizon
+    in short blocks still amortises the FFT. Below that crossover (and
+    with [~step:None]) the [D_k] columns are scanned naively. The
+    history owns its convolver and reuses it across runs. Raises
+    [Invalid_argument] on an order/matrix count mismatch or non-square
+    or unequal [D_k]. *)
+
+val alternating : float array -> history
+(** Order-1 form over the given steps [h_i]; never materialises [D]. *)
+
+val running_sum : x0:Vec.t -> float array -> history
+(** Integral form over the given block-pulse steps [h_i], with initial
+    state [x0]: the run's [bu] is [B·U·H]. Carries O(n) state, so any
+    horizon costs [O(n^β·#distinct steps + n·m)]. *)
+
+(** {1 Prepare / run} *)
+
+type ctx = {
+  health : Health.t option;
+  budget : Budget.t option;
+  fcache : cache option;
+      (** a caller-owned cache shared across runs — windows, compiled
+          queries — so a uniform-grid pencil is factorised once; by
+          default every {!prepare} gets a private one *)
+}
+
+val default : ctx
+(** No health collection, no budget, a private cache. *)
+
+type plan
+
+val prepare : ctx -> pencil -> history -> plan
+(** Validate the shapes, look up (or factor) the column-0 block in the
+    cache — pinned on uniform grids — and return the plan. Raises
+    [Invalid_argument] when the history does not fit the pencil (one
+    [D_k] per [E_k]; [[E; A]] for the order-1 and integral forms) or
+    the horizon is empty, {!Opm_error.Error} when the block is
+    singular. *)
+
+val run : plan -> Mat.t -> Mat.t
+(** [run plan bu] performs the column loop against the [n×m] forcing
+    [bu] and returns [X]. A plan may be run repeatedly. Raises
+    [Invalid_argument] on a [bu] shape mismatch, {!Opm_error.Error} when
+    a block is singular or a column stays non-finite. *)
 
 val solve_dense_kron : terms:(Mat.t * Mat.t) list -> a:Mat.t -> bu:Mat.t -> Mat.t
 (** Reference implementation that forms the full
     [Σ_k (D_kᵀ ⊗ E_k) − I_m ⊗ A] Kronecker system (the paper's eq. (15))
-    and solves it densely — [O((nm)³)]; exists to validate
-    {!solve_dense} and to ablate the complexity claim. *)
-
-val solve_linear_dense :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, dense_block) Factor_cache.t ->
-  ?pin_factors:bool ->
-  ?budget:Budget.t ->
-  steps:float array ->
-  e:Mat.t ->
-  a:Mat.t ->
-  bu:Mat.t ->
-  unit ->
-  Mat.t
-(** Order-1 fast path (paper §III-A: for linear systems [D]'s special
-    pattern — column [i] is [(2/h_i)] on the diagonal and
-    [4(−1)^{i−j}/h_i] above — reduces the per-column history to one
-    running alternating sum):
-
-    [(2/h_i·E − A) x_i = bu_i − (4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j]
-
-    [O(n^β·#distinct steps + n·m)] instead of the generic engine's
-    [O(n·m²)]. Never materialises [D]. [?fcache] shares the step →
-    factorisation cache across calls (keyed [[1.0; h]], α and step);
-    the windowed driver passes one cache for all windows so the pencil
-    is factorised exactly once per horizon. *)
-
-val solve_linear_sparse :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, sparse_block) Factor_cache.t ->
-  ?pin_factors:bool ->
-  ?budget:Budget.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  steps:float array ->
-  e:Csr.t ->
-  a:Csr.t ->
-  bu:Mat.t ->
-  unit ->
-  Mat.t
-(** Sparse-backend version of {!solve_linear_dense}. All step pencils
-    [2/h·E − A] share one pattern; [?slu_symbolic] as in
-    {!solve_sparse}. *)
-
-(** {1 Integral-form OPM}
-
-    The classical operational-matrix formulation (the lineage of the
-    paper's refs [2], [4]): integrating [E ẋ = A x + B u] once gives
-
-    [E·X = A·X·H + B·U·H + (E x₀)·1ᵀ]
-
-    where [H] is the *integration* operational matrix and [1] the
-    coefficient vector of the constant-one function in the chosen basis.
-    Initial conditions enter for free, and the formulation works for any
-    basis with an integration matrix — including polynomial bases whose
-    differentiation matrix does not exist (Legendre). *)
-
-val solve_integral_dense :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, dense_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?toeplitz:float array list ->
-  ?history_len:int ->
-  ?budget:Budget.t ->
-  h_mat:Mat.t -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
-  x0:Vec.t -> unit -> Mat.t
-(** Column-by-column solve of the integral form; requires [h_mat] upper
-    triangular (block pulses). [bu_int] is [B·U·H] ([n×m]); [one] the
-    constant-1 coefficients; each diagonal block is
-    [(E − H_{ii}·A)]. [?toeplitz] (a singleton list carrying [H]'s first
-    row) engages the same FFT history fast path as {!solve_dense} —
-    valid on uniform grids, where [H] is Toeplitz. Columns run behind
-    the same fallback cascade as the differential solvers
-    ([?health]/[?cond_limit]), and [?fcache]/[?key_salt]/[?pin_factors]/
-    [?history_len] behave as in {!solve_dense} (the cache key is the
-    diagonal entry [H_{ii}]). *)
-
-val solve_integral_sparse :
-  ?health:Health.t ->
-  ?cond_limit:float ->
-  ?fcache:(float list, sparse_block) Factor_cache.t ->
-  ?key_salt:float list ->
-  ?pin_factors:bool ->
-  ?toeplitz:float array list ->
-  ?history_len:int ->
-  ?budget:Budget.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  h_mat:Mat.t -> one:Vec.t -> e:Csr.t -> a:Csr.t -> bu_int:Mat.t ->
-  x0:Vec.t -> unit -> Mat.t
-(** Sparse-backend version of {!solve_integral_dense} (diagonal blocks
-    [(E − H_{ii}·A)] in CSR, with the strict-pivoting and sparse→dense
-    escalation rungs); [?slu_symbolic] as in {!solve_sparse}. *)
-
-(** {1 Compile-ahead factorisation}
-
-    [prefactor_*] insert — and pin — the diagonal block a subsequent
-    solve against the same cache will look up, using the same pencil
-    builders and the same cache keys, so the query performs zero
-    factorisations and returns bit-identical columns. [~diag] is the
-    per-term diagonal-coefficient list of column 0 ([(2/h)^α·ρ_α(0)]
-    per term on a uniform grid); [~es] the matching [E_k] list; the
-    linear variants key on the step [h], the integral ones on [H]'s
-    diagonal entry [hii]. *)
-
-val prefactor_dense :
-  (float list, dense_block) Factor_cache.t ->
-  key_salt:float list -> diag:float list -> es:Mat.t list -> a:Mat.t -> unit
-
-val prefactor_sparse :
-  ?health:Health.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  (float list, sparse_block) Factor_cache.t ->
-  key_salt:float list -> diag:float list -> es:Csr.t list -> a:Csr.t -> unit
-
-val prefactor_linear_dense :
-  (float list, dense_block) Factor_cache.t ->
-  h:float -> e:Mat.t -> a:Mat.t -> unit
-
-val prefactor_linear_sparse :
-  ?health:Health.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  (float list, sparse_block) Factor_cache.t ->
-  h:float -> e:Csr.t -> a:Csr.t -> unit
-
-val prefactor_integral_dense :
-  (float list, dense_block) Factor_cache.t ->
-  key_salt:float list -> hii:float -> e:Mat.t -> a:Mat.t -> unit
-
-val prefactor_integral_sparse :
-  ?health:Health.t ->
-  ?slu_symbolic:Slu.symbolic option ref ->
-  (float list, sparse_block) Factor_cache.t ->
-  key_salt:float list -> hii:float -> e:Csr.t -> a:Csr.t -> unit
-
-val solve_integral_kron :
-  h_mat:Mat.t -> one:Vec.t -> e:Mat.t -> a:Mat.t -> bu_int:Mat.t ->
-  x0:Vec.t -> Mat.t
-(** Dense Kronecker solve of the same equation,
-    [(I_m ⊗ E − Hᵀ ⊗ A) vec(X) = vec(BU·H + E x₀·1ᵀ)] — valid for *any*
-    [h_mat] (e.g. the non-triangular Legendre integration matrix). *)
+    from [(E_k, D_k)] pairs and solves it densely — [O((nm)³)]; exists
+    to validate the column engine and to ablate the complexity claim. *)

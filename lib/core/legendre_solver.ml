@@ -24,8 +24,8 @@ let state_coefficients ?health ?budget ?x0 ~t_end ~m (sys : Descriptor.t)
   let bu_int = Mat.mul (Mat.mul sys.Descriptor.b u) h_mat in
   (* E X = A X H + B U H + (E x₀)·e₀ᵀ (constant 1 = SL₀), i.e. the
      two-term dense pencil E·X·I − A·X·H = RHS of the shared Kronecker
-     operator — same matrix solve_integral_kron used to assemble, but
-     factored through the guardrailed primitive *)
+     operator [I_m ⊗ E − Hᵀ ⊗ A], factored through the guardrailed
+     primitive; valid for the non-triangular Legendre H *)
   let op =
     Spectral_solver.Operator.make ?health ?budget ~n ~m
       [

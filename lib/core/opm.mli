@@ -113,36 +113,28 @@ val simulate_multi_term :
     model) and multi-term FDEs (e.g. circuits mixing capacitors with
     fractional CPEs). *)
 
-val simulate_linear_kron :
-  grid:Grid.t -> Descriptor.t -> Source.t array -> Sim_result.t
-(** Ablation variant solving the full Kronecker system of eq. (15)
-    instead of going column by column. Numerically identical, much
-    slower; dense only. *)
-
 val simulate_linear_integral :
   ?backend:backend ->
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
   ?x0:Opm_numkit.Vec.t ->
-  ?window:int ->
   grid:Grid.t ->
   Descriptor.t ->
   Source.t array ->
   Sim_result.t
-(** Integral-form OPM (see {!Engine.solve_integral_dense}): integrates
-    the system once and solves [E X = A X H + B U H + E x₀ 1ᵀ]. Agrees
-    with {!simulate_linear} to within discretisation error; exists
-    because the formulation generalises to bases without a
-    differentiation matrix and carries initial conditions natively.
+(** Integral-form OPM (see {!Engine.running_sum}): integrates the
+    system once and solves [E X = A X H + B U H + E x₀ 1ᵀ]. Agrees with
+    {!simulate_linear} to within discretisation error; exists because
+    the formulation generalises to bases without a differentiation
+    matrix and carries initial conditions natively.
 
-    Accepts the same [?backend]/[?health] contract as the differential
-    entry points — the columns run behind the full fallback cascade, so
-    [opm_sim --check] reports on this path too. [?window] streams the
-    horizon in [⌈m/w⌉] windows (uniform grids only): the integral
-    history weight is constant [h], so the pre-window coupling is the
-    running sum [A·h·Σ_{j<s} x_j] — O(n) carried state, {e exact} (no
-    truncation), one pinned pencil factorisation shared by all
-    windows. *)
+    Accepts the same [?backend]/[?health]/[?budget] contract as the
+    differential entry points — the columns run behind the full
+    fallback cascade, so [opm_sim --check] reports on this path too.
+    The block-pulse integration weights are constant down each column
+    of [H], so the history is one running sum [A·Σ_{j<i} h_j x_j]: O(n)
+    carried state and [O(n^β·#distinct steps + n·m)] cost on any
+    horizon, which is why this entry point needs no [?window]. *)
 
 val input_coefficients : grid:Grid.t -> Source.t array -> Opm_numkit.Mat.t
 (** BPF coefficient matrix [U] ([p×m], eq. 11) of the inputs — exposed

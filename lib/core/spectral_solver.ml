@@ -10,7 +10,7 @@ module Trace = Opm_obs.Trace
 module Operator = struct
   type t = { n : int; m : int; lu : Lu.t; cond : float }
 
-  let make ?health ?budget ?cond_limit:_ ~n ~m terms =
+  let make ?health ?budget ~n ~m terms =
     Trace.with_span "spectral.factor" @@ fun () ->
     let nm = n * m in
     (match budget with
@@ -108,7 +108,7 @@ let factorisations _ = 1
 
 let factor_reuse t = t.reuse
 
-let compile ?health ?budget ?cond_limit ~grid (sys : Multi_term.t) =
+let compile ?health ?budget ~grid (sys : Multi_term.t) =
   Trace.with_span "spectral.compile" @@ fun () ->
   (match grid with
   | Grid.Uniform _ -> ()
@@ -126,7 +126,7 @@ let compile ?health ?budget ?cond_limit ~grid (sys : Multi_term.t) =
        sys.Multi_term.terms)
     @ [ (Mat.scale (-1.0) (Csr.to_dense sys.Multi_term.a), Mat.eye m) ]
   in
-  let op = Operator.make ?health ?budget ?cond_limit ~n ~m terms in
+  let op = Operator.make ?health ?budget ~n ~m terms in
   let resample = Jacobi.resample_matrix colloc (Grid.midpoints grid) in
   {
     sys;

@@ -49,7 +49,6 @@ module Operator : sig
   val make :
     ?health:Opm_robust.Health.t ->
     ?budget:Opm_robust.Budget.t ->
-    ?cond_limit:float ->
     n:int ->
     m:int ->
     (Mat.t * Mat.t) list ->
@@ -82,7 +81,6 @@ type t
 val compile :
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
-  ?cond_limit:float ->
   grid:Grid.t ->
   Multi_term.t ->
   t

@@ -77,15 +77,6 @@ let m_windows = Metrics.counter "window.count"
 let m_factor_reuse = Metrics.counter "window.factor_reuse"
 let h_handoff = Metrics.histogram "window.handoff_seconds"
 
-(* kept in sync with Opm.pick_backend (Window sits below Opm in the
-   dependency order, so the three-line policy is duplicated rather than
-   imported) *)
-let pick_backend backend n =
-  match backend with
-  | `Dense -> `Dense
-  | `Sparse -> `Sparse
-  | `Auto -> if n > 64 then `Sparse else `Dense
-
 (* α = n + β with n = ⌊α⌋: the driver carries the ρ_n (integer) factor
    of the history exactly and truncates only the decaying ρ_β tail, so
    the discarded weight — and hence the error heuristic — lives in the
@@ -110,7 +101,67 @@ let truncation_mass ~alpha ~lags ~memory_len =
     if !total = 0.0 then 0.0 else !tail /. !total
   end
 
-let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
+let memo_series series_cache alpha len =
+  match series_cache with
+  | None -> Series.one_minus_over_one_plus_pow alpha len
+  | Some tbl -> (
+      match Hashtbl.find_opt tbl (alpha, len) with
+      | Some s -> s
+      | None ->
+          let s = Series.one_minus_over_one_plus_pow alpha len in
+          Hashtbl.add tbl (alpha, len) s;
+          s)
+
+let pencil_of backend (sys : Multi_term.t) =
+  Engine.pencil backend
+    (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
+    @ [ sys.Multi_term.a ])
+
+(* the single-term order-1 system takes the exact endpoint path *)
+let linear_order_one (sys : Multi_term.t) =
+  match (sys.Multi_term.terms, sys.Multi_term.input_order) with
+  | [ { Multi_term.alpha = 1.0; _ } ], 0 -> true
+  | _ -> false
+
+(* The general path's within-window D blocks: upper-triangular Toeplitz
+   by construction, first row (2/h)^α·ρ_α, so each window's engine run
+   can take the FFT history path (gated on the global horizon [m]). *)
+let window_history ~h ~m ~orders ~rhos wlen =
+  Engine.toeplitz ~orders ~step:(Some h) ~horizon:m
+    (List.map2
+       (fun alpha rho ->
+         let scale = (2.0 /. h) ** alpha in
+         Mat.init wlen wlen (fun i j ->
+             if j >= i then scale *. rho.(j - i) else 0.0))
+       orders rhos)
+
+let orders_of (sys : Multi_term.t) =
+  List.map (fun { Multi_term.alpha; _ } -> alpha) sys.Multi_term.terms
+
+let prefactor ctx pencil ~series_cache ~window:w ~grid (sys : Multi_term.t) =
+  let m = Grid.size grid in
+  let h = Grid.t_end grid /. float_of_int m in
+  let w = min w m in
+  let history =
+    if linear_order_one sys then Engine.alternating (Array.make w h)
+    else begin
+      let orders = orders_of sys in
+      let series = memo_series (Some series_cache) in
+      (* warm the β series of the ρ_n ⊛ ρ_β split so queries skip the
+         O(m²) Cauchy products too *)
+      List.iter
+        (fun alpha ->
+          let _, beta = split_alpha alpha in
+          if beta <> 0.0 then ignore (series beta m : float array))
+        orders;
+      window_history ~h ~m ~orders
+        ~rhos:(List.map (fun alpha -> series alpha m) orders)
+        w
+    end
+  in
+  ignore (Engine.prepare ctx pencil history : Engine.plan)
+
+let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     ?series_cache ?budget ?checkpoint ?checkpoint_every ?resume_from
     ~window:w ~grid (sys : Multi_term.t) ~bu =
   Trace.with_span "window.solve" @@ fun () ->
@@ -134,7 +185,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
   in
   let w = min w m in
   let nwin = (m + w - 1) / w in
-  let backend = pick_backend backend n in
+  let pencil = pencil_of backend sys in
   let cp_every =
     match checkpoint_every with
     | None -> 1
@@ -156,11 +207,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
      bits), backend, and a digest of the full input matrix. Computed
      lazily — a run with neither checkpointing nor resume never pays
      the O(n·m) digest. *)
-  let kind_of_sys =
-    match (sys.Multi_term.terms, sys.Multi_term.input_order) with
-    | [ { Multi_term.coeff = _; alpha = 1.0 } ], 0 -> "linear"
-    | _ -> "general"
-  in
+  let kind_of_sys = if linear_order_one sys then "linear" else "general" in
   let fingerprint =
     lazy
       (let bu_flat =
@@ -182,7 +229,9 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
            ("input_order", Json.Int sys.Multi_term.input_order);
            ( "backend",
              Json.String
-               (match backend with `Dense -> "dense" | `Sparse -> "sparse") );
+               (match Engine.backend pencil with
+               | `Dense -> "dense"
+               | `Sparse -> "sparse") );
            ( "bu",
              Json.String
                (Checkpoint.checksum_of_payload (Checkpoint.encode_floats bu_flat))
@@ -302,30 +351,17 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
         Some (next, state)
   in
   let start_win = match resume_state with Some (v, _) -> v | None -> 0 in
-  (* caller-owned caches (a compiled model prefactors and pins into
-     them) fall back to per-call private ones; the per-call stats below
-     are deltas, so shared caches report this call's reuse only *)
-  let fc_d =
-    match fc_d with Some c -> c | None -> Engine.Factor_cache.create ()
+  (* a caller-owned cache (a compiled model prefactors and pins into
+     it) falls back to a per-call private one, shared by every window;
+     the per-call stats below are deltas, so a shared cache reports this
+     call's reuse only *)
+  let fcache =
+    match fcache with Some c -> c | None -> Engine.Factor_cache.create ()
   in
-  let fc_s =
-    match fc_s with Some c -> c | None -> Engine.Factor_cache.create ()
-  in
-  let hits0 = Engine.Factor_cache.hits fc_d + Engine.Factor_cache.hits fc_s in
-  let misses0 =
-    Engine.Factor_cache.misses fc_d + Engine.Factor_cache.misses fc_s
-  in
-  let series alpha len =
-    match series_cache with
-    | None -> Series.one_minus_over_one_plus_pow alpha len
-    | Some tbl -> (
-        match Hashtbl.find_opt tbl (alpha, len) with
-        | Some s -> s
-        | None ->
-            let s = Series.one_minus_over_one_plus_pow alpha len in
-            Hashtbl.add tbl (alpha, len) s;
-            s)
-  in
+  let ctx = { Engine.health; budget; fcache = Some fcache } in
+  let hits0 = Engine.Factor_cache.hits fcache in
+  let misses0 = Engine.Factor_cache.misses fcache in
+  let series = memo_series series_cache in
   let finish_window ~index ~start ~dt x_win =
     handoff := !handoff +. dt;
     Metrics.incr m_windows;
@@ -346,10 +382,8 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
      substituting z = x − x_off turns a window with incoming endpoint
      x_off into a zero-initial-condition window of the same system with
      bu shifted by A·x_off. *)
-  let run_linear e =
+  let run_linear () =
     let a = sys.Multi_term.a in
-    let e_dense = lazy (Csr.to_dense e) in
-    let a_dense = lazy (Csr.to_dense a) in
     let x_off = Array.make n 0.0 in
     (match resume_state with
     | None -> ()
@@ -377,16 +411,10 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
             Mat.init n wlen (fun r l -> Mat.get bu r (s + l) +. ax.(r))
           in
           let dt_pre = Unix.gettimeofday () -. t0 in
-          let steps = Array.make wlen h in
           let z =
-            match backend with
-            | `Sparse ->
-                Engine.solve_linear_sparse ?health ~fcache:fc_s
-                  ~pin_factors:true ?budget ~steps ~e ~a ~bu:bu_win ()
-            | `Dense ->
-                Engine.solve_linear_dense ?health ~fcache:fc_d
-                  ~pin_factors:true ?budget ~steps ~e:(Lazy.force e_dense)
-                  ~a:(Lazy.force a_dense) ~bu:bu_win ()
+            Engine.run
+              (Engine.prepare ctx pencil (Engine.alternating (Array.make wlen h)))
+              bu_win
           in
           let t1 = Unix.gettimeofday () in
           let x_win =
@@ -419,7 +447,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
      Only the ρ_β factor (weights decaying like lag^{−(1+β)}) is
      short-memory truncated to the last k_eff transformed columns. *)
   let run_general () =
-    let terms = sys.Multi_term.terms in
+    let orders = orders_of sys in
     let term_data =
       List.map
         (fun { Multi_term.coeff; alpha } ->
@@ -447,37 +475,13 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
             yr;
             yring = Array.make yr [||];
           })
-        terms
+        sys.Multi_term.terms
     in
-    let key_salt =
-      List.map (fun { Multi_term.alpha; _ } -> alpha) terms @ [ h ]
+    let history =
+      window_history ~h ~m ~orders
+        ~rhos:(List.map (fun ti -> ti.rho_full) term_data)
     in
-    let d_win wlen =
-      List.map
-        (fun ti ->
-          Mat.init wlen wlen (fun i j ->
-              if j >= i then ti.scale *. ti.rho_full.(j - i) else 0.0))
-        term_data
-    in
-    let d_full = d_win w in
-    (* within-window D blocks are Toeplitz by construction (first row
-       scale·ρ_α), so each per-window engine call can take the FFT
-       history fast path — restricted, like Opm.uniform_toeplitz, to
-       non-growing kernels (α ≤ 1): for α > 1 the alternating growing
-       ρ_α terms only stay accurate under the naive scan's pairwise
-       cancellation order *)
-    let fft_safe =
-      List.for_all (fun { Multi_term.alpha; _ } -> alpha <= 1.0) terms
-    in
-    let t_win wlen =
-      if fft_safe && Engine.fft_rhs_enabled () then
-        Some
-          (List.map
-             (fun ti -> Array.init wlen (fun l -> ti.scale *. ti.rho_full.(l)))
-             term_data)
-      else None
-    in
-    let t_full = t_win w in
+    let full_history = history w in
     let ilog2 v =
       let r = ref 0 and v = ref v in
       while !v > 1 do
@@ -486,10 +490,6 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
       done;
       !r
     in
-    let dense_coeffs =
-      lazy (List.map (fun { Multi_term.coeff; _ } -> Csr.to_dense coeff) terms)
-    in
-    let a_dense = lazy (Csr.to_dense sys.Multi_term.a) in
     let max_nint = List.fold_left (fun acc ti -> max acc ti.n_int) 0 term_data in
     let xr = max max_nint 1 in
     let xring = Array.make xr [||] in
@@ -630,24 +630,8 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
                 done)
               term_data;
           let dt_pre = Unix.gettimeofday () -. t0 in
-          let d = if wlen = w then d_full else d_win wlen in
-          let toeplitz = if wlen = w then t_full else t_win wlen in
-          let x_win =
-            match backend with
-            | `Sparse ->
-                Engine.solve_sparse ?health ~fcache:fc_s ~key_salt
-                  ~pin_factors:true ?toeplitz ~history_len:m ?budget
-                  ~terms:
-                    (List.map2
-                       (fun { Multi_term.coeff; _ } dm -> (coeff, dm))
-                       terms d)
-                  ~a:sys.Multi_term.a ~bu:bu_win ()
-            | `Dense ->
-                Engine.solve_dense ?health ~fcache:fc_d ~key_salt
-                  ~pin_factors:true ?toeplitz ~history_len:m ?budget
-                  ~terms:(List.map2 (fun e dm -> (e, dm)) (Lazy.force dense_coeffs) d)
-                  ~a:(Lazy.force a_dense) ~bu:bu_win ()
-          in
+          let hist = if wlen = w then full_history else history wlen in
+          let x_win = Engine.run (Engine.prepare ctx pencil hist) bu_win in
           let t1 = Unix.gettimeofday () in
           (* advance the carried state: push the window's columns through
              each term's ρ_n recurrence (this time with the real x) and
@@ -712,9 +696,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
      the completed-window prefix and the last good checkpoint — the
      caller gets a usable result, not nothing *)
   (try
-     match (sys.Multi_term.terms, sys.Multi_term.input_order) with
-     | [ { Multi_term.coeff = e; alpha = 1.0 } ], 0 -> run_linear e
-     | _ -> run_general ()
+     if linear_order_one sys then run_linear () else run_general ()
    with
   | Opm_error.Error
       (( Opm_error.Deadline_exceeded _ | Opm_error.Budget_exhausted _
@@ -727,13 +709,8 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fc_d ?fc_s
              completed_windows = !completed;
              checkpoint = !last_checkpoint;
            }));
-  let hits =
-    Engine.Factor_cache.hits fc_d + Engine.Factor_cache.hits fc_s - hits0
-  in
-  let misses =
-    Engine.Factor_cache.misses fc_d + Engine.Factor_cache.misses fc_s
-    - misses0
-  in
+  let hits = Engine.Factor_cache.hits fcache - hits0 in
+  let misses = Engine.Factor_cache.misses fcache - misses0 in
   Metrics.incr ~by:hits m_factor_reuse;
   ( Sim_result.Builder.to_mat builder,
     {

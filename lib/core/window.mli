@@ -71,12 +71,6 @@ type stats = {
           tail RHS corrections, endpoint transfer, ring updates) *)
 }
 
-val split_alpha : float -> int * float
-(** [split_alpha α = (⌊α⌋, α − ⌊α⌋)] — the integer/fractional split the
-    driver carries exactly / truncates. Exposed so compile-ahead
-    callers ({!Compiled_model}) can precompute the very [ρ_β] series
-    this driver will look up. *)
-
 val truncation_mass :
   alpha:float -> lags:int -> memory_len:int -> float
 (** [truncation_mass ~alpha ~lags ~memory_len] =
@@ -114,8 +108,7 @@ val solve :
   ?health:Opm_robust.Health.t ->
   ?memory_len:int ->
   ?on_window:(index:int -> start:int -> Mat.t -> unit) ->
-  ?fc_d:(float list, Engine.dense_block) Engine.Factor_cache.t ->
-  ?fc_s:(float list, Engine.sparse_block) Engine.Factor_cache.t ->
+  ?fcache:Engine.cache ->
   ?series_cache:(float * int, float array) Hashtbl.t ->
   ?budget:Opm_robust.Budget.t ->
   ?checkpoint:string ->
@@ -139,19 +132,19 @@ val solve :
     column, and the [n×wlen] solved block — the streaming hook for
     consumers that do not want the assembled horizon.
 
-    [?fc_d]/[?fc_s] substitute caller-owned factor caches for the
-    per-call private ones: a compiled model ({!Compiled_model}) passes
-    prefactored, pinned caches so no query factorises anything, and the
-    driver itself pins the entries it inserts (the bounded cache can
-    never evict the hot pencil mid-run, whatever else shares the
-    cache). [?series_cache] memoises the O(m²) [ρ] series by
-    [(α, length)] across calls. The per-window engine calls pass the
-    global horizon as the FFT-gate history length, so long horizons
-    keep the Toeplitz fast path even when [w] is far below the
-    crossover.
+    Every window is one {!Engine.prepare}/{!Engine.run} pair against
+    one pencil. [?fcache] substitutes a caller-owned factor cache for
+    the per-call private one: a compiled model ({!Compiled_model})
+    passes a cache {!prefactor} has filled, so no query factorises
+    anything; the engine pins the uniform-grid block it inserts (the
+    bounded cache can never evict the hot pencil mid-run, whatever else
+    shares the cache). [?series_cache] memoises the O(m²) [ρ] series by
+    [(α, length)] across calls. The per-window histories carry the
+    global horizon for the FFT gate, so long horizons keep the Toeplitz
+    fast path even when [w] is far below the crossover.
 
-    The [stats] hits/misses are deltas over this call when the caches
-    are shared.
+    The [stats] hits/misses are deltas over this call when the cache is
+    shared.
 
     {2 Crash safety}
 
@@ -183,3 +176,17 @@ val solve :
     [checkpoint_every < 1], the grid is not uniform, or [bu] disagrees
     with the system order and grid size. [window ≥ m] degenerates to a
     single window covering the horizon. *)
+
+val prefactor :
+  Engine.ctx ->
+  Engine.pencil ->
+  series_cache:(float * int, float array) Hashtbl.t ->
+  window:int ->
+  grid:Opm_basis.Grid.t ->
+  Multi_term.t ->
+  unit
+(** Compile-ahead: prepare the first window of [solve ~window ~grid sys]
+    against the same keys, so the block every window looks up is already
+    in the context's cache (pinned) and the [ρ] series it needs are in
+    [series_cache]. [pencil] must hold the system's operators on the
+    backend [solve] will use. *)

@@ -108,6 +108,33 @@ let random_system seed n =
   let sys = Descriptor.random_stable ~seed ~n ~p:1 ~q:1 () in
   (Descriptor.e_dense sys, Descriptor.a_dense sys)
 
+(* the column engine on explicit (E_k, D_k) terms, naive history scan *)
+let run_terms pencil terms ~bu =
+  let ds = List.map snd terms in
+  Engine.run
+    (Engine.prepare Engine.default pencil
+       (Engine.toeplitz ~orders:(List.map (fun _ -> 1.0) ds) ~step:None
+          ~horizon:0 ds))
+    bu
+
+let solve_dense ~terms ~a ~bu =
+  run_terms
+    (Engine.pencil `Dense (List.map Csr.of_dense (List.map fst terms @ [ a ])))
+    terms ~bu
+
+let solve_sparse ~terms ~a ~bu =
+  run_terms (Engine.pencil `Sparse (List.map fst terms @ [ a ])) terms ~bu
+
+(* the order-1 form: running alternating sum over the given steps *)
+let solve_linear pencil ~steps ~bu =
+  Engine.run (Engine.prepare Engine.default pencil (Engine.alternating steps)) bu
+
+let solve_linear_dense ~steps ~e ~a ~bu =
+  solve_linear (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) ~steps ~bu
+
+let solve_linear_sparse ~steps ~e ~a ~bu =
+  solve_linear (Engine.pencil `Sparse [ e; a ]) ~steps ~bu
+
 let test_engine_column_equals_kron () =
   let e, a = random_system 3 5 in
   let m = 9 in
@@ -115,7 +142,7 @@ let test_engine_column_equals_kron () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 4 |] in
   let bu = Mat.init 5 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x1 = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x1 = solve_dense ~terms:[ (e, d) ] ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms:[ (e, d) ] ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-8
 
@@ -126,9 +153,9 @@ let test_engine_sparse_equals_dense () =
   let d = Block_pulse.fractional_differential_matrix grid 0.6 in
   let st = Random.State.make [| 5 |] in
   let bu = Mat.init 12 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let xd = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let xd = solve_dense ~terms:[ (e, d) ] ~a ~bu in
   let xs =
-    Engine.solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu ()
+    solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu
   in
   close "identical" 0.0 (Mat.max_abs_diff xd xs) ~tol:1e-9
 
@@ -143,7 +170,7 @@ let test_engine_multi_term_kron () =
   let st = Random.State.make [| 6 |] in
   let bu = Mat.init 4 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let terms = [ (e2, d2); (e1, d1) ] in
-  let x1 = Engine.solve_dense ~terms ~a ~bu () in
+  let x1 = solve_dense ~terms ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-7
 
@@ -155,7 +182,7 @@ let test_engine_residual () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 7 |] in
   let bu = Mat.init 6 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x = solve_dense ~terms:[ (e, d) ] ~a ~bu in
   let residual = Mat.sub (Mat.mul (Mat.mul e x) d) (Mat.add (Mat.mul a x) bu) in
   close "residual" 0.0 (Mat.max_abs_diff residual (Mat.zeros 6 m)) ~tol:1e-7
 
@@ -169,12 +196,12 @@ let test_linear_fast_path_equals_generic () =
       let st = Random.State.make [| 8 |] in
       let bu = Mat.init 7 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let d = Block_pulse.differential_matrix grid in
-      let x_generic = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
-      let x_fast = Engine.solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu () in
+      let x_generic = solve_dense ~terms:[ (e, d) ] ~a ~bu in
+      let x_fast = solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu in
       close "fast = generic" 0.0 (Mat.max_abs_diff x_fast x_generic) ~tol:1e-8;
       let x_sparse =
-        Engine.solve_linear_sparse ~steps:(Grid.steps grid)
-          ~e:(Csr.of_dense e) ~a:(Csr.of_dense a) ~bu ()
+        solve_linear_sparse ~steps:(Grid.steps grid)
+          ~e:(Csr.of_dense e) ~a:(Csr.of_dense a) ~bu
       in
       close "sparse fast = dense fast" 0.0
         (Mat.max_abs_diff x_sparse x_fast) ~tol:1e-9)
@@ -219,7 +246,7 @@ let test_linear_salt_skip_bit_identity () =
     done;
     x
   in
-  let fast = Engine.solve_linear_dense ~steps ~e ~a ~bu () in
+  let fast = solve_linear_dense ~steps ~e ~a ~bu in
   for i = 0 to m - 1 do
     for r = 0 to n - 1 do
       if Mat.get fast r i <> Mat.get reference r i then
@@ -270,8 +297,8 @@ let test_linear_fast_path_adaptive_512 () =
   let st = Random.State.make [| 9 |] in
   let bu = Mat.init 3 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let d = Block_pulse.differential_matrix grid in
-  let x_generic = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
-  let x_fast = Engine.solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu () in
+  let x_generic = solve_dense ~terms:[ (e, d) ] ~a ~bu in
+  let x_fast = solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu in
   close "adaptive 512-step fast path = generic" 0.0
     (Mat.max_abs_diff x_fast x_generic) ~tol:1e-6
 
@@ -280,7 +307,7 @@ let test_engine_dimension_check () =
   let d = Block_pulse.differential_matrix (Grid.uniform ~t_end:1.0 ~m:4) in
   check_bool "bu size mismatch rejected" true
     (try
-       ignore (Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu:(Mat.zeros 3 5) ());
+       ignore (solve_dense ~terms:[ (e, d) ] ~a ~bu:(Mat.zeros 3 5));
        false
      with Invalid_argument _ -> true)
 
@@ -437,7 +464,7 @@ let test_mixed_order_terms () =
   let e = Mat.eye 1 and a = Mat.of_arrays [| [| -1.0 |] |] in
   let bu = Mat.init 1 m (fun _ _ -> 1.0) in
   let terms = [ (e, d1); (e, d12) ] in
-  let x1 = Engine.solve_dense ~terms ~a ~bu () in
+  let x1 = solve_dense ~terms ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "column = kron" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-9
 
@@ -558,12 +585,10 @@ let test_integral_form_x0 () =
     (max_err_against (fun t -> exp (-.t)) r < 1e-4)
 
 (* Regression for the integral entry point's API seam: it used to take
-   no [?backend]/[?health]/[?window], so it silently ran dense and
-   outside the health cascade while every differential entry point
-   honoured them. The full signature must now hold: sparse agrees with
-   dense, the windowed running-sum streaming agrees with the global
-   solve (to roundoff — the coupling is exact), and a health collector
-   sees every column. *)
+   no [?backend]/[?health], so it silently ran dense and outside the
+   health cascade while every differential entry point honoured them.
+   The full signature must now hold: sparse agrees with dense and a
+   health collector sees every column. *)
 let test_integral_form_full_signature () =
   let sys = Descriptor.random_stable ~seed:44 ~n:6 ~p:1 ~q:1 () in
   let src =
@@ -579,17 +604,6 @@ let test_integral_form_full_signature () =
   close "sparse = dense (integral form)" 0.0
     (Mat.max_abs_diff dense.Sim_result.x sparse.Sim_result.x)
     ~tol:1e-9;
-  List.iter
-    (fun w ->
-      let windowed =
-        Opm.simulate_linear_integral ~x0 ~window:w ~grid sys src
-      in
-      close
-        (Printf.sprintf "windowed (w = %d) = global (integral form)" w)
-        0.0
-        (Mat.max_abs_diff windowed.Sim_result.x dense.Sim_result.x)
-        ~tol:1e-10)
-    [ 16; 24 (* short last window *) ];
   let health = Opm_robust.Health.create () in
   let r = Opm.simulate_linear_integral ~health ~grid sys src in
   check_int "health sees every integral column" m
@@ -761,13 +775,12 @@ let test_frozen_bits () =
   let fft_was = Engine.fft_rhs_enabled () in
   Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was)
   @@ fun () ->
+  Engine.set_fft_rhs_enabled true;
   List.iter
     (fun (backend, expected) ->
       let tag = match backend with `Sparse -> "sparse" | _ -> "dense" in
       List.iter
         (fun (name, run) ->
-          let is_integral = String.length name > 8 && String.sub name 0 8 = "integral" in
-          Engine.set_fft_rhs_enabled (not is_integral);
           let got = fnv1a64_bits (run ()) in
           match List.assoc_opt name expected with
           | Some want when want = got -> ()

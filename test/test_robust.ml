@@ -180,6 +180,13 @@ let test_solve_transpose () =
 
 (* ---------- structured singular errors ---------- *)
 
+(* the column engine on one explicit (E, D) term, naive history scan *)
+let solve_term ?health pencil d ~bu =
+  Engine.run
+    (Engine.prepare { Engine.default with health } pencil
+       (Engine.toeplitz ~orders:[ 1.0 ] ~step:None ~horizon:0 [ d ]))
+    bu
+
 let test_singular_dense () =
   (* second row of both E and A is zero: the pencil d·E − A has a zero
      row whatever d is, so elimination fails at state index 1 *)
@@ -188,7 +195,7 @@ let test_singular_dense () =
   let grid = Grid.uniform ~t_end:1.0 ~m:4 in
   let d = Block_pulse.differential_matrix grid in
   let bu = Mat.init 2 4 (fun _ _ -> 1.0) in
-  match Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () with
+  match solve_term (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu with
   | _ -> Alcotest.fail "expected Singular_pencil"
   | exception Opm_error.Error (Opm_error.Singular_pencil { column; step; _ }) ->
       check_int "failing time column" 0 column;
@@ -205,9 +212,9 @@ let test_singular_sparse_cascade () =
   let bu = Mat.init 2 4 (fun _ _ -> 1.0) in
   let health = Health.create () in
   match
-    Engine.solve_sparse ~health
-      ~terms:[ (Csr.of_dense e, d) ]
-      ~a:(Csr.of_dense a) ~bu ()
+    solve_term ~health
+      (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ])
+      d ~bu
   with
   | _ -> Alcotest.fail "expected Singular_pencil"
   | exception Opm_error.Error (Opm_error.Singular_pencil { column; step; _ }) ->
@@ -250,7 +257,12 @@ let test_near_singular_refinement () =
   let bu = Mat.init n m (fun _ _ -> 1.0) in
   let health = Health.create () in
   let x =
-    Engine.solve_linear_dense ~health ~steps:(Grid.steps grid) ~e ~a ~bu ()
+    Engine.run
+      (Engine.prepare
+         { Engine.default with health = Some health }
+         (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ])
+         (Engine.alternating (Grid.steps grid)))
+      bu
   in
   check_bool "refinement attempted" true
     (List.exists
@@ -279,8 +291,8 @@ let test_noop_on_well_conditioned () =
   let st = Random.State.make [| 22 |] in
   let bu = Mat.init 8 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let health = Health.create () in
-  let x_with = Engine.solve_dense ~health ~terms:[ (e, d) ] ~a ~bu () in
-  let x_without = Engine.solve_dense ~terms:[ (e, d) ] ~a ~bu () in
+  let x_with = solve_term ~health (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu in
+  let x_without = solve_term (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu in
   close "bit-identical with/without health" 0.0
     (Mat.max_abs_diff x_with x_without);
   check_int "no fallback events" 0 (Health.fallback_count health);
@@ -288,12 +300,12 @@ let test_noop_on_well_conditioned () =
   check_int "every column checked" m (Health.columns health);
   check_bool "no warnings" true (Health.warnings health = []);
   let xs_with =
-    Engine.solve_sparse ~health:(Health.create ())
-      ~terms:[ (Csr.of_dense e, d) ]
-      ~a:(Csr.of_dense a) ~bu ()
+    solve_term ~health:(Health.create ())
+      (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ])
+      d ~bu
   in
   let xs_without =
-    Engine.solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu ()
+    solve_term (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ]) d ~bu
   in
   close "sparse bit-identical" 0.0 (Mat.max_abs_diff xs_with xs_without)
 

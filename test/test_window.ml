@@ -291,7 +291,7 @@ let test_factor_reuse_metric () =
 
 (* At h = 2 the diagonal coefficient (2/h)^α = 1 for every α, so a
    shared cache keyed only on diagonal coefficients would serve the
-   α = 0.5 pencil to the α = 1.5 solve. The key_salt discipline must
+   α = 0.5 pencil to the α = 1.5 solve. The (α, h) key discipline must
    keep them apart (2 misses) and both results equal their
    unshared-cache references. *)
 let test_factor_cache_alpha_h_regression () =
@@ -309,14 +309,15 @@ let test_factor_cache_alpha_h_regression () =
   let solve ?fcache alpha =
     let mta = mt alpha in
     let d = Block_pulse.fractional_differential_matrix grid alpha in
-    let terms =
-      List.map
-        (fun { Multi_term.coeff; _ } -> (Opm_sparse.Csr.to_dense coeff, d))
-        mta.Multi_term.terms
+    let pencil =
+      Engine.pencil `Dense
+        (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
+        @ [ mta.Multi_term.a ])
     in
-    Engine.solve_dense ?fcache ~key_salt:[ alpha; 2.0 ] ~terms
-      ~a:(Opm_sparse.Csr.to_dense mta.Multi_term.a)
-      ~bu:(bu alpha) ()
+    Engine.run
+      (Engine.prepare { Engine.default with fcache } pencil
+         (Engine.toeplitz ~orders:[ alpha ] ~step:(Some 2.0) ~horizon:m [ d ]))
+      (bu alpha)
   in
   let shared = Engine.Factor_cache.create () in
   let x05 = solve ~fcache:shared 0.5 in
@@ -350,30 +351,34 @@ let test_pinned_factor_survives_interleaving () =
   let x_clean, _ = Window.solve ~window:w ~grid mt ~bu in
   (* capacity 2: the three foreign keys inserted between consecutive
      windows are guaranteed to overflow the unpinned table every time *)
-  let fc_d = Engine.Factor_cache.create ~capacity:2 () in
+  let fcache = Engine.Factor_cache.create ~capacity:2 () in
   let salt = ref 0 in
   let pollute () =
     for _ = 1 to 3 do
       incr salt;
-      (* a real engine call under a foreign (α, h)-style key, inserted
-         unpinned — exactly the interleaved-sweep workload *)
+      (* a real engine run under a foreign (α, h)-style key, inserted
+         unpinned (no uniform step) — exactly the interleaved-sweep
+         workload *)
       ignore
-        (Engine.solve_dense ~fcache:fc_d
-           ~key_salt:[ float_of_int !salt ]
-           ~terms:[ (Mat.eye 1, Mat.eye 1) ]
-           ~a:(Mat.scale (-1.0) (Mat.eye 1))
-           ~bu:(Mat.zeros 1 1) ())
+        (Engine.run
+           (Engine.prepare
+              { Engine.default with fcache = Some fcache }
+              (Engine.pencil `Dense
+                 [ Opm_sparse.Csr.eye 1; Opm_sparse.Csr.scale (-1.0) (Opm_sparse.Csr.eye 1) ])
+              (Engine.toeplitz ~orders:[ float_of_int !salt ] ~step:None
+                 ~horizon:1 [ Mat.eye 1 ]))
+           (Mat.zeros 1 1))
     done
   in
   let x, stats =
-    Window.solve ~fc_d ~window:w ~grid mt ~bu
+    Window.solve ~fcache ~window:w ~grid mt ~bu
       ~on_window:(fun ~index:_ ~start:_ _ -> pollute ())
   in
   Alcotest.(check int)
     "⌈m/w⌉ − 1 hits despite cache-thrashing interleaving"
     (stats.Window.windows - 1) stats.Window.factor_hits;
   Alcotest.(check int) "exactly one pinned entry" 1
-    (Engine.Factor_cache.pinned_count fc_d);
+    (Engine.Factor_cache.pinned_count fcache);
   if Mat.max_abs_diff x x_clean <> 0.0 then
     Alcotest.fail "interleaved run must stay bit-identical to the clean run"
 
