@@ -708,6 +708,13 @@ let frozen_routes (backend : Opm.backend) =
       ~terms:[ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]
       ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
   in
+  (* a first-order and a half-order term: the two-term FFT history of
+     a ladder with alternating C and CPE shunts *)
+  let half_order =
+    Multi_term.make
+      ~terms:[ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]
+      ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+  in
   let x r = r.Sim_result.x in
   let frac ?window ?memory_len m =
     x (Opm.simulate_fractional ~backend ?window ?memory_len ~grid:(uniform m)
@@ -722,6 +729,12 @@ let frozen_routes (backend : Opm.backend) =
     ( "two-term",
       fun () ->
         x (Opm.simulate_multi_term ~backend ~grid:(uniform 64) two_term src) );
+    ( "multi-term fft",
+      fun () ->
+        x (Opm.simulate_multi_term ~backend ~grid:(uniform 512) half_order src) );
+    ( "general adaptive",
+      fun () ->
+        x (Opm.simulate_fractional ~backend ~grid:adaptive ~alpha:0.5 sys src) );
     ("order-1 uniform", fun () -> x (Opm.simulate_linear ~backend ~grid:(uniform 64) sys src));
     ("order-1 adaptive", fun () -> x (Opm.simulate_linear ~backend ~grid:adaptive sys src));
     ("windowed general", fun () -> frac ~window:16 64);
@@ -746,6 +759,8 @@ let frozen_digests =
           ("general naive", "9bb40b64ae63f526");
           ("general fft", "777a0a4b21f7af56");
           ("two-term", "547b12d7749b2ab0");
+          ("multi-term fft", "bfc1218c5ffc503e");
+          ("general adaptive", "6fd129340adba265");
           ("order-1 uniform", "be73f1f2650cfae2");
           ("order-1 adaptive", "71a55382c072ce4f");
           ("windowed general", "bb63454818c89a36");
@@ -760,6 +775,8 @@ let frozen_digests =
           ("general naive", "b3eb5661b889f1f6");
           ("general fft", "298e947ef0debdc5");
           ("two-term", "6e4c332e3ea1d3c4");
+          ("multi-term fft", "f0afd879b38f2c35");
+          ("general adaptive", "f79c3fe9e2e8daf2");
           ("order-1 uniform", "262d649541f9da67");
           ("order-1 adaptive", "ddc6f412fa7e8da0");
           ("windowed general", "85be6aacf485f87d");
