@@ -398,7 +398,7 @@ let column_solve (sys : Descriptor.t) d bu =
   Engine.run
     (Engine.prepare Engine.default
        (Engine.pencil `Dense [ sys.Descriptor.e; sys.Descriptor.a ])
-       (Engine.toeplitz ~orders:[ 1.0 ] ~step:None ~horizon:0 [ d ]))
+       (Engine.triangular ~orders:[ 1.0 ] [ d ]))
     bu
 
 let ablation_basis () =

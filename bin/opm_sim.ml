@@ -351,6 +351,18 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
       Printf.eprintf
         "opm_sim: warning: --window only applies to the opm methods; ignored\n%!"
   | _ -> ());
+  (* the history tail is truncated only between windows: without an
+     effective window every opm path carries the full history *)
+  let memory_len =
+    match (memory_len, window, method_) with
+    | Some _, Some w, Opm_method when w < steps -> memory_len
+    | None, _, _ -> None
+    | Some _, _, _ ->
+        Printf.eprintf
+          "opm_sim: warning: --memory-len only applies with --window < \
+           --steps; ignored\n%!";
+        None
+  in
   (match (basis, method_) with
   | `Spectral, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive | Integral)
     ->

@@ -153,24 +153,26 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
               match (sys.Multi_term.terms, sys.Multi_term.input_order) with
               | [ { Multi_term.alpha = 1.0; _ } ], 0 ->
                   Engine.alternating (Grid.steps grid)
-              | terms, _ ->
-                  (* near-uniform adaptive grids stay off the Toeplitz
-                     path: every [Grid.Adaptive] solve is bit-identical
-                     to the naive engine *)
-                  let step =
-                    if uniform then Some (Grid.t_end grid /. float_of_int m)
-                    else None
-                  in
-                  let dmats =
-                    Trace.with_span "opm.operational_matrices" @@ fun () ->
-                    List.map
-                      (fun { Multi_term.alpha; _ } ->
-                        Block_pulse.fractional_differential_matrix grid alpha)
-                      terms
-                  in
-                  Engine.toeplitz
-                    ~orders:(List.map (fun { Multi_term.alpha; _ } -> alpha) terms)
-                    ~step ~horizon:m dmats
+              | terms, _ -> (
+                  let orders = List.map (fun { Multi_term.alpha; _ } -> alpha) terms in
+                  Trace.with_span "opm.operational_matrices" @@ fun () ->
+                  match grid with
+                  | Grid.Uniform { t_end; m } ->
+                      (* each D^α is upper-triangular Toeplitz: its
+                         first row is all the engine reads *)
+                      Engine.toeplitz ~orders ~step:(t_end /. float_of_int m)
+                        ~horizon:m
+                        (List.map
+                           (Block_pulse.uniform_fractional_row ~t_end ~m)
+                           orders)
+                  | Grid.Adaptive _ ->
+                      (* near-uniform adaptive grids stay off the Toeplitz
+                         path too: every [Grid.Adaptive] solve is
+                         bit-identical to the naive engine *)
+                      Engine.triangular ~orders
+                        (List.map
+                           (Block_pulse.fractional_differential_matrix grid)
+                           orders))
             in
             if uniform then ignore (Engine.prepare ctx pencil history : Engine.plan);
             Column history

@@ -63,11 +63,14 @@ val compile :
   grid:Grid.t ->
   Multi_term.t ->
   t
-(** Precompute everything plant-dependent. [?window]/[?memory_len]
-    select the windowed streaming driver for queries (same semantics as
+(** Precompute everything plant-dependent. [?window] selects the
+    windowed streaming driver for queries (same semantics as
     {!Opm.simulate_multi_term}; [window ≥ m] degenerates to the global
-    path). [?health] collects fallback events of the compile-time
-    factorisation itself; per-query collection is a {!solve} argument.
+    path). [?memory_len] truncates that driver's fractional history
+    tail, so it has no effect without a [window < m]: the global path
+    always carries the full history. [?health] collects fallback
+    events of the compile-time factorisation itself; per-query
+    collection is a {!solve} argument.
     Raises [Invalid_argument] for [window < 1].
 
     Adaptive grids compile too — the operational matrices are still

@@ -458,11 +458,26 @@ let factor ?health ?budget p ~column c =
 (* ------------------------------------------------------------------ *)
 (* History strategies                                                  *)
 
+(* The differential form's operational matrices D_k. On a uniform grid
+   each is upper-triangular Toeplitz and travels as its first row alone
+   (O(m) instead of O(m²)); an adaptive grid's D_k is a general upper
+   triangle. [weight] is the one accessor the diagonal, the cache key
+   and the history scan read either through. *)
+type lags =
+  | Rows of { rows : Vec.t array; step : float }  (* D_k(j, i) = rows.(k).(i − j) *)
+  | Dense of Mat.t array
+
+let weight lags k j i =
+  match lags with
+  | Rows { rows; _ } -> rows.(k).(i - j)
+  | Dense d -> Mat.get d.(k) j i
+
+let nterms = function Rows { rows; _ } -> Array.length rows | Dense d -> Array.length d
+
 type history =
-  | Toeplitz of {
-      d : Mat.t array;
+  | Differential of {
+      lags : lags;
       orders : float list;
-      step : float option;
       horizon : int;
       mutable conv : Fft.Blocked_conv.t option;
           (* kept across runs: a reused convolver keeps its kernel
@@ -472,51 +487,69 @@ type history =
   | Alternating of float array
   | Running_sum of { steps : float array; x0 : Vec.t }
 
-let toeplitz ~orders ~step ~horizon ds =
-  if List.length orders <> List.length ds then
-    invalid_arg "Engine.toeplitz: one order per D_k";
+let check_orders name orders count =
+  if List.length orders <> count then invalid_arg (name ^ ": one order per D_k")
+
+let toeplitz ~orders ~step ~horizon rows =
+  check_orders "Engine.toeplitz" orders (List.length rows);
+  let m = match rows with r0 :: _ -> Array.length r0 | [] -> 0 in
+  List.iter
+    (fun r ->
+      if Array.length r <> m then invalid_arg "Engine.toeplitz: row length mismatch")
+    rows;
+  Differential
+    { lags = Rows { rows = Array.of_list rows; step }; orders; horizon; conv = None }
+
+let triangular ~orders ds =
+  check_orders "Engine.triangular" orders (List.length ds);
   let m = match ds with d0 :: _ -> fst (Mat.dims d0) | [] -> 0 in
   List.iter
     (fun d ->
-      if Mat.dims d <> (m, m) then invalid_arg "Engine.toeplitz: D_k dimension mismatch")
+      if Mat.dims d <> (m, m) then
+        invalid_arg "Engine.triangular: D_k dimension mismatch")
     ds;
-  Toeplitz { d = Array.of_list ds; orders; step; horizon; conv = None }
+  Differential { lags = Dense (Array.of_list ds); orders; horizon = m; conv = None }
 
 let alternating steps = Alternating steps
 
 let running_sum ~x0 steps = Running_sum { steps; x0 }
 
 let columns = function
-  | Toeplitz { d; _ } -> if Array.length d = 0 then 0 else fst (Mat.dims d.(0))
+  | Differential { lags = Rows { rows = [||]; _ } | Dense [||]; _ } -> 0
+  | Differential { lags = Rows { rows; _ }; _ } -> Array.length rows.(0)
+  | Differential { lags = Dense d; _ } -> fst (Mat.dims d.(0))
   | Alternating steps | Running_sum { steps; _ } -> Array.length steps
 
 (* one step for every column: one block serves the whole horizon, and
    pinning it costs exactly one entry (an adaptive grid would pin one
    entry per distinct step, and the pinned set is unbounded) *)
 let uniform = function
-  | Toeplitz { step; _ } -> Option.is_some step
+  | Differential { lags = Rows _; _ } -> true
+  | Differential { lags = Dense _; _ } -> false
   | Alternating s | Running_sum { steps = s; _ } ->
       Array.for_all (fun (h : float) -> h = s.(0)) s
 
 (* the coefficients c(i) of column i's block Σ_j c_j·M_j *)
 let column_coeffs history i =
   match history with
-  | Toeplitz { d; _ } ->
-      let k = Array.length d in
-      Array.init (k + 1) (fun j -> if j < k then Mat.get d.(j) i i else -1.0)
+  | Differential { lags; _ } ->
+      let k = nterms lags in
+      Array.init (k + 1) (fun j -> if j < k then weight lags j i i else -1.0)
   | Alternating steps -> [| 2.0 /. steps.(i); -1.0 |]
   | Running_sum { steps; _ } -> [| 1.0; -.(0.5 *. steps.(i)) |]
 
 (* Cache key of column i's block. The differential form carries the
-   term orders and the step, so a cache shared across solves never
-   confuses two (α, h) pencils with coincident diagonals; the order-1
-   form solves (2/h·E − A), α pinned to 1 but carried in the key
-   anyway; the integral form keys on H's diagonal entry h_i/2. *)
+   term orders and, on a uniform grid, the step, so a cache shared
+   across solves never confuses two (α, h) pencils with coincident
+   diagonals; the order-1 form solves (2/h·E − A), α pinned to 1 but
+   carried in the key anyway; the integral form keys on H's diagonal
+   entry h_i/2. *)
 let column_key history i =
   match history with
-  | Toeplitz { d; orders; step; _ } ->
-      orders @ Option.to_list step
-      @ Array.to_list (Array.map (fun dk -> Mat.get dk i i) d)
+  | Differential { lags; orders; _ } ->
+      orders
+      @ (match lags with Rows { step; _ } -> [ step ] | Dense _ -> [])
+      @ List.init (nterms lags) (fun k -> weight lags k i i)
   | Alternating steps -> [ 1.0; steps.(i) ]
   | Running_sum { steps; _ } -> [ 0.5 *. steps.(i) ]
 
@@ -528,13 +561,13 @@ let column_key history i =
    to the historical engine. *)
 let fft_rhs_min_m = 256
 
-(* The FFT gate of the Toeplitz history. [step] asserts a uniform grid,
-   on which every D_k is upper-triangular Toeplitz and its first row
-   drives the convolver. The gate compares the global [horizon], not
-   the local column count: a windowed caller hands the engine w-column
-   blocks, and gating on w alone would keep a 4096-column horizon
-   solved in 64-column windows on the naive scan forever, although the
-   workload as a whole amortises the FFT setup many times over.
+(* The FFT gate of the differential history. Only the Toeplitz rows of
+   a uniform grid qualify: each first row is a convolver kernel. The
+   gate compares the global [horizon], not the local column count: a
+   windowed caller hands the engine w-column blocks, and gating on w
+   alone would keep a 4096-column horizon solved in 64-column windows
+   on the naive scan forever, although the workload as a whole
+   amortises the FFT setup many times over.
 
    Orders above 1 are excluded for accuracy rather than structure:
    |ρ_α(l)| grows like l^{α−1} with alternating sign for α > 1, and the
@@ -545,20 +578,18 @@ let fft_rhs_min_m = 256
    α = 2 oscillator at m = 1000). Non-growing kernels (α ≤ 1) keep the
    conv/naive agreement within the ≤ 1e-10 contract. *)
 let toeplitz_conv ~n ~m = function
-  | Toeplitz t
-    when Option.is_some t.step
-         && List.for_all (fun a -> a <= 1.0) t.orders
+  | Differential ({ lags = Rows { rows; _ }; _ } as t)
+    when List.for_all (fun a -> a <= 1.0) t.orders
          && m > 1
          && max m t.horizon >= fft_rhs_min_m
          && fft_rhs_enabled () -> (
       match t.conv with
       | Some cv when Fft.Blocked_conv.rows cv = n -> Some cv
       | Some _ | None ->
-          let kernels = Array.map (fun d -> Array.init m (Mat.get d 0)) t.d in
-          let cv = Fft.Blocked_conv.create ~kernels ~rows:n ~m () in
+          let cv = Fft.Blocked_conv.create ~kernels:rows ~rows:n ~m () in
           t.conv <- Some cv;
           Some cv)
-  | Toeplitz _ | Alternating _ | Running_sum _ -> None
+  | Differential _ | Alternating _ | Running_sum _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
@@ -580,18 +611,18 @@ type plan = {
   pin : bool;
   key0 : float list;
   block0 : block;
-  conv : Fft.Blocked_conv.t option;  (* the Toeplitz history's, when gated in *)
+  conv : Fft.Blocked_conv.t option;  (* the differential history's, when gated in *)
 }
 
 let prepare ctx pencil history =
   (match history with
-  | Toeplitz { d; _ } when Array.length d <> nops pencil - 1 ->
+  | Differential { lags; _ } when nterms lags <> nops pencil - 1 ->
       invalid_arg "Engine.prepare: one D_k per E_k"
   | (Alternating _ | Running_sum _) when nops pencil <> 2 ->
       invalid_arg "Engine.prepare: the order-1 and integral forms take [E; A]"
   | Running_sum { x0; _ } when Array.length x0 <> pencil.n ->
       invalid_arg "Engine.prepare: x0 length mismatch"
-  | Toeplitz _ | Alternating _ | Running_sum _ -> ());
+  | Differential _ | Alternating _ | Running_sum _ -> ());
   let m = columns history in
   if m < 1 then invalid_arg "Engine.prepare: empty horizon";
   let cache =
@@ -609,8 +640,8 @@ let prepare ctx pencil history =
 
 (* Per-history column state: [rhs i] assembles bu_i minus the history
    term, [push i x_i] records the solved column, [finish ()] returns X.
-   The Toeplitz scan needs every solved column, so it keeps them and
-   assembles X at the end; the running sums write X as they go. *)
+   The differential scan needs every solved column, so it keeps them
+   and assembles X at the end; the running sums write X as they go. *)
 let column_history p bu =
   let n = p.pencil.n in
   let bu_col i = Array.init n (fun r -> Mat.get bu r i) in
@@ -619,11 +650,12 @@ let column_history p bu =
     push i xi
   in
   match p.history with
-  | Toeplitz { d; _ } ->
+  | Differential { lags; _ } ->
       (* rhs_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j, either from
          the blocked FFT convolver (the solved columns are pushed into
-         it) or from the naive scan of the D_k columns — that branch is
-         bit-identical to the historical engine *)
+         it) or from the naive scan of the D_k lag weights — that branch
+         is bit-identical to the historical engine *)
+      let terms = nterms lags in
       let conv = p.conv in
       (* a reused convolver rewinds its data and keeps its spectra *)
       Option.iter Fft.Blocked_conv.reset conv;
@@ -634,30 +666,28 @@ let column_history p bu =
         | Some cv ->
             if i > 0 then begin
               let poison = fault_fft_block () in
-              Array.iteri
-                (fun k _ ->
-                  let hist = Fft.Blocked_conv.history cv ~term:k i in
-                  (* [history] returns a fresh vector, so poisoning it
-                     never touches the convolver's internal state *)
-                  if poison && k = 0 && Array.length hist > 0 then
-                    hist.(0) <- Float.nan;
-                  Vec.axpy (-1.0) (apply p.pencil k hist) rhs)
-                d
+              for k = 0 to terms - 1 do
+                let hist = Fft.Blocked_conv.history cv ~term:k i in
+                (* [history] returns a fresh vector, so poisoning it
+                   never touches the convolver's internal state *)
+                if poison && k = 0 && Array.length hist > 0 then
+                  hist.(0) <- Float.nan;
+                Vec.axpy (-1.0) (apply p.pencil k hist) rhs
+              done
             end
         | None ->
-            Array.iteri
-              (fun k dmat ->
-                let acc = Array.make n 0.0 in
-                let any = ref false in
-                for j = 0 to i - 1 do
-                  let w = Mat.get dmat j i in
-                  if w <> 0.0 then begin
-                    any := true;
-                    Vec.axpy w cols.(j) acc
-                  end
-                done;
-                if !any then Vec.axpy (-1.0) (apply p.pencil k acc) rhs)
-              d);
+            for k = 0 to terms - 1 do
+              let acc = Array.make n 0.0 in
+              let any = ref false in
+              for j = 0 to i - 1 do
+                let w = weight lags k j i in
+                if w <> 0.0 then begin
+                  any := true;
+                  Vec.axpy w cols.(j) acc
+                end
+              done;
+              if !any then Vec.axpy (-1.0) (apply p.pencil k acc) rhs
+            done);
         rhs
       in
       let push i xi =
@@ -707,8 +737,8 @@ let column_history p bu =
 
 let span_name p =
   match (p.history, p.pencil.ops) with
-  | Toeplitz _, Dense_ops _ -> "engine.solve_dense"
-  | Toeplitz _, Sparse_ops _ -> "engine.solve_sparse"
+  | Differential _, Dense_ops _ -> "engine.solve_dense"
+  | Differential _, Sparse_ops _ -> "engine.solve_sparse"
   | Alternating _, Dense_ops _ -> "engine.solve_linear_dense"
   | Alternating _, Sparse_ops _ -> "engine.solve_linear_sparse"
   | Running_sum _, Dense_ops _ -> "engine.solve_integral_dense"

@@ -15,7 +15,8 @@ open Opm_robust
 
     - differential form [Σ_k E_k·X·D_k = A·X + BU] (paper eq. (14)/(27),
       several terms): [M = [E_1 … E_K; A]], [c = [d^{(1)}_{ii} … d^{(K)}_{ii}; −1]],
-      history [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j] ({!toeplitz});
+      history [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j] ({!toeplitz} on uniform
+      grids, {!triangular} on adaptive ones);
     - order-1 form ([D]'s special pattern — [2/h_i] on the diagonal,
       [4(−1)^{i−j}/h_i] above): [M = [E; A]], [c = [2/h_i; −1]], history
       [(4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j], one running alternating sum
@@ -58,8 +59,9 @@ open Opm_robust
 
     {2 Fast history convolution}
 
-    On uniform grids every [D_k] is upper-triangular {e Toeplitz}, so
-    the differential history is a causal convolution of the first-row
+    On uniform grids every [D_k] is upper-triangular {e Toeplitz} and
+    the history carries only its first row ({!toeplitz}), so the
+    differential history is a causal convolution of the first-row
     coefficients with the solved-column sequence, routed through
     {!Opm_numkit.Fft.Blocked_conv} — [O(n·m·log² m)] instead of the
     naive [O(n·m²)] scan. The FFT reassociates the summation: results
@@ -155,19 +157,30 @@ val backend : pencil -> [ `Dense | `Sparse ]
 type history
 
 val toeplitz :
-  orders:float list -> step:float option -> horizon:int -> Mat.t list -> history
-(** Differential form: [D_1 … D_K] ([m×m] upper triangular, one per
-    [E_k]) with their differentiation [orders]. [~step:(Some h)]
-    asserts a uniform grid of step [h]: every [D_k] is then
-    upper-triangular Toeplitz, its column block is pinned in the cache,
-    and the history takes the FFT path when every order is ≤ 1,
+  orders:float list -> step:float -> horizon:int -> Vec.t list -> history
+(** Differential form on a uniform grid of step [h = step]: every [D_k]
+    is upper-triangular Toeplitz, given by its first row alone
+    ([D_k(j, i) = row_k.(i − j)], e.g.
+    {!Opm_basis.Block_pulse.uniform_fractional_row}; the row length is
+    the column count), one per [E_k], with their differentiation
+    [orders]. No [m×m] matrix is ever formed: the diagonal, the cache
+    key, the naive-scan lag weights and the FFT kernels are all read
+    from the rows. The column block is pinned in the cache, and the
+    history takes the FFT path when every order is ≤ 1,
     {!fft_rhs_enabled}, and [max m horizon ≥ 256] — [horizon] is the
     global history length, so a windowed caller solving a long horizon
-    in short blocks still amortises the FFT. Below that crossover (and
-    with [~step:None]) the [D_k] columns are scanned naively. The
-    history owns its convolver and reuses it across runs. Raises
-    [Invalid_argument] on an order/matrix count mismatch or non-square
-    or unequal [D_k]. *)
+    in short blocks still amortises the FFT. Below that crossover the
+    lag weights are scanned naively. The history owns its convolver and
+    reuses it across runs. Raises [Invalid_argument] on an order/row
+    count mismatch or rows of unequal length. *)
+
+val triangular : orders:float list -> Mat.t list -> history
+(** Differential form on an adaptive grid: [D_1 … D_K] ([m×m] upper
+    triangular, one per [E_k]) with their differentiation [orders]. The
+    same column scan as {!toeplitz} reads the weights from the dense
+    [D_k]; the blocks are never pinned and the history never takes the
+    FFT path. Raises [Invalid_argument] on an order/matrix count
+    mismatch or non-square or unequal [D_k]. *)
 
 val alternating : float array -> history
 (** Order-1 form over the given steps [h_i]; never materialises [D]. *)

@@ -42,6 +42,23 @@ let simulate_linear ?backend ?basis ?health ?budget ?checkpoint
     ?checkpoint_every ?resume_from ?x0 ?window ?memory_len ~grid
     (Multi_term.of_linear sys) sources
 
+(* BU·H without forming the m×m H: column j is
+   Σ_{k<j} h_k·bu_k + (h_j/2)·bu_j, the running sum accumulated in
+   ascending k — the order [Mat.mul] adds H's column in, so the result
+   is bit-identical to it for finite [bu] *)
+let integrate_columns steps bu =
+  let n, m = Mat.dims bu in
+  let out = Mat.zeros n m in
+  for r = 0 to n - 1 do
+    let acc = ref 0.0 in
+    for j = 0 to m - 1 do
+      let b = Mat.get bu r j in
+      Mat.set out r j (!acc +. (b *. (0.5 *. steps.(j))));
+      acc := !acc +. (b *. steps.(j))
+    done
+  done;
+  out
+
 let simulate_linear_integral ?(backend = `Auto) ?health ?budget ?x0 ~grid
     (sys : Descriptor.t) sources =
   Trace.with_span "opm.simulate_integral" @@ fun () ->
@@ -58,7 +75,7 @@ let simulate_linear_integral ?(backend = `Auto) ?health ?budget ?x0 ~grid
          { Engine.default with health; budget }
          (Engine.pencil backend [ sys.Descriptor.e; sys.Descriptor.a ])
          (Engine.running_sum ~x0 (Grid.steps grid)))
-      (Mat.mul bu (Block_pulse.integral_matrix grid))
+      (integrate_columns (Grid.steps grid) bu)
   in
   Sim_result.make ?health ~grid ~x ~c:sys.Descriptor.c
     ~state_names:sys.Descriptor.state_names

@@ -134,7 +134,9 @@ val simulate_linear_integral :
     The block-pulse integration weights are constant down each column
     of [H], so the history is one running sum [A·Σ_{j<i} h_j x_j]: O(n)
     carried state and [O(n^β·#distinct steps + n·m)] cost on any
-    horizon, which is why this entry point needs no [?window]. *)
+    horizon, which is why this entry point needs no [?window]. The
+    forcing [B·U·H] is the same prefix sum over [B·U]'s columns, so [H]
+    itself is never formed. *)
 
 val input_coefficients : grid:Grid.t -> Source.t array -> Opm_numkit.Mat.t
 (** BPF coefficient matrix [U] ([p×m], eq. 11) of the inputs — exposed

@@ -124,15 +124,15 @@ let linear_order_one (sys : Multi_term.t) =
   | _ -> false
 
 (* The general path's within-window D blocks: upper-triangular Toeplitz
-   by construction, first row (2/h)^α·ρ_α, so each window's engine run
-   can take the FFT history path (gated on the global horizon [m]). *)
+   by construction, first row (2/h)^α·ρ_α truncated to the window, so
+   each window's engine run can take the FFT history path (gated on the
+   global horizon [m]). *)
 let window_history ~h ~m ~orders ~rhos wlen =
-  Engine.toeplitz ~orders ~step:(Some h) ~horizon:m
+  Engine.toeplitz ~orders ~step:h ~horizon:m
     (List.map2
        (fun alpha rho ->
          let scale = (2.0 /. h) ** alpha in
-         Mat.init wlen wlen (fun i j ->
-             if j >= i then scale *. rho.(j - i) else 0.0))
+         Array.init wlen (fun k -> scale *. rho.(k)))
        orders rhos)
 
 let orders_of (sys : Multi_term.t) =

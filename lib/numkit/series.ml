@@ -3,12 +3,21 @@ type t = float array
 let truncate n c =
   Array.init n (fun k -> if k < Array.length c then c.(k) else 0.0)
 
+(* Exact-zero coefficients of [a] are skipped, as [Mat.mul_rows] skips
+   zero entries: a sum that starts at +0 never changes its bits by
+   adding ±0, and the surviving terms keep their ascending-i order. The
+   scan also stops at [a]'s last nonzero: a terminating binomial series
+   (integer α) has α+1 nonzero terms, so its products cost O(n) instead
+   of O(n²). *)
 let mul a b =
   let n = min (Array.length a) (Array.length b) in
+  let rec last_nonzero i = if i >= 0 && a.(i) = 0.0 then last_nonzero (i - 1) else i in
+  let last = last_nonzero (n - 1) in
   Array.init n (fun k ->
       let s = ref 0.0 in
-      for i = 0 to k do
-        s := !s +. (a.(i) *. b.(k - i))
+      for i = 0 to min k last do
+        let ai = a.(i) in
+        if ai <> 0.0 then s := !s +. (ai *. b.(k - i))
       done;
       !s)
 

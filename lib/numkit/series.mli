@@ -13,7 +13,10 @@ val truncate : int -> t -> t
 (** Keep the first [n] coefficients, padding with zeros if shorter. *)
 
 val mul : t -> t -> t
-(** Cauchy product truncated to [min] of the operand lengths. *)
+(** Cauchy product truncated to [min] of the operand lengths. Each
+    coefficient sums [a.(i)·b.(k−i)] in ascending [i], skipping the
+    exact zeros of [a] (bit-identical to the full sum for finite [b]);
+    [O(n·(last nonzero of a))]. *)
 
 val binomial_series : float -> int -> t
 (** [binomial_series alpha n] are the first [n] coefficients of

@@ -6,7 +6,11 @@
 #     without --window (the integral form has no windowed variant);
 #   - `--basis spectral --window 16` is a usage error (exit 2);
 #   - `--method opm --window 16 --memory-len 8` exits 0 with as many CSV
-#     rows as the unwindowed run.
+#     rows as the unwindowed run, and does not warn;
+#   - on a ladder with a constant-phase element at 256 steps,
+#     `--memory-len 8` alone and with `--window 256` warns that
+#     --memory-len is ignored and writes the same CSV bytes as the
+#     full-history run (the tail is only truncated between windows).
 #
 # Usage: cli_contract.sh <opm_sim.exe>
 set -u
@@ -27,6 +31,14 @@ R2 n1 n2 1k
 C2 n2 0 1u
 EOF
 
+cat > "$tmp/cpe.sp" <<'EOF'
+V1 in 0 step(1)
+R1 in n1 1k
+C1 n1 0 1u
+R2 n1 n2 1k
+P2 n2 0 q=1u alpha=0.5
+EOF
+
 status=0
 fail() {
   echo "cli-contract: $*" >&2
@@ -34,14 +46,25 @@ fail() {
 }
 
 run() {
-  # run <name> <args...>: stdout to <name>.csv, stderr to <name>.err,
-  # exit code to the global $code
+  # run <name> <args...>: the RC ladder at 64 steps; stdout to
+  # <name>.csv, stderr to <name>.err, exit code to the global $code
   local name=$1
   shift
   "$sim" "$tmp/ladder.sp" -t 5e-3 --steps 64 --probe n2 "$@" \
     > "$tmp/$name.csv" 2> "$tmp/$name.err"
   code=$?
 }
+
+run_cpe() {
+  # run_cpe <name> <args...>: as run, on the CPE ladder at 256 steps
+  local name=$1
+  shift
+  "$sim" "$tmp/cpe.sp" -t 5e-3 --steps 256 --probe n2 --method opm "$@" \
+    > "$tmp/$name.csv" 2> "$tmp/$name.err"
+  code=$?
+}
+
+ignored="--memory-len only applies with --window < --steps; ignored"
 
 run integral --method integral
 [ "$code" -eq 0 ] || fail "--method integral exited $code"
@@ -63,6 +86,20 @@ rows=$(wc -l < "$tmp/opm.csv")
 rows_w=$(wc -l < "$tmp/opm_w.csv")
 [ "$rows" -eq "$rows_w" ] \
   || fail "windowed opm CSV has $rows_w rows, unwindowed $rows"
+grep -q -- "$ignored" "$tmp/opm_w.err" \
+  && fail "--window 16 --memory-len 8 warned that --memory-len is ignored"
+
+run_cpe cpe
+[ "$code" -eq 0 ] || fail "CPE ladder exited $code"
+for args in "--memory-len 8" "--memory-len 8 --window 256"; do
+  # word splitting of $args is intended
+  run_cpe cpe_k $args
+  [ "$code" -eq 0 ] || fail "CPE ladder $args exited $code"
+  grep -q -- "$ignored" "$tmp/cpe_k.err" \
+    || fail "CPE ladder $args did not warn that --memory-len is ignored"
+  cmp -s "$tmp/cpe.csv" "$tmp/cpe_k.csv" \
+    || fail "CPE ladder CSV changed under $args"
+done
 
 [ "$status" -eq 0 ] && echo "cli-contract: ok"
 exit $status

@@ -113,8 +113,7 @@ let run_terms pencil terms ~bu =
   let ds = List.map snd terms in
   Engine.run
     (Engine.prepare Engine.default pencil
-       (Engine.toeplitz ~orders:(List.map (fun _ -> 1.0) ds) ~step:None
-          ~horizon:0 ds))
+       (Engine.triangular ~orders:(List.map (fun _ -> 1.0) ds) ds))
     bu
 
 let solve_dense ~terms ~a ~bu =
@@ -807,6 +806,26 @@ let test_frozen_bits () =
         (frozen_routes backend))
     frozen_digests
 
+(* ---------- operational-matrix memory ---------- *)
+
+(* A uniform grid's D^α travels as its Toeplitz first row: compiling a
+   two-term (α = 1, 0.5) system at m = 4096 must allocate O(m), not the
+   2·m²·8 = 268 MB two dense operational matrices would take. *)
+let test_uniform_compile_allocation () =
+  let sys = Descriptor.random_stable ~seed:17 ~n:6 ~p:1 ~q:1 () in
+  let mt =
+    Multi_term.make
+      ~terms:[ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]
+      ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+  in
+  let grid = Grid.uniform ~t_end:3.0 ~m:4096 in
+  let before = Gc.allocated_bytes () in
+  let model = Compiled_model.compile ~backend:`Dense ~grid mt in
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  ignore (Sys.opaque_identity model);
+  if mb >= 16.0 then
+    Alcotest.failf "compile at m = 4096 allocated %.1f MB (limit 16 MB)" mb
+
 (* ---------- adaptive ---------- *)
 
 let test_adaptive_accuracy () =
@@ -911,6 +930,8 @@ let () =
           t "input coefficients" test_input_coefficients;
         ] );
       ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
+      ( "opmatrix-memory",
+        [ t "uniform compile allocates O(m)" test_uniform_compile_allocation ] );
       ( "adaptive",
         [
           t "accuracy" test_adaptive_accuracy;

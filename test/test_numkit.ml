@@ -515,6 +515,34 @@ let prop_series_power_addition =
         (fun x y -> Float.abs (x -. y) < 1e-7 *. (1.0 +. Float.abs y))
         prod pab)
 
+(* Series.mul skips the exact zeros of its left factor (a terminating
+   binomial series for integer α); the result must keep the bits of the
+   plain ascending-i Cauchy product *)
+let test_series_mul_zero_skip_bits () =
+  let n = 257 in
+  let plain a b =
+    Array.init n (fun k ->
+        let s = ref 0.0 in
+        for i = 0 to k do
+          s := !s +. (a.(i) *. b.(k - i))
+        done;
+        !s)
+  in
+  List.iter
+    (fun alpha ->
+      let minus = Series.binomial_series alpha n in
+      let num = Array.mapi (fun k c -> if k land 1 = 1 then -.c else c) minus in
+      let den = Series.binomial_series (-.alpha) n in
+      let want = plain num den in
+      let got = Series.mul num den in
+      Array.iteri
+        (fun k w ->
+          if Int64.bits_of_float got.(k) <> Int64.bits_of_float w then
+            Alcotest.failf "alpha = %g, coefficient %d: %h, plain product %h"
+              alpha k got.(k) w)
+        want)
+    [ 0.0; 0.5; 1.0; 1.5; 2.0; 3.0 ]
+
 let test_series_eval_nilpotent () =
   let q = Mat.shift_nilpotent 4 in
   let c = [| 1.0; -3.0; 4.5; -5.5 |] in
@@ -762,6 +790,7 @@ let () =
           t "binomial integer" test_series_binomial_integer;
           t "paper rho_{3/2,4}" test_series_paper_rho;
           t "alpha = 1" test_series_alpha_one;
+          t "mul zero skip keeps bits" test_series_mul_zero_skip_bits;
           t "eval nilpotent toeplitz" test_series_eval_nilpotent;
           t "eval scalar" test_series_eval_scalar;
           q prop_series_power_addition;

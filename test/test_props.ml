@@ -292,6 +292,32 @@ let prop_dalpha_rows_are_rho =
         done
       done)
 
+(* The uniform-grid first row the column engine carries instead of the
+   matrix: it is row 0 of D^α bit for bit, and it defines the whole
+   upper-triangular Toeplitz matrix, entry (i, j) = row.(j − i). Integer
+   orders are drawn too (their ρ series terminates). *)
+let prop_uniform_row_is_matrix =
+  prop ~n:4 (fun st _seed ->
+      let m = 1 + Random.State.int st 64 in
+      let alpha =
+        if Random.State.bool st then float_of_int (Random.State.int st 4)
+        else Random.State.float st 3.0
+      in
+      let t_end = 0.5 +. Random.State.float st 2.5 in
+      let row = Block_pulse.uniform_fractional_row ~t_end ~m alpha in
+      let d = Block_pulse.fractional_differential_matrix (Grid.uniform ~t_end ~m) alpha in
+      let bits = Int64.bits_of_float in
+      if Array.length row <> m then
+        Alcotest.failf "row length %d, m = %d" (Array.length row) m;
+      for i = 0 to m - 1 do
+        for j = 0 to m - 1 do
+          let expected = if j < i then 0.0 else row.(j - i) in
+          if bits (Mat.get d i j) <> bits expected then
+            Alcotest.failf "D^%.4f (m = %d) entry (%d, %d): %h, row gives %h"
+              alpha m i j (Mat.get d i j) expected
+        done
+      done)
+
 (* Full-solve differential: the FFT history path vs the naive scan on
    random RLC networks across the α regimes (fractional, exactly 1,
    super-diffusive — the last exercises the α > 1 safety gate, which
@@ -706,6 +732,8 @@ let () =
             prop_blocked_conv_vs_naive;
           Alcotest.test_case "D^α rows = scaled ρ_α (Toeplitz)" `Quick
             prop_dalpha_rows_are_rho;
+          Alcotest.test_case "uniform first row = D^α, bit for bit" `Quick
+            prop_uniform_row_is_matrix;
           Alcotest.test_case "fft vs naive rhs on random RLC" `Slow
             prop_fft_rhs_differential;
         ] );

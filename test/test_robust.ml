@@ -184,7 +184,7 @@ let test_solve_transpose () =
 let solve_term ?health pencil d ~bu =
   Engine.run
     (Engine.prepare { Engine.default with health } pencil
-       (Engine.toeplitz ~orders:[ 1.0 ] ~step:None ~horizon:0 [ d ]))
+       (Engine.triangular ~orders:[ 1.0 ] [ d ]))
     bu
 
 let test_singular_dense () =

@@ -308,7 +308,7 @@ let test_factor_cache_alpha_h_regression () =
   in
   let solve ?fcache alpha =
     let mta = mt alpha in
-    let d = Block_pulse.fractional_differential_matrix grid alpha in
+    let row = Block_pulse.uniform_fractional_row ~t_end ~m alpha in
     let pencil =
       Engine.pencil `Dense
         (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
@@ -316,7 +316,7 @@ let test_factor_cache_alpha_h_regression () =
     in
     Engine.run
       (Engine.prepare { Engine.default with fcache } pencil
-         (Engine.toeplitz ~orders:[ alpha ] ~step:(Some 2.0) ~horizon:m [ d ]))
+         (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 ~horizon:m [ row ]))
       (bu alpha)
   in
   let shared = Engine.Factor_cache.create () in
@@ -365,8 +365,7 @@ let test_pinned_factor_survives_interleaving () =
               { Engine.default with fcache = Some fcache }
               (Engine.pencil `Dense
                  [ Opm_sparse.Csr.eye 1; Opm_sparse.Csr.scale (-1.0) (Opm_sparse.Csr.eye 1) ])
-              (Engine.toeplitz ~orders:[ float_of_int !salt ] ~step:None
-                 ~horizon:1 [ Mat.eye 1 ]))
+              (Engine.triangular ~orders:[ float_of_int !salt ] [ Mat.eye 1 ]))
            (Mat.zeros 1 1))
     done
   in
