@@ -26,34 +26,38 @@ module Operator = struct
         if cr <> n || cc <> n || mr <> m || mc <> m then
           invalid_arg "Spectral_solver.Operator: term dimension mismatch";
         let cd = cmat.Mat.data and md = mmat.Mat.data in
-        (* op += M_kᵀ ⊗ C_k in the column-stacked vec convention:
-           entry ((i·n+r), (j·n+s)) += M_{ji} · C_{rs}; flat indices
-           with hoisted row bases — this scatter runs once per compile
-           but is m²n² wide, so accessor-call overhead is visible *)
-        for i = 0 to m - 1 do
-          for j = 0 to m - 1 do
-            let mji = Array.unsafe_get md ((j * m) + i) in
-            if mji <> 0.0 then
-              for r = 0 to n - 1 do
-                let rowbase = ((((i * n) + r) * nm) + (j * n)) in
-                let crow = r * n in
-                for s = 0 to n - 1 do
-                  let idx = rowbase + s in
+        (* op += M_kᵀ ⊗ C_k, rows and columns ordered state-major: vec
+           index r·m + i is state r at node i, so entry
+           ((r·m+i), (s·m+j)) += M_{ji} · C_{rs}. In this order every
+           block (r, s) is the m × m matrix Σ_k C_k[r,s]·M_kᵀ, and a
+           sparse or diagonal C_k leaves whole blocks zero, so the
+           rows end near the diagonal and [Lu.factor_profile] skips
+           their zero tails (time-major order interleaves the states
+           and fills in completely). Flat indices with hoisted row
+           bases — the scatter is m²n² wide. *)
+        for r = 0 to n - 1 do
+          for s = 0 to n - 1 do
+            let crs = Array.unsafe_get cd ((r * n) + s) in
+            if crs <> 0.0 then
+              for i = 0 to m - 1 do
+                let rowbase = ((((r * m) + i) * nm) + (s * m)) in
+                for j = 0 to m - 1 do
+                  let idx = rowbase + j in
                   Array.unsafe_set od idx
                     (Array.unsafe_get od idx
-                    +. (mji *. Array.unsafe_get cd (crow + s)))
+                    +. (Array.unsafe_get md ((j * m) + i) *. crs))
                 done
               done
           done
         done)
       terms;
     let lu =
-      try Lu.factor op
+      try Lu.factor_profile op
       with Lu.Singular k ->
-        (* vec index k = i·n + r: time column i, state row r *)
+        (* vec index k = r·m + i: state row r, time column i *)
         Opm_error.raise_
           (Opm_error.Singular_pencil
-             { column = k / n; step = k mod n; pivot = 0.0; name = None })
+             { column = k mod m; step = k / m; pivot = 0.0; name = None })
     in
     let cond = Lu.cond_est lu in
     (match health with Some h -> Health.record_cond h cond | None -> ());
@@ -70,9 +74,9 @@ module Operator = struct
       invalid_arg "Spectral_solver.Operator.solve: rhs dimension mismatch";
     let nm = t.n * t.m in
     let b = Array.make nm 0.0 in
-    for i = 0 to t.m - 1 do
-      for r = 0 to t.n - 1 do
-        b.((i * t.n) + r) <- Mat.get rhs r i
+    for r = 0 to t.n - 1 do
+      for i = 0 to t.m - 1 do
+        b.((r * t.m) + i) <- Mat.get rhs r i
       done
     done;
     let xv = Lu.solve t.lu b in
@@ -87,7 +91,7 @@ module Operator = struct
       Opm_error.raise_
         (Opm_error.Non_finite
            { stage = "spectral"; column = None; nans = !nans; infs = !infs });
-    Mat.init t.n t.m (fun r i -> xv.((i * t.n) + r))
+    Mat.init t.n t.m (fun r i -> xv.((r * t.m) + i))
 end
 
 type t = {

@@ -14,7 +14,9 @@ open Opm_signal
 
     [[Σ_k (D^{α_k} ⊗ E_k) − I_m ⊗ A] vec(X) = vec(B·U)]
 
-    factored {e once} with {!Opm_numkit.Lu} — [O((nm)³)], worthwhile
+    factored {e once} with {!Opm_numkit.Lu.factor_profile} — [O((nm)³)]
+    at worst, less when sparse [E_k] and [A] give the state-major
+    operator a block-banded profile; worthwhile
     exactly because spectral [m] stays tiny (a few dozen nodes replace
     thousands of block pulses on smooth sources). Guardrails from
     [lib/robust] apply: the factorisation records a Hager/Higham

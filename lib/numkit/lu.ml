@@ -35,8 +35,14 @@ let mat_norm1 a =
    dense nm × nm pencil), and going through [Mat.get]/[Mat.set] costs
    an un-inlined call plus two bounds checks per flop. The operation
    order is exactly the classical k-outer scan, so results are
-   bit-identical to the accessor-based version this replaces. *)
-let factor a =
+   bit-identical to the accessor-based version this replaces.
+
+   [last.(i)] bounds row i's nonzeros: every entry right of it is an
+   exact zero. [factor] sets it to n − 1, so every update runs the
+   full row. [factor_profile] starts from each row's last nonzero and
+   keeps the invariant through swaps (the bound moves with the row)
+   and updates (row i − f·row k is zero right of both bounds). *)
+let eliminate ~profile a =
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
   let n, m = Mat.dims a in
@@ -45,6 +51,17 @@ let factor a =
   let lu = Mat.copy a in
   let d = lu.Mat.data in
   let piv = Array.init n (fun i -> i) in
+  let last =
+    Array.init n (fun i ->
+        if not profile then n - 1
+        else begin
+          let j = ref (n - 1) in
+          while !j >= 0 && Array.unsafe_get d ((i * n) + !j) = 0.0 do
+            decr j
+          done;
+          !j
+        end)
+  in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     let rk = k * n in
@@ -68,23 +85,33 @@ let factor a =
       let tmp = piv.(k) in
       piv.(k) <- piv.(!p);
       piv.(!p) <- tmp;
+      let tmp = last.(k) in
+      last.(k) <- last.(!p);
+      last.(!p) <- tmp;
       sign := -. !sign
     end;
     let pivot = Array.unsafe_get d (rk + k) in
     if Float.abs pivot < 1e-300 then raise (Singular k);
+    let last_k = last.(k) in
     for i = k + 1 to n - 1 do
       let ri = i * n in
       let f = Array.unsafe_get d (ri + k) /. pivot in
       Array.unsafe_set d (ri + k) f;
-      if f <> 0.0 then
-        for j = k + 1 to n - 1 do
+      if f <> 0.0 then begin
+        for j = k + 1 to last_k do
           Array.unsafe_set d (ri + j)
             (Array.unsafe_get d (ri + j)
             -. (f *. Array.unsafe_get d (rk + j)))
-        done
+        done;
+        if last_k > last.(i) then last.(i) <- last_k
+      end
     done
   done;
   { lu; piv; sign = !sign; norm1; cond1 = None }
+
+let factor a = eliminate ~profile:false a
+
+let factor_profile a = eliminate ~profile:true a
 
 let solve { lu; piv; _ } b =
   Metrics.incr m_solve;

@@ -17,6 +17,14 @@ val factor : Mat.t -> t
 (** Raises [Invalid_argument] if the matrix is not square and
     {!Singular} if it is singular. *)
 
+val factor_profile : Mat.t -> t
+(** The same elimination as {!factor}, but each row update stops at
+    the pivot row's last nonzero column, tracked through pivoting and
+    fill-in. On a matrix whose rows end near the diagonal — such as a
+    Kronecker operator ordered so that a sparse coupling matrix gives
+    it a block-banded profile — this skips the zero tail of every row.
+    The factors equal {!factor}'s up to the sign of exact zeros. *)
+
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] solves [A x = b] for the factored [A]. *)
 

@@ -146,6 +146,31 @@ let prop_lu_residual =
       let r = Vec.sub (Mat.mul_vec a x) b in
       Vec.norm2 r < 1e-8)
 
+(* factor_profile skips only exact-zero row tails, so on a matrix with
+   ragged row ends and weak diagonal (forcing swaps that move the ends)
+   it must reproduce factor's solution and determinant exactly *)
+let prop_lu_profile_matches_dense =
+  QCheck.Test.make ~count:50 ~name:"lu: profile factor equals dense factor"
+    QCheck.(pair (int_range 1 16) (int_range 0 10000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let ends = Array.init n (fun i -> min (n - 1) (i + Random.State.int st 4)) in
+      let a =
+        Mat.init n n (fun i j ->
+            if j > ends.(i) || Random.State.int st 4 = 0 then 0.0
+            else Random.State.float st 2.0 -. 1.0)
+      in
+      let b = Array.init n (fun _ -> Random.State.float st 2.0 -. 1.0) in
+      match Lu.factor a with
+      | exception Lu.Singular k -> (
+          match Lu.factor_profile a with
+          | exception Lu.Singular k' -> k = k'
+          | _ -> false)
+      | dense ->
+          let profile = Lu.factor_profile a in
+          Lu.solve dense b = Lu.solve profile b
+          && Lu.det dense = Lu.det profile)
+
 (* ---------- Tri ---------- *)
 
 let upper_of seed n =
@@ -739,6 +764,7 @@ let () =
           t "singular raises" test_lu_singular;
           t "pivoting" test_lu_needs_pivoting;
           q prop_lu_residual;
+          q prop_lu_profile_matches_dense;
         ] );
       ( "tri",
         [
