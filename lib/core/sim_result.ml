@@ -1,7 +1,6 @@
 open Opm_numkit
 open Opm_basis
 open Opm_signal
-module Pool = Opm_parallel.Pool
 
 type t = {
   grid : Grid.t;
@@ -51,19 +50,13 @@ end
 let make ?health ~grid ~x ~c ~state_names ~output_names () =
   let times = Grid.midpoints grid in
   let n, _m = Mat.dims x in
-  let pool = Pool.global () in
-  (* per-channel extraction is independent row work: fan it (and the
-     C·X output product) out over the domain pool *)
-  let states =
-    Waveform.make ~labels:state_names times
-      (Pool.init pool n (fun i -> Mat.row x i))
-  in
-  let y = Mat.par_mul pool c x in
+  (* row copies and one small C·X product: serial, because a pool
+     handshake costs more than this work, and once the pool has spawned
+     its worker domain every minor collection must stop it too *)
+  let states = Waveform.make ~labels:state_names times (Array.init n (Mat.row x)) in
+  let y = Mat.mul c x in
   let q, _ = Mat.dims y in
-  let outputs =
-    Waveform.make ~labels:output_names times
-      (Pool.init pool q (fun i -> Mat.row y i))
-  in
+  let outputs = Waveform.make ~labels:output_names times (Array.init q (Mat.row y)) in
   { grid; x; states; outputs; health }
 
 let output r i = Waveform.channel r.outputs i

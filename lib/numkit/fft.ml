@@ -156,14 +156,6 @@ let radix2_split sign re im =
     len := !len lsl 1
   done
 
-let log2i n =
-  let r = ref 0 and v = ref n in
-  while !v > 1 do
-    incr r;
-    v := !v lsr 1
-  done;
-  !r
-
 (* DFT of a real kernel zero-padded to [size] (power of two), split
    format *)
 let kernel_spectrum kernel size =
@@ -362,19 +354,12 @@ module Blocked_conv = struct
               end
         done
       in
-      let npairs = (t.rows + 1) / 2 in
-      (* each row pair writes only its own acc rows, so the dispatch is
-         deterministic; below ~64k flops the pool handshake costs more
-         than the transforms *)
-      let flops = npairs * (nterms + 1) * b2 * (log2i b2 + 1) * 5 in
-      if npairs > 1 && flops >= 65536 then
-        Opm_parallel.Pool.parallel_for
-          (Opm_parallel.Pool.global ())
-          ~n:npairs pair
-      else
-        for pr = 0 to npairs - 1 do
-          pair pr
-        done;
+      (* serial: a horizon flushes hundreds of mostly small blocks, and
+         handing each to the domain pool made a solve's wall time swing
+         by up to a third between runs whenever the other core was busy *)
+      for pr = 0 to ((t.rows + 1) / 2) - 1 do
+        pair pr
+      done;
       t.blocks <- t.blocks + 1
     end
 

@@ -68,9 +68,8 @@ module Blocked_conv : sig
   val push : t -> float array -> unit
   (** Append the next column (length [rows]); raises [Invalid_argument]
       past the horizon. Triggers block convolutions at multiples of the
-      block sizes (row pairs share one forward/inverse transform; the
-      row-pair loop is dispatched over [Opm_parallel.Pool] above a flop
-      threshold, and flushes run under a ["rhs_conv"] trace span). *)
+      block sizes (row pairs share one forward/inverse transform, and
+      flushes run under a ["rhs_conv"] trace span). *)
 
   val history : t -> term:int -> int -> float array
   (** [history t ~term i] is the length-[rows] vector
