@@ -750,6 +750,26 @@ let frozen_routes (backend : Opm.backend) =
     ("integral uniform", fun () -> integral (uniform 512));
     ("integral adaptive", fun () -> integral adaptive);
   ]
+  @
+  match backend with
+  | `Sparse ->
+      (* above 512 unknowns [`Auto] orders with AMD: pin that path on a
+         second-order NA (n = 768) and a first-order MNA (n = 1 280)
+         power-grid pencil *)
+      let net =
+        Opm_circuit.Power_grid.(
+          generate { default_spec with nx = 16; ny = 16; nz = 3; load_count = 8 })
+      in
+      let grid_route stamp () =
+        let mt, srcs = stamp net in
+        x (Opm.simulate_multi_term ~backend:`Sparse ~basis:`Bpf
+             ~grid:(Grid.uniform ~t_end:1e-9 ~m:16) mt srcs)
+      in
+      [
+        ("power grid NA amd", grid_route (Opm_circuit.Na2.stamp ?outputs:None));
+        ("power grid MNA amd", grid_route (Opm_circuit.Mna.stamp ?outputs:None));
+      ]
+  | `Auto | `Dense -> []
 
 let frozen_digests =
   [
@@ -784,6 +804,8 @@ let frozen_digests =
           ("compiled query", "b3eb5661b889f1f6");
           ("integral uniform", "d4ce985f2f6cfc18");
           ("integral adaptive", "15d9df76fcee453f");
+          ("power grid NA amd", "4c2fb84770b07811");
+          ("power grid MNA amd", "5773842b2ca54b70");
       ] );
   ]
 
