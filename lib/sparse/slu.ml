@@ -8,6 +8,7 @@ let m_factor = Metrics.counter "slu.factor"
 let m_solve = Metrics.counter "slu.solve"
 let m_analyze = Metrics.counter "slu.analyze"
 let m_reuse = Metrics.counter "slu.symbolic_reuse"
+let m_reach_edges = Metrics.counter "slu.reach_edges"
 let h_factor_seconds = Metrics.histogram "slu.factor_seconds"
 let g_fill_nnz = Metrics.gauge "slu.fill_nnz"
 let g_fill_ratio = Metrics.gauge "slu.fill_ratio"
@@ -108,9 +109,11 @@ let resolve_ordering ordering n =
 
 (* depth-first search from [start] through the columns of L restricted
    to pivotal rows; emits vertices in post-order onto [stack]. The
-   explicit vertex/cursor stacks avoid recursion and allocation. *)
-let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
-    ~dfs_c start =
+   explicit vertex/cursor stacks avoid recursion and allocation. Column
+   k is scanned up to [lpend.(k)], which pruning may have pulled in
+   from [l_ptr.(k + 1)]; [edges] counts the entries scanned. *)
+let reach ~pinv ~l_ptr ~lpend ~(l_idx : int_ba) ~marked ~mark ~stack ~top
+    ~dfs_v ~dfs_c ~edges start =
   if marked.(start) <> mark then begin
     marked.(start) <- mark;
     dfs_v.(0) <- start;
@@ -120,7 +123,7 @@ let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
       let v = dfs_v.(!depth) in
       let k = pinv.(v) in
       let base = if k >= 0 then l_ptr.(k) else 0 in
-      let lim = if k >= 0 then l_ptr.(k + 1) else 0 in
+      let lim = if k >= 0 then lpend.(k) else 0 in
       let c = dfs_c.(!depth) in
       if base + c < lim then begin
         let child = geti l_idx (base + c) in
@@ -133,11 +136,50 @@ let reach ~pinv ~l_ptr ~(l_idx : int_ba) ~marked ~mark ~stack ~top ~dfs_v
         end
       end
       else begin
+        edges := !edges + (lim - base);
         stack.(!top) <- v;
         incr top;
         decr depth
       end
     done
+  end
+
+(* Symmetric pruning (Eisenstat–Liu, as in KLU). When column j pivots
+   on a row that L(:, k) holds, for a column k in U(:, j), every row of
+   L(:, k) not yet pivotal is also a row of L(:, j), so any later reach
+   through k finds it through j's pivot row. L(:, k) is then
+   partitioned stably, pivotal rows first with their values alongside,
+   and [lpend.(k)] stops the DFS after them. Each column is pruned at
+   most once: its remaining rows are all pivotal, so no later pivot row
+   can appear among them. *)
+let prune ~pinv ~l_ptr ~lpend ~pruned ~(l_idx : int_ba) ~(l_val : float_ba)
+    ~tail_i ~tail_v ~pivot_row k =
+  let lo = l_ptr.(k) and hi = l_ptr.(k + 1) in
+  let t = ref lo in
+  while !t < hi && geti l_idx !t <> pivot_row do
+    incr t
+  done;
+  if !t < hi then begin
+    let head = ref lo and tail = ref 0 in
+    for t = lo to hi - 1 do
+      let r = geti l_idx t and v = getf l_val t in
+      if pinv.(r) >= 0 then begin
+        Ba.Array1.unsafe_set l_idx !head (Int32.of_int r);
+        Ba.Array1.unsafe_set l_val !head v;
+        incr head
+      end
+      else begin
+        tail_i.(!tail) <- r;
+        tail_v.(!tail) <- v;
+        incr tail
+      end
+    done;
+    for t = 0 to !tail - 1 do
+      Ba.Array1.unsafe_set l_idx (!head + t) (Int32.of_int tail_i.(t));
+      Ba.Array1.unsafe_set l_val (!head + t) tail_v.(t)
+    done;
+    lpend.(k) <- !head;
+    pruned.(k) <- true
   end
 
 (* Gilbert–Peierls left-looking factorisation with threshold pivoting,
@@ -213,12 +255,15 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
   let dfs_v = Array.make n 0 in
   let dfs_c = Array.make n 0 in
   let u_pos = Array.make n 0 in
+  let lpend = Array.make n 0 and pruned = Array.make n false in
+  let tail_i = Array.make n 0 and tail_v = Array.make n 0.0 in
+  let edges = ref 0 in
   for j = 0 to n - 1 do
     (* symbolic: union of reaches from the pattern of column j *)
     let top = ref 0 in
     for k = at_ptr.(j) to at_ptr.(j + 1) - 1 do
-      reach ~pinv ~l_ptr ~l_idx:lb_idx.Gbuf.ba ~marked ~mark:j ~stack ~top
-        ~dfs_v ~dfs_c at_idx.(k)
+      reach ~pinv ~l_ptr ~lpend ~l_idx:lb_idx.Gbuf.ba ~marked ~mark:j ~stack
+        ~top ~dfs_v ~dfs_c ~edges at_idx.(k)
     done;
     let count = !top in
     (* numeric: scatter the column, then eliminate in topological order
@@ -296,8 +341,16 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
     perm.(j) <- pivot_row;
     l_ptr.(j + 1) <- lb_idx.Gbuf.len;
     u_ptr.(j + 1) <- ub_idx.Gbuf.len;
-    elim_ptr.(j + 1) <- eb.Gbuf.len
+    elim_ptr.(j + 1) <- eb.Gbuf.len;
+    lpend.(j) <- l_ptr.(j + 1);
+    Array.iter
+      (fun k ->
+        if not pruned.(k) then
+          prune ~pinv ~l_ptr ~lpend ~pruned ~l_idx:lb_idx.Gbuf.ba
+            ~l_val:lb_val.Gbuf.ba ~tail_i ~tail_v ~pivot_row k)
+      upos
   done;
+  Metrics.incr ~by:!edges m_reach_edges;
   let s =
     {
       sn = n;

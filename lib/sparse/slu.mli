@@ -11,7 +11,14 @@ open Opm_numkit
     Each column of the factors is computed by a sparse triangular solve
     whose nonzero pattern is found by depth-first search on the graph of
     the already-computed [L] (the classic GP reach), so the work is
-    proportional to arithmetic operations, not to [n].
+    proportional to arithmetic operations, not to [n]. The DFS graph is
+    pruned symmetrically (Eisenstat–Liu, as in KLU): once a later pivot
+    row shows up in column [k] of [L], the search through [k] skips the
+    rows it can also reach through that pivot, so on circuit pencils the
+    analysis scans about one [L] entry per factor nonzero instead of
+    whole columns over and over. Reach sets, fill and pivots are those
+    of the unpruned search; only its visiting order may differ, see
+    below.
 
     Fill is controlled three ways: a symmetric fill-reducing reordering
     ({!Amd} at paper scale, {!Rcm} for small bandwidth-friendly systems,
@@ -31,7 +38,27 @@ open Opm_numkit
     elimination reaches, fill pattern — is computed once by {!analyze}
     and replayed numerically by {!refactor}. A [refactor] on the very
     values that were analyzed reproduces the fresh factorisation bit for
-    bit (same operations in the same order). Factor storage is Bigarray
+    bit (same operations in the same order).
+
+    {b Bit contract.} [solve] is exactly reproducible: the same matrix
+    and right-hand side give the same bits on every run, in any pool
+    size, and after a [refactor] on the analyzed values. The order in
+    which the analysis eliminates two columns that do not depend on
+    each other comes from the DFS post-order. When the pattern is
+    structurally symmetric and keeps its diagonal pivots, that order is
+    unique, so pruning leaves every bit of [solve] as the unpruned
+    search had it. This was also checked on circuit pencils with
+    voltage-source rows. On an unsymmetric pattern that pivots off the
+    diagonal, pruning may order independent columns differently. The
+    last bits of [solve] can then move, but fill and pivots stay the
+    same. The order of the rows stored within an [L] column is not part
+    of the contract. Pruning partitions columns in place, and the
+    post-order decides where each row lands. {!solve} updates distinct
+    rows per column, so the storage order cannot change its bits.
+    {!solve_transpose} sums each column in storage order, so its last
+    bits, and those of {!cond_est}, may change whenever the DFS does.
+
+    Factor storage is Bigarray
     ([int32] indices, [float64] values), off the OCaml heap, so
     paper-scale fill (tens of millions of entries at n ≈ 100K) adds no
     GC scan pressure. *)
@@ -125,13 +152,17 @@ val solve_many : ?pool:Opm_parallel.Pool.t -> t -> Vec.t array -> Vec.t array
     bit-identical to [Array.map (solve f)] in any pool size. *)
 
 val solve_transpose : t -> Vec.t -> Vec.t
-(** Solve [Aᵀ x = b] from the same factors (needed by {!cond_est}). *)
+(** Solve [Aᵀ x = b] from the same factors (needed by {!cond_est}).
+    Each [L] column is summed in its storage order, which is not part
+    of the bit contract (see above): its last bits may move when the
+    analysis's DFS changes, where [solve]'s do not. *)
 
 val cond_est : t -> float
 (** Hager/Higham 1-norm condition estimate [‖A‖₁ · est(‖A⁻¹‖₁)] — a
     handful of triangular solves on the existing factors. Computed on
     first call, then cached on the factor, so cached factorisations
-    carry their estimate for free. *)
+    carry their estimate for free. Its last bits follow
+    {!solve_transpose}'s. *)
 
 val solve_dense : Csr.t -> Vec.t -> Vec.t
 (** One-shot convenience. *)

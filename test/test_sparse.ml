@@ -538,6 +538,119 @@ let test_bcsr_factor_agrees () =
   check_bool "bigarray-backed factor solves bit-identically" true
     (Slu.solve f_big b = Slu.solve f_arr b)
 
+(* ---------- symmetric pruning of the reach DFS ---------- *)
+
+(* the second-order NA pencil of a power grid, as the engine builds it
+   for a uniform step h: Σ_k (2/h)^{α_k}·E_k − A *)
+let na_grid_pencil ?(h = 1e-11) nx ny nz =
+  let spec = { Opm_circuit.Power_grid.default_spec with nx; ny; nz } in
+  let mt, _ = Opm_circuit.Na2.stamp (Opm_circuit.Power_grid.generate spec) in
+  List.fold_left
+    (fun acc (t : Opm_core.Multi_term.term) ->
+      Csr.add ~beta:((2.0 /. h) ** t.alpha) acc t.coeff)
+    (Csr.scale (-1.0) mt.Opm_core.Multi_term.a)
+    mt.Opm_core.Multi_term.terms
+
+(* L entries the analysis's reach DFS scans, from the op-count metric *)
+let reach_edges f =
+  let module Metrics = Opm_obs.Metrics in
+  let was = Metrics.enabled () in
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) @@ fun () ->
+  Metrics.set_enabled true;
+  let c = Metrics.counter "slu.reach_edges" in
+  let before = Metrics.counter_value c in
+  let r = f () in
+  (r, Metrics.counter_value c - before)
+
+let test_reach_edges_bounded () =
+  (* without pruning the DFS rescans whole L columns: 630 246 edges for
+     the 39 536 factor nonzeros of this pencil *)
+  let a = na_grid_pencil 24 24 2 in
+  let f, edges = reach_edges (fun () -> Slu.factor a) in
+  let nnz = Slu.nnz_factors f in
+  check_int "fill" 39_536 nnz;
+  check_bool "the DFS reports its edges" true (edges > 0);
+  check_bool
+    (Printf.sprintf "reach edges %d <= 2 * nnz_factors %d" edges nnz)
+    true
+    (edges <= 2 * nnz)
+
+(* Random unsymmetric patterns that threshold pivoting must leave the
+   diagonal on. Row i carries one dominant entry, magnitude in [2, 3),
+   at column σ(i): σ fixes about half of the rows and shuffles the
+   rest, and where σ(i) ≠ i the diagonal is present but weak (≤ 0.02),
+   so those columns pivot off the diagonal. A few scattered entries
+   per row sum below 1 in magnitude, so every row of A is dominated by
+   its σ entry and A is nonsingular. *)
+let random_unsym seed n =
+  let st = Random.State.make [| seed |] in
+  let sign () = if Random.State.bool st then 1.0 else -1.0 in
+  let moved =
+    Array.of_list
+      (List.filter (fun _ -> Random.State.bool st) (List.init n Fun.id))
+  in
+  let img = Array.copy moved in
+  for i = Array.length img - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = img.(i) in
+    img.(i) <- img.(j);
+    img.(j) <- t
+  done;
+  let sigma = Array.init n Fun.id in
+  Array.iteri (fun q i -> sigma.(i) <- img.(q)) moved;
+  let d = Mat.zeros n n in
+  for i = 0 to n - 1 do
+    let extras = 1 + Random.State.int st 4 in
+    for _ = 1 to extras do
+      let c = Random.State.int st n in
+      if c <> i && c <> sigma.(i) then
+        Mat.set d i c
+          ((Random.State.float st 2.0 -. 1.0) /. float_of_int (extras + 1))
+    done;
+    if sigma.(i) <> i then
+      Mat.set d i i (sign () *. (0.01 +. Random.State.float st 0.01));
+    Mat.set d i sigma.(i) (sign () *. (2.0 +. Random.State.float st 1.0))
+  done;
+  d
+
+let orderings : (string * Slu.ordering) list =
+  [ ("amd", `Amd); ("rcm", `Rcm); ("natural", `Natural) ]
+
+let prop_slu_unsymmetric =
+  QCheck.Test.make ~count:40
+    ~name:"slu: off-diagonal pivots on random unsymmetric patterns"
+    QCheck.(triple (int_range 20 200) (int_range 0 10_000) (int_range 0 2))
+    (fun (n, seed, o) ->
+      let ordering = snd (List.nth orderings o) in
+      let d = random_unsym seed n in
+      let a = Csr.of_dense d in
+      let b = Array.init n (fun i -> cos (float_of_int i)) in
+      let s, f = Slu.analyze ~ordering a in
+      let x = Slu.solve f b in
+      let xd = Lu.solve_dense d b in
+      Vec.max_abs_diff x xd <= 1e-10 *. (1.0 +. Vec.norm_inf xd)
+      && Slu.solve (Slu.refactor s a) b = x)
+
+let test_unsymmetric_fill_pinned () =
+  (* fill of the unpruned analysis on these patterns: pruning only
+     shortens the DFS, so reach sets, pivots and fill must not move *)
+  List.iter
+    (fun (n, seed, fills) ->
+      let a = Csr.of_dense (random_unsym seed n) in
+      List.iter2
+        (fun (name, ordering) want ->
+          check_int
+            (Printf.sprintf "n=%d seed=%d %s fill" n seed name)
+            want
+            (Slu.nnz_factors (Slu.factor ~ordering a)))
+        orderings fills)
+    [
+      (20, 1, [ 110; 128; 131 ]);
+      (77, 6, [ 1476; 1546; 1906 ]);
+      (150, 7, [ 3692; 4846; 5270 ]);
+      (200, 4, [ 6094; 7195; 9034 ]);
+    ]
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let q = QCheck_alcotest.to_alcotest in
@@ -604,5 +717,11 @@ let () =
           t "roundtrip" test_bcsr_roundtrip;
           t "ops bit-identical" test_bcsr_ops_bit_identical;
           t "factor agrees" test_bcsr_factor_agrees;
+        ] );
+      ( "pruning",
+        [
+          t "reach edges bounded by fill" test_reach_edges_bounded;
+          t "unsymmetric fill pinned" test_unsymmetric_fill_pinned;
+          q prop_slu_unsymmetric;
         ] );
     ]
