@@ -638,6 +638,10 @@ let prepare ctx pencil history =
   let conv = toeplitz_conv ~n:pencil.n ~m history in
   { ctx; pencil; history; m; cache; pin; key0; block0; conv }
 
+(* rows per block of the naive history scan: one accumulator block
+   (2 KiB) plus the column blocks it reads stay cache-resident *)
+let scan_block = 256
+
 (* Per-history column state: [rhs i] assembles bu_i minus the history
    term, [push i x_i] records the solved column, [finish ()] returns X.
    The differential scan needs every solved column, so it keeps them
@@ -676,17 +680,33 @@ let column_history p bu =
               done
             end
         | None ->
-            for k = 0 to terms - 1 do
-              let acc = Array.make n 0.0 in
-              let any = ref false in
-              for j = 0 to i - 1 do
-                let w = weight lags k j i in
-                if w <> 0.0 then begin
-                  any := true;
-                  Vec.axpy w cols.(j) acc
-                end
+            (* rows in blocks: an accumulator block stays in L1 while
+               every lag adds into it, and the column blocks the first
+               term streamed in serve the other terms from L2, so the
+               solved columns leave memory once per query, not once per
+               term. Term k still sums (w·x_j) + acc in ascending j per
+               row, the arithmetic of one [Vec.axpy] per lag *)
+            let w = Array.init i (fun j -> Array.init terms (fun k -> weight lags k j i)) in
+            let accs = Array.init terms (fun _ -> Array.make n 0.0) in
+            let lo = ref 0 in
+            while !lo < n do
+              let hi = min n (!lo + scan_block) - 1 in
+              for k = 0 to terms - 1 do
+                let acc = accs.(k) in
+                for j = 0 to i - 1 do
+                  let wk = w.(j).(k) and col = cols.(j) in
+                  if wk <> 0.0 then
+                    for r = !lo to hi do
+                      Array.unsafe_set acc r
+                        ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
+                    done
+                done
               done;
-              if !any then Vec.axpy (-1.0) (apply p.pencil k acc) rhs
+              lo := hi + 1
+            done;
+            for k = 0 to terms - 1 do
+              if Array.exists (fun wj -> wj.(k) <> 0.0) w then
+                Vec.axpy (-1.0) (apply p.pencil k accs.(k)) rhs
             done);
         rhs
       in

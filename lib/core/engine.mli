@@ -170,7 +170,10 @@ val toeplitz :
     {!fft_rhs_enabled}, and [max m horizon ≥ 256] — [horizon] is the
     global history length, so a windowed caller solving a long horizon
     in short blocks still amortises the FFT. Below that crossover the
-    lag weights are scanned naively. The history owns its convolver and
+    lag weights are scanned naively. The scan walks the rows in blocks,
+    so the solved columns stream from memory once per query, not once
+    per term; each term still sums its lags in ascending [j], bit for
+    bit as a per-term scan would. The history owns its convolver and
     reuses it across runs. Raises [Invalid_argument] on an order/row
     count mismatch or rows of unequal length. *)
 
