@@ -47,21 +47,21 @@ open Opm_numkit
     each other comes from the DFS post-order. When the pattern is
     structurally symmetric and keeps its diagonal pivots, that order is
     unique, so pruning leaves every bit of [solve] as the unpruned
-    search had it. This was also checked on circuit pencils with
-    voltage-source rows. On an unsymmetric pattern that pivots off the
-    diagonal, pruning may order independent columns differently. The
-    last bits of [solve] can then move, but fill and pivots stay the
-    same. The order of the rows stored within an [L] column is not part
-    of the contract. Pruning partitions columns in place, and the
-    post-order decides where each row lands. {!solve} updates distinct
-    rows per column, so the storage order cannot change its bits.
-    {!solve_transpose} sums each column in storage order, so its last
-    bits, and those of {!cond_est}, may change whenever the DFS does.
+    search had it. On an unsymmetric pattern that pivots off the
+    diagonal, pruning may order independent columns differently, and
+    the last bits of [solve] can then move. The reach sets do not, so
+    the fill stays the same unless such a last-bit change flips a
+    pivot choice. The order of the rows stored within an [L] column is
+    not part of the contract. Pruning partitions columns in place, and
+    the post-order decides where each row lands. {!solve} updates
+    distinct rows per column, so the storage order cannot change its
+    bits. {!solve_transpose} sums each column in storage order, so its
+    last bits, and those of {!cond_est}, may change whenever the DFS
+    does.
 
-    Factor storage is Bigarray
-    ([int32] indices, [float64] values), off the OCaml heap, so
-    paper-scale fill (tens of millions of entries at n ≈ 100K) adds no
-    GC scan pressure. *)
+    Factor storage is Bigarray ([int32] indices, [float64] values), off
+    the OCaml heap, so paper-scale fill (tens of millions of entries at
+    n ≈ 100K) adds no GC scan pressure. *)
 
 type t
 (** A numeric factorisation; immutable once built (the cached condition
