@@ -674,6 +674,66 @@ let test_input_coefficients () =
   close "u0" 0.125 (Mat.get u 0 0) ~tol:1e-12;
   close "u3" 0.875 (Mat.get u 0 3) ~tol:1e-12
 
+(* ---------- cross-route oracle ---------- *)
+
+(* The uniform-grid [toeplitz] history against two references that solve
+   the same discrete system another way: [triangular] fed the dense
+   uniform D_k (the plain column scan of the operational matrices, the
+   adaptive-grid route) and the Kronecker solve of paper eq. (15). The
+   routes may round differently, so they agree to a relative tolerance,
+   not bit for bit. *)
+let test_toeplitz_oracle () =
+  let n = 3 in
+  let coupled seed =
+    let st = Random.State.make [| seed |] in
+    Mat.init n n (fun i j ->
+        if i = j then 1.0 +. Random.State.float st 1.0
+        else 0.3 *. (Random.State.float st 2.0 -. 1.0))
+  in
+  let systems =
+    [ [ 0.5 ]; [ 1.0 ]; [ 1.5 ]; [ 2.0 ]; [ 2.5 ]; [ 2.0; 1.0 ]; [ 1.0; 0.5 ]; [ 2.5; 0.5 ] ]
+  in
+  List.iteri
+    (fun si orders ->
+      let es = List.mapi (fun k _ -> coupled ((100 * si) + k)) orders in
+      let _, a = random_system (90 + si) n in
+      List.iter
+        (fun m ->
+          let t_end = 2.0 in
+          let grid = Grid.uniform ~t_end ~m in
+          let ds = List.map (Block_pulse.fractional_differential_matrix grid) orders in
+          let bu =
+            Mat.init n m (fun r i ->
+                0.5 +. sin ((0.37 *. float_of_int (i + 1)) +. float_of_int r))
+          in
+          let kron = Engine.solve_dense_kron ~terms:(List.combine es ds) ~a ~bu in
+          List.iter
+            (fun backend ->
+              let pencil = Engine.pencil backend (List.map Csr.of_dense (es @ [ a ])) in
+              let run history = Engine.run (Engine.prepare Engine.default pencil history) bu in
+              let x =
+                run
+                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) ~horizon:m
+                     (List.map (Block_pulse.uniform_fractional_row ~t_end ~m) orders))
+              in
+              let rel reference =
+                Mat.max_abs_diff x reference /. Float.max (Mat.norm_inf reference) 1e-300
+              in
+              let tag =
+                Printf.sprintf "%s α = [%s], m = %d"
+                  (match backend with `Sparse -> "sparse" | _ -> "dense")
+                  (String.concat "; " (List.map string_of_float orders))
+                  m
+              in
+              let within what r =
+                if r > 1e-9 then Alcotest.failf "%s: toeplitz vs %s %.3g > 1e-9" tag what r
+              in
+              within "triangular" (rel (run (Engine.triangular ~orders ds)));
+              within "kron" (rel kron))
+            [ `Dense; `Sparse ])
+        [ 1; 2; 7; 48 ])
+    systems
+
 (* ---------- frozen bits ---------- *)
 
 (* Every engine route, pinned to its exact output bits: the FNV-1a-64
@@ -951,6 +1011,7 @@ let () =
           t "result shape" test_result_waveform_shape;
           t "input coefficients" test_input_coefficients;
         ] );
+      ("cross-route", [ t "toeplitz vs triangular and kron" test_toeplitz_oracle ]);
       ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
       ( "opmatrix-memory",
         [ t "uniform compile allocates O(m)" test_uniform_compile_allocation ] );
