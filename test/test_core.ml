@@ -874,19 +874,25 @@ let test_frozen_bits () =
   Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was)
   @@ fun () ->
   Engine.set_fft_rhs_enabled true;
-  List.iter
-    (fun (backend, expected) ->
-      let tag = match backend with `Sparse -> "sparse" | _ -> "dense" in
-      List.iter
-        (fun (name, run) ->
-          let got = fnv1a64_bits (run ()) in
-          match List.assoc_opt name expected with
-          | Some want when want = got -> ()
-          | Some want ->
-              Alcotest.failf "%s %s: digest %s, frozen %s" tag name got want
-          | None -> Alcotest.failf "%s %s: no frozen digest (got %s)" tag name got)
-        (frozen_routes backend))
-    frozen_digests
+  (* every route runs before the verdict, so one failure lists each
+     moved digest old → new *)
+  let mismatches =
+    List.concat_map
+      (fun (backend, expected) ->
+        let tag = match backend with `Sparse -> "sparse" | _ -> "dense" in
+        List.filter_map
+          (fun (name, run) ->
+            let got = fnv1a64_bits (run ()) in
+            match List.assoc_opt name expected with
+            | Some want when want = got -> None
+            | Some want -> Some (Printf.sprintf "%s %s: %s → %s" tag name want got)
+            | None -> Some (Printf.sprintf "%s %s: no frozen digest → %s" tag name got))
+          (frozen_routes backend))
+      frozen_digests
+  in
+  if mismatches <> [] then
+    Alcotest.failf "%d route(s) moved:\n  %s" (List.length mismatches)
+      (String.concat "\n  " mismatches)
 
 (* ---------- operational-matrix memory ---------- *)
 
