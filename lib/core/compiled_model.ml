@@ -158,13 +158,11 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                   Trace.with_span "opm.operational_matrices" @@ fun () ->
                   match grid with
                   | Grid.Uniform { t_end; m } ->
-                      (* each D^α is upper-triangular Toeplitz: its
-                         first row is all the engine reads *)
+                      (* each D^α is upper-triangular Toeplitz: the
+                         engine derives its banded recurrence and
+                         fractional kernels from the orders and step *)
                       Engine.toeplitz ~orders ~step:(t_end /. float_of_int m)
-                        ~horizon:m
-                        (List.map
-                           (Block_pulse.uniform_fractional_row ~t_end ~m)
-                           orders)
+                        ~horizon:m m
                   | Grid.Adaptive _ ->
                       (* near-uniform adaptive grids stay off the Toeplitz
                          path too: every [Grid.Adaptive] solve is

@@ -425,10 +425,12 @@ let backend p = match p.ops with Dense_ops _ -> `Dense | Sparse_ops _ -> `Sparse
 let nops p =
   match p.ops with Dense_ops a -> Array.length a | Sparse_ops a -> Array.length a
 
-let apply p j v =
-  match p.ops with
+let apply_ops ops j v =
+  match ops with
   | Dense_ops a -> Mat.mul_vec a.(j) v
   | Sparse_ops a -> Csr.mul_vec a.(j) v
+
+let apply p j v = apply_ops p.ops j v
 
 (* Factor the column block Σ_j c_j·M_j. Assembly starts from the A term
    and adds the others in order, which reproduces the historical
@@ -458,83 +460,126 @@ let factor ?health ?budget p ~column c =
 (* ------------------------------------------------------------------ *)
 (* History strategies                                                  *)
 
-(* The differential form's operational matrices D_k. On a uniform grid
-   each is upper-triangular Toeplitz and travels as its first row alone
-   (O(m) instead of O(m²)); an adaptive grid's D_k is a general upper
-   triangle. [weight] is the one accessor the diagonal, the cache key
-   and the history scan read either through. *)
-type lags =
-  | Rows of { rows : Vec.t array; step : float }  (* D_k(j, i) = rows.(k).(i − j) *)
-  | Dense of Mat.t array
+(* The differential form on a uniform grid, recast. Every D_k is
+   s_k·ρ_{α_k}(Q) with s_k = (2/h)^{α_k} and ρ_α = ((1−q)/(1+q))^α
+   (paper eq. (21)–(24)). Split α_k = n_k + β_k with β_k ∈ [0, 1) and
+   let N = max n_k. Right-multiplying the column equation by (I+Q)^N,
+   a unit upper triangle, leaves the discrete solution unchanged and
+   turns column i into
 
-let weight lags k j i =
-  match lags with
-  | Rows { rows; _ } -> rows.(k).(i - j)
-  | Dense d -> Mat.get d.(k) j i
+     M_0 x_i = Σ_{l≤N} C(N,l)·bu_{i−l} − Σ_{1≤l≤N} M_l x_{i−l}
+               − Σ_{k: β_k>0} E_k Σ_{l≥1} κ_k[l]·x_{i−l}
 
-let nterms = function Rows { rows; _ } -> Array.length rows | Dense d -> Array.length d
+   with p_k = (1−q)^{n_k}·(1+q)^{N−n_k} and
+   - M_0 = Σ_k s_k E_k − A, the historical block (same coefficients,
+     cache key and pinned factor);
+   - M_l = Σ_{k: β_k=0} s_k·p_k[l]·E_k − C(N,l)·A for 1 ≤ l ≤ N;
+   - κ_k = s_k·ρ_{β_k}·p_k = s_k·(1−q)^{α_k}·(1+q)^{N−α_k}.
+   Integer orders become an N-lag banded recurrence, and each
+   fractional order keeps one kernel that decays like l^{β−1} instead
+   of growing like l^{α−1}. *)
+type banded = {
+  orders : float list;
+  step : float;
+  columns : int;
+  horizon : int;
+  scales : float array;  (* s_k, the diagonal of D_k *)
+  binom : float array;  (* C(N, l), l = 0 … N: the weights of bu_{i−l} *)
+  band : float array array;
+      (* band.(l − 1).(k) = s_k·p_k[l] for an integer order, 0 for a
+         fractional one: the E_k coefficients of M_l *)
+  frac : int array;  (* the term of each fractional kernel *)
+  kernels : Vec.t array;  (* κ of each fractional term, one weight per column *)
+  mutable lags : (pencil * ops) option;
+      (* M_1 … M_N, built at the first prepare against a pencil and
+         kept across runs, as the convolver is *)
+  mutable conv : Fft.Blocked_conv.t option;
+      (* kept across runs: a reused convolver keeps its kernel spectra
+         (the expensive part of its creation) and only rewinds its
+         data *)
+}
 
 type history =
-  | Differential of {
-      lags : lags;
-      orders : float list;
-      horizon : int;
-      mutable conv : Fft.Blocked_conv.t option;
-          (* kept across runs: a reused convolver keeps its kernel
-             spectra (the expensive part of its creation) and only
-             rewinds its data *)
-    }
+  | Banded of banded
+  | Triangular of { d : Mat.t array; orders : float list }
+      (* an adaptive grid's D_k, general upper triangles *)
   | Alternating of float array
   | Running_sum of { steps : float array; x0 : Vec.t }
 
-let check_orders name orders count =
-  if List.length orders <> count then invalid_arg (name ^ ": one order per D_k")
-
-let toeplitz ~orders ~step ~horizon rows =
-  check_orders "Engine.toeplitz" orders (List.length rows);
-  let m = match rows with r0 :: _ -> Array.length r0 | [] -> 0 in
-  List.iter
-    (fun r ->
-      if Array.length r <> m then invalid_arg "Engine.toeplitz: row length mismatch")
-    rows;
-  Differential
-    { lags = Rows { rows = Array.of_list rows; step }; orders; horizon; conv = None }
+let toeplitz ~orders ~step ~horizon columns =
+  if columns < 0 then invalid_arg "Engine.toeplitz: negative column count";
+  let alphas = Array.of_list orders in
+  if not (Array.for_all (fun a -> a >= 0.0) alphas) then
+    invalid_arg "Engine.toeplitz: order < 0";
+  let fractional k = not (Float.is_integer alphas.(k)) in
+  let n_max = Array.fold_left (fun acc a -> Float.max acc (Float.of_int (truncate a))) 0.0 alphas in
+  let lags = truncate n_max in
+  let scales = Array.map (fun a -> (2.0 /. step) ** a) alphas in
+  (* (1−q)^{α_k}·(1+q)^{N−α_k}: p_k for an integer order (a polynomial
+     of degree N with exact integer coefficients), κ_k / s_k for a
+     fractional one *)
+  let series k len = Series.binomial_product alphas.(k) (n_max -. alphas.(k)) len in
+  let poly = Array.mapi (fun k _ -> if fractional k then [||] else series k (lags + 1)) alphas in
+  let frac = Array.of_list (List.filter fractional (List.init (Array.length alphas) Fun.id)) in
+  Banded
+    {
+      orders;
+      step;
+      columns;
+      horizon;
+      scales;
+      binom = Series.binomial_product 0.0 n_max (lags + 1);
+      band =
+        Array.init lags (fun l ->
+            Array.mapi (fun k s -> if fractional k then 0.0 else s *. poly.(k).(l + 1)) scales);
+      frac;
+      kernels = Array.map (fun k -> Array.map (fun c -> scales.(k) *. c) (series k columns)) frac;
+      lags = None;
+      conv = None;
+    }
 
 let triangular ~orders ds =
-  check_orders "Engine.triangular" orders (List.length ds);
+  if List.length orders <> List.length ds then
+    invalid_arg "Engine.triangular: one order per D_k";
   let m = match ds with d0 :: _ -> fst (Mat.dims d0) | [] -> 0 in
   List.iter
     (fun d ->
       if Mat.dims d <> (m, m) then
         invalid_arg "Engine.triangular: D_k dimension mismatch")
     ds;
-  Differential { lags = Dense (Array.of_list ds); orders; horizon = m; conv = None }
+  Triangular { d = Array.of_list ds; orders }
 
 let alternating steps = Alternating steps
 
 let running_sum ~x0 steps = Running_sum { steps; x0 }
 
+let nterms = function
+  | Banded b -> Array.length b.scales
+  | Triangular { d; _ } -> Array.length d
+  | Alternating _ | Running_sum _ -> 1
+
 let columns = function
-  | Differential { lags = Rows { rows = [||]; _ } | Dense [||]; _ } -> 0
-  | Differential { lags = Rows { rows; _ }; _ } -> Array.length rows.(0)
-  | Differential { lags = Dense d; _ } -> fst (Mat.dims d.(0))
+  | Banded b -> b.columns
+  | Triangular { d = [||]; _ } -> 0
+  | Triangular { d; _ } -> fst (Mat.dims d.(0))
   | Alternating steps | Running_sum { steps; _ } -> Array.length steps
 
 (* one step for every column: one block serves the whole horizon, and
    pinning it costs exactly one entry (an adaptive grid would pin one
    entry per distinct step, and the pinned set is unbounded) *)
 let uniform = function
-  | Differential { lags = Rows _; _ } -> true
-  | Differential { lags = Dense _; _ } -> false
+  | Banded _ -> true
+  | Triangular _ -> false
   | Alternating s | Running_sum { steps = s; _ } ->
       Array.for_all (fun (h : float) -> h = s.(0)) s
 
 (* the coefficients c(i) of column i's block Σ_j c_j·M_j *)
 let column_coeffs history i =
   match history with
-  | Differential { lags; _ } ->
-      let k = nterms lags in
-      Array.init (k + 1) (fun j -> if j < k then weight lags j i i else -1.0)
+  | Banded b -> Array.append b.scales [| -1.0 |]
+  | Triangular { d; _ } ->
+      let k = Array.length d in
+      Array.init (k + 1) (fun j -> if j < k then Mat.get d.(j) i i else -1.0)
   | Alternating steps -> [| 2.0 /. steps.(i); -1.0 |]
   | Running_sum { steps; _ } -> [| 1.0; -.(0.5 *. steps.(i)) |]
 
@@ -546,50 +591,69 @@ let column_coeffs history i =
    entry h_i/2. *)
 let column_key history i =
   match history with
-  | Differential { lags; orders; _ } ->
-      orders
-      @ (match lags with Rows { step; _ } -> [ step ] | Dense _ -> [])
-      @ List.init (nterms lags) (fun k -> weight lags k i i)
+  | Banded b -> b.orders @ (b.step :: Array.to_list b.scales)
+  | Triangular { d; orders } -> orders @ List.init (Array.length d) (fun k -> Mat.get d.(k) i i)
   | Alternating steps -> [ 1.0; steps.(i) ]
   | Running_sum { steps; _ } -> [ 0.5 *. steps.(i) ]
+
+(* M_1 … M_N of a banded history, assembled from the A term up as
+   [factor] assembles its blocks, skipping zero coefficients *)
+let lag_ops pencil b =
+  match b.lags with
+  | Some (p, ops) when p == pencil -> ops
+  | Some _ | None ->
+      let coeffs l = Array.append b.band.(l) [| -.b.binom.(l + 1) |] in
+      let combine scale add ms c =
+        let last = Array.length c - 1 in
+        let acc = ref (scale c.(last) ms.(last)) in
+        for j = 0 to last - 1 do
+          if c.(j) <> 0.0 then acc := add !acc c.(j) ms.(j)
+        done;
+        !acc
+      in
+      let lags = Array.length b.band in
+      let ops =
+        match pencil.ops with
+        | Dense_ops ms ->
+            Dense_ops
+              (Array.init lags (fun l ->
+                   combine Mat.scale (fun acc c m -> Mat.add acc (Mat.scale c m)) ms (coeffs l)))
+        | Sparse_ops ms ->
+            Sparse_ops
+              (Array.init lags (fun l ->
+                   combine Csr.scale (fun acc c m -> Csr.add ~alpha:1.0 ~beta:c acc m) ms (coeffs l)))
+      in
+      b.lags <- Some (pencil, ops);
+      ops
 
 (* Below this horizon length the naive scan wins (or ties within
    noise): the convolver's first dyadic levels are many tiny FFTs whose
    setup cost the short naive tail never amortises. Measured on the
-   Table I kernel the crossover sits between m = 128 and m = 256, so
-   short horizons keep the scan — which also keeps them bit-identical
-   to the historical engine. *)
+   Table I kernel the crossover sits between m = 128 and m = 256. *)
 let fft_rhs_min_m = 256
 
-(* The FFT gate of the differential history. Only the Toeplitz rows of
-   a uniform grid qualify: each first row is a convolver kernel. The
-   gate compares the global [horizon], not the local column count: a
-   windowed caller hands the engine w-column blocks, and gating on w
-   alone would keep a 4096-column horizon solved in 64-column windows
-   on the naive scan forever, although the workload as a whole
-   amortises the FFT setup many times over.
-
-   Orders above 1 are excluded for accuracy rather than structure:
-   |ρ_α(l)| grows like l^{α−1} with alternating sign for α > 1, and the
-   naive j-ascending scan sums those terms in an order whose partial
-   sums cancel pairwise and stay small. Blockwise FFT reassociation
-   forfeits that cancellation, and the marginally-stable high-order
-   recurrence then integrates the roundoff (≈5e-4 absolute drift on the
-   α = 2 oscillator at m = 1000). Non-growing kernels (α ≤ 1) keep the
-   conv/naive agreement within the ≤ 1e-10 contract. *)
+(* The FFT gate of the differential history: a uniform grid with at
+   least one fractional kernel. Every κ_k decays, so blockwise FFT
+   reassociation keeps the conv/naive agreement within the ≤ 1e-10
+   contract for every order. The gate compares the global [horizon],
+   not the local column count: a windowed caller hands the engine
+   w-column blocks, and gating on w alone would keep a 4096-column
+   horizon solved in 64-column windows on the naive scan forever,
+   although the workload as a whole amortises the FFT setup many times
+   over. *)
 let toeplitz_conv ~n ~m = function
-  | Differential ({ lags = Rows { rows; _ }; _ } as t)
-    when List.for_all (fun a -> a <= 1.0) t.orders
+  | Banded b
+    when Array.length b.frac > 0
          && m > 1
-         && max m t.horizon >= fft_rhs_min_m
+         && max m b.horizon >= fft_rhs_min_m
          && fft_rhs_enabled () -> (
-      match t.conv with
+      match b.conv with
       | Some cv when Fft.Blocked_conv.rows cv = n -> Some cv
       | Some _ | None ->
-          let cv = Fft.Blocked_conv.create ~kernels:rows ~rows:n ~m () in
-          t.conv <- Some cv;
+          let cv = Fft.Blocked_conv.create ~kernels:b.kernels ~rows:n ~m () in
+          b.conv <- Some cv;
           Some cv)
-  | Differential _ | Alternating _ | Running_sum _ -> None
+  | Banded _ | Triangular _ | Alternating _ | Running_sum _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
@@ -611,18 +675,19 @@ type plan = {
   pin : bool;
   key0 : float list;
   block0 : block;
-  conv : Fft.Blocked_conv.t option;  (* the differential history's, when gated in *)
+  lags : ops;  (* a banded history's M_1 … M_N *)
+  conv : Fft.Blocked_conv.t option;  (* the fractional kernels', when gated in *)
 }
 
 let prepare ctx pencil history =
   (match history with
-  | Differential { lags; _ } when nterms lags <> nops pencil - 1 ->
+  | (Banded _ | Triangular _) when nterms history <> nops pencil - 1 ->
       invalid_arg "Engine.prepare: one D_k per E_k"
   | (Alternating _ | Running_sum _) when nops pencil <> 2 ->
       invalid_arg "Engine.prepare: the order-1 and integral forms take [E; A]"
   | Running_sum { x0; _ } when Array.length x0 <> pencil.n ->
       invalid_arg "Engine.prepare: x0 length mismatch"
-  | Differential _ | Alternating _ | Running_sum _ -> ());
+  | Banded _ | Triangular _ | Alternating _ | Running_sum _ -> ());
   let m = columns history in
   if m < 1 then invalid_arg "Engine.prepare: empty horizon";
   let cache =
@@ -635,17 +700,54 @@ let prepare ctx pencil history =
         factor ?health:ctx.health ?budget:ctx.budget pencil ~column:0
           (column_coeffs history 0))
   in
+  let lags =
+    match history with
+    | Banded b -> lag_ops pencil b
+    | Triangular _ | Alternating _ | Running_sum _ -> Dense_ops [||]
+  in
   let conv = toeplitz_conv ~n:pencil.n ~m history in
-  { ctx; pencil; history; m; cache; pin; key0; block0; conv }
+  { ctx; pencil; history; m; cache; pin; key0; block0; lags; conv }
 
 (* rows per block of the naive history scan: one accumulator block
    (2 KiB) plus the column blocks it reads stay cache-resident *)
 let scan_block = 256
 
-(* Per-history column state: [rhs i] assembles bu_i minus the history
-   term, [push i x_i] records the solved column, [finish ()] returns X.
-   The differential scan needs every solved column, so it keeps them
-   and assembles X at the end; the running sums write X as they go. *)
+(* rhs −= Σ_k E_{op.(k)} Σ_{j<i} w.(j).(k)·x_j, the naive history scan.
+   Rows go in blocks: an accumulator block stays in L1 while every lag
+   adds into it, and the column blocks the first term streamed in serve
+   the other terms from L2, so the solved columns leave memory once per
+   query, not once per term. Term k still sums (w·x_j) + acc in
+   ascending j per row, the arithmetic of one [Vec.axpy] per lag. *)
+let subtract_scan pencil ~op w cols rhs =
+  let n = pencil.n and terms = Array.length op in
+  let accs = Array.init terms (fun _ -> Array.make n 0.0) in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + scan_block) - 1 in
+    for k = 0 to terms - 1 do
+      let acc = accs.(k) in
+      Array.iteri
+        (fun j wj ->
+          let wk = wj.(k) and col = cols.(j) in
+          if wk <> 0.0 then
+            for r = !lo to hi do
+              Array.unsafe_set acc r
+                ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
+            done)
+        w
+    done;
+    lo := hi + 1
+  done;
+  for k = 0 to terms - 1 do
+    if Array.exists (fun wj -> wj.(k) <> 0.0) w then
+      Vec.axpy (-1.0) (apply pencil op.(k) accs.(k)) rhs
+  done
+
+(* Per-history column state: [rhs i] assembles column i's right-hand
+   side, [push i x_i] records the solved column, [finish ()] returns X.
+   The differential forms keep every solved column (the scans read
+   them) and assemble X at the end; the running sums write X as they
+   go. *)
 let column_history p bu =
   let n = p.pencil.n in
   let bu_col i = Array.init n (fun r -> Mat.get bu r i) in
@@ -653,74 +755,72 @@ let column_history p bu =
     Mat.set_col x i xi;
     push i xi
   in
+  let stored ~naive =
+    let cols = Array.make p.m [||] in
+    let push i xi =
+      cols.(i) <- xi;
+      Option.iter (fun cv -> Fft.Blocked_conv.push cv xi) p.conv
+    in
+    let finish () =
+      (match p.conv with
+      | Some cv -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
+      | None -> if naive then Metrics.incr ~by:p.m m_rhsconv_naive);
+      let x = Mat.zeros n p.m in
+      Array.iteri (fun i col -> Mat.set_col x i col) cols;
+      x
+    in
+    (cols, push, finish)
+  in
   match p.history with
-  | Differential { lags; _ } ->
-      (* rhs_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j, either from
-         the blocked FFT convolver (the solved columns are pushed into
-         it) or from the naive scan of the D_k lag weights — that branch
-         is bit-identical to the historical engine *)
-      let terms = nterms lags in
-      let conv = p.conv in
+  | Banded b ->
+      let lags = Array.length b.band and nk = Array.length b.frac in
       (* a reused convolver rewinds its data and keeps its spectra *)
-      Option.iter Fft.Blocked_conv.reset conv;
-      let cols = Array.make p.m [||] in
+      Option.iter Fft.Blocked_conv.reset p.conv;
+      let cols, push, finish = stored ~naive:(nk > 0) in
+      (* the last N + 1 columns of bu, column i at slot i mod (N + 1):
+         (I+Q)^N·bu is summed on the fly, never stored *)
+      let ring = Array.make (lags + 1) [||] in
       let rhs i =
-        let rhs = bu_col i in
-        (match conv with
+        let bu_i = bu_col i in
+        ring.(i mod (lags + 1)) <- bu_i;
+        let rhs = Array.copy bu_i in
+        for l = 1 to min lags i do
+          Vec.axpy b.binom.(l) ring.((i - l) mod (lags + 1)) rhs
+        done;
+        for l = 1 to min lags i do
+          Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.(i - l)) rhs
+        done;
+        (match p.conv with
         | Some cv ->
             if i > 0 then begin
               let poison = fault_fft_block () in
-              for k = 0 to terms - 1 do
-                let hist = Fft.Blocked_conv.history cv ~term:k i in
+              for f = 0 to nk - 1 do
+                let hist = Fft.Blocked_conv.history cv ~term:f i in
                 (* [history] returns a fresh vector, so poisoning it
                    never touches the convolver's internal state *)
-                if poison && k = 0 && Array.length hist > 0 then
+                if poison && f = 0 && Array.length hist > 0 then
                   hist.(0) <- Float.nan;
-                Vec.axpy (-1.0) (apply p.pencil k hist) rhs
+                Vec.axpy (-1.0) (apply p.pencil b.frac.(f) hist) rhs
               done
             end
         | None ->
-            (* rows in blocks: an accumulator block stays in L1 while
-               every lag adds into it, and the column blocks the first
-               term streamed in serve the other terms from L2, so the
-               solved columns leave memory once per query, not once per
-               term. Term k still sums (w·x_j) + acc in ascending j per
-               row, the arithmetic of one [Vec.axpy] per lag *)
-            let w = Array.init i (fun j -> Array.init terms (fun k -> weight lags k j i)) in
-            let accs = Array.init terms (fun _ -> Array.make n 0.0) in
-            let lo = ref 0 in
-            while !lo < n do
-              let hi = min n (!lo + scan_block) - 1 in
-              for k = 0 to terms - 1 do
-                let acc = accs.(k) in
-                for j = 0 to i - 1 do
-                  let wk = w.(j).(k) and col = cols.(j) in
-                  if wk <> 0.0 then
-                    for r = !lo to hi do
-                      Array.unsafe_set acc r
-                        ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
-                    done
-                done
-              done;
-              lo := hi + 1
-            done;
-            for k = 0 to terms - 1 do
-              if Array.exists (fun wj -> wj.(k) <> 0.0) w then
-                Vec.axpy (-1.0) (apply p.pencil k accs.(k)) rhs
-            done);
+            if nk > 0 then
+              subtract_scan p.pencil ~op:b.frac
+                (Array.init i (fun j -> Array.map (fun kappa -> kappa.(i - j)) b.kernels))
+                cols rhs);
         rhs
       in
-      let push i xi =
-        cols.(i) <- xi;
-        Option.iter (fun cv -> Fft.Blocked_conv.push cv xi) conv
-      in
-      let finish () =
-        (match conv with
-        | Some cv -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
-        | None -> Metrics.incr ~by:p.m m_rhsconv_naive);
-        let x = Mat.zeros n p.m in
-        Array.iteri (fun i col -> Mat.set_col x i col) cols;
-        x
+      (rhs, push, finish)
+  | Triangular { d; _ } ->
+      (* rhs_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j *)
+      let cols, push, finish = stored ~naive:true in
+      let op = Array.init (Array.length d) Fun.id in
+      let rhs i =
+        let rhs = bu_col i in
+        subtract_scan p.pencil ~op
+          (Array.init i (fun j -> Array.map (fun dk -> Mat.get dk j i) d))
+          cols rhs;
+        rhs
       in
       (rhs, push, finish)
   | Alternating steps ->
@@ -757,8 +857,8 @@ let column_history p bu =
 
 let span_name p =
   match (p.history, p.pencil.ops) with
-  | Differential _, Dense_ops _ -> "engine.solve_dense"
-  | Differential _, Sparse_ops _ -> "engine.solve_sparse"
+  | (Banded _ | Triangular _), Dense_ops _ -> "engine.solve_dense"
+  | (Banded _ | Triangular _), Sparse_ops _ -> "engine.solve_sparse"
   | Alternating _, Dense_ops _ -> "engine.solve_linear_dense"
   | Alternating _, Sparse_ops _ -> "engine.solve_linear_sparse"
   | Running_sum _, Dense_ops _ -> "engine.solve_integral_dense"

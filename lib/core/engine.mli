@@ -15,8 +15,10 @@ open Opm_robust
 
     - differential form [Σ_k E_k·X·D_k = A·X + BU] (paper eq. (14)/(27),
       several terms): [M = [E_1 … E_K; A]], [c = [d^{(1)}_{ii} … d^{(K)}_{ii}; −1]],
-      history [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j] ({!toeplitz} on uniform
-      grids, {!triangular} on adaptive ones);
+      history [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j] on adaptive grids
+      ({!triangular}); on uniform grids ({!toeplitz}) the same system
+      recast as an N-lag banded recurrence plus one decaying kernel per
+      fractional order (see {!toeplitz});
     - order-1 form ([D]'s special pattern — [2/h_i] on the diagonal,
       [4(−1)^{i−j}/h_i] above): [M = [E; A]], [c = [2/h_i; −1]], history
       [(4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j], one running alternating sum
@@ -59,15 +61,14 @@ open Opm_robust
 
     {2 Fast history convolution}
 
-    On uniform grids every [D_k] is upper-triangular {e Toeplitz} and
-    the history carries only its first row ({!toeplitz}), so the
-    differential history is a causal convolution of the first-row
-    coefficients with the solved-column sequence, routed through
+    On uniform grids the fractional kernels of {!toeplitz} are causal
+    convolutions with the solved-column sequence, routed through
     {!Opm_numkit.Fft.Blocked_conv} — [O(n·m·log² m)] instead of the
-    naive [O(n·m²)] scan. The FFT reassociates the summation: results
-    agree with the naive path to ≤ 1e-10 relative, not bit-identically.
-    {!fft_rhs_enabled} gates the fast path globally ([OPM_NO_FFT_RHS],
-    the CLI's [--no-fft-rhs]). *)
+    naive [O(n·m²)] scan — once the horizon reaches 256 columns. Every
+    kernel decays, so the FFT serves every order. It reassociates the
+    summation: results agree with the naive scan of the same kernels to
+    ≤ 1e-10 relative, not bit-identically. {!fft_rhs_enabled} gates the
+    fast path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]). *)
 
 val fft_rhs_enabled : unit -> bool
 (** Whether the FFT Toeplitz history path may be used. Defaults to
@@ -156,34 +157,48 @@ val backend : pencil -> [ `Dense | `Sparse ]
 
 type history
 
-val toeplitz :
-  orders:float list -> step:float -> horizon:int -> Vec.t list -> history
-(** Differential form on a uniform grid of step [h = step]: every [D_k]
-    is upper-triangular Toeplitz, given by its first row alone
-    ([D_k(j, i) = row_k.(i − j)], e.g.
-    {!Opm_basis.Block_pulse.uniform_fractional_row}; the row length is
-    the column count), one per [E_k], with their differentiation
-    [orders]. No [m×m] matrix is ever formed: the diagonal, the cache
-    key, the naive-scan lag weights and the FFT kernels are all read
-    from the rows. The column block is pinned in the cache, and the
-    history takes the FFT path when every order is ≤ 1,
-    {!fft_rhs_enabled}, and [max m horizon ≥ 256] — [horizon] is the
-    global history length, so a windowed caller solving a long horizon
-    in short blocks still amortises the FFT. Below that crossover the
-    lag weights are scanned naively. The scan walks the rows in blocks,
-    so the solved columns stream from memory once per query, not once
-    per term; each term still sums its lags in ascending [j], bit for
-    bit as a per-term scan would. The history owns its convolver and
-    reuses it across runs. Raises [Invalid_argument] on an order/row
-    count mismatch or rows of unequal length. *)
+val toeplitz : orders:float list -> step:float -> horizon:int -> int -> history
+(** [toeplitz ~orders ~step ~horizon m]: the differential form on a
+    uniform grid of [m] columns of step [h = step], one differentiation
+    order per [E_k]. Every [D_k = s_k·ρ_{α_k}(Q)] ([s_k = (2/h)^{α_k}],
+    [ρ_α = ((1−q)/(1+q))^α], paper eq. (21)–(24)) is upper-triangular
+    Toeplitz, and nothing [m×m] is ever formed.
+
+    The history is the column equation right-multiplied by the unit
+    upper triangle [(I+Q)^N], with [α_k = n_k + β_k], [β_k ∈ [0, 1)],
+    [N = max n_k] and [p_k = (1−q)^{n_k}(1+q)^{N−n_k}]:
+
+    [M_0 x_i = Σ_{l≤N} C(N,l)·bu_{i−l} − Σ_{1≤l≤N} M_l x_{i−l}
+              − Σ_{k: β_k>0} E_k Σ_{l≥1} κ_k[l]·x_{i−l}]
+
+    - [M_0 = Σ_k s_k E_k − A]: the column block, its cache key and the
+      pinned factor are those of the plain scan;
+    - [M_l = Σ_{k: β_k=0} s_k·p_k[l]·E_k − C(N,l)·A], built once per
+      pencil and kept by the history: integer orders, [A] and [B·U]
+      cost [O(n·N)] per column;
+    - [κ_k = s_k·(1−q)^{α_k}(1+q)^{N−α_k}], one decaying kernel per
+      fractional order, from an [O(m)] series recurrence.
+
+    The discrete solution is the paper's; only the rounding differs
+    from a plain scan of [D_k], and it is much smaller for orders above
+    one. The fractional kernels take the FFT path when {!fft_rhs_enabled}
+    and [max m horizon ≥ 256] — [horizon] is the global history length,
+    so a windowed caller solving a long horizon in short blocks still
+    amortises the FFT; below that crossover they are scanned naively
+    (see {!triangular}). The history owns its convolver and [M_l] and
+    reuses them across runs. Raises [Invalid_argument] on a negative
+    order or column count. *)
 
 val triangular : orders:float list -> Mat.t list -> history
 (** Differential form on an adaptive grid: [D_1 … D_K] ([m×m] upper
     triangular, one per [E_k]) with their differentiation [orders]. The
-    same column scan as {!toeplitz} reads the weights from the dense
-    [D_k]; the blocks are never pinned and the history never takes the
-    FFT path. Raises [Invalid_argument] on an order/matrix count
-    mismatch or non-square or unequal [D_k]. *)
+    history is the plain scan [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j]. It
+    walks the rows in blocks, so the solved columns stream from memory
+    once per query, not once per term; each term still sums its lags in
+    ascending [j], bit for bit as a per-term scan would. The blocks are
+    never pinned and the history never takes the FFT path. Raises
+    [Invalid_argument] on an order/matrix count mismatch or non-square
+    or unequal [D_k]. *)
 
 val alternating : float array -> history
 (** Order-1 form over the given steps [h_i]; never materialises [D]. *)

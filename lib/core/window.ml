@@ -68,7 +68,6 @@ type term_state = {
   beta : float;  (** α − ⌊α⌋ *)
   binom : float array;  (** C(n_int, p), p = 0 … n_int *)
   rho_beta : float array;  (** ρ series of the fractional factor *)
-  rho_full : float array;  (** ρ series of α itself (window D blocks) *)
   yr : int;  (** y ring size: max(k_eff, n_int, 1) *)
   yring : float array array;  (** y_t at slot t mod yr *)
 }
@@ -123,17 +122,10 @@ let linear_order_one (sys : Multi_term.t) =
   | [ { Multi_term.alpha = 1.0; _ } ], 0 -> true
   | _ -> false
 
-(* The general path's within-window D blocks: upper-triangular Toeplitz
-   by construction, first row (2/h)^α·ρ_α truncated to the window, so
-   each window's engine run can take the FFT history path (gated on the
-   global horizon [m]). *)
-let window_history ~h ~m ~orders ~rhos wlen =
-  Engine.toeplitz ~orders ~step:h ~horizon:m
-    (List.map2
-       (fun alpha rho ->
-         let scale = (2.0 /. h) ** alpha in
-         Array.init wlen (fun k -> scale *. rho.(k)))
-       orders rhos)
+(* The general path's within-window D blocks: the leading wlen×wlen
+   block of the global Toeplitz D^α, so each window's engine run can
+   take the FFT history path (gated on the global horizon [m]). *)
+let window_history ~h ~m ~orders wlen = Engine.toeplitz ~orders ~step:h ~horizon:m wlen
 
 let orders_of (sys : Multi_term.t) =
   List.map (fun { Multi_term.alpha; _ } -> alpha) sys.Multi_term.terms
@@ -147,16 +139,13 @@ let prefactor ctx pencil ~series_cache ~window:w ~grid (sys : Multi_term.t) =
     else begin
       let orders = orders_of sys in
       let series = memo_series (Some series_cache) in
-      (* warm the β series of the ρ_n ⊛ ρ_β split so queries skip the
-         O(m²) Cauchy products too *)
+      (* warm the β series of the ρ_n ⊛ ρ_β split so queries reuse it *)
       List.iter
         (fun alpha ->
           let _, beta = split_alpha alpha in
           if beta <> 0.0 then ignore (series beta m : float array))
         orders;
-      window_history ~h ~m ~orders
-        ~rhos:(List.map (fun alpha -> series alpha m) orders)
-        w
+      window_history ~h ~m ~orders w
     end
   in
   ignore (Engine.prepare ctx pencil history : Engine.plan)
@@ -471,16 +460,12 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
             beta;
             binom;
             rho_beta;
-            rho_full = series alpha m;
             yr;
             yring = Array.make yr [||];
           })
         sys.Multi_term.terms
     in
-    let history =
-      window_history ~h ~m ~orders
-        ~rhos:(List.map (fun ti -> ti.rho_full) term_data)
-    in
+    let history = window_history ~h ~m ~orders in
     let full_history = history w in
     let ilog2 v =
       let r = ref 0 and v = ref v in

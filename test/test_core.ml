@@ -713,8 +713,7 @@ let test_toeplitz_oracle () =
               let run history = Engine.run (Engine.prepare Engine.default pencil history) bu in
               let x =
                 run
-                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) ~horizon:m
-                     (List.map (Block_pulse.uniform_fractional_row ~t_end ~m) orders))
+                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) ~horizon:m m)
               in
               let rel reference =
                 Mat.max_abs_diff x reference /. Float.max (Mat.norm_inf reference) 1e-300
@@ -733,6 +732,96 @@ let test_toeplitz_oracle () =
             [ `Dense; `Sparse ])
         [ 1; 2; 7; 48 ])
     systems
+
+(* ---------- rounding ---------- *)
+
+(* Double-double arithmetic (value hi + lo) from error-free
+   transformations: [two_sum] and an [Float.fma] two-product. *)
+let two_sum a b =
+  let s = a +. b in
+  let bb = s -. a in
+  (s, (a -. (s -. bb)) +. (b -. bb))
+
+let dd_norm s e =
+  let h = s +. e in
+  (h, e -. (h -. s))
+
+let dd_add (ah, al) (bh, bl) =
+  let s, e = two_sum ah bh in
+  dd_norm s (e +. al +. bl)
+
+let dd_mul (ah, al) (bh, bl) =
+  let p = ah *. bh in
+  dd_norm p (Float.fma ah bh (-.p) +. (ah *. bl) +. (al *. bh))
+
+let dd_div a (bh, bl) =
+  let q1 = fst a /. bh in
+  let rh, rl = dd_add a (dd_mul (-.q1, 0.0) (bh, bl)) in
+  dd_norm q1 ((rh +. rl) /. bh)
+
+let dd x = (x, 0.0)
+
+(* The scalar oscillator D^α x = −(6π)² x + 1 (step input, t_end = 1) at
+   m = 4096, solved by the uniform-grid engine and, as the reference, by
+   a double-double scan of the same discrete system: the same float s =
+   (2/h)^α and ω², with ρ_α the Cauchy product of its two binomial
+   series. Both sides share the discretisation, so the difference is the
+   engine's rounding alone. A plain double scan of ρ_α, the growing
+   kernel of α > 1, misses the bounds by 38× (α = 1.5), 175× (α = 2) and
+   1.3·10⁴× (α = 2.5). *)
+let test_oscillator_rounding () =
+  let m = 4096 in
+  let step = 1.0 /. float_of_int m in
+  let w2 = (6.0 *. Float.pi) *. (6.0 *. Float.pi) in
+  let pencil = Engine.pencil `Dense [ Csr.eye 1; Csr.scale (-.w2) (Csr.eye 1) ] in
+  List.iter
+    (fun (alpha, bound) ->
+      let x =
+        Engine.run
+          (Engine.prepare Engine.default pencil
+             (Engine.toeplitz ~orders:[ alpha ] ~step ~horizon:m m))
+          (Mat.init 1 m (fun _ _ -> 1.0))
+      in
+      (* ρ_α = (1−q)^α · (1+q)^{−α}, C(a, k) = C(a, k−1)·(a − k + 1)/k *)
+      let binomial a =
+        let c = Array.make m (dd 1.0) in
+        for k = 1 to m - 1 do
+          c.(k) <- dd_div (dd_mul c.(k - 1) (dd (a -. float_of_int (k - 1)))) (dd (float_of_int k))
+        done;
+        c
+      in
+      let num = Array.mapi (fun k (h, l) -> if k land 1 = 1 then (-.h, -.l) else (h, l)) (binomial alpha) in
+      let den = binomial (-.alpha) in
+      let s = dd ((2.0 /. step) ** alpha) in
+      let kernel =
+        Array.init m (fun k ->
+            let acc = ref (dd 0.0) in
+            for i = 0 to k do
+              acc := dd_add !acc (dd_mul num.(i) den.(k - i))
+            done;
+            dd_mul s !acc)
+      in
+      let diag = dd_add kernel.(0) (dd w2) in
+      let xs = Array.make m (dd 0.0) in
+      for i = 0 to m - 1 do
+        let acc = ref (dd 1.0) in
+        for j = 0 to i - 1 do
+          let kh, kl = dd_mul kernel.(i - j) xs.(j) in
+          acc := dd_add !acc (-.kh, -.kl)
+        done;
+        xs.(i) <- dd_div !acc diag
+      done;
+      let err = ref 0.0 and scale = ref 0.0 in
+      Array.iteri
+        (fun i (h, l) ->
+          err := Float.max !err (Float.abs (Mat.get x 0 i -. h -. l));
+          scale := Float.max !scale (Float.abs h))
+        xs;
+      let rel = !err /. !scale in
+      if rel > bound then
+        Alcotest.failf "α = %g: rounding error %.3g > %.0e against the double-double scan"
+          alpha rel bound)
+    [ (1.5, 1e-9); (2.0, 1e-9); (2.5, 1e-5) ]
 
 (* ---------- frozen bits ---------- *)
 
@@ -1018,6 +1107,7 @@ let () =
           t "input coefficients" test_input_coefficients;
         ] );
       ("cross-route", [ t "toeplitz vs triangular and kron" test_toeplitz_oracle ]);
+      ("rounding", [ t "oscillator vs double-double scan" test_oscillator_rounding ]);
       ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
       ( "opmatrix-memory",
         [ t "uniform compile allocates O(m)" test_uniform_compile_allocation ] );

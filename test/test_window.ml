@@ -308,7 +308,6 @@ let test_factor_cache_alpha_h_regression () =
   in
   let solve ?fcache alpha =
     let mta = mt alpha in
-    let row = Block_pulse.uniform_fractional_row ~t_end ~m alpha in
     let pencil =
       Engine.pencil `Dense
         (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
@@ -316,7 +315,7 @@ let test_factor_cache_alpha_h_regression () =
     in
     Engine.run
       (Engine.prepare { Engine.default with fcache } pencil
-         (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 ~horizon:m [ row ]))
+         (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 ~horizon:m m))
       (bu alpha)
   in
   let shared = Engine.Factor_cache.create () in
