@@ -924,36 +924,36 @@ let frozen_digests =
   [
     ( (`Dense : Opm.backend),
       [
-          ("general naive", "9bb40b64ae63f526");
-          ("general fft", "777a0a4b21f7af56");
-          ("two-term", "547b12d7749b2ab0");
-          ("multi-term fft", "bfc1218c5ffc503e");
+          ("general naive", "a7e37297c82ef49f");
+          ("general fft", "00dab45c5fc90bcf");
+          ("two-term", "a7ccc61ed8bc9b10");
+          ("multi-term fft", "2bbb4e33b9aa48ae");
           ("general adaptive", "6fd129340adba265");
           ("order-1 uniform", "be73f1f2650cfae2");
           ("order-1 adaptive", "71a55382c072ce4f");
-          ("windowed general", "bb63454818c89a36");
+          ("windowed general", "f85e9c783263d75c");
           ("windowed general memory 8", "d7ecb39638dd061d");
           ("windowed order-1", "9647d0af996461ad");
-          ("compiled query", "9bb40b64ae63f526");
+          ("compiled query", "a7e37297c82ef49f");
           ("integral uniform", "89c50a4e66eae189");
           ("integral adaptive", "2ded33315d029ead");
       ] );
     ( `Sparse,
       [
-          ("general naive", "b3eb5661b889f1f6");
-          ("general fft", "298e947ef0debdc5");
-          ("two-term", "6e4c332e3ea1d3c4");
-          ("multi-term fft", "f0afd879b38f2c35");
+          ("general naive", "0ffa3108cbdbed8e");
+          ("general fft", "e532b56e4e94fa7b");
+          ("two-term", "0a598582f97b55c3");
+          ("multi-term fft", "634c723264340109");
           ("general adaptive", "f79c3fe9e2e8daf2");
           ("order-1 uniform", "262d649541f9da67");
           ("order-1 adaptive", "ddc6f412fa7e8da0");
-          ("windowed general", "85be6aacf485f87d");
+          ("windowed general", "4908dc16e4fe29d3");
           ("windowed general memory 8", "08f5af7e17497cfd");
           ("windowed order-1", "28afbcef6281fb7b");
-          ("compiled query", "b3eb5661b889f1f6");
+          ("compiled query", "0ffa3108cbdbed8e");
           ("integral uniform", "d4ce985f2f6cfc18");
           ("integral adaptive", "15d9df76fcee453f");
-          ("power grid NA amd", "4c2fb84770b07811");
+          ("power grid NA amd", "ab1143c67dd16384");
           ("power grid MNA amd", "5773842b2ca54b70");
       ] );
   ]
