@@ -23,20 +23,37 @@ let input_coefficients ~grid sources =
     sources;
   u
 
-(* input derivative d^r u/dt^r acts on coefficients as U · D^r; [deriv]
-   lets a compiled model substitute its cached differentiation matrix *)
-let apply_input_order ?deriv ~grid (sys : Multi_term.t) u =
-  if sys.Multi_term.input_order = 0 then u
+(* input derivative d^r u/dt^r acts on coefficients as U·D^r. On a
+   uniform grid D = (2/h)(I−Q)(I+Q)⁻¹ (paper eq. (21)), so y = u·D is the
+   recurrence y_i = (2/h)(u_i − u_{i−1}) − y_{i−1}, applied r times:
+   O(p·m·r) and no m×m matrix. An adaptive grid multiplies by its dense
+   D. *)
+let apply_input_order ~grid (sys : Multi_term.t) u =
+  let order = sys.Multi_term.input_order in
+  if order = 0 then u
   else
-    let d =
-      match deriv with
-      | Some d -> d ()
-      | None -> Block_pulse.differential_matrix grid
-    in
-    let rec apply u k = if k = 0 then u else apply (Mat.mul u d) (k - 1) in
-    apply u sys.Multi_term.input_order
+    match grid with
+    | Grid.Uniform { t_end; m } ->
+        let c = 2.0 /. (t_end /. float_of_int m) in
+        let y = Mat.copy u in
+        for _ = 1 to order do
+          for r = 0 to fst (Mat.dims y) - 1 do
+            let u_prev = ref 0.0 and y_prev = ref 0.0 in
+            for i = 0 to m - 1 do
+              let ui = Mat.get y r i in
+              y_prev := (c *. (ui -. !u_prev)) -. !y_prev;
+              u_prev := ui;
+              Mat.set y r i !y_prev
+            done
+          done
+        done;
+        y
+    | Grid.Adaptive _ ->
+        let d = Block_pulse.differential_matrix grid in
+        let rec apply u k = if k = 0 then u else apply (Mat.mul u d) (k - 1) in
+        apply u order
 
-let bu_matrix ?deriv ~grid (sys : Multi_term.t) sources =
+let bu_matrix ~grid (sys : Multi_term.t) sources =
   Trace.with_span "opm.project_inputs" @@ fun () ->
   let p = Multi_term.input_count sys in
   if Array.length sources <> p then
@@ -44,7 +61,7 @@ let bu_matrix ?deriv ~grid (sys : Multi_term.t) sources =
       (Printf.sprintf "Opm: system has %d inputs but %d sources given" p
          (Array.length sources));
   let u = input_coefficients ~grid sources in
-  Mat.mul sys.Multi_term.b (apply_input_order ?deriv ~grid sys u)
+  Mat.mul sys.Multi_term.b (apply_input_order ~grid sys u)
 
 let shift_by_x0 x x0 =
   let n, m = Mat.dims x in
@@ -72,7 +89,6 @@ type t = {
          (prefactor at compile, cache misses at query) lives here, and
          the pencil replays one symbolic analysis for all of them *)
   series_cache : (float * int, float array) Hashtbl.t;
-  u_deriv : Mat.t Lazy.t;
   mutable queries : int;
 }
 
@@ -117,9 +133,8 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
   in
   let fcache = Engine.Factor_cache.create () in
   let series_cache = Hashtbl.create 8 in
-  let u_deriv = lazy (Block_pulse.differential_matrix grid) in
   let model plan memory_len =
-    { sys; grid; memory_len; plan; pencil; fcache; series_cache; u_deriv; queries = 0 }
+    { sys; grid; memory_len; plan; pencil; fcache; series_cache; queries = 0 }
   in
   match basis with
   | `Spectral ->
@@ -233,10 +248,7 @@ let solve_coeffs ?health ?budget t u =
       (Printf.sprintf
          "Compiled_model.solve_coeffs: u is %d×%d but system/grid need %d×%d"
          ur uc p m);
-  let u =
-    apply_input_order ~deriv:(fun () -> Lazy.force t.u_deriv) ~grid:t.grid
-      t.sys u
-  in
+  let u = apply_input_order ~grid:t.grid t.sys u in
   solve_bu ?health ?budget t (Mat.mul t.sys.Multi_term.b u)
 
 let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
@@ -254,10 +266,7 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
       Metrics.incr m_factor_reuse;
       result
   | Windowed _ | Column _ ->
-  let bu =
-    bu_matrix ~deriv:(fun () -> Lazy.force t.u_deriv) ~grid:t.grid t.sys
-      sources
-  in
+  let bu = bu_matrix ~grid:t.grid t.sys sources in
   (* nonzero initial state by substitution z = x − x₀ (the Caputo
      derivative of a constant vanishes for every α > 0, so the
      differential terms are untouched): E d^α z = A z + (B u + A x₀) *)

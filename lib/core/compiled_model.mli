@@ -176,5 +176,8 @@ val basis : t -> basis
 
 val input_coefficients : grid:Grid.t -> Source.t array -> Mat.t
 
-val bu_matrix :
-  ?deriv:(unit -> Mat.t) -> grid:Grid.t -> Multi_term.t -> Source.t array -> Mat.t
+val bu_matrix : grid:Grid.t -> Multi_term.t -> Source.t array -> Mat.t
+(** [B·U·D^r] for the projected [sources] and the system's input order
+    [r]. On a uniform grid [U·D^r] is [r] passes of the recurrence
+    [y_i = (2/h)(u_i − u_{i−1}) − y_{i−1}], [O(p·m·r)]; an adaptive grid
+    multiplies by its dense [D]. *)

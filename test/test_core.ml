@@ -674,6 +674,38 @@ let test_input_coefficients () =
   close "u0" 0.125 (Mat.get u 0 0) ~tol:1e-12;
   close "u3" 0.875 (Mat.get u 0 3) ~tol:1e-12
 
+(* ---------- input derivative ---------- *)
+
+(* On a uniform grid U·D^r runs as r passes of the recurrence
+   y_i = (2/h)(u_i − u_{i−1}) − y_{i−1}; it must stay within 1e-12 of
+   the dense product with D. *)
+let test_input_order_recurrence () =
+  let m = 300 in
+  let grid = Grid.uniform ~t_end:2.0 ~m in
+  let sys = Descriptor.random_stable ~seed:5 ~n:3 ~p:2 ~q:1 () in
+  let sources =
+    [|
+      Source.Sine { amplitude = 1.0; freq_hz = 1.3; phase = 0.4; offset = 0.2 };
+      Source.Ramp { slope = 2.0; delay = 0.3 };
+    |]
+  in
+  let u = Opm.input_coefficients ~grid sources in
+  let d = Block_pulse.differential_matrix grid in
+  List.iter
+    (fun order ->
+      let mt =
+        Multi_term.make ~input_order:order
+          ~terms:[ (sys.Descriptor.e, 1.0) ]
+          ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+      in
+      let rec dense u k = if k = 0 then u else dense (Mat.mul u d) (k - 1) in
+      let want = Mat.mul sys.Descriptor.b (dense u order) in
+      let got = Compiled_model.bu_matrix ~grid mt sources in
+      let rel = Mat.max_abs_diff got want /. Mat.norm_inf want in
+      if rel > 1e-12 then
+        Alcotest.failf "input order %d: recurrence vs dense U·D^r %.3g > 1e-12" order rel)
+    [ 1; 2; 3 ]
+
 (* ---------- cross-route oracle ---------- *)
 
 (* The uniform-grid [toeplitz] history against two references that solve
@@ -1087,6 +1119,7 @@ let () =
           t "companion passthrough" test_companion_first_order_passthrough;
           t "companion rejects fractional" test_companion_rejects_fractional;
           t "input derivative" test_input_derivative_handling;
+          t "input derivative recurrence = dense U·D^r" test_input_order_recurrence;
         ] );
       ( "x0-and-integral-form",
         [
