@@ -183,9 +183,9 @@ let points_arg =
 let no_fft_rhs_arg =
   let doc =
     "Disable the FFT Toeplitz history fast path in the OPM engine \
-     (equivalent to setting $(b,OPM_NO_FFT_RHS)). The naive per-column \
-     history scan is used instead; results agree with the fast path to \
-     1e-10 relative and are bit-identical to pre-FFT releases."
+     (equivalent to setting $(b,OPM_NO_FFT_RHS)). The fractional history \
+     kernels are then scanned naively, column by column; results agree \
+     with the fast path to 1e-10 relative, not bit for bit."
   in
   Arg.(value & flag & info [ "no-fft-rhs" ] ~doc)
 

@@ -50,17 +50,12 @@ let integer_power grid k =
   if k = 0 then Mat.eye (Grid.size grid)
   else Mat.pow (differential_matrix grid) k
 
-let uniform_fractional_row ~t_end ~m alpha =
-  if alpha < 0.0 then invalid_arg "Block_pulse.uniform_fractional_row: alpha < 0";
-  let h = t_end /. float_of_int m in
-  let rho = Series.one_minus_over_one_plus_pow alpha m in
-  let scale = (2.0 /. h) ** alpha in
-  Array.map (fun c -> scale *. c) rho
-
-(* ρ_{α,m}(Q_m) for the shift matrix Q_m is the upper-triangular
-   Toeplitz matrix with ρ's coefficient c_{j−i} at (i, j) *)
+(* (2/h)^α·ρ_{α,m}(Q_m) for the shift matrix Q_m is the upper-triangular
+   Toeplitz matrix with the scaled ρ coefficient c_{j−i} at (i, j) *)
 let uniform_fractional ~t_end ~m alpha =
-  let row = uniform_fractional_row ~t_end ~m alpha in
+  let h = t_end /. float_of_int m in
+  let scale = (2.0 /. h) ** alpha in
+  let row = Array.map (fun c -> scale *. c) (Series.one_minus_over_one_plus_pow alpha m) in
   Mat.init m m (fun i j -> if j >= i then row.(j - i) else 0.0)
 
 let fractional_differential_matrix grid alpha =

@@ -47,15 +47,6 @@ val fractional_differential_matrix : Grid.t -> float -> Mat.t
 
     Integer [α] falls back to exact matrix powers. *)
 
-val uniform_fractional_row : t_end:float -> m:int -> float -> Vec.t
-(** [uniform_fractional_row ~t_end ~m alpha] is the first row
-    [(2/h)^α · ρ_{α,m}] ([h = t_end/m], length [m]) of the uniform-grid
-    [D^α]. That matrix is upper-triangular Toeplitz, so the row defines
-    it: entry [(i, j)] of {!fractional_differential_matrix} on
-    [Grid.uniform ~t_end ~m] is [row.(j − i)] for [j ≥ i], bit for bit.
-    [O(m)] memory instead of [O(m²)]. Raises [Invalid_argument] for
-    [α < 0]. *)
-
 val fractional_integral_matrix : Grid.t -> float -> Mat.t
 (** [H^α = (D^α)^{−1}] — the Riemann–Liouville fractional integration
     operator in BPF coordinates. *)

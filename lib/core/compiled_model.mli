@@ -12,11 +12,13 @@ open Opm_signal
     work at exactly that line:
 
     - {b plant-dependent}, done once in {!compile}: BPF expansion
-      scaffolding, the {!Engine.pencil}, the operational matrices
-      [D^{α_k}] (O(m²) each) and the ρ series held by the column
-      history, and the factored column-0 block — {!Engine.prepare}
-      inserts it {e pinned} into the model's {!Engine.Factor_cache} so
-      the bounded cache can never evict it mid-sweep;
+      scaffolding, the {!Engine.pencil}, the column history (on a
+      uniform grid the banded lag operators and fractional kernels of
+      {!Engine.toeplitz}, O(m) each; on an adaptive grid the dense
+      operational matrices [D^{α_k}]), and the factored column-0 block
+      — {!Engine.prepare} inserts it {e pinned} into the model's
+      {!Engine.Factor_cache} so the bounded cache can never evict it
+      mid-sweep;
     - {b input-dependent}, per {!solve} query: project the sources,
       form [B·U·D^r], and {!Engine.prepare}/{!Engine.run} the column
       recurrence against the cached factor — zero factorisations,

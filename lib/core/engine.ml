@@ -19,11 +19,11 @@ let m_rhsconv_blocks = Metrics.counter "engine.rhsconv.blocks"
 let m_rhsconv_naive = Metrics.counter "engine.rhsconv.naive_cols"
 
 (* ------------------------------------------------------------------ *)
-(* FFT history-convolution switch. The Toeplitz fast path reassociates
-   the history summation, so its output matches the naive scan to
-   roundoff rather than bit-identically; OPM_NO_FFT_RHS (or
+(* FFT history-convolution switch. The fast path reassociates the
+   fractional kernels' history sums, so its output matches the naive
+   scan to roundoff rather than bit-identically; OPM_NO_FFT_RHS (or
    [set_fft_rhs_enabled false], or the CLI's --no-fft-rhs) forces every
-   solve back onto the naive path. *)
+   solve back onto the naive scan. *)
 
 let fft_rhs_flag = ref None
 

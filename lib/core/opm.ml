@@ -12,8 +12,8 @@ let input_coefficients = Compiled_model.input_coefficients
 let bu_matrix ~grid sys sources = Compiled_model.bu_matrix ~grid sys sources
 
 (* One-shot simulation is literally compile-then-solve: every
-   plant-dependent artefact (operational matrices, Toeplitz rows, FFT
-   plan, pinned pencil factor) is built by [compile] exactly as the
+   plant-dependent artefact (operational matrices or banded history,
+   FFT plan, pinned pencil factor) is built by [compile] exactly as the
    historical one-shot path built it, so cold behaviour is
    bit-identical while sweep callers can hold on to the compiled model
    and pay the setup once. *)
