@@ -88,7 +88,6 @@ type t = {
       (* one cache per model: every block this model ever factors
          (prefactor at compile, cache misses at query) lives here, and
          the pencil replays one symbolic analysis for all of them *)
-  series_cache : (float * int, float array) Hashtbl.t;
   mutable queries : int;
 }
 
@@ -132,9 +131,8 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       @ [ sys.Multi_term.a ])
   in
   let fcache = Engine.Factor_cache.create () in
-  let series_cache = Hashtbl.create 8 in
   let model plan memory_len =
-    { sys; grid; memory_len; plan; pencil; fcache; series_cache; queries = 0 }
+    { sys; grid; memory_len; plan; pencil; fcache; queries = 0 }
   in
   match basis with
   | `Spectral ->
@@ -161,7 +159,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                same cache, same keys. Adaptive grids are rejected by
                Window at query time, so nothing to warm. *)
             if uniform then
-              Window.prefactor ctx pencil ~series_cache ~window:w ~grid sys;
+              Window.prefactor ctx pencil ~window:w ~grid sys;
             Windowed { w }
         | _ ->
             let history =
@@ -224,9 +222,9 @@ let solve_bu ?health ?budget ?checkpoint ?checkpoint_every ?resume_from t bu =
         let x, _stats =
           Window.solve
             ~backend:(backend t :> backend)
-            ?health ?memory_len:t.memory_len ~fcache:t.fcache
-            ~series_cache:t.series_cache ?budget ?checkpoint
-            ?checkpoint_every ?resume_from ~window:w ~grid:t.grid t.sys ~bu
+            ?health ?memory_len:t.memory_len ~fcache:t.fcache ?budget
+            ?checkpoint ?checkpoint_every ?resume_from ~window:w ~grid:t.grid
+            t.sys ~bu
         in
         x
     | Column history ->

@@ -31,8 +31,7 @@ open Opm_signal
     pencil and history under the same keys.
 
     Windowed models delegate queries to {!Window.solve}, sharing the
-    factor cache and the ρ-series cache across windows {e and}
-    queries.
+    factor cache across windows {e and} queries.
 
     Queries are sequential: a compiled model carries mutable per-query
     scratch (the FFT convolver), so one [t] must not be queried from

@@ -432,30 +432,33 @@ let apply_ops ops j v =
 
 let apply p j v = apply_ops p.ops j v
 
-(* Factor the column block Σ_j c_j·M_j. Assembly starts from the A term
-   and adds the others in order, which reproduces the historical
-   per-form pencils (−A + Σ d_ii E_k, 2/h·E − A, E − H_ii·A) bit for
-   bit: negation and scaling by ±1 are exact, and IEEE addition
-   commutes. *)
-let factor ?health ?budget p ~column c =
+(* Σ_j c_j·M_j, assembled from the A term up and adding the others in
+   order, which reproduces the historical per-form pencils
+   (−A + Σ d_ii E_k, 2/h·E − A, E − H_ii·A) bit for bit: negation and
+   scaling by ±1 are exact, and IEEE addition commutes. A zero
+   coefficient adds nothing and is skipped. *)
+let combine ~scale ~add ms c =
   let last = Array.length c - 1 in
+  let acc = ref (scale c.(last) ms.(last)) in
+  for j = 0 to last - 1 do
+    if c.(j) <> 0.0 then acc := add !acc c.(j) ms.(j)
+  done;
+  !acc
+
+let dense_sum = combine ~scale:Mat.scale ~add:(fun acc c m -> Mat.add acc (Mat.scale c m))
+
+let sparse_sum = combine ~scale:Csr.scale ~add:(fun acc c m -> Csr.add ~alpha:1.0 ~beta:c acc m)
+
+(* Factor the column block Σ_j c_j·M_j. *)
+let factor ?health ?budget p ~column c =
   match p.ops with
   | Dense_ops ms ->
       budget_factor ~bytes:(p.n * p.n * 8) budget;
-      Trace.with_span "factor" (fun () ->
-          let acc = ref (Mat.scale c.(last) ms.(last)) in
-          for j = 0 to last - 1 do
-            acc := Mat.add !acc (Mat.scale c.(j) ms.(j))
-          done;
-          dense_block ~column !acc)
+      Trace.with_span "factor" (fun () -> dense_block ~column (dense_sum ms c))
   | Sparse_ops ms ->
-      let acc = ref (Csr.scale c.(last) ms.(last)) in
-      for j = 0 to last - 1 do
-        acc := Csr.add ~alpha:1.0 ~beta:c.(j) !acc ms.(j)
-      done;
-      budget_factor ~bytes:(Csr.nnz !acc * 16) budget;
-      Trace.with_span "factor" (fun () ->
-          sparse_block ?health ~sym:p.sym ~column !acc)
+      let acc = sparse_sum ms c in
+      budget_factor ~bytes:(Csr.nnz acc * 16) budget;
+      Trace.with_span "factor" (fun () -> sparse_block ?health ~sym:p.sym ~column acc)
 
 (* ------------------------------------------------------------------ *)
 (* History strategies                                                  *)
@@ -511,16 +514,26 @@ let toeplitz ~orders ~step ~horizon columns =
   let alphas = Array.of_list orders in
   if not (Array.for_all (fun a -> a >= 0.0) alphas) then
     invalid_arg "Engine.toeplitz: order < 0";
-  let fractional k = not (Float.is_integer alphas.(k)) in
-  let n_max = Array.fold_left (fun acc a -> Float.max acc (Float.of_int (truncate a))) 0.0 alphas in
-  let lags = truncate n_max in
+  let lags = Array.fold_left (fun acc a -> max acc (truncate a)) 0 alphas in
   let scales = Array.map (fun a -> (2.0 /. step) ** a) alphas in
-  (* (1−q)^{α_k}·(1+q)^{N−α_k}: p_k for an integer order (a polynomial
-     of degree N with exact integer coefficients), κ_k / s_k for a
-     fractional one *)
-  let series k len = Series.binomial_product alphas.(k) (n_max -. alphas.(k)) len in
-  let poly = Array.mapi (fun k _ -> if fractional k then [||] else series k (lags + 1)) alphas in
-  let frac = Array.of_list (List.filter fractional (List.init (Array.length alphas) Fun.id)) in
+  (* s_k·(1−q)^{α_k}·(1+q)^{N−α_k}: s_k·p_k for an integer order (degree
+     N, exact integer coefficients before scaling), κ_k for a fractional
+     one *)
+  let scaled k len =
+    Array.map (( *. ) scales.(k))
+      (Series.binomial_product alphas.(k) (float_of_int lags -. alphas.(k)) len)
+  in
+  let poly =
+    Array.mapi
+      (fun k a -> if Float.is_integer a then scaled k (lags + 1) else Array.make (lags + 1) 0.0)
+      alphas
+  in
+  let frac =
+    Array.of_list
+      (List.filter
+         (fun k -> not (Float.is_integer alphas.(k)))
+         (List.init (Array.length alphas) Fun.id))
+  in
   Banded
     {
       orders;
@@ -528,12 +541,10 @@ let toeplitz ~orders ~step ~horizon columns =
       columns;
       horizon;
       scales;
-      binom = Series.binomial_product 0.0 n_max (lags + 1);
-      band =
-        Array.init lags (fun l ->
-            Array.mapi (fun k s -> if fractional k then 0.0 else s *. poly.(k).(l + 1)) scales);
+      binom = Series.binomial_product 0.0 (float_of_int lags) (lags + 1);
+      band = Array.init lags (fun l -> Array.map (fun p -> p.(l + 1)) poly);
       frac;
-      kernels = Array.map (fun k -> Array.map (fun c -> scales.(k) *. c) (series k columns)) frac;
+      kernels = Array.map (fun k -> scaled k columns) frac;
       lags = None;
       conv = None;
     }
@@ -596,32 +607,18 @@ let column_key history i =
   | Alternating steps -> [ 1.0; steps.(i) ]
   | Running_sum { steps; _ } -> [ 0.5 *. steps.(i) ]
 
-(* M_1 … M_N of a banded history, assembled from the A term up as
-   [factor] assembles its blocks, skipping zero coefficients *)
+(* M_1 … M_N of a banded history, assembled as [factor] assembles its
+   blocks *)
 let lag_ops pencil b =
   match b.lags with
   | Some (p, ops) when p == pencil -> ops
   | Some _ | None ->
       let coeffs l = Array.append b.band.(l) [| -.b.binom.(l + 1) |] in
-      let combine scale add ms c =
-        let last = Array.length c - 1 in
-        let acc = ref (scale c.(last) ms.(last)) in
-        for j = 0 to last - 1 do
-          if c.(j) <> 0.0 then acc := add !acc c.(j) ms.(j)
-        done;
-        !acc
-      in
       let lags = Array.length b.band in
       let ops =
         match pencil.ops with
-        | Dense_ops ms ->
-            Dense_ops
-              (Array.init lags (fun l ->
-                   combine Mat.scale (fun acc c m -> Mat.add acc (Mat.scale c m)) ms (coeffs l)))
-        | Sparse_ops ms ->
-            Sparse_ops
-              (Array.init lags (fun l ->
-                   combine Csr.scale (fun acc c m -> Csr.add ~alpha:1.0 ~beta:c acc m) ms (coeffs l)))
+        | Dense_ops ms -> Dense_ops (Array.init lags (fun l -> dense_sum ms (coeffs l)))
+        | Sparse_ops ms -> Sparse_ops (Array.init lags (fun l -> sparse_sum ms (coeffs l)))
       in
       b.lags <- Some (pencil, ops);
       ops
@@ -726,15 +723,14 @@ let subtract_scan pencil ~op w cols rhs =
     let hi = min n (!lo + scan_block) - 1 in
     for k = 0 to terms - 1 do
       let acc = accs.(k) in
-      Array.iteri
-        (fun j wj ->
-          let wk = wj.(k) and col = cols.(j) in
-          if wk <> 0.0 then
-            for r = !lo to hi do
-              Array.unsafe_set acc r
-                ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
-            done)
-        w
+      for j = 0 to Array.length w - 1 do
+        let wk = w.(j).(k) and col = cols.(j) in
+        if wk <> 0.0 then
+          for r = !lo to hi do
+            Array.unsafe_set acc r
+              ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
+          done
+      done
     done;
     lo := hi + 1
   done;

@@ -100,17 +100,6 @@ let truncation_mass ~alpha ~lags ~memory_len =
     if !total = 0.0 then 0.0 else !tail /. !total
   end
 
-let memo_series series_cache alpha len =
-  match series_cache with
-  | None -> Series.one_minus_over_one_plus_pow alpha len
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl (alpha, len) with
-      | Some s -> s
-      | None ->
-          let s = Series.one_minus_over_one_plus_pow alpha len in
-          Hashtbl.add tbl (alpha, len) s;
-          s)
-
 let pencil_of backend (sys : Multi_term.t) =
   Engine.pencil backend
     (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
@@ -130,28 +119,18 @@ let window_history ~h ~m ~orders wlen = Engine.toeplitz ~orders ~step:h ~horizon
 let orders_of (sys : Multi_term.t) =
   List.map (fun { Multi_term.alpha; _ } -> alpha) sys.Multi_term.terms
 
-let prefactor ctx pencil ~series_cache ~window:w ~grid (sys : Multi_term.t) =
+let prefactor ctx pencil ~window:w ~grid (sys : Multi_term.t) =
   let m = Grid.size grid in
   let h = Grid.t_end grid /. float_of_int m in
   let w = min w m in
   let history =
     if linear_order_one sys then Engine.alternating (Array.make w h)
-    else begin
-      let orders = orders_of sys in
-      let series = memo_series (Some series_cache) in
-      (* warm the β series of the ρ_n ⊛ ρ_β split so queries reuse it *)
-      List.iter
-        (fun alpha ->
-          let _, beta = split_alpha alpha in
-          if beta <> 0.0 then ignore (series beta m : float array))
-        orders;
-      window_history ~h ~m ~orders w
-    end
+    else window_history ~h ~m ~orders:(orders_of sys) w
   in
   ignore (Engine.prepare ctx pencil history : Engine.plan)
 
 let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
-    ?series_cache ?budget ?checkpoint ?checkpoint_every ?resume_from
+    ?budget ?checkpoint ?checkpoint_every ?resume_from
     ~window:w ~grid (sys : Multi_term.t) ~bu =
   Trace.with_span "window.solve" @@ fun () ->
   let m = Grid.size grid in
@@ -350,7 +329,6 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
   let ctx = { Engine.health; budget; fcache = Some fcache } in
   let hits0 = Engine.Factor_cache.hits fcache in
   let misses0 = Engine.Factor_cache.misses fcache in
-  let series = memo_series series_cache in
   let finish_window ~index ~start ~dt x_win =
     handoff := !handoff +. dt;
     Metrics.incr m_windows;
@@ -448,7 +426,9 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
               *. float_of_int (n_int - p + 1)
               /. float_of_int p
           done;
-          let rho_beta = if beta = 0.0 then [||] else series beta m in
+          let rho_beta =
+            if beta = 0.0 then [||] else Series.one_minus_over_one_plus_pow beta m
+          in
           (* y ring keeps the last k_eff transformed columns for the
              ρ_β tail, but never fewer than the n_int recurrence
              boundary values — those are exact carried state *)

@@ -109,7 +109,6 @@ val solve :
   ?memory_len:int ->
   ?on_window:(index:int -> start:int -> Mat.t -> unit) ->
   ?fcache:Engine.cache ->
-  ?series_cache:(float * int, float array) Hashtbl.t ->
   ?budget:Opm_robust.Budget.t ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
@@ -138,8 +137,7 @@ val solve :
     passes a cache {!prefactor} has filled, so no query factorises
     anything; the engine pins the uniform-grid block it inserts (the
     bounded cache can never evict the hot pencil mid-run, whatever else
-    shares the cache). [?series_cache] memoises the O(m²) [ρ] series by
-    [(α, length)] across calls. The per-window histories carry the
+    shares the cache). The per-window histories carry the
     global horizon for the FFT gate, so long horizons keep the Toeplitz
     fast path even when [w] is far below the crossover.
 
@@ -180,13 +178,11 @@ val solve :
 val prefactor :
   Engine.ctx ->
   Engine.pencil ->
-  series_cache:(float * int, float array) Hashtbl.t ->
   window:int ->
   grid:Opm_basis.Grid.t ->
   Multi_term.t ->
   unit
 (** Compile-ahead: prepare the first window of [solve ~window ~grid sys]
     against the same keys, so the block every window looks up is already
-    in the context's cache (pinned) and the [ρ] series it needs are in
-    [series_cache]. [pencil] must hold the system's operators on the
-    backend [solve] will use. *)
+    in the context's cache (pinned). [pencil] must hold the system's
+    operators on the backend [solve] will use. *)
