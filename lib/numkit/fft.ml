@@ -386,13 +386,16 @@ module Blocked_conv = struct
     let kernel = t.kernels.(term) in
     let lmax = min (min (t.base - 1) i) (Array.length kernel - 1) in
     let acc = t.acc.(term) in
-    Array.init t.rows (fun r ->
-        let row = t.cols.(r) in
-        let s = ref (if i < t.m then acc.(r).(i) else 0.0) in
-        for l = 1 to lmax do
-          s := !s +. (kernel.(l) *. row.(i - l))
-        done;
-        !s)
+    let y = Array.make t.rows 0.0 in
+    for r = 0 to t.rows - 1 do
+      let row = t.cols.(r) in
+      let s = ref (if i < t.m then acc.(r).(i) else 0.0) in
+      for l = 1 to lmax do
+        s := !s +. (Array.unsafe_get kernel l *. Array.unsafe_get row (i - l))
+      done;
+      y.(r) <- !s
+    done;
+    y
 end
 
 let frequencies n dt =

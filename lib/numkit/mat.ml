@@ -125,12 +125,15 @@ let par_mul pool a b =
 
 let mul_vec a x =
   if a.cols <> Array.length x then invalid_arg "Mat.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let s = ref 0.0 in
-      for j = 0 to a.cols - 1 do
-        s := !s +. (get a i j *. x.(j))
-      done;
-      !s)
+  let y = Array.make a.rows 0.0 in
+  for i = 0 to a.rows - 1 do
+    let s = ref 0.0 and row = i * a.cols in
+    for j = 0 to a.cols - 1 do
+      s := !s +. (Array.unsafe_get a.data (row + j) *. Array.unsafe_get x j)
+    done;
+    y.(i) <- !s
+  done;
+  y
 
 let tmul_vec a x =
   if a.rows <> Array.length x then invalid_arg "Mat.tmul_vec: dimension mismatch";

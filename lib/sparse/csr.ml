@@ -43,12 +43,15 @@ let get a i j =
 
 let mul_vec a x =
   if Array.length x <> a.cols then invalid_arg "Csr.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let s = ref 0.0 in
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        s := !s +. (a.values.(k) *. x.(a.col_ind.(k)))
-      done;
-      !s)
+  let y = Array.make a.rows 0.0 in
+  for i = 0 to a.rows - 1 do
+    let s = ref 0.0 in
+    for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
+      s := !s +. (a.values.(k) *. x.(a.col_ind.(k)))
+    done;
+    y.(i) <- !s
+  done;
+  y
 
 let tmul_vec a x =
   if Array.length x <> a.rows then invalid_arg "Csr.tmul_vec: dimension mismatch";
