@@ -112,6 +112,7 @@ let fft_real x = fft (Array.map (fun re -> { Complex.re; im = 0.0 }) x)
 
 let radix2_split sign re im =
   let n = Array.length re in
+  if Array.length im <> n then invalid_arg "Fft.radix2_split: length mismatch";
   (* bit-reversal permutation *)
   let j = ref 0 in
   for i = 0 to n - 2 do
@@ -139,14 +140,14 @@ let radix2_split sign re im =
     while !i < n do
       let cr = ref 1.0 and ci = ref 0.0 in
       for k = !i to !i + half - 1 do
-        let ur = re.(k) and ui = im.(k) in
-        let xr = re.(k + half) and xi = im.(k + half) in
+        let ur = Array.unsafe_get re k and ui = Array.unsafe_get im k in
+        let xr = Array.unsafe_get re (k + half) and xi = Array.unsafe_get im (k + half) in
         let vr = (xr *. !cr) -. (xi *. !ci) in
         let vi = (xr *. !ci) +. (xi *. !cr) in
-        re.(k) <- ur +. vr;
-        im.(k) <- ui +. vi;
-        re.(k + half) <- ur -. vr;
-        im.(k + half) <- ui -. vi;
+        Array.unsafe_set re k (ur +. vr);
+        Array.unsafe_set im k (ui +. vi);
+        Array.unsafe_set re (k + half) (ur -. vr);
+        Array.unsafe_set im (k + half) (ui -. vi);
         let nr = (!cr *. wr) -. (!ci *. wi) in
         ci := (!cr *. wi) +. (!ci *. wr);
         cr := nr
@@ -338,8 +339,10 @@ module Blocked_conv = struct
           | Some (kr, ki) ->
               let wr = Array.make b2 0.0 and wi = Array.make b2 0.0 in
               for u = 0 to b2 - 1 do
-                wr.(u) <- (zr.(u) *. kr.(u)) -. (zi.(u) *. ki.(u));
-                wi.(u) <- (zr.(u) *. ki.(u)) +. (zi.(u) *. kr.(u))
+                let ar = Array.unsafe_get zr u and ai = Array.unsafe_get zi u in
+                let br = Array.unsafe_get kr u and bi = Array.unsafe_get ki u in
+                Array.unsafe_set wr u ((ar *. br) -. (ai *. bi));
+                Array.unsafe_set wi u ((ar *. bi) +. (ai *. br))
               done;
               radix2_split 1.0 wr wi;
               let a0 = t.acc.(k).(r0) in
