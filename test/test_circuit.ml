@@ -570,6 +570,192 @@ let test_parser_fuzz_malformed_line_numbers () =
           (String.length message > 0))
     cases
 
+(* ---------- parser conformance table ----------
+
+   Each row is netlist text and either the instances and node order it
+   must produce, or the exact [Parse_error] it must raise. Instances are
+   compared through [Netlist.instance_to_line] ("%.17g"), so every
+   parsed value is checked bit for bit; expected values are written as
+   the product the suffix rule computes (2.2u = 2.2 *. 1e-6). *)
+
+type conformance = Parses of Netlist.instance list * string list | Fails of int * string
+
+let conformance_rows =
+  let u = 1e-6 and k = 1e3 and n = 1e-9 in
+  let step1 = Source.Step { amplitude = 1.0; delay = 0.0 } in
+  [
+    ( "LF endings",
+      "R1 a 0 1k\nC1 a 0 2.2u\n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.c "C1" "a" "0" (2.2 *. u) ], [ "a" ]) );
+    ( "CRLF endings",
+      "R1 a 0 1k\r\nC1 a b 2.2u\r\n.end\r\n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.c "C1" "a" "b" (2.2 *. u) ], [ "a"; "b" ]) );
+    ( "CRLF with a comment after the value",
+      "R1 a 0 1k ; load\r\nC1 a 0 1u;x\r\n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.c "C1" "a" "0" (1.0 *. u) ], [ "a" ]) );
+    ( "CRLF error line",
+      "R1 a 0 1k\r\nC1 b 0\r\n",
+      Fails (2, "C1 expects exactly one value") );
+    ( "tabs and blanks",
+      "\t R1\ta \t0\t\t1k \t\n   C1  a  0  1u   \n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.c "C1" "a" "0" (1.0 *. u) ], [ "a" ]) );
+    ( "comment lines and mid-line comments",
+      "* title card\n  * indented\n;only a comment\nR1 a 0 1k;no space\nL1 a b 10n ; henries\n\n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.l "L1" "a" "b" (10.0 *. n) ], [ "a"; "b" ]) );
+    ( "upper- and lower-case designators",
+      "RLOAD a 0 50\nc1 a 0 1u\nl2 a b 1n\nI9 b 0 1\n",
+      Parses
+        ( [
+            Netlist.r "RLOAD" "a" "0" 50.0;
+            Netlist.c "c1" "a" "0" (1.0 *. u);
+            Netlist.l "l2" "a" "b" (1.0 *. n);
+            Netlist.i "I9" "b" "0" (Source.Dc 1.0);
+          ],
+          [ "a"; "b" ] ) );
+    ( ".END upper case, then more lines",
+      "R1 a 0 1\n.END\nR2 a 0 2\n.end\n",
+      Parses ([ Netlist.r "R1" "a" "0" 1.0; Netlist.r "R2" "a" "0" 2.0 ], [ "a" ]) );
+    ( "comma separators outside parentheses",
+      "R1,a,0,1k\nC1 a, b,1u\n",
+      Parses ([ Netlist.r "R1" "a" "0" (1.0 *. k); Netlist.c "C1" "a" "b" (1.0 *. u) ], [ "a"; "b" ]) );
+    ( "value suffixes",
+      "R1 a 0 1MEG\nC1 a 0 2.2u\nR2 a 0 1e-3k\nC2 a 0 4F\nR3 a 0 3.5\n",
+      Parses
+        ( [
+            Netlist.r "R1" "a" "0" (1.0 *. 1e6);
+            Netlist.c "C1" "a" "0" (2.2 *. u);
+            Netlist.r "R2" "a" "0" (1e-3 *. k);
+            Netlist.c "C2" "a" "0" (4.0 *. 1e-15);
+            Netlist.r "R3" "a" "0" 3.5;
+          ],
+          [ "a" ] ) );
+    ( "pwl with mixed separators",
+      "V1 a 0 pwl(0 0, 1n 1)\nV2 b 0 PWL(0,0 1n,1 , 2n  0)\n",
+      Parses
+        ( [
+            Netlist.v "V1" "a" "0" (Source.pwl [ (0.0, 0.0); (1.0 *. n, 1.0) ]);
+            Netlist.v "V2" "b" "0"
+              (Source.pwl [ (0.0, 0.0); (1.0 *. n, 1.0); (2.0 *. n, 0.0) ]);
+          ],
+          [ "a"; "b" ] ) );
+    ( "every source form",
+      "V1 a 0 step(1)\nV2 a b STEP(1, 2n)\nI1 b 0 dc 1m\nV3 c 0 2.5\n\
+       V4 c d pulse(0 5 1n 2n 0)\nV5 d 0 sin(0.5 2 1meg 0.1)\nI2 d 0 exp(3 1u)\n\
+       I3 e 0 ramp(2)\n",
+      Parses
+        ( [
+            Netlist.v "V1" "a" "0" step1;
+            Netlist.v "V2" "a" "b" (Source.Step { amplitude = 1.0; delay = 2.0 *. n });
+            Netlist.i "I1" "b" "0" (Source.Dc (1.0 *. 1e-3));
+            Netlist.v "V3" "c" "0" (Source.Dc 2.5);
+            Netlist.v "V4" "c" "d"
+              (Source.Pulse
+                 { low = 0.0; high = 5.0; delay = 1.0 *. n; width = 2.0 *. n; period = Float.infinity });
+            Netlist.v "V5" "d" "0"
+              (Source.Sine { offset = 0.5; amplitude = 2.0; freq_hz = 1.0 *. 1e6; phase = 0.1 });
+            Netlist.i "I2" "d" "0" (Source.Exp_decay { amplitude = 3.0; tau = 1.0 *. u });
+            Netlist.i "I3" "e" "0" (Source.Ramp { slope = 2.0; delay = 0.0 });
+          ],
+          [ "a"; "b"; "c"; "d"; "e" ] ) );
+    ( "CPE, VCCS and VCVS, control nodes registered in order",
+      "P1 a 0 Q=1u ALPHA=0.5\nG1 a 0 s t 2m\nE1 b gnd a 0 10\n",
+      Parses
+        ( [
+            Netlist.cpe "P1" "a" "0" ~q:(1.0 *. u) ~alpha:0.5;
+            Netlist.vccs "G1" "a" "0" ~ctrl:("s", "t") ~gm:(2.0 *. 1e-3);
+            Netlist.vcvs "E1" "b" "gnd" ~ctrl:("a", "0") ~gain:10.0;
+          ],
+          [ "a"; "s"; "t"; "b" ] ) );
+    ( "ground as 0, gnd and GND",
+      "R1 a 0 1\nR2 a gnd 2\nR3 GND b 3\nR4 b Gnd 4\n",
+      Parses
+        ( [
+            Netlist.r "R1" "a" "0" 1.0;
+            Netlist.r "R2" "a" "gnd" 2.0;
+            Netlist.r "R3" "GND" "b" 3.0;
+            Netlist.r "R4" "b" "Gnd" 4.0;
+          ],
+          [ "a"; "b" ] ) );
+    ( "node names keep their case",
+      "R1 Out 0 1\nR2 out 0 1\n",
+      Parses ([ Netlist.r "R1" "Out" "0" 1.0; Netlist.r "R2" "out" "0" 1.0 ], [ "Out"; "out" ]) );
+    ( "duplicate designator differing only in case",
+      "R1 a 0 1k\nr1 b 0 2k\n",
+      Fails (2, "Netlist.add: duplicate designator r1") );
+    ("ground to ground", "R1 0 GND 1\n", Fails (1, "Netlist.add: R1 connects ground to ground"));
+    ( "non-positive value",
+      "R1 a 0 1\nC1 a 0 -1u\n",
+      Fails (2, "Netlist.add: C1: capacitance must be positive (got -1e-06)") );
+    ("missing value", "R1 a 0\n", Fails (1, "R1 expects exactly one value"));
+    ("too many values", "R1 a 0 1 2\n", Fails (1, "R1 expects exactly one value"));
+    ( "unparsable value",
+      "R1 a 0 1k\nC1 b 0 12XYZ\n",
+      Fails (2, "Parser.parse_value: cannot parse \"12xyz\"") );
+    ( "unknown element letter",
+      "* comment\n\nZ1 a 0 1\n",
+      Fails (3, "unknown element type 'Z'") );
+    ( "too few tokens",
+      "R1 a\n",
+      Fails (1, "element line needs a designator and two nodes") );
+    ( "unknown source function",
+      "R1 a 0 1k\nV1 a 0 wobble(3)\n",
+      Fails (2, "unknown source wobble with 1 argument(s)") );
+    ( "wrong source arity",
+      "V1 a 0 exp(1)\n",
+      Fails (1, "unknown source exp with 1 argument(s)") );
+    ("unbalanced '('", "V1 a 0 pulse(0 1\n", Fails (1, "unbalanced '('"));
+    ("unbalanced ')'", "R1 a 0 1k)\n", Fails (1, "unbalanced ')'"));
+    ( "malformed source call",
+      "V1 a 0 step(1)x\n",
+      Fails (1, "malformed source call \"step(1)x\"") );
+    ( "bad value inside a call",
+      "V1 a 0 step(1q)\n",
+      Fails (1, "Parser.parse_value: cannot parse \"1q\"") );
+    ( "odd pwl argument count",
+      "R1 a 0 1k\nR2 b 0 2k\nV1 c 0 pwl(0 0, 1n)\n",
+      Fails (3, "pwl needs an even number of arguments") );
+    ( "pwl times not increasing",
+      "V1 a 0 pwl(1n 0, 1n 1)\n",
+      Fails (1, "Source.pwl: times must strictly increase") );
+    ("missing source", "V1 a 0\n", Fails (1, "missing source specification"));
+    ("dc arity", "I1 a 0 dc 1 2\n", Fails (1, "dc takes one value"));
+    ( "two bare source tokens",
+      "V1 a 0 1 2\n",
+      Fails (1, "cannot parse source specification") );
+    ( "CPE missing alpha",
+      "P1 a 0 q=1u\n",
+      Fails (1, "CPE syntax: P<name> n+ n- q=<v> alpha=<v>") );
+    ( "CPE wrong keyword",
+      "R1 a 0 1k\nP1 a 0 q=1u beta=0.5\n",
+      Fails (2, "expected alpha=<value>, got \"beta=0.5\"") );
+    ("CPE empty value", "P1 a 0 q= alpha=0.5\n", Fails (1, "Parser.parse_value: empty value"));
+    ("VCCS arity", "G1 a 0 b 1m\n", Fails (1, "VCCS syntax: G<name> n+ n- nc+ nc- <gm>"));
+    ("VCVS arity", "E1 a 0 b\n", Fails (1, "VCVS syntax: E<name> n+ n- nc+ nc- <gain>"));
+  ]
+
+let test_parser_conformance () =
+  List.iter
+    (fun (label, text, expected) ->
+      match (Parser.parse_string text, expected) with
+      | net, Parses (insts, nodes) ->
+          Alcotest.(check (list string))
+            (label ^ ": instances")
+            (List.map Netlist.instance_to_line insts)
+            (List.map Netlist.instance_to_line (Netlist.instances net));
+          Alcotest.(check (list string))
+            (label ^ ": node order") nodes
+            (Array.to_list (Netlist.node_names net))
+      | _, Fails (line, message) ->
+          Alcotest.failf "%s: expected Parse_error at line %d (%s)" label line message
+      | exception Parser.Parse_error { line = got_line; message = got } -> (
+          match expected with
+          | Fails (line, message) ->
+              check_int (label ^ ": line") line got_line;
+              Alcotest.(check string) (label ^ ": message") message got
+          | Parses _ ->
+              Alcotest.failf "%s: unexpected Parse_error at line %d: %s" label got_line got))
+    conformance_rows
+
 let prop_random_ladder_opm_matches_trapezoidal =
   QCheck.Test.make ~count:15
     ~name:"random RC ladders: OPM and trapezoidal agree below −55 dB"
@@ -904,6 +1090,7 @@ let () =
           t "fuzz: random text roundtrips" prop_parser_fuzz_text_roundtrip;
           t "fuzz: malformed inputs carry line numbers"
             test_parser_fuzz_malformed_line_numbers;
+          t "conformance table" test_parser_conformance;
         ] );
       ( "mna",
         [
