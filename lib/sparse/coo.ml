@@ -41,48 +41,56 @@ let cols t = t.cols
 
 let entry_count t = t.len
 
+(* Two stable counting sorts (by column, then by row) put the triplets
+   in (row, col) order with equal keys in insertion order, so duplicates
+   are summed in the order they were added. *)
 let to_csr t =
-  (* sort triplets by (row, col), then merge duplicates *)
-  let idx = Array.init t.len Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = compare t.ri.(a) t.ri.(b) in
-      if c <> 0 then c else compare t.ci.(a) t.ci.(b))
-    idx;
+  let len = t.len and ri = t.ri and ci = t.ci and vs = t.vs in
+  let bucket key n src dst =
+    let start = Array.make (n + 1) 0 in
+    for k = 0 to len - 1 do
+      let b = key.(src.(k)) + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    for b = 1 to n do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    for k = 0 to len - 1 do
+      let e = src.(k) in
+      let b = key.(e) in
+      dst.(start.(b)) <- e;
+      start.(b) <- start.(b) + 1
+    done
+  in
+  let by_col = Array.make len 0 and order = Array.init len Fun.id in
+  bucket ci t.cols order by_col;
+  bucket ri t.rows by_col order;
   let row_ptr = Array.make (t.rows + 1) 0 in
-  let col_acc = ref [] and val_acc = ref [] and total = ref 0 in
-  let k = ref 0 in
+  let col_ind = Array.make len 0 and values = Array.make len 0.0 in
+  let total = ref 0 and k = ref 0 in
   for i = 0 to t.rows - 1 do
-    let row_cols = ref [] and row_vals = ref [] in
-    while !k < t.len && t.ri.(idx.(!k)) = i do
-      let j = t.ci.(idx.(!k)) in
+    while !k < len && ri.(order.(!k)) = i do
+      let j = ci.(order.(!k)) in
       let v = ref 0.0 in
-      while !k < t.len && t.ri.(idx.(!k)) = i && t.ci.(idx.(!k)) = j do
-        v := !v +. t.vs.(idx.(!k));
+      while !k < len && ri.(order.(!k)) = i && ci.(order.(!k)) = j do
+        v := !v +. vs.(order.(!k));
         incr k
       done;
       if !v <> 0.0 then begin
-        row_cols := j :: !row_cols;
-        row_vals := !v :: !row_vals;
+        col_ind.(!total) <- j;
+        values.(!total) <- !v;
         incr total
       end
     done;
-    col_acc := List.rev !row_cols :: !col_acc;
-    val_acc := List.rev !row_vals :: !val_acc;
     row_ptr.(i + 1) <- !total
   done;
-  let col_ind = Array.make !total 0 and values = Array.make !total 0.0 in
-  let pos = ref 0 in
-  List.iter2
-    (fun cs vs ->
-      List.iter2
-        (fun c v ->
-          col_ind.(!pos) <- c;
-          values.(!pos) <- v;
-          incr pos)
-        cs vs)
-    (List.rev !col_acc) (List.rev !val_acc);
-  { Csr.rows = t.rows; cols = t.cols; row_ptr; col_ind; values }
+  {
+    Csr.rows = t.rows;
+    cols = t.cols;
+    row_ptr;
+    col_ind = Array.sub col_ind 0 !total;
+    values = Array.sub values 0 !total;
+  }
 
 let of_dense d =
   let r, c = Mat.dims d in

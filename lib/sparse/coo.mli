@@ -21,6 +21,10 @@ val entry_count : t -> int
 (** Number of triplets added so far (before duplicate merging). *)
 
 val to_csr : t -> Csr.t
-(** Sort, merge duplicates (summing), drop explicit zeros. *)
+(** Sort by (row, column), sum duplicates, drop entries that sum to
+    zero. Duplicates are summed in insertion order, starting from
+    [0.0], so the result is a function of the order of {!add} calls.
+    The sort is two stable counting passes: time and memory are linear
+    in [rows + cols + entry_count]. *)
 
 val of_dense : Mat.t -> t

@@ -55,6 +55,76 @@ let test_coo_growth () =
   check_int "all entries kept" 1000 (Coo.entry_count c);
   check_bool "csr builds" true (Csr.nnz (Coo.to_csr c) > 0)
 
+(* to_csr's contract against a stable sort-and-merge oracle: entries in
+   (row, col) order, each run of duplicates summed left to right from
+   0.0 in insertion order, zero sums dropped *)
+let coo_oracle triplets =
+  let sorted =
+    List.stable_sort (fun (i1, j1, _) (i2, j2, _) -> compare (i1, j1) (i2, j2)) triplets
+  in
+  let rec merge acc = function
+    | [] -> List.rev acc
+    | (i, j, v) :: rest ->
+        let rec run sum = function
+          | (i', j', v') :: r when i' = i && j' = j -> run (sum +. v') r
+          | r -> (sum, r)
+        in
+        let sum, rest = run (0.0 +. v) rest in
+        merge (if sum <> 0.0 then (i, j, sum) :: acc else acc) rest
+  in
+  merge [] sorted
+
+let csr_triplets (m : Csr.t) =
+  List.concat
+    (List.init m.Csr.rows (fun i ->
+         List.init (m.Csr.row_ptr.(i + 1) - m.Csr.row_ptr.(i)) (fun k ->
+             let p = m.Csr.row_ptr.(i) + k in
+             (i, m.Csr.col_ind.(p), m.Csr.values.(p)))))
+
+let coo_of rows cols triplets =
+  let c = Coo.create ~rows ~cols in
+  List.iter (fun (i, j, v) -> Coo.add c i j v) triplets;
+  Coo.to_csr c
+
+let check_triplets msg expected actual =
+  let show (i, j, v) = Printf.sprintf "(%d,%d,%h)" i j v in
+  Alcotest.(check (list string)) msg (List.map show expected) (List.map show actual)
+
+let test_coo_matches_oracle () =
+  let st = Random.State.make [| 0xc00; 17 |] in
+  for case = 0 to 199 do
+    let rows = 1 + Random.State.int st 12 and cols = 1 + Random.State.int st 12 in
+    let value () =
+      match Random.State.int st 5 with
+      | 0 -> 0.0
+      | 1 -> 1e17 *. (Random.State.float st 2.0 -. 1.0)
+      | 2 -> float_of_int (Random.State.int st 5 - 2)
+      | _ -> Random.State.float st 2.0 -. 1.0
+    in
+    let triplets =
+      List.init (Random.State.int st 120) (fun _ ->
+          (Random.State.int st rows, Random.State.int st cols, value ()))
+    in
+    (* cancelling pairs, so that some sums are exactly zero *)
+    let triplets =
+      List.concat_map
+        (fun ((i, j, v) as t) -> if Random.State.int st 6 = 0 then [ t; (i, j, -.v) ] else [ t ])
+        triplets
+    in
+    check_triplets
+      (Printf.sprintf "case %d" case)
+      (coo_oracle triplets)
+      (csr_triplets (coo_of rows cols triplets))
+  done
+
+let test_coo_insertion_order () =
+  check_triplets "1e17, 1, -1e17 sums to 0 and leaves no entry" []
+    (csr_triplets (coo_of 1 1 [ (0, 0, 1e17); (0, 0, 1.0); (0, 0, -1e17) ]));
+  check_triplets "1e17, -1e17, 1 keeps 1" [ (0, 0, 1.0) ]
+    (csr_triplets (coo_of 1 1 [ (0, 0, 1e17); (0, 0, -1e17); (0, 0, 1.0) ]));
+  check_triplets "explicit zeros dropped" [ (0, 1, 2.0) ]
+    (csr_triplets (coo_of 2 2 [ (0, 0, 0.0); (0, 1, 2.0); (1, 0, 0.0); (1, 0, -0.0) ]))
+
 (* ---------- Csr ---------- *)
 
 let test_csr_get () =
@@ -662,6 +732,8 @@ let () =
           t "bounds checking" test_coo_bounds;
           t "dense roundtrip" test_coo_roundtrip;
           t "capacity growth" test_coo_growth;
+          t "matches a stable sort-and-merge oracle" test_coo_matches_oracle;
+          t "duplicates summed in insertion order" test_coo_insertion_order;
         ] );
       ( "csr",
         [
