@@ -547,18 +547,24 @@ let factor_hinted ?ordering ?pivot_tol ?stability_tol ~hint a =
       | f -> f
       | exception (Pattern_mismatch | Unstable _ | Singular _) -> fresh ())
 
-let solve_inner f b =
-  (* forward: L y = P (R b) — the factors hold R·A, so the rhs is
-     equilibrated first; the L updates reference permuted row ids, so
-     the elimination runs on a scratch copy indexed by rows while y
-     collects the values in pivot order *)
+(* The factors are of R·A' with A' = P A Pᵀ, (Pz)(i) = z(p(i)) for the
+   fill-reducing ordering p (identity when there is none), so
+   x = Pᵀ U⁻¹ L⁻¹ (R P b). The permutation of b and of the result are
+   folded into the first and last passes. *)
+let sym_index s i = match s.sym with None -> i | Some p -> p.(i)
+
+let solve_unlogged f b =
   let s = f.s in
   let n = s.sn in
-  let y = Array.make n 0.0 in
+  if Array.length b <> n then invalid_arg "Slu.solve: dimension mismatch";
+  (* forward: L y = P (R b); the L updates reference permuted row ids,
+     so the elimination runs on a scratch copy indexed by rows while y
+     collects the values in pivot order *)
   let xr = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    xr.(i) <- b.(i) *. getf f.rscale i
+    xr.(i) <- b.(sym_index s i) *. getf f.rscale i
   done;
+  let y = Array.make n 0.0 in
   for k = 0 to n - 1 do
     let row = s.perm.(k) in
     let xv = xr.(row) in
@@ -570,31 +576,24 @@ let solve_inner f b =
       done
   done;
   (* backward: U x = y, with U stored by columns (diagonal last) *)
-  let x = y in
   for j = n - 1 downto 0 do
     let lo = s.u_ptr.(j) and hi = s.u_ptr.(j + 1) in
     let diag = getf f.u_val (hi - 1) in
-    let xj = x.(j) /. diag in
-    x.(j) <- xj;
+    let xj = y.(j) /. diag in
+    y.(j) <- xj;
     if xj <> 0.0 then
       for t = lo to hi - 2 do
         let p = geti s.u_idx t in
-        x.(p) <- x.(p) -. (getf f.u_val t *. xj)
+        y.(p) <- y.(p) -. (getf f.u_val t *. xj)
       done
   done;
-  x
-
-let solve_unlogged f b =
-  if Array.length b <> f.s.sn then invalid_arg "Slu.solve: dimension mismatch";
-  match f.s.sym with
-  | None -> solve_inner f b
+  match s.sym with
+  | None -> y
   | Some p ->
-      (* A' = P A Pᵀ with (Pz)(i) = z(p(i)): solve A'(Px) = Pb *)
-      let b' = Array.init f.s.sn (fun i -> b.(p.(i))) in
-      let x' = solve_inner f b' in
-      let x = Array.make f.s.sn 0.0 in
-      Array.iteri (fun i v -> x.(p.(i)) <- v) x';
-      x
+      for i = 0 to n - 1 do
+        xr.(p.(i)) <- y.(i)
+      done;
+      xr
 
 let solve f b =
   Metrics.incr m_solve;
@@ -611,10 +610,21 @@ let solve_many ?pool f bs =
    forward over the U columns (column j of U is row j of Uᵀ, diagonal
    stored last), Lᵀ w = z runs backward using L's entries
    L(pinv(idx), k), and finally x(perm(k)) = rscale(perm(k))·w(k). *)
-let solve_transpose_inner f b =
+(* Aᵀ x = b from the same factors: the factors hold M = R·A' with
+   M = P⁻¹LU (rows permuted, columns in natural order), and
+   A'ᵀ = Mᵀ R⁻¹, so solve Mᵀ w = P b then return x = Pᵀ R w. Uᵀ z = P b
+   runs forward over the U columns (column j of U is row j of Uᵀ,
+   diagonal stored last), Lᵀ w = z runs backward using L's entries
+   L(pinv(idx), k), and finally x(p(perm(k))) = rscale(perm(k))·w(k). *)
+let solve_transpose f b =
   let s = f.s in
   let n = s.sn in
-  let z = Array.copy b in
+  if Array.length b <> n then
+    invalid_arg "Slu.solve_transpose: dimension mismatch";
+  let z = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    z.(i) <- b.(sym_index s i)
+  done;
   for j = 0 to n - 1 do
     let lo = s.u_ptr.(j) and hi = s.u_ptr.(j + 1) in
     let acc = ref z.(j) in
@@ -633,22 +643,9 @@ let solve_transpose_inner f b =
   let x = Array.make n 0.0 in
   for k = 0 to n - 1 do
     let row = s.perm.(k) in
-    x.(row) <- z.(k) *. getf f.rscale row
+    x.(sym_index s row) <- z.(k) *. getf f.rscale row
   done;
   x
-
-let solve_transpose f b =
-  if Array.length b <> f.s.sn then
-    invalid_arg "Slu.solve_transpose: dimension mismatch";
-  match f.s.sym with
-  | None -> solve_transpose_inner f b
-  | Some p ->
-      (* A' = P A Pᵀ ⇒ A'ᵀ = P Aᵀ Pᵀ: same permutation sandwich as solve *)
-      let b' = Array.init f.s.sn (fun i -> b.(p.(i))) in
-      let x' = solve_transpose_inner f b' in
-      let x = Array.make f.s.sn 0.0 in
-      Array.iteri (fun i v -> x.(p.(i)) <- v) x';
-      x
 
 let cond_est f =
   match f.cond1 with
