@@ -26,15 +26,19 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* the C printf behind [Printf]'s float conversions, without the format
+   interpreter; for finite [x] the bytes are those of [Printf.sprintf] *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* shortest decimal that round-trips; JSON has no NaN/Inf, so those
    degrade to null and the schema validator rejects them downstream *)
 let float_to buf x =
   if not (Float.is_finite x) then Buffer.add_string buf "null"
   else if Float.is_integer x && Float.abs x < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.1f" x)
+    Buffer.add_string buf (format_float "%.1f" x)
   else begin
-    let s = Printf.sprintf "%.12g" x in
-    let s = if float_of_string s = x then s else Printf.sprintf "%.17g" x in
+    let s = format_float "%.12g" x in
+    let s = if float_of_string s = x then s else format_float "%.17g" x in
     Buffer.add_string buf s
   end
 

@@ -69,6 +69,39 @@ let test_json_parse_errors () =
   fails "tru";
   fails "{\"a\": 1} trailing"
 
+(* The float printer must emit the bytes of the Printf rule it replaced:
+   "%.1f" for integers below 1e15, else "%.12g" when that round-trips,
+   else "%.17g". Random bit patterns cover every exponent, the rest the
+   values responses carry (short decimals, integers, the 1e15 edge). *)
+let old_float_rule x =
+  if not (Float.is_finite x) then "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
+  else
+    let s = Printf.sprintf "%.12g" x in
+    if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let test_json_float_bytes () =
+  let seed =
+    match Sys.getenv_opt "OPM_PROP_SEED" with
+    | Some s -> ( try int_of_string (String.trim s) with _ -> 20260806)
+    | None -> 20260806
+  in
+  let st = Random.State.make [| 0x150; seed |] in
+  let sample k =
+    match k mod 4 with
+    | 0 -> Int64.float_of_bits (Random.State.bits64 st)
+    | 1 -> float_of_int (Random.State.int st 2000 - 1000) /. 1000.0
+    | 2 -> Float.of_int (Random.State.bits st) *. 1e-3
+    | _ -> Random.State.float st 2e15 -. 1e15
+  in
+  let edges = [ 0.0; -0.0; 1e15; -1e15; 1e15 -. 1.0; 0.1; 1e-320; Float.max_float; nan; infinity ] in
+  List.iteri
+    (fun k x ->
+      let want = old_float_rule x and got = Json.to_string (Json.Float x) in
+      if want <> got then
+        Alcotest.failf "case %d (%h, OPM_PROP_SEED=%d): %s <> %s" k x seed got want)
+    (edges @ List.init 200_000 sample)
+
 (* ---------- Metrics ---------- *)
 
 let test_counter_gating () =
@@ -274,6 +307,8 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "non-finite -> null" `Quick test_json_non_finite;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          Alcotest.test_case "float bytes match the Printf rule" `Quick
+            test_json_float_bytes;
         ] );
       ( "metrics",
         [
