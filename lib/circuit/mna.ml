@@ -18,11 +18,9 @@ let current_branches net =
     (Netlist.instances net)
 
 let state_names net =
-  let nodes = Array.map (Printf.sprintf "v(%s)") (Netlist.node_names net) in
+  let nodes = Array.map (fun node -> "v(" ^ node ^ ")") (Netlist.node_names net) in
   let branches =
-    List.map
-      (fun inst -> Printf.sprintf "i(%s)" inst.Netlist.name)
-      (current_branches net)
+    List.map (fun inst -> "i(" ^ inst.Netlist.name ^ ")") (current_branches net)
   in
   Array.append nodes (Array.of_list branches)
 
@@ -150,12 +148,12 @@ let stamp ?outputs net =
         (i, names.(i))
     | Node_voltage name -> (
         match Netlist.node_index net name with
-        | Some i -> (i, Printf.sprintf "v(%s)" name)
+        | Some i -> (i, "v(" ^ name ^ ")")
         | None ->
             invalid_arg (Printf.sprintf "Mna.stamp: unknown output node %s" name))
     | Branch_current name -> (
         match Hashtbl.find_opt branch_index name with
-        | Some i -> (i, Printf.sprintf "i(%s)" name)
+        | Some i -> (i, "i(" ^ name ^ ")")
         | None ->
             invalid_arg
               (Printf.sprintf "Mna.stamp: %s carries no current state" name))
@@ -164,10 +162,7 @@ let stamp ?outputs net =
     match outputs with
     | Some ps -> List.map probe_row ps
     | None ->
-        Array.to_list
-          (Array.mapi
-             (fun i node -> (i, Printf.sprintf "v(%s)" node))
-             (Netlist.node_names net))
+        Array.to_list (Array.init n_nodes (fun i -> (i, names.(i))))
   in
   let q = List.length probes in
   let c = Mat.zeros q n in

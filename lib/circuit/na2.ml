@@ -17,7 +17,18 @@ let stamp ?outputs net =
         Coo.add coo j i (-.value)
     | Some _, None | None, Some _ | None, None -> ()
   in
-  let b_entries = ref [] in
+  let instances = Netlist.instances net in
+  let p =
+    List.fold_left
+      (fun p inst ->
+        match inst.Netlist.element with
+        | Netlist.Current_source _ -> p + 1
+        | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Inductor _
+        | Netlist.Cpe _ | Netlist.Voltage_source _ | Netlist.Vccs _
+        | Netlist.Vcvs _ -> p)
+      0 instances
+  in
+  let b = Mat.zeros n p in
   let src_count = ref 0 in
   let each inst =
     let np = Netlist.node_index net inst.Netlist.plus in
@@ -30,8 +41,8 @@ let stamp ?outputs net =
         let k = !src_count in
         incr src_count;
         srcs := s :: !srcs;
-        (match np with Some i -> b_entries := (i, k, -1.0) :: !b_entries | None -> ());
-        (match nm with Some i -> b_entries := (i, k, 1.0) :: !b_entries | None -> ())
+        (match np with Some i -> Mat.set b i k (Mat.get b i k -. 1.0) | None -> ());
+        (match nm with Some i -> Mat.set b i k (Mat.get b i k +. 1.0) | None -> ())
     | Netlist.Voltage_source _ ->
         invalid_arg
           (Printf.sprintf
@@ -60,11 +71,8 @@ let stamp ?outputs net =
              "Na2.stamp: %s: VCVS adds a branch current; use Mna.stamp"
              inst.Netlist.name)
   in
-  List.iter each (Netlist.instances net);
-  let p = !src_count in
-  let b = Mat.zeros n p in
-  List.iter (fun (i, k, v) -> Mat.set b i k (Mat.get b i k +. v)) !b_entries;
-  let names = Array.map (Printf.sprintf "v(%s)") (Netlist.node_names net) in
+  List.iter each instances;
+  let names = Array.map (fun node -> "v(" ^ node ^ ")") (Netlist.node_names net) in
   let probes =
     match outputs with
     | Some ps ->
@@ -73,7 +81,7 @@ let stamp ?outputs net =
             match probe with
             | Mna.Node_voltage name -> (
                 match Netlist.node_index net name with
-                | Some i -> (i, Printf.sprintf "v(%s)" name)
+                | Some i -> (i, "v(" ^ name ^ ")")
                 | None ->
                     invalid_arg
                       (Printf.sprintf "Na2.stamp: unknown output node %s" name))

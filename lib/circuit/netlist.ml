@@ -17,23 +17,58 @@ type instance = {
   element : element;
 }
 
+(* node names are case-sensitive; designators fold case (SPICE
+   convention), hashed and compared without a lowercased copy *)
+module Nodes = Hashtbl.Make (String)
+
+module Designators = Hashtbl.Make (struct
+  type t = string
+
+  let equal a b =
+    let n = String.length a in
+    n = String.length b
+    &&
+    let i = ref 0 in
+    while
+      !i < n
+      && Char.lowercase_ascii (String.unsafe_get a !i)
+         = Char.lowercase_ascii (String.unsafe_get b !i)
+    do
+      incr i
+    done;
+    !i = n
+
+  let hash s =
+    let h = ref 0 in
+    for i = 0 to String.length s - 1 do
+      h := (!h * 31) + Char.code (Char.lowercase_ascii (String.unsafe_get s i))
+    done;
+    !h land max_int
+end)
+
 type t = {
   mutable rev_instances : instance list;
-  names : (string, unit) Hashtbl.t;
+  names : unit Designators.t;
   mutable rev_nodes : string list;
-  node_indices : (string, int) Hashtbl.t;
+  node_indices : int Nodes.t;
 }
 
 let create () =
   {
     rev_instances = [];
-    names = Hashtbl.create 64;
+    names = Designators.create 64;
     rev_nodes = [];
-    node_indices = Hashtbl.create 64;
+    node_indices = Nodes.create 64;
   }
 
 let is_ground name =
-  match String.lowercase_ascii name with "0" | "gnd" -> true | _ -> false
+  match String.length name with
+  | 1 -> name.[0] = '0'
+  | 3 ->
+      Char.lowercase_ascii name.[0] = 'g'
+      && Char.lowercase_ascii name.[1] = 'n'
+      && Char.lowercase_ascii name.[2] = 'd'
+  | _ -> false
 
 let validate inst =
   let positive what x =
@@ -63,15 +98,12 @@ let validate inst =
 
 let add t inst =
   validate inst;
-  (* SPICE designators are case-insensitive: "r1" and "R1" name the same
-     element, so key the duplicate check on the folded form *)
-  let key = String.lowercase_ascii inst.name in
-  if Hashtbl.mem t.names key then
+  if Designators.mem t.names inst.name then
     invalid_arg (Printf.sprintf "Netlist.add: duplicate designator %s" inst.name);
-  Hashtbl.add t.names key ();
+  Designators.add t.names inst.name ();
   let register node =
-    if (not (is_ground node)) && not (Hashtbl.mem t.node_indices node) then begin
-      Hashtbl.add t.node_indices node (Hashtbl.length t.node_indices);
+    if (not (is_ground node)) && not (Nodes.mem t.node_indices node) then begin
+      Nodes.add t.node_indices node (Nodes.length t.node_indices);
       t.rev_nodes <- node :: t.rev_nodes
     end
   in
@@ -95,9 +127,9 @@ let instances t = List.rev t.rev_instances
 let node_names t = Array.of_list (List.rev t.rev_nodes)
 
 let node_index t name =
-  if is_ground name then None else Hashtbl.find_opt t.node_indices name
+  if is_ground name then None else Nodes.find_opt t.node_indices name
 
-let node_count t = Hashtbl.length t.node_indices
+let node_count t = Nodes.length t.node_indices
 
 let find t name =
   List.find_opt (fun inst -> inst.name = name) t.rev_instances

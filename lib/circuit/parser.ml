@@ -17,52 +17,36 @@ let suffix_table =
     ("f", 1e-15);
   ]
 
-let parse_value s =
-  let s = String.lowercase_ascii (String.trim s) in
-  if s = "" then failwith "Parser.parse_value: empty value";
-  let try_suffix (suffix, mult) =
-    let ls = String.length s and lx = String.length suffix in
-    if ls > lx && String.sub s (ls - lx) lx = suffix then
-      let head = String.sub s 0 (ls - lx) in
-      match float_of_string_opt head with
-      | Some v -> Some (v *. mult)
-      | None -> None
-    else None
-  in
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> (
+(* the bytes [String.trim] drops *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* the number in [s.[lo..hi)], trimmed and lowercased first *)
+let value_in s lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi && is_blank (String.unsafe_get s !lo) do incr lo done;
+  while !hi > !lo && is_blank (String.unsafe_get s (!hi - 1)) do decr hi done;
+  if !lo = !hi then failwith "Parser.parse_value: empty value";
+  let b = Bytes.create (!hi - !lo) in
+  for i = 0 to Bytes.length b - 1 do
+    Bytes.unsafe_set b i (Char.lowercase_ascii (String.unsafe_get s (!lo + i)))
+  done;
+  let s = Bytes.unsafe_to_string b in
+  match float_of_string s with
+  | v -> v
+  | exception Failure _ -> (
+      let try_suffix (suffix, mult) =
+        let ls = String.length s and lx = String.length suffix in
+        if ls > lx && String.ends_with ~suffix s then
+          match float_of_string_opt (String.sub s 0 (ls - lx)) with
+          | Some v -> Some (v *. mult)
+          | None -> None
+        else None
+      in
       match List.find_map try_suffix suffix_table with
       | Some v -> v
       | None -> failwith (Printf.sprintf "Parser.parse_value: cannot parse %S" s))
 
-(* split "fn(a b, c)" into tokens, keeping parenthesised groups whole *)
-let tokenize line_no s =
-  let tokens = ref [] in
-  let buf = Buffer.create 16 in
-  let depth = ref 0 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      tokens := Buffer.contents buf :: !tokens;
-      Buffer.clear buf
-    end
-  in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '(' ->
-          incr depth;
-          Buffer.add_char buf ch
-      | ')' ->
-          decr depth;
-          if !depth < 0 then fail line_no "unbalanced ')'";
-          Buffer.add_char buf ch
-      | ' ' | '\t' | ',' when !depth = 0 -> flush ()
-      | _ -> Buffer.add_char buf ch)
-    s;
-  if !depth <> 0 then fail line_no "unbalanced '('";
-  flush ();
-  List.rev !tokens
+let parse_value s = value_in s 0 (String.length s)
 
 let numbers_in line_no s =
   (* arguments inside parens, space- or comma-separated *)
@@ -141,73 +125,113 @@ let parse_keyed line_no key tok =
       | exception Failure m -> fail line_no "%s" m)
   | _ -> fail line_no "expected %s=<value>, got %S" key tok
 
-let parse_line line_no line =
-  let line =
-    match String.index_opt line ';' with
-    | Some i -> String.sub line 0 i
-    | None -> line
+(* Token boundaries of the current line: [starts.(k), stops.(k)) in the
+   text. Separators are blanks, tabs and commas outside parentheses. *)
+type tokens = { mutable starts : int array; mutable stops : int array; mutable count : int }
+
+let push toks lo hi =
+  if toks.count = Array.length toks.starts then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    toks.starts <- grow toks.starts;
+    toks.stops <- grow toks.stops
+  end;
+  toks.starts.(toks.count) <- lo;
+  toks.stops.(toks.count) <- hi;
+  toks.count <- toks.count + 1
+
+let tokenize line_no toks text lo hi =
+  toks.count <- 0;
+  let depth = ref 0 and start = ref (-1) in
+  for i = lo to hi - 1 do
+    match String.unsafe_get text i with
+    | ' ' | '\t' | ',' when !depth = 0 ->
+        if !start >= 0 then begin
+          push toks !start i;
+          start := -1
+        end
+    | ch ->
+        if !start < 0 then start := i;
+        if ch = '(' then incr depth
+        else if ch = ')' then begin
+          decr depth;
+          if !depth < 0 then fail line_no "unbalanced ')'"
+        end
+  done;
+  if !depth <> 0 then fail line_no "unbalanced '('";
+  if !start >= 0 then push toks !start hi
+
+let is_end text lo hi =
+  hi - lo = 4
+  && text.[lo] = '.'
+  && Char.lowercase_ascii text.[lo + 1] = 'e'
+  && Char.lowercase_ascii text.[lo + 2] = 'n'
+  && Char.lowercase_ascii text.[lo + 3] = 'd'
+
+(* the element on the trimmed, comment-free line [text.[lo..hi)] *)
+let parse_element line_no toks text lo hi =
+  tokenize line_no toks text lo hi;
+  let n = toks.count in
+  if n < 3 then fail line_no "element line needs a designator and two nodes";
+  let tok k = String.sub text toks.starts.(k) (toks.stops.(k) - toks.starts.(k)) in
+  let value k =
+    match value_in text toks.starts.(k) toks.stops.(k) with
+    | v -> v
+    | exception Failure m -> fail line_no "%s" m
   in
-  let trimmed = String.trim line in
-  if trimmed = "" || trimmed.[0] = '*' then None
-  else if String.lowercase_ascii trimmed = ".end" then None
-  else begin
-    match tokenize line_no trimmed with
-    | name :: plus :: minus :: rest -> (
-        let kind = Char.lowercase_ascii name.[0] in
-        let value_arg () =
-          match rest with
-          | [ tok ] -> (
-              match parse_value tok with
-              | v -> v
-              | exception Failure m -> fail line_no "%s" m)
-          | _ -> fail line_no "%s expects exactly one value" name
-        in
-        match kind with
-        | 'r' -> Some (Netlist.r name plus minus (value_arg ()))
-        | 'c' -> Some (Netlist.c name plus minus (value_arg ()))
-        | 'l' -> Some (Netlist.l name plus minus (value_arg ()))
-        | 'p' -> (
-            match rest with
-            | [ qtok; atok ] ->
-                let q = parse_keyed line_no "q" qtok in
-                let alpha = parse_keyed line_no "alpha" atok in
-                Some (Netlist.cpe name plus minus ~q ~alpha)
-            | _ -> fail line_no "CPE syntax: P<name> n+ n- q=<v> alpha=<v>")
-        | 'v' -> Some (Netlist.v name plus minus (parse_source line_no rest))
-        | 'i' -> Some (Netlist.i name plus minus (parse_source line_no rest))
-        | 'g' -> (
-            match rest with
-            | [ cp; cm; gm ] -> (
-                match parse_value gm with
-                | gm -> Some (Netlist.vccs name plus minus ~ctrl:(cp, cm) ~gm)
-                | exception Failure m -> fail line_no "%s" m)
-            | _ -> fail line_no "VCCS syntax: G<name> n+ n- nc+ nc- <gm>")
-        | 'e' -> (
-            match rest with
-            | [ cp; cm; gain ] -> (
-                match parse_value gain with
-                | gain ->
-                    Some (Netlist.vcvs name plus minus ~ctrl:(cp, cm) ~gain)
-                | exception Failure m -> fail line_no "%s" m)
-            | _ -> fail line_no "VCVS syntax: E<name> n+ n- nc+ nc- <gain>")
-        | _ -> fail line_no "unknown element type %C" name.[0])
-    | _ -> fail line_no "element line needs a designator and two nodes"
-  end
+  let name = tok 0 in
+  let plus = tok 1 and minus = tok 2 in
+  let rest () = List.init (n - 3) (fun k -> tok (k + 3)) in
+  let value_arg () =
+    if n = 4 then value 3 else fail line_no "%s expects exactly one value" name
+  in
+  match Char.lowercase_ascii name.[0] with
+  | 'r' -> Netlist.r name plus minus (value_arg ())
+  | 'c' -> Netlist.c name plus minus (value_arg ())
+  | 'l' -> Netlist.l name plus minus (value_arg ())
+  | 'p' ->
+      if n <> 5 then fail line_no "CPE syntax: P<name> n+ n- q=<v> alpha=<v>";
+      let q = parse_keyed line_no "q" (tok 3) in
+      let alpha = parse_keyed line_no "alpha" (tok 4) in
+      Netlist.cpe name plus minus ~q ~alpha
+  | 'v' -> Netlist.v name plus minus (parse_source line_no (rest ()))
+  | 'i' -> Netlist.i name plus minus (parse_source line_no (rest ()))
+  | 'g' ->
+      if n <> 6 then fail line_no "VCCS syntax: G<name> n+ n- nc+ nc- <gm>";
+      let ctrl = (tok 3, tok 4) in
+      Netlist.vccs name plus minus ~ctrl ~gm:(value 5)
+  | 'e' ->
+      if n <> 6 then fail line_no "VCVS syntax: E<name> n+ n- nc+ nc- <gain>";
+      let ctrl = (tok 3, tok 4) in
+      Netlist.vcvs name plus minus ~ctrl ~gain:(value 5)
+  | _ -> fail line_no "unknown element type %C" name.[0]
 
 let parse_string text =
   let net = Netlist.create () in
-  String.split_on_char '\n' text
-  |> List.iteri (fun i line ->
-         (* safety net: no bare [Failure] (e.g. from a value parser) may
-            escape without its 1-based line number attached *)
-         match
-           try parse_line (i + 1) line
-           with Failure m -> fail (i + 1) "%s" m
-         with
-         | Some inst -> (
-             try Netlist.add net inst
-             with Invalid_argument m | Failure m -> fail (i + 1) "%s" m)
-         | None -> ());
+  let toks = { starts = Array.make 8 0; stops = Array.make 8 0; count = 0 } in
+  let len = String.length text in
+  let rec line line_no pos =
+    (* the line runs to the next '\n'; a ';' ends its content *)
+    let eol = ref pos and cut = ref (-1) in
+    while !eol < len && String.unsafe_get text !eol <> '\n' do
+      if !cut < 0 && String.unsafe_get text !eol = ';' then cut := !eol;
+      incr eol
+    done;
+    let lo = ref pos and hi = ref (if !cut < 0 then !eol else !cut) in
+    while !lo < !hi && is_blank (String.unsafe_get text !lo) do incr lo done;
+    while !hi > !lo && is_blank (String.unsafe_get text (!hi - 1)) do decr hi done;
+    if !lo < !hi && text.[!lo] <> '*' && not (is_end text !lo !hi) then begin
+      (* safety net: no bare [Failure] (e.g. from a value parser) may
+         escape without its 1-based line number attached *)
+      let inst =
+        try parse_element line_no toks text !lo !hi
+        with Failure m -> fail line_no "%s" m
+      in
+      try Netlist.add net inst
+      with Invalid_argument m | Failure m -> fail line_no "%s" m
+    end;
+    if !eol < len then line (line_no + 1) (!eol + 1)
+  in
+  line 1 0;
   net
 
 let parse_file path =

@@ -756,6 +756,22 @@ let test_parser_conformance () =
               Alcotest.failf "%s: unexpected Parse_error at line %d: %s" label got_line got))
     conformance_rows
 
+(* The text → pencil front end allocates in proportion to the text:
+   parsing and NA-stamping the 58×58×2 power grid (1 MB of netlist,
+   23 k elements) must stay under a fixed byte budget. Gc.allocated_bytes
+   is deterministic, so this gates what wall time on a shared host
+   cannot. *)
+let test_front_end_allocation () =
+  let spec = { Power_grid.default_spec with nx = 58; ny = 58; nz = 2; load_count = 8 } in
+  let text = Netlist.to_string (Power_grid.generate spec) in
+  let outputs = [ Mna.Node_voltage (Power_grid.node_name ~x:0 ~y:0 ~z:0) ] in
+  let before = Gc.allocated_bytes () in
+  let mt, _ = Na2.stamp ~outputs (Parser.parse_string text) in
+  let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  ignore (Sys.opaque_identity mt);
+  if mb >= 33.0 then
+    Alcotest.failf "parse + stamp allocated %.1f MB (limit 33 MB)" mb
+
 let prop_random_ladder_opm_matches_trapezoidal =
   QCheck.Test.make ~count:15
     ~name:"random RC ladders: OPM and trapezoidal agree below −55 dB"
@@ -1124,6 +1140,7 @@ let () =
           t "sizes and stamps" test_na2_sizes_and_stamps;
           t "rejects V sources" test_na2_rejects_vsource;
           t "NA = MNA dynamics" test_na2_equals_mna_dynamics;
+          t "front-end allocation budget" test_front_end_allocation;
         ] );
       ( "generators",
         [
