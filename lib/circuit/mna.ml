@@ -162,7 +162,7 @@ let stamp ?outputs net =
     match outputs with
     | Some ps -> List.map probe_row ps
     | None ->
-        Array.to_list (Array.init n_nodes (fun i -> (i, names.(i))))
+        List.init n_nodes (fun i -> (i, names.(i)))
   in
   let q = List.length probes in
   let c = Mat.zeros q n in

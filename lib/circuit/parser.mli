@@ -29,7 +29,10 @@
     - [pwl(<t1> <v1> <t2> <v2> …)].
 
     Inside parentheses, arguments may be separated by spaces or
-    commas. *)
+    commas. Outside them, tokens are separated by spaces, tabs and
+    commas. A [;] ends a line's content, a line whose first non-blank
+    character is [*] is a comment, and a [.end] line (any case) is
+    skipped; lines after it are still read. *)
 
 exception Parse_error of { line : int; message : string }
 
@@ -40,6 +43,14 @@ val parse_string : string -> Netlist.t
 (** Raises {!Parse_error} with a 1-based line number on any malformed
     line — malformed values, unknown elements, and netlist-level
     rejections (duplicate designators, non-positive element values)
-    are all reported this way; no bare [Failure] escapes. *)
+    are all reported this way; no bare [Failure] escapes. The first
+    malformed line in text order is the one reported.
+
+    Lines end at ['\n'] only, so line [k] is the text after the
+    [(k-1)]-th ['\n'] whatever the line ending: with CRLF endings the
+    ['\r'] stays on its line and is dropped with the other blanks
+    ([' '], ['\t'], ['\r'], ['\012']) that {!String.trim} removes
+    from both ends. Line numbers and messages are therefore the same
+    for CRLF and LF text. The text is scanned once, byte by byte. *)
 
 val parse_file : string -> Netlist.t
