@@ -125,9 +125,14 @@ let parse_keyed line_no key tok =
       | exception Failure m -> fail line_no "%s" m)
   | _ -> fail line_no "expected %s=<value>, got %S" key tok
 
-(* Token boundaries of the current line: [starts.(k), stops.(k)) in the
-   text. Separators are blanks, tabs and commas outside parentheses. *)
-type tokens = { mutable starts : int array; mutable stops : int array; mutable count : int }
+(* Token boundaries of the current line: [starts.(k), stops.(k)) in
+   [text]. Separators are blanks, tabs and commas outside parentheses. *)
+type tokens = {
+  text : string;
+  mutable starts : int array;
+  mutable stops : int array;
+  mutable count : int;
+}
 
 let push toks lo hi =
   if toks.count = Array.length toks.starts then begin
@@ -139,7 +144,8 @@ let push toks lo hi =
   toks.stops.(toks.count) <- hi;
   toks.count <- toks.count + 1
 
-let tokenize line_no toks text lo hi =
+let tokenize line_no toks lo hi =
+  let text = toks.text in
   toks.count <- 0;
   let depth = ref 0 and start = ref (-1) in
   for i = lo to hi - 1 do
@@ -167,47 +173,51 @@ let is_end text lo hi =
   && Char.lowercase_ascii text.[lo + 2] = 'n'
   && Char.lowercase_ascii text.[lo + 3] = 'd'
 
+let tok toks k = String.sub toks.text toks.starts.(k) (toks.stops.(k) - toks.starts.(k))
+
+let value line_no toks k =
+  match value_in toks.text toks.starts.(k) toks.stops.(k) with
+  | v -> v
+  | exception Failure m -> fail line_no "%s" m
+
+let only_value line_no toks name =
+  if toks.count = 4 then value line_no toks 3
+  else fail line_no "%s expects exactly one value" name
+
+let source line_no toks =
+  parse_source line_no (List.init (toks.count - 3) (fun k -> tok toks (k + 3)))
+
 (* the element on the trimmed, comment-free line [text.[lo..hi)] *)
-let parse_element line_no toks text lo hi =
-  tokenize line_no toks text lo hi;
+let parse_element line_no toks lo hi =
+  tokenize line_no toks lo hi;
   let n = toks.count in
   if n < 3 then fail line_no "element line needs a designator and two nodes";
-  let tok k = String.sub text toks.starts.(k) (toks.stops.(k) - toks.starts.(k)) in
-  let value k =
-    match value_in text toks.starts.(k) toks.stops.(k) with
-    | v -> v
-    | exception Failure m -> fail line_no "%s" m
-  in
-  let name = tok 0 in
-  let plus = tok 1 and minus = tok 2 in
-  let rest () = List.init (n - 3) (fun k -> tok (k + 3)) in
-  let value_arg () =
-    if n = 4 then value 3 else fail line_no "%s expects exactly one value" name
-  in
+  let name = tok toks 0 in
+  let plus = tok toks 1 and minus = tok toks 2 in
   match Char.lowercase_ascii name.[0] with
-  | 'r' -> Netlist.r name plus minus (value_arg ())
-  | 'c' -> Netlist.c name plus minus (value_arg ())
-  | 'l' -> Netlist.l name plus minus (value_arg ())
+  | 'r' -> Netlist.r name plus minus (only_value line_no toks name)
+  | 'c' -> Netlist.c name plus minus (only_value line_no toks name)
+  | 'l' -> Netlist.l name plus minus (only_value line_no toks name)
   | 'p' ->
       if n <> 5 then fail line_no "CPE syntax: P<name> n+ n- q=<v> alpha=<v>";
-      let q = parse_keyed line_no "q" (tok 3) in
-      let alpha = parse_keyed line_no "alpha" (tok 4) in
+      let q = parse_keyed line_no "q" (tok toks 3) in
+      let alpha = parse_keyed line_no "alpha" (tok toks 4) in
       Netlist.cpe name plus minus ~q ~alpha
-  | 'v' -> Netlist.v name plus minus (parse_source line_no (rest ()))
-  | 'i' -> Netlist.i name plus minus (parse_source line_no (rest ()))
+  | 'v' -> Netlist.v name plus minus (source line_no toks)
+  | 'i' -> Netlist.i name plus minus (source line_no toks)
   | 'g' ->
       if n <> 6 then fail line_no "VCCS syntax: G<name> n+ n- nc+ nc- <gm>";
-      let ctrl = (tok 3, tok 4) in
-      Netlist.vccs name plus minus ~ctrl ~gm:(value 5)
+      let ctrl = (tok toks 3, tok toks 4) in
+      Netlist.vccs name plus minus ~ctrl ~gm:(value line_no toks 5)
   | 'e' ->
       if n <> 6 then fail line_no "VCVS syntax: E<name> n+ n- nc+ nc- <gain>";
-      let ctrl = (tok 3, tok 4) in
-      Netlist.vcvs name plus minus ~ctrl ~gain:(value 5)
+      let ctrl = (tok toks 3, tok toks 4) in
+      Netlist.vcvs name plus minus ~ctrl ~gain:(value line_no toks 5)
   | _ -> fail line_no "unknown element type %C" name.[0]
 
 let parse_string text =
   let net = Netlist.create () in
-  let toks = { starts = Array.make 8 0; stops = Array.make 8 0; count = 0 } in
+  let toks = { text; starts = Array.make 8 0; stops = Array.make 8 0; count = 0 } in
   let len = String.length text in
   let rec line line_no pos =
     (* the line runs to the next '\n'; a ';' ends its content *)
@@ -223,7 +233,7 @@ let parse_string text =
       (* safety net: no bare [Failure] (e.g. from a value parser) may
          escape without its 1-based line number attached *)
       let inst =
-        try parse_element line_no toks text !lo !hi
+        try parse_element line_no toks !lo !hi
         with Failure m -> fail line_no "%s" m
       in
       try Netlist.add net inst
