@@ -606,12 +606,6 @@ let solve_many ?pool f bs =
 
 (* Aᵀ x = b from the same factors: the factors hold M = R·A' with
    M = P⁻¹LU (rows permuted, columns in natural order), and
-   A'ᵀ = Mᵀ R⁻¹, so solve Mᵀ w = b then return x = R w. Uᵀ z = b runs
-   forward over the U columns (column j of U is row j of Uᵀ, diagonal
-   stored last), Lᵀ w = z runs backward using L's entries
-   L(pinv(idx), k), and finally x(perm(k)) = rscale(perm(k))·w(k). *)
-(* Aᵀ x = b from the same factors: the factors hold M = R·A' with
-   M = P⁻¹LU (rows permuted, columns in natural order), and
    A'ᵀ = Mᵀ R⁻¹, so solve Mᵀ w = P b then return x = Pᵀ R w. Uᵀ z = P b
    runs forward over the U columns (column j of U is row j of Uᵀ,
    diagonal stored last), Lᵀ w = z runs backward using L's entries
