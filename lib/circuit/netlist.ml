@@ -17,48 +17,17 @@ type instance = {
   element : element;
 }
 
-(* node names are case-sensitive; designators fold case (SPICE
-   convention), hashed and compared without a lowercased copy *)
-module Nodes = Hashtbl.Make (String)
-
-module Designators = Hashtbl.Make (struct
-  type t = string
-
-  let equal a b =
-    let n = String.length a in
-    n = String.length b
-    &&
-    let i = ref 0 in
-    while
-      !i < n
-      && Char.lowercase_ascii (String.unsafe_get a !i)
-         = Char.lowercase_ascii (String.unsafe_get b !i)
-    do
-      incr i
-    done;
-    !i = n
-
-  let hash s =
-    let h = ref 0 in
-    for i = 0 to String.length s - 1 do
-      h := (!h * 31) + Char.code (Char.lowercase_ascii (String.unsafe_get s i))
-    done;
-    !h land max_int
-end)
-
 type t = {
   mutable rev_instances : instance list;
-  names : unit Designators.t;
-  mutable rev_nodes : string list;
-  node_indices : int Nodes.t;
+  designators : Name_index.t;  (* case-folded, SPICE convention *)
+  nodes : Name_index.t;  (* a node's index is its first appearance *)
 }
 
 let create () =
   {
     rev_instances = [];
-    names = Designators.create 64;
-    rev_nodes = [];
-    node_indices = Nodes.create 64;
+    designators = Name_index.create ~fold:true;
+    nodes = Name_index.create ~fold:false;
   }
 
 let is_ground name =
@@ -98,14 +67,12 @@ let validate inst =
 
 let add t inst =
   validate inst;
-  if Designators.mem t.names inst.name then
+  if Name_index.find t.designators inst.name >= 0 then
     invalid_arg (Printf.sprintf "Netlist.add: duplicate designator %s" inst.name);
-  Designators.add t.names inst.name ();
+  Name_index.add t.designators inst.name;
   let register node =
-    if (not (is_ground node)) && not (Nodes.mem t.node_indices node) then begin
-      Nodes.add t.node_indices node (Nodes.length t.node_indices);
-      t.rev_nodes <- node :: t.rev_nodes
-    end
+    if (not (is_ground node)) && Name_index.find t.nodes node < 0 then
+      Name_index.add t.nodes node
   in
   register inst.plus;
   register inst.minus;
@@ -124,12 +91,13 @@ let of_list insts =
 
 let instances t = List.rev t.rev_instances
 
-let node_names t = Array.of_list (List.rev t.rev_nodes)
+let node_names t = Name_index.names t.nodes
 
 let node_index t name =
-  if is_ground name then None else Nodes.find_opt t.node_indices name
+  if is_ground name then None
+  else match Name_index.find t.nodes name with -1 -> None | i -> Some i
 
-let node_count t = Nodes.length t.node_indices
+let node_count t = Name_index.length t.nodes
 
 let find t name =
   List.find_opt (fun inst -> inst.name = name) t.rev_instances
