@@ -430,6 +430,48 @@ let test_sim_result_health () =
   close "health never changes the waveform" 0.0
     (Mat.max_abs_diff r.Sim_result.x r2.Sim_result.x)
 
+(* ---------- checksums ---------- *)
+
+(* The FNV-1a 64-bit hash as it was first written: a [String.iter]
+   closure over an [int64 ref]. Every checkpoint checksum and plant
+   fingerprint was computed with it, so the allocation-free loop must
+   agree with it on every string. *)
+let fnv1a64_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let test_fnv1a64_matches_reference () =
+  let st = Random.State.make [| 0xf0f; 20261017 |] in
+  let strings =
+    ""
+    :: String.make 1 '\000'
+    :: String.init 256 Char.chr
+    :: List.init 200 (fun _ ->
+           String.init (Random.State.int st 300) (fun _ ->
+               Char.chr (Random.State.int st 256)))
+  in
+  (* the checksum hashes the compact JSON text of its payload *)
+  let checksum s = Checkpoint.checksum_of_payload (Opm_obs.Json.String s) in
+  List.iter
+    (fun s ->
+      Alcotest.(check string)
+        (Printf.sprintf "length %d" (String.length s))
+        (fnv1a64_reference (Opm_obs.Json.to_string (Opm_obs.Json.String s)))
+        (checksum s))
+    strings;
+  (* a served plant's cache key, pinned *)
+  let sys, _ =
+    Mna.stamp (Parser.parse_string "V1 in 0 step(1)\nR1 in out 1k\nC1 out 0 1u\n")
+  in
+  Alcotest.(check string) "plant fingerprint" "b95e54cf96469430"
+    (Opm_serve.Protocol.fingerprint ~sys ~t_end:1e-3 ~steps:64 ~window:None
+       ~memory_len:None ~basis:`Bpf)
+
 let () =
   Alcotest.run "robust"
     [
@@ -471,6 +513,11 @@ let () =
             test_adaptive_non_finite;
           Alcotest.test_case "clean run unchanged" `Quick
             test_adaptive_clean_unchanged;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "fnv1a64 matches the reference" `Quick
+            test_fnv1a64_matches_reference;
         ] );
       ( "inputs",
         [

@@ -401,6 +401,31 @@ let test_concurrent_sweep_factor_once () =
         "every sweep request became a query" (k_clients * sweeps)
         total_queries)
 
+(* Start and stop 130 servers in one process, each serving on two
+   domains: that is more than OCaml's 128-domain limit, so a host
+   domain that [stop] failed to join would make a later
+   [Domain.spawn] fail. Two live connections per server put one on
+   each host. *)
+let test_start_stop_many_servers () =
+  let before = Opm_parallel.Pool.default_domains () in
+  Opm_parallel.Pool.set_default_domains 2;
+  Fun.protect ~finally:(fun () -> Opm_parallel.Pool.set_default_domains before)
+  @@ fun () ->
+  for i = 1 to 130 do
+    with_server (fun s ->
+        let fds = List.init 2 (fun _ -> connect (Server.port s)) in
+        Fun.protect
+          ~finally:(fun () ->
+            List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) fds)
+          (fun () ->
+            List.iter
+              (fun fd ->
+                let r = request_on fd ~meth:"GET" ~path:"/health" "" in
+                if r.status <> 200 then
+                  Alcotest.failf "server %d answered /health with %d" i r.status)
+              fds))
+  done
+
 (* ---------- protocol fuzz ---------- *)
 
 let fuzz_base_seed =
@@ -723,6 +748,8 @@ let () =
         [
           Alcotest.test_case "concurrent sweep, one factorisation per plant"
             `Quick test_concurrent_sweep_factor_once;
+          Alcotest.test_case "130 servers start and stop" `Quick
+            test_start_stop_many_servers;
         ] );
       ( "protocol fuzz",
         [
