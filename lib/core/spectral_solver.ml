@@ -51,6 +51,7 @@ module Operator = struct
           done
         done)
       terms;
+    (* [op] is never read again: factor it in place *)
     let lu =
       try Lu.factor_profile op
       with Lu.Singular k ->

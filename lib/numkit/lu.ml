@@ -42,13 +42,13 @@ let mat_norm1 a =
    full row. [factor_profile] starts from each row's last nonzero and
    keeps the invariant through swaps (the bound moves with the row)
    and updates (row i − f·row k is zero right of both bounds). *)
-let eliminate ~profile a =
+let eliminate ~profile ~copy a =
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
   let n, m = Mat.dims a in
   if n <> m then invalid_arg "Lu.factor: non-square matrix";
   let norm1 = mat_norm1 a in
-  let lu = Mat.copy a in
+  let lu = if copy then Mat.copy a else a in
   let d = lu.Mat.data in
   let piv = Array.init n (fun i -> i) in
   let last =
@@ -109,9 +109,10 @@ let eliminate ~profile a =
   done;
   { lu; piv; sign = !sign; norm1; cond1 = None }
 
-let factor a = eliminate ~profile:false a
+let factor a = eliminate ~profile:false ~copy:true a
 
-let factor_profile a = eliminate ~profile:true a
+(* in place: the caller hands over [a], which becomes the packed factors *)
+let factor_profile a = eliminate ~profile:true ~copy:false a
 
 let solve { lu; piv; _ } b =
   Metrics.incr m_solve;

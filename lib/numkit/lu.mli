@@ -23,7 +23,12 @@ val factor_profile : Mat.t -> t
     fill-in. On a matrix whose rows end near the diagonal — such as a
     Kronecker operator ordered so that a sparse coupling matrix gives
     it a block-banded profile — this skips the zero tail of every row.
-    The factors equal {!factor}'s up to the sign of exact zeros. *)
+    The factors equal {!factor}'s up to the sign of exact zeros.
+
+    It factors in place: the argument is taken over and overwritten
+    with the packed factors (also when {!Singular} is raised), so the
+    caller must not read it afterwards. This saves the n² copy that
+    {!factor} makes. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] solves [A x = b] for the factored [A]. *)
