@@ -395,7 +395,7 @@ let table2 cli =
 (* the generic column engine on one order-1 differential term with an
    explicit D (naive history scan, dense LU) *)
 let column_solve (sys : Descriptor.t) d bu =
-  Engine.run
+  Engine.solve
     (Engine.prepare Engine.default
        (Engine.pencil `Dense [ sys.Descriptor.e; sys.Descriptor.a ])
        (Engine.triangular ~orders:[ 1.0 ] [ d ]))

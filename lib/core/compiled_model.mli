@@ -19,11 +19,11 @@ open Opm_signal
       — {!Engine.prepare} inserts it {e pinned} into the model's
       {!Engine.Factor_cache} so the bounded cache can never evict it
       mid-sweep;
-    - {b input-dependent}, per {!solve} query: project the sources,
-      form [B·U·D^r], and {!Engine.prepare}/{!Engine.run} the column
-      recurrence against the cached factor — zero factorisations,
-      O(n·m·log m) per query; the history keeps its
-      {!Opm_numkit.Fft.Blocked_conv} (kernel spectra) across queries.
+    - {b input-dependent}, per {!solve} query: project the sources to
+      [U·D^r] (p×m), and {!Engine.prepare}/{!Engine.run} the column
+      recurrence against the cached factor, fed [B·u_i] one column at a
+      time — zero factorisations, O(n·m·log m) per query; the history
+      keeps its lag operators and kernel spectra across queries.
 
     A query is bit-identical to the corresponding one-shot
     [Opm.simulate_*] call (which is itself implemented as
@@ -33,9 +33,15 @@ open Opm_signal
     Windowed models delegate queries to {!Window.solve}, sharing the
     factor cache across windows {e and} queries.
 
-    Queries are sequential: a compiled model carries mutable per-query
-    scratch (the FFT convolver), so one [t] must not be queried from
-    two domains concurrently.
+    {b Re-entrant queries.} One [t] may be queried from several domains
+    at once. A query writes no model-level state except under a lock
+    (factor-cache lookups and counters, the fallback escalation of a
+    shared sparse block) or through an [Atomic] ({!queries}, the
+    spectral reuse count); each run keeps its own history state and
+    convolver. Every per-query statistic comes from the query's own
+    cache lookups, so {!queries}, {!factor_reuse} and {!factorisations}
+    are exact under concurrency, and every answer is bit-identical to
+    the sequential one.
 
     Observability: [compiled.queries] counts queries,
     [compiled.factor_reuse] counts pencil lookups served from the
@@ -132,6 +138,26 @@ val solve :
     window-boundary state to snapshot). A budget breach or
     checkpoint-write failure on a windowed model raises
     {!Window.Interrupted}. *)
+
+val solve_outputs :
+  ?health:Opm_robust.Health.t ->
+  ?budget:Opm_robust.Budget.t ->
+  ?x0:Vec.t ->
+  t ->
+  Source.t array ->
+  Waveform.t
+(** The outputs of one query, [(solve ?health ?budget ?x0 t sources).outputs],
+    without the states. On a global block-pulse model it streams: each
+    solved column goes straight into [y_i = C·x_i] and no [n×m] matrix
+    is built, so a query holds O(n·(N+1) + q·m) floats beyond the
+    history the plan needs (see {!Engine.run}). Windowed and spectral
+    models answer through {!solve}.
+
+    {b Bit contract.} [B·u_i] and [C·x_i] are summed as {!Mat.mul}
+    sums: ascending [k], zero coefficients skipped, starting from
+    [+0.0]; [x₀] is added per column in {!solve}'s order. So
+    [solve_outputs t s] equals [(solve t s).outputs] bit for bit on
+    every plan kind, with and without [x0]. *)
 
 val solve_coeffs :
   ?health:Opm_robust.Health.t -> ?budget:Opm_robust.Budget.t -> t -> Mat.t -> Mat.t

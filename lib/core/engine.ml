@@ -25,10 +25,10 @@ let m_rhsconv_naive = Metrics.counter "engine.rhsconv.naive_cols"
    [set_fft_rhs_enabled false], or the CLI's --no-fft-rhs) forces every
    solve back onto the naive scan. *)
 
-let fft_rhs_flag = ref None
+let fft_rhs_flag = Atomic.make None
 
 let fft_rhs_enabled () =
-  match !fft_rhs_flag with
+  match Atomic.get fft_rhs_flag with
   | Some b -> b
   | None ->
       let b =
@@ -36,10 +36,10 @@ let fft_rhs_enabled () =
         | None | Some "" | Some "0" -> true
         | Some _ -> false
       in
-      fft_rhs_flag := Some b;
+      Atomic.set fft_rhs_flag (Some b);
       b
 
-let set_fft_rhs_enabled b = fft_rhs_flag := Some b
+let set_fft_rhs_enabled b = Atomic.set fft_rhs_flag (Some b)
 
 (* ------------------------------------------------------------------ *)
 (* Fault-injection sites and budget check-points. Each [Fault.fire] is
@@ -131,10 +131,16 @@ let same_key a b = List.for_all2 (fun (x : float) y -> x = y) a b
    [column_key]), never on the diagonal coefficients alone: (2/h)^α
    collides for different (α, h) pairs (at h = 2 it is 1.0 for every
    α), so a diagonal-only key would silently reuse the wrong
-   factorisation once a cache is shared across solves. *)
+   factorisation once a cache is shared across solves.
+
+   One mutex guards the tables and the counters, and a miss factors
+   under it: queries of one compiled model look the cache up from
+   several domains, and two of them missing the same key must factor it
+   once, so that the counters stay exact. *)
 module Factor_cache = struct
   type ('k, 'f) t = {
     capacity : int;
+    lock : Mutex.t;
     table : ('k, 'f) Hashtbl.t;
     pinned : ('k, 'f) Hashtbl.t;
         (* pinned entries live outside the capacity bound and survive
@@ -152,25 +158,29 @@ module Factor_cache = struct
     if capacity < 1 then invalid_arg "Engine.Factor_cache.create: capacity < 1";
     {
       capacity;
+      lock = Mutex.create ();
       table = Hashtbl.create capacity;
       pinned = Hashtbl.create 4;
       hits = 0;
       misses = 0;
     }
 
-  let length c = Hashtbl.length c.table + Hashtbl.length c.pinned
+  let length c =
+    Mutex.protect c.lock (fun () -> Hashtbl.length c.table + Hashtbl.length c.pinned)
 
-  let pinned_count c = Hashtbl.length c.pinned
+  let pinned_count c = Mutex.protect c.lock (fun () -> Hashtbl.length c.pinned)
 
-  let hits c = c.hits
+  let hits c = Mutex.protect c.lock (fun () -> c.hits)
 
-  let misses c = c.misses
+  let misses c = Mutex.protect c.lock (fun () -> c.misses)
 
-  let find_or_add ?(pin = false) c h factor =
+  (* the entry and whether it was a hit *)
+  let lookup ?(pin = false) c h factor =
+    Mutex.protect c.lock @@ fun () ->
     match Hashtbl.find_opt c.pinned h with
     | Some f ->
         c.hits <- c.hits + 1;
-        f
+        (f, true)
     | None -> (
         match Hashtbl.find_opt c.table h with
         | Some f ->
@@ -179,7 +189,7 @@ module Factor_cache = struct
               Hashtbl.remove c.table h;
               Hashtbl.add c.pinned h f
             end;
-            f
+            (f, true)
         | None ->
             c.misses <- c.misses + 1;
             let f = factor h in
@@ -189,7 +199,9 @@ module Factor_cache = struct
                 Hashtbl.reset c.table;
               Hashtbl.add c.table h f
             end;
-            f)
+            (f, false))
+
+  let find_or_add ?pin c h factor = fst (lookup ?pin c h factor)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -279,6 +291,9 @@ type block =
   | Dense_block of { dmat : Mat.t; dlu : Lu.t }
   | Sparse_block of {
       smat : Csr.t;
+      lock : Mutex.t;
+          (* serialises the fallback cascade: the cached block is shared
+             by queries on several domains *)
       mutable strict_tried : bool;
       mutable sfac : sparse_factor;
           (* mutable so the fallback cascade upgrades the factorisation
@@ -335,15 +350,14 @@ let sparse_block ?health ~sym ~column smat =
      with {!Slu.factor_hinted} falling back to a fresh analysis on any
      mismatch or pivot degradation.  The strict rung below stays
      hint-free: strict pivoting re-derives its own pivot sequence. *)
-  if forced_strict then
-    Sparse_block
-      { smat; strict_tried = true; sfac = strict_factor ?health ~column smat }
+  let block strict_tried sfac =
+    Sparse_block { smat; lock = Mutex.create (); strict_tried; sfac }
+  in
+  if forced_strict then block true (strict_factor ?health ~column smat)
   else
     match Slu.factor_hinted ~hint:sym smat with
-    | f -> Sparse_block { smat; strict_tried = false; sfac = Sfac f }
-    | exception Slu.Singular _ ->
-        Sparse_block
-          { smat; strict_tried = true; sfac = strict_factor ?health ~column smat }
+    | f -> block false (Sfac f)
+    | exception Slu.Singular _ -> block true (strict_factor ?health ~column smat)
 
 let solve_col ?health ~column blk rhs =
   match blk with
@@ -357,12 +371,17 @@ let solve_col ?health ~column blk rhs =
         ~cond:(fun () -> Lu.cond_est dlu)
         ~escalate x rhs
   | Sparse_block b ->
-      let solve rhs =
-        match b.sfac with Sfac f -> Slu.solve f rhs | Dfac f -> Lu.solve f rhs
+      let solve_with f rhs =
+        match f with Sfac f -> Slu.solve f rhs | Dfac f -> Lu.solve f rhs
       in
-      let x = fault_column ~column (solve rhs) in
+      let solve rhs = solve_with b.sfac rhs in
+      let f0 = b.sfac in
+      let x = fault_column ~column (solve_with f0 rhs) in
       let escalate x =
-        let x = ref x in
+        Mutex.protect b.lock @@ fun () ->
+        (* another query may have escalated the block since [f0] was
+           read: carry on from the strongest factorisation so far *)
+        let x = ref (if b.sfac == f0 then x else solve rhs) in
         if (not b.strict_tried) && not (Guard.is_finite !x) then begin
           b.strict_tried <- true;
           b.sfac <- strict_factor ?health ~column b.smat;
@@ -493,13 +512,13 @@ type banded = {
          fractional one: the E_k coefficients of M_l *)
   frac : int array;  (* the term of each fractional kernel *)
   kernels : Vec.t array;  (* κ of each fractional term, one weight per column *)
-  mutable lags : (pencil * ops) option;
-      (* M_1 … M_N, built at the first prepare against a pencil and
-         kept across runs, as the convolver is *)
-  mutable conv : Fft.Blocked_conv.t option;
-      (* kept across runs: a reused convolver keeps its kernel spectra
-         (the expensive part of its creation) and only rewinds its
-         data *)
+  lags : (pencil * ops) option Atomic.t;
+      (* M_1 … M_N of the pencil last prepared against *)
+  spectra : Fft.Blocked_conv.spectra option Atomic.t;
+      (* the kernels' FFT spectra, once a prepare takes the FFT path.
+         Both are built by the first prepare (a compiled model's
+         compile) and only read by the runs after it; each run
+         convolves into a Blocked_conv.t of its own *)
 }
 
 type history =
@@ -545,8 +564,8 @@ let toeplitz ~orders ~step ~horizon columns =
       band = Array.init lags (fun l -> Array.map (fun p -> p.(l + 1)) poly);
       frac;
       kernels = Array.map (fun k -> scaled k columns) frac;
-      lags = None;
-      conv = None;
+      lags = Atomic.make None;
+      spectra = Atomic.make None;
     }
 
 let triangular ~orders ds =
@@ -610,7 +629,7 @@ let column_key history i =
 (* M_1 … M_N of a banded history, assembled as [factor] assembles its
    blocks *)
 let lag_ops pencil b =
-  match b.lags with
+  match Atomic.get b.lags with
   | Some (p, ops) when p == pencil -> ops
   | Some _ | None ->
       let coeffs l = Array.append b.band.(l) [| -.b.binom.(l + 1) |] in
@@ -620,7 +639,7 @@ let lag_ops pencil b =
         | Dense_ops ms -> Dense_ops (Array.init lags (fun l -> dense_sum ms (coeffs l)))
         | Sparse_ops ms -> Sparse_ops (Array.init lags (fun l -> sparse_sum ms (coeffs l)))
       in
-      b.lags <- Some (pencil, ops);
+      Atomic.set b.lags (Some (pencil, ops));
       ops
 
 (* Below this horizon length the naive scan wins (or ties within
@@ -638,18 +657,18 @@ let fft_rhs_min_m = 256
    horizon solved in 64-column windows on the naive scan forever,
    although the workload as a whole amortises the FFT setup many times
    over. *)
-let toeplitz_conv ~n ~m = function
+let toeplitz_spectra ~m = function
   | Banded b
     when Array.length b.frac > 0
          && m > 1
          && max m b.horizon >= fft_rhs_min_m
          && fft_rhs_enabled () -> (
-      match b.conv with
-      | Some cv when Fft.Blocked_conv.rows cv = n -> Some cv
-      | Some _ | None ->
-          let cv = Fft.Blocked_conv.create ~kernels:b.kernels ~rows:n ~m () in
-          b.conv <- Some cv;
-          Some cv)
+      match Atomic.get b.spectra with
+      | Some sp -> Some sp
+      | None ->
+          let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
+          Atomic.set b.spectra (Some sp);
+          Some sp)
   | Banded _ | Triangular _ | Alternating _ | Running_sum _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -673,7 +692,9 @@ type plan = {
   key0 : float list;
   block0 : block;
   lags : ops;  (* a banded history's M_1 … M_N *)
-  conv : Fft.Blocked_conv.t option;  (* the fractional kernels', when gated in *)
+  spectra : Fft.Blocked_conv.spectra option;  (* the fractional kernels', when gated in *)
+  mutable hits : int;  (* this plan's cache lookups: hits and misses *)
+  mutable misses : int;
 }
 
 let prepare ctx pencil history =
@@ -692,8 +713,8 @@ let prepare ctx pencil history =
   in
   let pin = uniform history in
   let key0 = column_key history 0 in
-  let block0 =
-    Factor_cache.find_or_add ~pin cache key0 (fun _ ->
+  let block0, hit =
+    Factor_cache.lookup ~pin cache key0 (fun _ ->
         factor ?health:ctx.health ?budget:ctx.budget pencil ~column:0
           (column_coeffs history 0))
   in
@@ -702,8 +723,23 @@ let prepare ctx pencil history =
     | Banded b -> lag_ops pencil b
     | Triangular _ | Alternating _ | Running_sum _ -> Dense_ops [||]
   in
-  let conv = toeplitz_conv ~n:pencil.n ~m history in
-  { ctx; pencil; history; m; cache; pin; key0; block0; lags; conv }
+  let spectra = toeplitz_spectra ~m history in
+  {
+    ctx;
+    pencil;
+    history;
+    m;
+    cache;
+    pin;
+    key0;
+    block0;
+    lags;
+    spectra;
+    hits = Bool.to_int hit;
+    misses = Bool.to_int (not hit);
+  }
+
+let lookups p = (p.hits, p.misses)
 
 (* rows per block of the naive history scan: one accumulator block
    (2 KiB) plus the column blocks it reads stay cache-resident *)
@@ -739,54 +775,36 @@ let subtract_scan pencil ~op w cols rhs =
       Vec.axpy (-1.0) (apply pencil op.(k) accs.(k)) rhs
   done
 
-(* Per-history column state: [rhs i] assembles column i's right-hand
-   side, [push i x_i] records the solved column, [finish ()] returns X.
-   The differential forms keep every solved column (the scans read
-   them) and assemble X at the end; the running sums write X as they
-   go. *)
+(* One run's column state: [rhs i] assembles column i's right-hand side
+   from the forcing [bu i], [push i x_i] records the solved column and
+   [finish ()] books the run's metrics. Each history keeps only what it
+   reads back: the order-1 and integral forms a running sum, a banded
+   history its last N columns (its convolver keeps its own copy), the
+   naive scans every column. *)
 let column_history p bu =
   let n = p.pencil.n in
-  let bu_col i = Array.init n (fun r -> Mat.get bu r i) in
-  let into_x x push i xi =
-    Mat.set_col x i xi;
-    push i xi
-  in
-  let stored ~naive =
-    let cols = Array.make p.m [||] in
-    let push i xi =
-      cols.(i) <- xi;
-      Option.iter (fun cv -> Fft.Blocked_conv.push cv xi) p.conv
-    in
-    let finish () =
-      (match p.conv with
-      | Some cv -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
-      | None -> if naive then Metrics.incr ~by:p.m m_rhsconv_naive);
-      let x = Mat.zeros n p.m in
-      Array.iteri (fun i col -> Mat.set_col x i col) cols;
-      x
-    in
-    (cols, push, finish)
-  in
   match p.history with
   | Banded b ->
       let lags = Array.length b.band and nk = Array.length b.frac in
-      (* a reused convolver rewinds its data and keeps its spectra *)
-      Option.iter Fft.Blocked_conv.reset p.conv;
-      let cols, push, finish = stored ~naive:(nk > 0) in
+      let conv = Option.map (fun sp -> Fft.Blocked_conv.create sp ~rows:n) p.spectra in
+      let naive = nk > 0 && conv = None in
+      (* column j at slot j mod keep *)
+      let keep = if naive then p.m else max lags 1 in
+      let cols = Array.make keep [||] in
       (* the last N + 1 columns of bu, column i at slot i mod (N + 1):
          (I+Q)^N·bu is summed on the fly, never stored *)
       let ring = Array.make (lags + 1) [||] in
       let rhs i =
-        let bu_i = bu_col i in
+        let bu_i = bu i in
         ring.(i mod (lags + 1)) <- bu_i;
         let rhs = Array.copy bu_i in
         for l = 1 to min lags i do
           Vec.axpy b.binom.(l) ring.((i - l) mod (lags + 1)) rhs
         done;
         for l = 1 to min lags i do
-          Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.(i - l)) rhs
+          Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.((i - l) mod keep)) rhs
         done;
-        (match p.conv with
+        (match conv with
         | Some cv ->
             if i > 0 then begin
               let poison = fault_fft_block () in
@@ -800,25 +818,34 @@ let column_history p bu =
               done
             end
         | None ->
-            if nk > 0 then
+            if naive then
               subtract_scan p.pencil ~op:b.frac
                 (Array.init i (fun j -> Array.map (fun kappa -> kappa.(i - j)) b.kernels))
                 cols rhs);
         rhs
       in
+      let push i xi =
+        cols.(i mod keep) <- xi;
+        Option.iter (fun cv -> Fft.Blocked_conv.push cv xi) conv
+      in
+      let finish () =
+        match conv with
+        | Some cv -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
+        | None -> if naive then Metrics.incr ~by:p.m m_rhsconv_naive
+      in
       (rhs, push, finish)
   | Triangular { d; _ } ->
       (* rhs_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j *)
-      let cols, push, finish = stored ~naive:true in
+      let cols = Array.make p.m [||] in
       let op = Array.init (Array.length d) Fun.id in
       let rhs i =
-        let rhs = bu_col i in
+        let rhs = bu i in
         subtract_scan p.pencil ~op
           (Array.init i (fun j -> Array.map (fun dk -> Mat.get dk j i) d))
           cols rhs;
         rhs
       in
-      (rhs, push, finish)
+      (rhs, (fun i xi -> cols.(i) <- xi), fun () -> Metrics.incr ~by:p.m m_rhsconv_naive)
   | Alternating steps ->
       (* paper §III-A: D's special pattern — (2/h_i) on the diagonal and
          4(−1)^{i−j}/h_i above — reduces the history to one running
@@ -826,7 +853,7 @@ let column_history p bu =
       let salt = Array.make n 0.0 in
       let sign i = if i land 1 = 1 then -1.0 else 1.0 in
       let rhs i =
-        let rhs = bu_col i in
+        let rhs = bu i in
         (* salt is exactly zero on column 0 (and after any exact reset):
            the coupling term contributes ±0.0 per entry, which adding to
            rhs is a no-op, so the E·salt matvec can be skipped *)
@@ -834,8 +861,7 @@ let column_history p bu =
           Vec.axpy (-4.0 /. steps.(i) *. sign i) (apply p.pencil 0 salt) rhs;
         rhs
       in
-      let x = Mat.zeros n p.m in
-      (rhs, into_x x (fun i xi -> Vec.axpy (sign i) xi salt), fun () -> x)
+      (rhs, (fun i xi -> Vec.axpy (sign i) xi salt), ignore)
   | Running_sum { steps; x0 } ->
       (* integral form: rhs_i = bu_i + E·x₀ + A·Σ_{j<i} h_j x_j. The
          running sum adds the same weights H_{ji} = h_j in the same
@@ -844,12 +870,14 @@ let column_history p bu =
       let e_x0 = apply p.pencil 0 x0 in
       let sum = Array.make n 0.0 in
       let rhs i =
-        let rhs = Array.init n (fun r -> Mat.get bu r i +. e_x0.(r)) in
+        let rhs = bu i in
+        for r = 0 to n - 1 do
+          rhs.(r) <- rhs.(r) +. e_x0.(r)
+        done;
         if i > 0 then Vec.axpy 1.0 (apply p.pencil 1 sum) rhs;
         rhs
       in
-      let x = Mat.zeros n p.m in
-      (rhs, into_x x (fun i xi -> Vec.axpy steps.(i) xi sum), fun () -> x)
+      (rhs, (fun i xi -> Vec.axpy steps.(i) xi sum), ignore)
 
 let span_name p =
   match (p.history, p.pencil.ops) with
@@ -860,9 +888,7 @@ let span_name p =
   | Running_sum _, Dense_ops _ -> "engine.solve_integral_dense"
   | Running_sum _, Sparse_ops _ -> "engine.solve_integral_sparse"
 
-let run p bu =
-  let n = p.pencil.n and m = p.m in
-  if Mat.dims bu <> (n, m) then invalid_arg "Engine.run: bu dimension mismatch";
+let run p ~bu ~emit =
   Trace.with_span (span_name p) @@ fun () ->
   let { health; budget; _ } = p.ctx in
   (* per-run memo in front of the cache, seeded with the prepared
@@ -873,24 +899,37 @@ let run p bu =
   let memo = ref (p.key0, p.block0) in
   let block i =
     let key = column_key p.history i in
-    if not (same_key key (fst !memo)) then
-      memo :=
-        ( key,
-          Factor_cache.find_or_add ~pin:p.pin p.cache key (fun _ ->
-              factor ?health ?budget p.pencil ~column:i
-                (column_coeffs p.history i)) );
+    if not (same_key key (fst !memo)) then begin
+      let blk, hit =
+        Factor_cache.lookup ~pin:p.pin p.cache key (fun _ ->
+            factor ?health ?budget p.pencil ~column:i (column_coeffs p.history i))
+      in
+      if hit then p.hits <- p.hits + 1 else p.misses <- p.misses + 1;
+      memo := (key, blk)
+    end;
     snd !memo
   in
   let rhs, push, finish = column_history p bu in
-  Metrics.incr ~by:m m_columns;
+  Metrics.incr ~by:p.m m_columns;
   let t_lap = ref (Metrics.lap_start ()) in
-  for i = 0 to m - 1 do
+  for i = 0 to p.m - 1 do
     budget_column budget;
     let rhs = rhs i in
-    push i (solve_col ?health ~column:i (block i) rhs);
+    let x = solve_col ?health ~column:i (block i) rhs in
+    push i x;
+    emit i x;
     if i land 7 = 7 then t_lap := Metrics.lap_mean h_column_seconds 8 !t_lap
   done;
   finish ()
+
+let solve p bu =
+  let n = p.pencil.n and m = p.m in
+  if Mat.dims bu <> (n, m) then invalid_arg "Engine.solve: bu dimension mismatch";
+  let x = Mat.zeros n m in
+  run p
+    ~bu:(fun i -> Array.init n (fun r -> Mat.get bu r i))
+    ~emit:(fun i xi -> Mat.set_col x i xi);
+  x
 
 let solve_dense_kron ~terms ~a ~bu =
   let n, m = Mat.dims bu in

@@ -93,7 +93,12 @@ val set_fft_rhs_enabled : bool -> unit
     so a diagonal-only key would silently reuse the wrong factorisation
     when a process mixes differentiation orders on one grid. One cache
     serves one operator set: share a cache only between runs of the
-    same [E_k], [A]. *)
+    same [E_k], [A].
+
+    The cache is safe to share between domains: one mutex guards the
+    tables and the counters, and a miss factors under it, so two
+    domains missing one key factor it once and [hits]/[misses] stay
+    exact. *)
 module Factor_cache : sig
   type ('k, 'f) t
 
@@ -185,8 +190,10 @@ val toeplitz : orders:float list -> step:float -> horizon:int -> int -> history
     and [max m horizon ≥ 256] — [horizon] is the global history length,
     so a windowed caller solving a long horizon in short blocks still
     amortises the FFT; below that crossover they are scanned naively
-    (see {!triangular}). The history owns its convolver and [M_l] and
-    reuses them across runs. Raises [Invalid_argument] on a negative
+    (see {!triangular}). The history keeps [M_l] and the kernels' FFT
+    spectra across runs: the first {!prepare} builds them (a compiled
+    model's compile), later runs only read them, and each run convolves
+    into a convolver of its own. Raises [Invalid_argument] on a negative
     order or column count. *)
 
 val triangular : orders:float list -> Mat.t list -> history
@@ -232,11 +239,35 @@ val prepare : ctx -> pencil -> history -> plan
     the horizon is empty, {!Opm_error.Error} when the block is
     singular. *)
 
-val run : plan -> Mat.t -> Mat.t
-(** [run plan bu] performs the column loop against the [n×m] forcing
-    [bu] and returns [X]. A plan may be run repeatedly. Raises
-    [Invalid_argument] on a [bu] shape mismatch, {!Opm_error.Error} when
-    a block is singular or a column stays non-finite. *)
+val run : plan -> bu:(int -> Vec.t) -> emit:(int -> Vec.t -> unit) -> unit
+(** [run plan ~bu ~emit] performs the column loop, the one loop every
+    OPM route solves with. Column [i] of the forcing is [bu i], asked
+    for once, in order: a fresh length-[n] vector the engine keeps and
+    overwrites. Each solved column goes to [emit i x_i], in order; the
+    history may keep [x_i], so [emit] must not mutate it. The run keeps
+    only the history state it reads back (see {b Column state}),
+    so a sink that reduces each column never holds an [n×m] matrix.
+
+    {b Column state.} The order-1 and integral forms keep one running
+    sum; a banded history its last [N] columns (its FFT convolver keeps
+    its own copy); the naive fractional scan and {!triangular} keep
+    every column.
+
+    A plan may be run repeatedly, but by one domain at a time (it
+    counts its cache lookups); plans prepared from one pencil and
+    history may run on several domains at once. Raises
+    {!Opm_error.Error} when a block is singular or a column stays
+    non-finite. *)
+
+val solve : plan -> Mat.t -> Mat.t
+(** [solve plan bu] is {!run} against the [n×m] forcing [bu],
+    collecting the columns into [X]. Raises [Invalid_argument] on a
+    [bu] shape mismatch. *)
+
+val lookups : plan -> int * int
+(** [(hits, misses)] of the factor-cache lookups this plan's {!prepare}
+    and runs made — a per-query view that stays exact while other
+    queries share the cache. *)
 
 val solve_dense_kron : terms:(Mat.t * Mat.t) list -> a:Mat.t -> bu:Mat.t -> Mat.t
 (** Reference implementation that forms the full

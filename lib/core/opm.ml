@@ -70,7 +70,7 @@ let simulate_linear_integral ?(backend = `Auto) ?health ?budget ?x0 ~grid
   (* the running-sum history carries O(n) state, so the whole horizon
      is one run whatever its length *)
   let x =
-    Engine.run
+    Engine.solve
       (Engine.prepare
          { Engine.default with health; budget }
          (Engine.pencil backend [ sys.Descriptor.e; sys.Descriptor.a ])

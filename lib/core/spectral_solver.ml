@@ -101,8 +101,11 @@ type t = {
   colloc : Jacobi.colloc;
   op : Operator.t;
   resample : Mat.t;  (* (Grid.size) × (m+1): midpoint evaluation *)
-  dfull : Mat.t Lazy.t;  (* (m+1)² classical derivative for input_order *)
-  mutable reuse : int;
+  dfull : Mat.t option;
+      (* (m+1)² classical derivative, built at compile when
+         input_order > 0: a lazy value forced by two domains at once
+         raises CamlinternalLazy.Undefined *)
+  reuse : int Atomic.t;
 }
 
 let colloc t = t.colloc
@@ -111,7 +114,7 @@ let grid t = t.grid
 
 let factorisations _ = 1
 
-let factor_reuse t = t.reuse
+let factor_reuse t = Atomic.get t.reuse
 
 let compile ?health ?budget ~grid (sys : Multi_term.t) =
   Trace.with_span "spectral.compile" @@ fun () ->
@@ -139,8 +142,10 @@ let compile ?health ?budget ~grid (sys : Multi_term.t) =
     colloc;
     op;
     resample;
-    dfull = lazy (Jacobi.diff_matrix colloc);
-    reuse = 0;
+    dfull =
+      (if sys.Multi_term.input_order > 0 then Some (Jacobi.diff_matrix colloc)
+       else None);
+    reuse = Atomic.make 0;
   }
 
 (* Collocation samples the sources at the nodes — no projection
@@ -159,18 +164,18 @@ let bu_nodal t sources =
     Mat.init p mm (fun r j -> Source.eval sources.(r) t.colloc.Jacobi.all.(j))
   in
   let u =
-    if t.sys.Multi_term.input_order = 0 then u
-    else begin
-      let dt = Mat.transpose (Lazy.force t.dfull) in
-      let rec go u k = if k = 0 then u else go (Mat.mul u dt) (k - 1) in
-      go u t.sys.Multi_term.input_order
-    end
+    match t.dfull with
+    | None -> u
+    | Some d ->
+        let dt = Mat.transpose d in
+        let rec go u k = if k = 0 then u else go (Mat.mul u dt) (k - 1) in
+        go u t.sys.Multi_term.input_order
   in
   let ug = Mat.init p t.colloc.Jacobi.m (fun r i -> Mat.get u r (i + 1)) in
   Mat.mul t.sys.Multi_term.b ug
 
 let solve_z ?health ?budget t bu =
-  t.reuse <- t.reuse + 1;
+  Atomic.incr t.reuse;
   Operator.solve ?health ?budget t.op bu
 
 let solve_nodal ?health ?budget t sources =

@@ -321,14 +321,21 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
   let start_win = match resume_state with Some (v, _) -> v | None -> 0 in
   (* a caller-owned cache (a compiled model prefactors and pins into
      it) falls back to a per-call private one, shared by every window;
-     the per-call stats below are deltas, so a shared cache reports this
-     call's reuse only *)
+     the per-call stats below add up this call's own lookups, so they
+     stay this call's while other queries share the cache *)
   let fcache =
     match fcache with Some c -> c | None -> Engine.Factor_cache.create ()
   in
   let ctx = { Engine.health; budget; fcache = Some fcache } in
-  let hits0 = Engine.Factor_cache.hits fcache in
-  let misses0 = Engine.Factor_cache.misses fcache in
+  let hits = ref 0 and misses = ref 0 in
+  let run_window history bu_win =
+    let plan = Engine.prepare ctx pencil history in
+    let x = Engine.solve plan bu_win in
+    let h, mi = Engine.lookups plan in
+    hits := !hits + h;
+    misses := !misses + mi;
+    x
+  in
   let finish_window ~index ~start ~dt x_win =
     handoff := !handoff +. dt;
     Metrics.incr m_windows;
@@ -378,11 +385,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
             Mat.init n wlen (fun r l -> Mat.get bu r (s + l) +. ax.(r))
           in
           let dt_pre = Unix.gettimeofday () -. t0 in
-          let z =
-            Engine.run
-              (Engine.prepare ctx pencil (Engine.alternating (Array.make wlen h)))
-              bu_win
-          in
+          let z = run_window (Engine.alternating (Array.make wlen h)) bu_win in
           let t1 = Unix.gettimeofday () in
           let x_win =
             Mat.init n wlen (fun r l -> Mat.get z r l +. x_off.(r))
@@ -596,7 +599,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
               term_data;
           let dt_pre = Unix.gettimeofday () -. t0 in
           let hist = if wlen = w then full_history else history wlen in
-          let x_win = Engine.run (Engine.prepare ctx pencil hist) bu_win in
+          let x_win = run_window hist bu_win in
           let t1 = Unix.gettimeofday () in
           (* advance the carried state: push the window's columns through
              each term's ρ_n recurrence (this time with the real x) and
@@ -674,15 +677,13 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
              completed_windows = !completed;
              checkpoint = !last_checkpoint;
            }));
-  let hits = Engine.Factor_cache.hits fcache - hits0 in
-  let misses = Engine.Factor_cache.misses fcache - misses0 in
-  Metrics.incr ~by:hits m_factor_reuse;
+  Metrics.incr ~by:!hits m_factor_reuse;
   ( Sim_result.Builder.to_mat builder,
     {
       windows = nwin;
       width = w;
       memory_len = k_eff;
-      factor_hits = hits;
-      factor_misses = misses;
+      factor_hits = !hits;
+      factor_misses = !misses;
       handoff_seconds = !handoff;
     } )

@@ -236,15 +236,19 @@ let conv_real a b =
    only have targeted columns ≥ m, so they are simply never flushed. *)
 
 module Blocked_conv = struct
-  type t = {
+  type spectra = {
     base : int;  (** naive-tail width; power of two *)
     m : int;  (** horizon (column count) *)
-    rows : int;  (** state dimension *)
     kernels : float array array;  (** per-term lag coefficients; index = lag *)
     khat : (float array * float array) option array array;
         (** [khat.(lvl).(k)]: split DFT (length 2B) of kernel [k]'s lag
             slice [[B, min(2B, lags))]; [None] when the slice is empty *)
     nlevels : int;
+  }
+
+  type t = {
+    sp : spectra;
+    rows : int;  (** state dimension *)
     cols : float array array;  (** rows × m pushed values *)
     acc : float array array array;  (** term × row × column contributions *)
     mutable pushed : int;
@@ -253,13 +257,12 @@ module Blocked_conv = struct
 
   let default_base = 32
 
-  let create ?(base = default_base) ~kernels ~rows ~m () =
+  let spectra ?(base = default_base) ~kernels ~m () =
     if base < 2 || not (is_power_of_two base) then
-      invalid_arg "Fft.Blocked_conv.create: base must be a power of two >= 2";
-    if rows < 1 then invalid_arg "Fft.Blocked_conv.create: rows < 1";
-    if m < 1 then invalid_arg "Fft.Blocked_conv.create: m < 1";
-    let nterms = Array.length kernels in
-    if nterms = 0 then invalid_arg "Fft.Blocked_conv.create: no kernels";
+      invalid_arg "Fft.Blocked_conv.spectra: base must be a power of two >= 2";
+    if m < 1 then invalid_arg "Fft.Blocked_conv.spectra: m < 1";
+    if Array.length kernels = 0 then
+      invalid_arg "Fft.Blocked_conv.spectra: no kernels";
     let nlevels =
       let rec go l = if base lsl l < m then go (l + 1) else l in
       go 0
@@ -280,15 +283,15 @@ module Blocked_conv = struct
               end)
             kernels)
     in
+    { base; m; kernels; khat; nlevels }
+
+  let create sp ~rows =
+    if rows < 1 then invalid_arg "Fft.Blocked_conv.create: rows < 1";
     {
-      base;
-      m;
+      sp;
       rows;
-      kernels;
-      khat;
-      nlevels;
-      cols = Array.make_matrix rows m 0.0;
-      acc = Array.init nterms (fun _ -> Array.make_matrix rows m 0.0);
+      cols = Array.make_matrix rows sp.m 0.0;
+      acc = Array.init (Array.length sp.kernels) (fun _ -> Array.make_matrix rows sp.m 0.0);
       pushed = 0;
       blocks = 0;
     }
@@ -299,33 +302,20 @@ module Blocked_conv = struct
 
   let rows t = t.rows
 
-  let horizon t = t.m
+  let horizon t = t.sp.m
 
-  let nterms t = Array.length t.kernels
-
-  (* Rewind for the next query: zero the pushed columns and the
-     accumulators, keep the kernel spectra (the expensive part of
-     [create]). Only the first [pushed] columns of [cols] ever held
-     data, but [acc] receives scattered future-column contributions
-     from flushed blocks, so it is cleared in full. *)
-  let reset t =
-    let p = t.pushed in
-    for r = 0 to t.rows - 1 do
-      Array.fill t.cols.(r) 0 p 0.0
-    done;
-    Array.iter (fun term -> Array.iter (fun row -> Array.fill row 0 t.m 0.0) term) t.acc;
-    t.pushed <- 0;
-    t.blocks <- 0
+  let nterms t = Array.length t.sp.kernels
 
   (* one finished block at level [lvl] ending at column [p] *)
   let flush_block t lvl p =
-    let b = t.base lsl lvl in
+    let sp = t.sp in
+    let b = sp.base lsl lvl in
     let b2 = 2 * b in
-    let nterms = Array.length t.kernels in
+    let nterms = Array.length sp.kernels in
     let scale = 1.0 /. float_of_int b2 in
     (* target columns p+d, d ∈ [0, 2B−1) ∩ [0, m−p) *)
-    let hi = min (b2 - 1) (t.m - p) in
-    if hi > 0 && Array.exists Option.is_some t.khat.(lvl) then begin
+    let hi = min (b2 - 1) (sp.m - p) in
+    if hi > 0 && Array.exists Option.is_some sp.khat.(lvl) then begin
       let pair pr =
         let r0 = 2 * pr in
         let r1 = r0 + 1 in
@@ -334,7 +324,7 @@ module Blocked_conv = struct
         if r1 < t.rows then Array.blit t.cols.(r1) (p - b) zi 0 b;
         radix2_split (-1.0) zr zi;
         for k = 0 to nterms - 1 do
-          match t.khat.(lvl).(k) with
+          match sp.khat.(lvl).(k) with
           | None -> ()
           | Some (kr, ki) ->
               let wr = Array.make b2 0.0 and wi = Array.make b2 0.0 in
@@ -367,7 +357,8 @@ module Blocked_conv = struct
     end
 
   let push t x =
-    if t.pushed >= t.m then
+    let sp = t.sp in
+    if t.pushed >= sp.m then
       invalid_arg "Fft.Blocked_conv.push: horizon exceeded";
     if Array.length x <> t.rows then
       invalid_arg "Fft.Blocked_conv.push: row-count mismatch";
@@ -377,22 +368,23 @@ module Blocked_conv = struct
     done;
     t.pushed <- p0 + 1;
     let p = p0 + 1 in
-    if p < t.m && p mod t.base = 0 then
+    if p < sp.m && p mod sp.base = 0 then
       Opm_obs.Trace.with_span "rhs_conv" @@ fun () ->
-      for lvl = 0 to t.nlevels - 1 do
-        if p mod (t.base lsl lvl) = 0 then flush_block t lvl p
+      for lvl = 0 to sp.nlevels - 1 do
+        if p mod (sp.base lsl lvl) = 0 then flush_block t lvl p
       done
 
   let history t ~term i =
     if i > t.pushed then
       invalid_arg "Fft.Blocked_conv.history: column not pushed yet";
-    let kernel = t.kernels.(term) in
-    let lmax = min (min (t.base - 1) i) (Array.length kernel - 1) in
+    let sp = t.sp in
+    let kernel = sp.kernels.(term) in
+    let lmax = min (min (sp.base - 1) i) (Array.length kernel - 1) in
     let acc = t.acc.(term) in
     let y = Array.make t.rows 0.0 in
     for r = 0 to t.rows - 1 do
       let row = t.cols.(r) in
-      let s = ref (if i < t.m then acc.(r).(i) else 0.0) in
+      let s = ref (if i < sp.m then acc.(r).(i) else 0.0) in
       for l = 1 to lmax do
         s := !s +. (Array.unsafe_get kernel l *. Array.unsafe_get row (i - l))
       done;

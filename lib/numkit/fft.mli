@@ -52,18 +52,30 @@ val conv_real_many : float array array -> float array -> float array array
     Work is O(m log² m) per row per kernel over the whole horizon.
 
     FFT reassociates the summation, so results match the naive sum to
-    roundoff (≤ 1e-10 relative in practice), not bit-identically. *)
+    roundoff (≤ 1e-10 relative in practice), not bit-identically.
+
+    The state splits in two. The {!spectra} (the kernels and their
+    per-level transforms) depend on the kernels and the horizon alone:
+    build them once and share them, also between domains, since nothing
+    writes them after {!spectra} returns. A convolver {!t} is one run's
+    data (the pushed columns and the accumulators): {!create} one per
+    run over shared spectra, and use it from one domain. *)
 module Blocked_conv : sig
+  type spectra
+
+  val spectra : ?base:int -> kernels:float array array -> m:int -> unit -> spectra
+  (** [spectra ~kernels ~m ()] precomputes the kernel spectra of every
+      dyadic level for an [m]-column horizon. [kernels.(k).(l)] is the
+      lag-[l] coefficient of term [k] (lag 0 is never consumed — history
+      is strictly causal); the array is shared, not copied, so it must
+      not change afterwards. [base] (default 32) is the naive-tail width
+      and the smallest FFT block size; it must be a power of two ≥ 2. *)
+
   type t
 
-  val create :
-    ?base:int -> kernels:float array array -> rows:int -> m:int -> unit -> t
-  (** [create ~kernels ~rows ~m ()] prepares a convolver for [rows]
-      state rows over an [m]-column horizon. [kernels.(k).(l)] is the
-      lag-[l] coefficient of term [k] (lag 0 is never consumed — history
-      is strictly causal). [base] (default 32) is the naive-tail width
-      and the smallest FFT block size; it must be a power of two ≥ 2.
-      Kernel spectra for every dyadic level are precomputed here. *)
+  val create : spectra -> rows:int -> t
+  (** [create sp ~rows] is a fresh run over [sp] for [rows] state
+      rows, nothing pushed yet. *)
 
   val push : t -> float array -> unit
   (** Append the next column (length [rows]); raises [Invalid_argument]
@@ -82,22 +94,14 @@ module Blocked_conv : sig
   (** Columns pushed so far. *)
 
   val blocks : t -> int
-  (** FFT block convolutions performed so far (observability). *)
+  (** FFT block convolutions this run performed (observability). *)
 
   val rows : t -> int
   (** State dimension the convolver was created for. *)
 
   val horizon : t -> int
-  (** Column horizon [m] the convolver was created for. *)
+  (** Column horizon [m] of its spectra. *)
 
   val nterms : t -> int
   (** Number of kernels (terms). *)
-
-  val reset : t -> unit
-  (** Rewind to the pushed-nothing state so the convolver can serve
-      another query over the same kernels: clears the column store, the
-      accumulators and the [blocks] count, but keeps the precomputed
-      kernel spectra — the expensive part of {!create}. The kernels
-      themselves are shared, not copied, so they must not change
-      between queries. *)
 end

@@ -11,7 +11,9 @@ type t = {
   piv : int array;
   sign : float;
   norm1 : float;  (* ‖A‖₁ of the factored matrix, for cond_est *)
-  mutable cond1 : float option;  (* cached Hager estimate *)
+  cond1 : float option Atomic.t;
+      (* cached Hager estimate; Atomic because factors are shared by
+         queries on several domains *)
 }
 
 exception Singular of int
@@ -107,7 +109,7 @@ let eliminate ~profile ~copy a =
       end
     done
   done;
-  { lu; piv; sign = !sign; norm1; cond1 = None }
+  { lu; piv; sign = !sign; norm1; cond1 = Atomic.make None }
 
 let factor a = eliminate ~profile:false ~copy:true a
 
@@ -233,7 +235,7 @@ let inv_norm1_est ~n ~solve ~solve_t =
   end
 
 let cond_est f =
-  match f.cond1 with
+  match Atomic.get f.cond1 with
   | Some c -> c
   | None ->
       let n, _ = Mat.dims f.lu in
@@ -241,6 +243,6 @@ let cond_est f =
         inv_norm1_est ~n ~solve:(solve f) ~solve_t:(solve_transpose f)
       in
       let c = f.norm1 *. inv in
-      f.cond1 <- Some c;
+      Atomic.set f.cond1 (Some c);
       Metrics.set_gauge g_cond_est c;
       c

@@ -85,7 +85,9 @@ type t = {
       (** row equilibration, permuted rows: the factors hold [R·A] with
           [R = diag(1/max|row|)]; solves scale [b] by [R] to compensate *)
   norm1 : float;  (** ‖A‖₁ of the factored matrix (unscaled), for cond_est *)
-  mutable cond1 : float option;  (** cached Hager estimate *)
+  cond1 : float option Atomic.t;
+      (** cached Hager estimate; Atomic because factors are shared by
+          queries on several domains *)
 }
 
 let symbolic_of f = f.s
@@ -373,7 +375,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
   in
   let f =
     { s; l_val = Gbuf.trim lb_val; u_val = Gbuf.trim ub_val; rscale; norm1;
-      cond1 = None }
+      cond1 = Atomic.make None }
   in
   (s, f)
 
@@ -532,7 +534,7 @@ let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
     x.(pivot_row) <- 0.0
   done;
   Metrics.incr m_reuse;
-  { s; l_val; u_val; rscale; norm1; cond1 = None }
+  { s; l_val; u_val; rscale; norm1; cond1 = Atomic.make None }
 
 let factor_hinted ?ordering ?pivot_tol ?stability_tol ~hint a =
   let fresh () =
@@ -642,7 +644,7 @@ let solve_transpose f b =
   x
 
 let cond_est f =
-  match f.cond1 with
+  match Atomic.get f.cond1 with
   | Some c -> c
   | None ->
       let inv =
@@ -650,7 +652,7 @@ let cond_est f =
           ~solve_t:(solve_transpose f)
       in
       let c = f.norm1 *. inv in
-      f.cond1 <- Some c;
+      Atomic.set f.cond1 (Some c);
       Metrics.set_gauge g_cond_est c;
       c
 

@@ -111,7 +111,7 @@ let random_system seed n =
 (* the column engine on explicit (E_k, D_k) terms, naive history scan *)
 let run_terms pencil terms ~bu =
   let ds = List.map snd terms in
-  Engine.run
+  Engine.solve
     (Engine.prepare Engine.default pencil
        (Engine.triangular ~orders:(List.map (fun _ -> 1.0) ds) ds))
     bu
@@ -126,7 +126,7 @@ let solve_sparse ~terms ~a ~bu =
 
 (* the order-1 form: running alternating sum over the given steps *)
 let solve_linear pencil ~steps ~bu =
-  Engine.run (Engine.prepare Engine.default pencil (Engine.alternating steps)) bu
+  Engine.solve (Engine.prepare Engine.default pencil (Engine.alternating steps)) bu
 
 let solve_linear_dense ~steps ~e ~a ~bu =
   solve_linear (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) ~steps ~bu
@@ -742,7 +742,7 @@ let test_toeplitz_oracle () =
           List.iter
             (fun backend ->
               let pencil = Engine.pencil backend (List.map Csr.of_dense (es @ [ a ])) in
-              let run history = Engine.run (Engine.prepare Engine.default pencil history) bu in
+              let run history = Engine.solve (Engine.prepare Engine.default pencil history) bu in
               let x =
                 run
                   (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) ~horizon:m m)
@@ -809,7 +809,7 @@ let test_oscillator_rounding () =
   List.iter
     (fun (alpha, bound) ->
       let x =
-        Engine.run
+        Engine.solve
           (Engine.prepare Engine.default pencil
              (Engine.toeplitz ~orders:[ alpha ] ~step ~horizon:m m))
           (Mat.init 1 m (fun _ _ -> 1.0))
@@ -1015,6 +1015,158 @@ let test_frozen_bits () =
     Alcotest.failf "%d route(s) moved:\n  %s" (List.length mismatches)
       (String.concat "\n  " mismatches)
 
+(* ---------- re-entrant compiled queries ---------- *)
+
+(* One row per plan kind a compiled model can take. *)
+let plan_kinds () =
+  let sys = Descriptor.random_stable ~seed:23 ~n:6 ~p:2 ~q:2 () in
+  let mt ?input_order terms =
+    Multi_term.make ?input_order ~terms ~a:sys.Descriptor.a ~b:sys.Descriptor.b
+      ~c:sys.Descriptor.c ()
+  in
+  let half = Multi_term.of_fractional ~alpha:0.5 sys in
+  let uniform m = Grid.uniform ~t_end:3.0 ~m in
+  let compile ?backend ?basis ?window ?memory_len grid mt () =
+    Compiled_model.compile ?backend ?basis ?window ?memory_len ~grid mt
+  in
+  [
+    ("order-1 sparse", compile ~backend:`Sparse (uniform 64) (Multi_term.of_linear sys));
+    ( "banded integer order",
+      compile ~backend:`Sparse (uniform 64)
+        (mt [ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]) );
+    ( "banded fractional naive",
+      compile (uniform 64) (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
+    ( "banded fractional fft",
+      compile ~backend:`Sparse (uniform 512)
+        (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
+    ( "adaptive triangular",
+      compile ~backend:`Sparse (Grid.geometric ~t_end:3.0 ~m:48 ~ratio:1.03) half );
+    ("windowed", compile ~window:16 (uniform 64) half);
+    ("windowed memory_len", compile ~window:16 ~memory_len:8 (uniform 64) half);
+    ("windowed order-1", compile ~window:16 (uniform 64) (Multi_term.of_linear sys));
+    ("spectral", compile ~basis:`Spectral (uniform 16) half);
+    ( "spectral input order",
+      compile ~basis:`Spectral (uniform 16) (mt ~input_order:1 [ (sys.Descriptor.e, 0.5) ]) );
+  ]
+
+(* query k's sources: every query of a sweep drives the plant
+   differently *)
+let sweep_sources k =
+  let a = 1.0 +. (0.125 *. float_of_int k) in
+  [|
+    Source.Sine { amplitude = a; freq_hz = 0.4; phase = 0.1 *. float_of_int k; offset = 0.2 };
+    Source.Step { amplitude = 0.5 *. a; delay = 0.7 };
+  |]
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_outputs (a : Waveform.t) (b : Waveform.t) =
+  same_bits a.times b.times
+  && a.labels = b.labels
+  && Array.length a.channels = Array.length b.channels
+  && Array.for_all2 same_bits a.channels b.channels
+
+let with_fft f =
+  let was = Engine.fft_rhs_enabled () in
+  Engine.set_fft_rhs_enabled true;
+  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled was) f
+
+(* solve_outputs streams C·x_i, but must equal solve's outputs bit for
+   bit, with and without an initial state *)
+let test_solve_outputs_bits () =
+  with_fft @@ fun () ->
+  List.iter
+    (fun (name, make) ->
+      let model = make () in
+      List.iter
+        (fun x0 ->
+          let src = sweep_sources 3 in
+          let want = (Compiled_model.solve ?x0 model src).Sim_result.outputs in
+          let got = Compiled_model.solve_outputs ?x0 model src in
+          if not (same_outputs want got) then
+            Alcotest.failf "%s%s: solve_outputs differs from solve's outputs" name
+              (if x0 = None then "" else " with x0"))
+        [ None; Some (Array.init 6 (fun r -> 0.1 *. float_of_int (r + 1))) ])
+    (plan_kinds ())
+
+type answer = States of Mat.t | Outputs of Waveform.t
+
+(* Query [model] with sources [k] from [first] for [count] queries:
+   even k through solve, odd k through solve_outputs. *)
+let sweep model ~first ~count =
+  Array.init count (fun j ->
+      let k = first + j in
+      if k land 1 = 0 then States (Compiled_model.solve model (sweep_sources k)).Sim_result.x
+      else Outputs (Compiled_model.solve_outputs model (sweep_sources k)))
+
+let stats model =
+  ( Compiled_model.queries model,
+    Compiled_model.factor_reuse model,
+    Compiled_model.factorisations model )
+
+(* [domains] domains share one model, [per_domain] queries each, with
+   distinct sources: every answer is bit-identical to the sequential
+   sweep's, and the model's counters equal the sequential model's. *)
+let check_concurrent ~domains ~per_domain name make =
+  let total = domains * per_domain in
+  let seq = make () in
+  let want = sweep seq ~first:0 ~count:total in
+  let shared = make () in
+  (* the domains start their sweeps together, so their first queries
+     (the ones that would race on lazily built state) overlap *)
+  let ready = Atomic.make 0 in
+  let got =
+    Array.init domains (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            sweep shared ~first:(d * per_domain) ~count:per_domain))
+    |> Array.map Domain.join |> Array.to_list |> Array.concat
+  in
+  Array.iteri
+    (fun k w ->
+      let same =
+        match (w, got.(k)) with
+        | States a, States b -> Mat.dims a = Mat.dims b && same_bits a.Mat.data b.Mat.data
+        | Outputs a, Outputs b -> same_outputs a b
+        | _ -> false
+      in
+      if not same then Alcotest.failf "%s: query %d differs from the sequential answer" name k)
+    want;
+  let q, reuse, fact = stats shared in
+  check_int (name ^ ": queries") total q;
+  let q', reuse', fact' = stats seq in
+  check_int (name ^ ": sequential queries") total q';
+  check_int (name ^ ": factor_reuse") reuse' reuse;
+  check_int (name ^ ": factorisations") fact' fact
+
+let test_concurrent_queries () =
+  with_fft @@ fun () ->
+  List.iter
+    (fun (name, make) -> check_concurrent ~domains:2 ~per_domain:25 name make)
+    (plan_kinds ())
+
+(* the spectral input-order derivative is built at compile: forced
+   lazily, two domains would race on it *)
+let test_spectral_input_order_domains () =
+  let make = List.assoc "spectral input order" (plan_kinds ()) in
+  check_concurrent ~domains:2 ~per_domain:50 "spectral input order" make
+
+(* the factor-once contract of a uniform model holds under concurrency:
+   one factorisation at compile, one cache hit per query *)
+let test_concurrent_factor_once () =
+  let make = List.assoc "order-1 sparse" (plan_kinds ()) in
+  let model = make () in
+  Array.init 2 (fun d -> Domain.spawn (fun () -> sweep model ~first:(d * 25) ~count:25))
+  |> Array.iter (fun d -> ignore (Domain.join d));
+  check_int "queries" 50 (Compiled_model.queries model);
+  check_int "factor_reuse" 50 (Compiled_model.factor_reuse model);
+  check_int "factorisations" 1 (Compiled_model.factorisations model)
+
 (* ---------- operational-matrix memory ---------- *)
 
 (* A uniform grid's D^α travels as its Toeplitz first row: compiling a
@@ -1142,6 +1294,13 @@ let () =
       ("cross-route", [ t "toeplitz vs triangular and kron" test_toeplitz_oracle ]);
       ("rounding", [ t "oscillator vs double-double scan" test_oscillator_rounding ]);
       ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
+      ( "re-entrant queries",
+        [
+          t "solve_outputs = solve's outputs, every plan" test_solve_outputs_bits;
+          t "2 domains × 25 queries, every plan" test_concurrent_queries;
+          t "spectral input order, 2 domains × 50" test_spectral_input_order_domains;
+          t "factor-once under concurrency" test_concurrent_factor_once;
+        ] );
       ( "opmatrix-memory",
         [ t "uniform compile allocates O(m)" test_uniform_compile_allocation ] );
       ( "adaptive",

@@ -223,7 +223,9 @@ let check_blocked_conv st m =
       let cols =
         Array.init m (fun _ -> Array.init rows (fun _ -> rand ()))
       in
-      let cv = Fft.Blocked_conv.create ~base ~kernels ~rows ~m () in
+      let cv =
+        Fft.Blocked_conv.create (Fft.Blocked_conv.spectra ~base ~kernels ~m ()) ~rows
+      in
       let scale = float_of_int m in
       for i = 0 to m - 1 do
         for k = 0 to nterms - 1 do

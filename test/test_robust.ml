@@ -182,7 +182,7 @@ let test_solve_transpose () =
 
 (* the column engine on one explicit (E, D) term, naive history scan *)
 let solve_term ?health pencil d ~bu =
-  Engine.run
+  Engine.solve
     (Engine.prepare { Engine.default with health } pencil
        (Engine.triangular ~orders:[ 1.0 ] [ d ]))
     bu
@@ -257,7 +257,7 @@ let test_near_singular_refinement () =
   let bu = Mat.init n m (fun _ _ -> 1.0) in
   let health = Health.create () in
   let x =
-    Engine.run
+    Engine.solve
       (Engine.prepare
          { Engine.default with health = Some health }
          (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ])

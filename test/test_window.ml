@@ -313,7 +313,7 @@ let test_factor_cache_alpha_h_regression () =
         (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
         @ [ mta.Multi_term.a ])
     in
-    Engine.run
+    Engine.solve
       (Engine.prepare { Engine.default with fcache } pencil
          (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 ~horizon:m m))
       (bu alpha)
@@ -359,7 +359,7 @@ let test_pinned_factor_survives_interleaving () =
          unpinned (no uniform step) — exactly the interleaved-sweep
          workload *)
       ignore
-        (Engine.run
+        (Engine.solve
            (Engine.prepare
               { Engine.default with fcache = Some fcache }
               (Engine.pencil `Dense
