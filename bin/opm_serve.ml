@@ -53,7 +53,10 @@ let read_timeout_arg =
     & info [ "read-timeout" ] ~doc)
 
 let domains_arg =
-  let doc = "Worker domains for the shared parallel pool." in
+  let doc =
+    "Domains the daemon serves on, and the pool size (default: OPM_DOMAINS, \
+     else the core count); 1 serves every connection on one domain."
+  in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc)
 
 let fault_arg =

@@ -1,6 +1,6 @@
 (* Bounded plant cache: table mutex for membership/eviction, one mutex
-   per entry for compile-once and for serialising queries against the
-   model's sequential scratch. Lock order is table → entry, never the
+   per entry for compile-once. Queries run outside both: a compiled
+   model is re-entrant. Lock order is table → entry, never the
    reverse. *)
 
 module Compiled_model = Opm_core.Compiled_model
@@ -122,13 +122,12 @@ let with_model t ~key ~compile f =
             drop_failed t entry;
             raise e)
   in
+  Mutex.unlock entry.lock;
   match f ~cached model with
   | result ->
-      Mutex.unlock entry.lock;
       unpin t entry;
       result
   | exception e ->
-      Mutex.unlock entry.lock;
       unpin t entry;
       raise e
 

@@ -11,12 +11,14 @@
     exactly one factorisation (asserted per-plant via
     {!Opm_core.Compiled_model.factorisations}).
 
-    Concurrency contract: each entry carries its own mutex. A cold key
-    inserts a placeholder under the table lock and compiles under the
-    entry lock, so two simultaneous cold requests for one plant compile
-    once (the second blocks, then queries). Queries also run under the
-    entry lock — a compiled model's query scratch is sequential —
-    while different plants solve fully in parallel.
+    Concurrency contract: each entry carries its own mutex, and it
+    covers compile only. A cold key inserts a placeholder under the
+    table lock and compiles under the entry lock, so two simultaneous
+    cold requests for one plant compile once (the second blocks, then
+    queries). Queries run outside every cache lock: compiled-model
+    queries are re-entrant, so requests for one plant solve in parallel
+    on as many domains as serve them, as requests for different plants
+    do.
 
     Capacity is bounded: beyond [capacity] plants the least-recently
     used {e idle} entry is evicted. In-flight entries are pinned by
@@ -39,7 +41,7 @@ val with_model :
   'a
 (** Run one request against the plant [key]: pin the entry, compile it
     if this request is the first ([cached] tells the callback whether
-    it reused an existing model), run the callback under the entry
+    it reused an existing model), run the callback outside every cache
     lock, unpin. Exceptions from [compile] evict the placeholder and
     re-raise; exceptions from the callback unpin and re-raise. *)
 

@@ -1,6 +1,7 @@
 (* The opm_serve daemon: accept thread + one thread per keep-alive
-   connection, requests dispatched as Compiled_model queries against
-   the shared plant cache. Every failure path funnels into one
+   connection, the connection threads spread over a few host domains,
+   requests dispatched as Compiled_model queries against the shared
+   plant cache. Every failure path funnels into one
    structured-JSON response helper — a client can observe a 4xx/5xx
    body or a correct answer, never a raw exception, a hang, or a
    silently wrong result (the serving extension of the resilience
@@ -11,7 +12,6 @@ module Budget = Opm_robust.Budget
 module Opm_error = Opm_robust.Opm_error
 module Compiled_model = Opm_core.Compiled_model
 module Window = Opm_core.Window
-module Sim_result = Opm_core.Sim_result
 module Grid = Opm_basis.Grid
 module Mna = Opm_circuit.Mna
 module Json = Opm_obs.Json
@@ -42,6 +42,20 @@ let default_config =
     read_timeout_s = 30.0;
   }
 
+(* A domain the daemon serves on: the domain that called [start], or
+   one it spawned. A host's loop thread takes new connections from
+   [inbox], spawns a thread per connection on its domain, and joins
+   them as they finish. [live] counts the connections assigned to the
+   host and not yet finished, queued ones included. *)
+type host = {
+  live : int Atomic.t;
+  mu : Mutex.t;
+  wake : Condition.t;
+  inbox : Unix.file_descr Queue.t;
+  mutable finished : Thread.t list;  (* returned connection threads, to join *)
+  mutable closing : bool;
+}
+
 type t = {
   cfg : config;
   sock : Unix.file_descr;
@@ -54,6 +68,8 @@ type t = {
   conns_mu : Mutex.t;
   mutable conns : Unix.file_descr list;
   mutable accept_thread : Thread.t option;
+  hosts : host array;
+  mutable joins : (unit -> unit) list;  (* one per host loop *)
   mutable stopped : bool;
 }
 
@@ -145,12 +161,14 @@ let handle_solve t body =
       Compiled_model.compile ~basis:a.basis ?window:a.window
         ?memory_len:a.memory_len ~grid sys)
     (fun ~cached model ->
-      let result = Compiled_model.solve ?budget model sources in
+      (* the response carries outputs only: stream them, never holding
+         the n×m state matrix *)
+      let outputs = Compiled_model.solve_outputs ?budget model sources in
       Protocol.ok_body ~plant:key ~cached
         ~factorisations:(Compiled_model.factorisations model)
         ~factor_reuse:(Compiled_model.factor_reuse model)
         ~queries:(Compiled_model.queries model)
-        ~outputs:result.Sim_result.outputs)
+        ~outputs)
 
 (* strip any query string before matching the path *)
 let path_of_target target =
@@ -265,10 +283,63 @@ let deny_conn fd kind =
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+let make_host () =
+  {
+    live = Atomic.make 0;
+    mu = Mutex.create ();
+    wake = Condition.create ();
+    inbox = Queue.create ();
+    finished = [];
+    closing = false;
+  }
+
+(* a connection thread: serve, then hand itself to the host loop to be
+   joined *)
+let hosted_conn t h fd =
+  handle_conn t fd;
+  Mutex.lock h.mu;
+  h.finished <- Thread.self () :: h.finished;
+  Atomic.decr h.live;
+  Condition.signal h.wake;
+  Mutex.unlock h.mu
+
+(* A host's loop. It returns once the host is closing and every
+   connection it was given has finished and been joined, so joining a
+   spawned host's domain leaves none of its threads behind. *)
+let host_loop t h () =
+  let exit = ref false in
+  while not !exit do
+    Mutex.lock h.mu;
+    while
+      Queue.is_empty h.inbox && h.finished = []
+      && not (h.closing && Atomic.get h.live = 0)
+    do
+      Condition.wait h.wake h.mu
+    done;
+    let fds = List.of_seq (Queue.to_seq h.inbox) in
+    Queue.clear h.inbox;
+    let finished = h.finished in
+    h.finished <- [];
+    exit := h.closing && Atomic.get h.live = 0;
+    Mutex.unlock h.mu;
+    List.iter Thread.join finished;
+    List.iter (fun fd -> ignore (Thread.create (hosted_conn t h) fd)) fds
+  done
+
+(* a new connection goes to the host with the fewest live ones *)
 let spawn_conn t fd =
   Atomic.incr t.active;
   register_conn t fd;
-  ignore (Thread.create (fun () -> handle_conn t fd) ())
+  let pick = ref 0 in
+  Array.iteri
+    (fun i h -> if Atomic.get h.live < Atomic.get t.hosts.(!pick).live then pick := i)
+    t.hosts;
+  let h = t.hosts.(!pick) in
+  Atomic.incr h.live;
+  Mutex.lock h.mu;
+  Queue.push fd h.inbox;
+  Condition.signal h.wake;
+  Mutex.unlock h.mu
 
 let accept_loop t =
   let continue = ref true in
@@ -325,9 +396,22 @@ let start ?(config = default_config) () =
       conns_mu = Mutex.create ();
       conns = [];
       accept_thread = None;
+      hosts = Array.init (Opm_parallel.Pool.default_domains ()) (fun _ -> make_host ());
+      joins = [];
       stopped = false;
     }
   in
+  (* host 0 runs on this domain, the others on a domain each *)
+  t.joins <-
+    List.mapi
+      (fun i h ->
+        if i = 0 then
+          let th = Thread.create (host_loop t h) () in
+          fun () -> Thread.join th
+        else
+          let d = Domain.spawn (host_loop t h) in
+          fun () -> Domain.join d)
+      (Array.to_list t.hosts);
   t.accept_thread <- Some (Thread.create accept_loop t);
   t
 
@@ -351,9 +435,13 @@ let stop t =
     List.iter
       (fun fd -> try Unix.shutdown fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
       live;
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while Atomic.get t.active > 0 && Unix.gettimeofday () < deadline do
-      Thread.yield ();
-      Unix.sleepf 0.002
-    done
+    (* each host drains and joins its connection threads, then ends *)
+    Array.iter
+      (fun h ->
+        Mutex.lock h.mu;
+        h.closing <- true;
+        Condition.signal h.wake;
+        Mutex.unlock h.mu)
+      t.hosts;
+    List.iter (fun join -> join ()) t.joins
   end

@@ -33,10 +33,18 @@
     wrong one).
 
     Threading: one accept thread plus one thread per live connection
-    (keep-alive, so a sweeping client holds one). Queries against one
-    plant are serialised by the cache's entry lock; distinct plants
-    solve concurrently, and the underlying engine may additionally
-    fan out columns on the shared {!Opm_parallel.Pool}. *)
+    (keep-alive, so a sweeping client holds one). The connection
+    threads run on {!Opm_parallel.Pool.default_domains} host domains
+    ([--domains] / [OPM_DOMAINS] / the core count): the domain that
+    called {!start} and [N − 1] spawned ones. A new connection goes to
+    the host with the fewest live connections, so [N] clients solve on
+    [N] cores at once; with one domain nothing is spawned and every
+    connection thread shares the caller's domain. Requests for one
+    plant do not wait on each other: the cache's entry lock covers the
+    compile only, and compiled-model queries are re-entrant. A [/solve]
+    answers with {!Opm_core.Compiled_model.solve_outputs} and never
+    starts the shared {!Opm_parallel.Pool}. {!stop} joins the host
+    domains. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -74,5 +82,7 @@ val requests : t -> int
 (** Requests parsed so far (all endpoints). *)
 
 val stop : t -> unit
-(** Close the listening socket, join the accept thread, and wait
-    (bounded) for in-flight connection threads to drain. Idempotent. *)
+(** Close the listening socket, join the accept thread, shut down the
+    live connections, and join every host: each first lets its
+    connection threads finish their request in flight and joins them,
+    then the spawned domains are joined. Idempotent. *)
