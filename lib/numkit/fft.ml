@@ -300,12 +300,6 @@ module Blocked_conv = struct
 
   let blocks t = t.blocks
 
-  let rows t = t.rows
-
-  let horizon t = t.sp.m
-
-  let nterms t = Array.length t.sp.kernels
-
   (* one finished block at level [lvl] ending at column [p] *)
   let flush_block t lvl p =
     let sp = t.sp in

@@ -95,13 +95,4 @@ module Blocked_conv : sig
 
   val blocks : t -> int
   (** FFT block convolutions this run performed (observability). *)
-
-  val rows : t -> int
-  (** State dimension the convolver was created for. *)
-
-  val horizon : t -> int
-  (** Column horizon [m] of its spectra. *)
-
-  val nterms : t -> int
-  (** Number of kernels (terms). *)
 end
