@@ -149,8 +149,8 @@ val solve_outputs :
 (** The outputs of one query, [(solve ?health ?budget ?x0 t sources).outputs],
     without the states. On a global block-pulse model it streams: each
     solved column goes straight into [y_i = C·x_i] and no [n×m] matrix
-    is built, so a query holds O(n·(N+1) + q·m) floats beyond the
-    history the plan needs (see {!Engine.run}). Windowed and spectral
+    is built: a query holds its [q×m] outputs and the column state its
+    history reads back (see {!Engine.run}). Windowed and spectral
     models answer through {!solve}.
 
     {b Bit contract.} [B·u_i] and [C·x_i] are summed as {!Mat.mul}
