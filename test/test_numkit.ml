@@ -699,18 +699,58 @@ let test_ml_step_response () =
   let b = Special.ml_step_response ~alpha:0.7 ~lambda:2.0 5.0 in
   check_bool "monotone" true (a < b && b < 1.0)
 
+let ml_beta_recurrence (alpha, z) =
+  let beta = 1.0 in
+  let lhs = Special.mittag_leffler ~alpha ~beta z in
+  let rhs =
+    (z *. Special.mittag_leffler ~alpha ~beta:(alpha +. beta) z)
+    +. (1.0 /. Special.gamma beta)
+  in
+  Float.abs (lhs -. rhs) < 1e-7 *. Float.max 1.0 (Float.abs lhs)
+
 let prop_ml_beta_recurrence =
   QCheck.Test.make ~count:40
     ~name:"mittag-leffler: E_{α,β}(z) = z·E_{α,α+β}(z) + 1/Γ(β)"
     QCheck.(pair (float_range 0.3 1.8) (float_range (-4.0) 4.0))
+    ml_beta_recurrence
+
+(* points of the recurrence's domain where it used to fail: the
+   asymptotic expansion stopping at a term next to a pole of Γ
+   (α ≈ 0.35–0.45, z just past the old series/asymptotic switch), the
+   series cancelling near that switch, and the series' term cap
+   truncating E_{0.3}(4) *)
+let test_ml_recurrence_fixed_points () =
+  List.iter
     (fun (alpha, z) ->
-      let beta = 1.0 in
-      let lhs = Special.mittag_leffler ~alpha ~beta z in
-      let rhs =
-        (z *. Special.mittag_leffler ~alpha ~beta:(alpha +. beta) z)
-        +. (1.0 /. Special.gamma beta)
-      in
-      Float.abs (lhs -. rhs) < 1e-7 *. Float.max 1.0 (Float.abs lhs))
+      check_bool
+        (Printf.sprintf "recurrence at α = %.12g, z = %.10g" alpha z)
+        true
+        (ml_beta_recurrence (alpha, z)))
+    [
+      (0.42, -3.51);
+      (0.392016573032, -3.070286756);
+      (0.35, -2.8667);
+      (0.45, -3.8);
+      (0.3, 4.0);
+    ]
+
+(* references summed in 140-digit arithmetic (mpmath); for 1 < α < 2
+   the large-|z| value includes the residues of the two poles at
+   |z|^{1/α}·e^{±iπ/α}, which dominate as α → 2 *)
+let test_ml_reference_values () =
+  List.iter
+    (fun (alpha, z, want, tol) ->
+      close
+        (Printf.sprintf "E_%g(%g)" alpha z)
+        want
+        (Special.mittag_leffler ~alpha z)
+        ~tol:(tol *. Float.abs want))
+    [
+      (0.35, -2.8667, 0.21207165026175294375, 1e-12);
+      (0.3, 4.0, 4.4100941505093522982e+44, 1e-12);
+      (1.9, -300.0, 0.070721670248504037951, 1e-8);
+      (1.5, -100.0, -0.0027898467733372399413, 1e-7);
+    ]
 
 let () =
   let t name f = Alcotest.test_case name `Quick f in
@@ -819,6 +859,8 @@ let () =
           t "mittag-leffler α=2" test_mittag_leffler_two;
           t "mittag-leffler tail" test_mittag_leffler_asymptotic_tail;
           t "ml step response" test_ml_step_response;
+          t "mittag-leffler recurrence fixed points" test_ml_recurrence_fixed_points;
+          t "mittag-leffler reference values" test_ml_reference_values;
           q prop_ml_beta_recurrence;
         ] );
     ]
