@@ -567,13 +567,15 @@ let test_integral_form_equals_differential () =
   let sys = Descriptor.random_stable ~seed:33 ~n:6 ~p:1 ~q:2 () in
   let src = [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.2; offset = 0.1 } |] in
   List.iter
-    (fun grid ->
-      let ri = Opm.simulate_linear_integral ~grid sys src in
-      let rd = Opm.simulate_linear ~grid sys src in
+    (fun (grid, x0) ->
+      let ri = Opm.simulate_linear_integral ?x0 ~grid sys src in
+      let rd = Opm.simulate_linear ?x0 ~grid sys src in
       close "integral = differential" 0.0
         (Mat.max_abs_diff ri.Sim_result.x rd.Sim_result.x)
         ~tol:1e-10)
-    [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ]
+    (List.concat_map
+       (fun grid -> [ (grid, None); (grid, Some (Array.init 6 (fun i -> 0.3 *. float_of_int (i - 2)))) ])
+       [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ])
 
 let test_integral_form_x0 () =
   let grid = Grid.uniform ~t_end:5.0 ~m:400 in

@@ -341,7 +341,8 @@ let test_fault_matrix () =
 (* ---------- solver-level: kill/resume differential (satellite: kill
    at every window boundary, resume, demand bit-identity) ---------- *)
 
-let test_kill_resume_differential () =
+let kill_resume_differential ~nwin
+    (solve : ?checkpoint:string -> ?resume_from:string -> unit -> Sim_result.t) =
   Fault.disarm ();
   let reference = (solve ()).Sim_result.x in
   for k = 1 to nwin do
@@ -372,6 +373,35 @@ let test_kill_resume_differential () =
         Fault.disarm ();
         raise e)
   done
+
+let test_kill_resume_differential () =
+  kill_resume_differential ~nwin (fun ?checkpoint ?resume_from () ->
+      solve ?checkpoint ?resume_from ())
+
+(* the same kill/resume at every boundary of order-1 windows over a
+   singular E: an RC–RL ladder driven by a voltage source *)
+let dae_m = 128
+let dae_w = 16
+
+let solve_dae ?checkpoint ?resume_from () =
+  let sys, srcs =
+    Opm_circuit.Mna.stamp_linear
+      (Opm_circuit.Parser.parse_string
+         "V1 in 0 sin(0.5 1 1e5 0.3)\n\
+          R1 in n1 1k\n\
+          C1 n1 0 1n\n\
+          L1 n1 n2 1m\n\
+          R2 n2 0 2k\n\
+          R3 n2 n3 1k\n\
+          C2 n3 0 2n\n\
+          L2 n3 n4 0.5m\n\
+          R4 n4 0 1k\n")
+  in
+  Opm.simulate_linear ?checkpoint ~checkpoint_every:1 ?resume_from
+    ~window:dae_w ~grid:(Grid.uniform ~t_end:2e-5 ~m:dae_m) sys srcs
+
+let test_kill_resume_dae () =
+  kill_resume_differential ~nwin:(dae_m / dae_w) solve_dae
 
 let () =
   Alcotest.run "resilience"
@@ -409,5 +439,7 @@ let () =
           Alcotest.test_case "fault matrix" `Slow test_fault_matrix;
           Alcotest.test_case "kill/resume bit-identity" `Slow
             test_kill_resume_differential;
+          Alcotest.test_case "kill/resume bit-identity, order-1 DAE" `Slow
+            test_kill_resume_dae;
         ] );
     ]

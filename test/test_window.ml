@@ -178,6 +178,44 @@ let test_table1_windowed () =
     (rel_diff windowed.Sim_result.x global.Sim_result.x)
     1e-10
 
+(* An RC–RL ladder driven by a voltage source: the source node, the
+   source current and the nodes between an inductor and a resistor
+   carry no derivative, so E is singular (an MNA DAE) *)
+let dae_ladder () =
+  Mna.stamp_linear
+    (Parser.parse_string
+       "V1 in 0 sin(0.5 1 1e5 0.3)\n\
+        R1 in n1 1k\n\
+        C1 n1 0 1n\n\
+        L1 n1 n2 1m\n\
+        R2 n2 0 2k\n\
+        R3 n2 n3 1k\n\
+        C2 n3 0 2n\n\
+        L2 n3 n4 0.5m\n\
+        R4 n4 0 1k\n")
+
+(* order-1 windows on a singular E, from a zero and a nonzero start:
+   every width, down to one column, matches the global solve *)
+let test_order1_dae_windowed () =
+  let sys, srcs = dae_ladder () in
+  let m = 128 in
+  let grid = Grid.uniform ~t_end:2e-5 ~m in
+  let n = Descriptor.order sys in
+  List.iter
+    (fun x0 ->
+      let global = Opm.simulate_linear ?x0 ~grid sys srcs in
+      List.iter
+        (fun w ->
+          check_le
+            (Printf.sprintf "DAE ladder, w = %d%s" w
+               (if x0 = None then "" else ", x0"))
+            (rel_diff
+               (Opm.simulate_linear ?x0 ~window:w ~grid sys srcs).Sim_result.x
+               global.Sim_result.x)
+            1e-10)
+        [ 1; 7; 16 ])
+    [ None; Some (Array.init n (fun i -> 0.05 *. float_of_int (i + 1))) ]
+
 (* ---------- degenerate and boundary shapes ---------- *)
 
 let test_w_eq_m_is_global () =
@@ -436,6 +474,8 @@ let () =
             prop_integer_exact_under_truncation;
           Alcotest.test_case "table-I line windowed" `Quick
             test_table1_windowed;
+          Alcotest.test_case "order-1 DAE ladder windowed vs global" `Quick
+            test_order1_dae_windowed;
         ] );
       ( "boundaries",
         [
