@@ -22,8 +22,8 @@ open Opm_signal
     Windowed streaming: the transient entry points accept [?window:w],
     which tiles the horizon into [⌈m/w⌉] windows solved by the
     {!Window} driver — one shared pencil factorisation across all
-    windows, state handed across boundaries (exact endpoint transfer
-    for order-1 systems, history-tail RHS correction otherwise; see
+    windows, state handed across boundaries as a history-tail RHS
+    correction whose integer-order part is carried exactly (see
     {!Window}). [?memory_len] truncates the fractional history tail
     (default: full tail = exact). Requires a uniform grid. [w ≥ m] (and
     [?window] omitted) runs the ordinary global solve, so the

@@ -68,7 +68,7 @@ type term_state = {
   beta : float;  (** α − ⌊α⌋ *)
   binom : float array;  (** C(n_int, p), p = 0 … n_int *)
   rho_beta : float array;  (** ρ series of the fractional factor *)
-  yr : int;  (** y ring size: max(k_eff, n_int, 1) *)
+  yr : int;  (** y ring size: n_int, or max(k_eff, n_int) with a ρ_β tail; ≥ 1 *)
   yring : float array array;  (** y_t at slot t mod yr *)
 }
 
@@ -105,12 +105,6 @@ let pencil_of backend (sys : Multi_term.t) =
     (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
     @ [ sys.Multi_term.a ])
 
-(* the single-term order-1 system takes the exact endpoint path *)
-let linear_order_one (sys : Multi_term.t) =
-  match (sys.Multi_term.terms, sys.Multi_term.input_order) with
-  | [ { Multi_term.alpha = 1.0; _ } ], 0 -> true
-  | _ -> false
-
 (* The general path's within-window D blocks: the leading wlen×wlen
    block of the global Toeplitz D^α, so each window's engine run can
    take the FFT history path (gated on the global horizon [m]). *)
@@ -122,12 +116,9 @@ let orders_of (sys : Multi_term.t) =
 let prefactor ctx pencil ~window:w ~grid (sys : Multi_term.t) =
   let m = Grid.size grid in
   let h = Grid.t_end grid /. float_of_int m in
-  let w = min w m in
-  let history =
-    if linear_order_one sys then Engine.alternating (Array.make w h)
-    else window_history ~h ~m ~orders:(orders_of sys) w
-  in
-  ignore (Engine.prepare ctx pencil history : Engine.plan)
+  ignore
+    (Engine.prepare ctx pencil (window_history ~h ~m ~orders:(orders_of sys) (min w m))
+      : Engine.plan)
 
 let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     ?budget ?checkpoint ?checkpoint_every ?resume_from
@@ -170,12 +161,13 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     Opm_error.raise_ (Opm_error.Checkpoint_error { path; message })
   in
   (* The fingerprint ties a checkpoint to everything the resumed run
-     must share for bit-identity: dispatch kind, dimensions, effective
-     window/memory widths, the exact step and α list (as IEEE-754
-     bits), backend, and a digest of the full input matrix. Computed
-     lazily — a run with neither checkpointing nor resume never pays
-     the O(n·m) digest. *)
-  let kind_of_sys = if linear_order_one sys then "linear" else "general" in
+     must share for bit-identity: dimensions, effective window/memory
+     widths, the exact step and α list (as IEEE-754 bits), backend, and
+     a digest of the full input matrix. Its kind is always "general":
+     a checkpoint of the retired order-1 endpoint path says "linear",
+     so it fails the match instead of resuming into other state.
+     Computed lazily — a run with neither checkpointing nor resume
+     never pays the O(n·m) digest. *)
   let fingerprint =
     lazy
       (let bu_flat =
@@ -187,7 +179,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
        in
        Json.Obj
          [
-           ("kind", Json.String kind_of_sys);
+           ("kind", Json.String "general");
            ("n", Json.Int n);
            ("m", Json.Int m);
            ("w", Json.Int w);
@@ -349,64 +341,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     | None -> ()
     | Some b -> Budget.check_deadline_now b ~site:"window.boundary"
   in
-  (* exact order-1 path: carry the O(n) endpoint state across windows
-     instead of a history tail (the order-1 ρ weights alternate without
-     decay, so truncation would be unsound). The order-1 OPM solve is
-     the trapezoidal recursion on endpoint values e_i = 2x_i − e_{i−1};
-     substituting z = x − x_off turns a window with incoming endpoint
-     x_off into a zero-initial-condition window of the same system with
-     bu shifted by A·x_off. *)
-  let run_linear () =
-    let a = sys.Multi_term.a in
-    let x_off = Array.make n 0.0 in
-    (match resume_state with
-    | None -> ()
-    | Some (_, st) -> (
-        match Json.member "x_off" st with
-        | Some xj ->
-            let a =
-              try Checkpoint.decode_floats xj
-              with Invalid_argument msg -> cp_fail rpath msg
-            in
-            if Array.length a <> n then cp_fail rpath "x_off length mismatch";
-            Array.blit a 0 x_off 0 n
-        | None -> cp_fail rpath "missing x_off state"));
-    let state_json () =
-      Json.Obj [ ("x_off", Checkpoint.encode_floats x_off) ]
-    in
-    for win = start_win to nwin - 1 do
-      budget_window ();
-      let s = win * w in
-      let wlen = min w (m - s) in
-      Trace.with_span "window" (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let ax = Csr.mul_vec a x_off in
-          let bu_win =
-            Mat.init n wlen (fun r l -> Mat.get bu r (s + l) +. ax.(r))
-          in
-          let dt_pre = Unix.gettimeofday () -. t0 in
-          let z = run_window (Engine.alternating (Array.make wlen h)) bu_win in
-          let t1 = Unix.gettimeofday () in
-          let x_win =
-            Mat.init n wlen (fun r l -> Mat.get z r l +. x_off.(r))
-          in
-          (* window-end endpoint of the z-frame: e'_end = 2 Σ_l (−1)^{wlen−1−l} z_l *)
-          for r = 0 to n - 1 do
-            let zend = ref 0.0 in
-            for l = 0 to wlen - 1 do
-              let sign = if (wlen - 1 - l) land 1 = 1 then -1.0 else 1.0 in
-              zend := !zend +. (sign *. Mat.get z r l)
-            done;
-            x_off.(r) <- x_off.(r) +. (2.0 *. !zend)
-          done;
-          let dt = dt_pre +. (Unix.gettimeofday () -. t1) in
-          finish_window ~index:win ~start:s ~dt x_win;
-          maybe_checkpoint ~win state_json;
-          if fault_handoff () then x_off.(0) <- Float.nan)
-    done
-  in
-  (* general path: the tail of the Toeplitz history becomes a RHS
-     correction. ρ_α factors as ρ_n ⊛ ρ_β (n = ⌊α⌋): because
+  (* The tail of the Toeplitz history becomes a RHS correction. ρ_α factors as ρ_n ⊛ ρ_β (n = ⌊α⌋): because
      ((1−q)/(1+q))^n satisfies (1+q)^n·y = (1−q)^n·x, the integer
      factor is an order-n linear recurrence
 
@@ -416,7 +351,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
      weights alternate without decay, so they must never be truncated.
      Only the ρ_β factor (weights decaying like lag^{−(1+β)}) is
      short-memory truncated to the last k_eff transformed columns. *)
-  let run_general () =
+  let run () =
     let orders = orders_of sys in
     let term_data =
       List.map
@@ -432,10 +367,10 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
           let rho_beta =
             if beta = 0.0 then [||] else Series.one_minus_over_one_plus_pow beta m
           in
-          (* y ring keeps the last k_eff transformed columns for the
-             ρ_β tail, but never fewer than the n_int recurrence
-             boundary values — those are exact carried state *)
-          let yr = max (max k_eff n_int) 1 in
+          (* y ring keeps the n_int recurrence boundary values —
+             exact carried state — and, for a ρ_β tail, the last k_eff
+             transformed columns *)
+          let yr = max (if beta = 0.0 then n_int else max k_eff n_int) 1 in
           {
             coeff;
             scale = (2.0 /. h) ** alpha;
@@ -658,14 +593,10 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
             | [] -> ())
     done
   in
-  (* dispatch mirrors Opm.simulate_multi_term so that windowed and
-     global runs take the same per-column arithmetic; a budget or
-     checkpoint-write breach mid-run surfaces as [Interrupted] carrying
-     the completed-window prefix and the last good checkpoint — the
-     caller gets a usable result, not nothing *)
-  (try
-     if linear_order_one sys then run_linear () else run_general ()
-   with
+  (* a budget or checkpoint-write breach mid-run surfaces as
+     [Interrupted] carrying the completed-window prefix and the last
+     good checkpoint — the caller gets a usable result, not nothing *)
+  (try run () with
   | Opm_error.Error
       (( Opm_error.Deadline_exceeded _ | Opm_error.Budget_exhausted _
        | Opm_error.Io_error _ ) as error) ->

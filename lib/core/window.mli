@@ -38,17 +38,11 @@ open Opm_numkit
     exactly}; only the fractional factor [ρ_β], whose weights decay
     like [lag^{−(1+β)}], is truncated to the last [K] transformed
     columns. Consequences: integer orders are exact for {e any}
-    [memory_len] (including 0), and a truncated fractional solve
-    commits a relative error empirically below {!truncation_mass} of
-    the [β] series.
-
-    Single-term order-1 systems skip all of this for a cheaper exact
-    path matching the {!Engine} §III-A fast solver: per window,
-    substitute [z = x − x_off] ([x_off] = the endpoint state entering
-    the window), solve the zero-initial-condition window, and advance
-    [x_off ← x_off + 2 Σ_l (−1)^{w−1−l} z_l] (the BPF endpoint
-    recursion [e_i = 2x_i − e_{i−1}]); O(n) carried state, exact even
-    for singular [E] (MNA/DAE systems).
+    [memory_len] (including 0), singular [E] (MNA/DAE systems)
+    included, and a truncated fractional solve commits a relative error
+    empirically below {!truncation_mass} of the [β] series. Order-1
+    systems take this path too: their state is the last column and the
+    last transformed column, [O(n)].
 
     Observability: each window runs in a ["window"] trace span;
     [window.count] counts windows, [window.factor_reuse] counts
@@ -68,7 +62,7 @@ type stats = {
   factor_misses : int;  (** factorisations actually computed this call *)
   handoff_seconds : float;
       (** total wall time spent on cross-window state handoff (history
-          tail RHS corrections, endpoint transfer, ring updates) *)
+          tail RHS corrections and ring updates) *)
 }
 
 val truncation_mass :
@@ -126,7 +120,8 @@ val solve :
     plus the streaming {!stats}.
 
     [?memory_len] bounds the fractional history tail (default: full
-    horizon = exact); it is ignored by the exact order-1 path.
+    horizon = exact); integer orders are carried exactly whatever its
+    value.
     [?on_window] is called after each window with its index, starting
     column, and the [n×wlen] solved block — the streaming hook for
     consumers that do not want the assembled horizon.
@@ -156,11 +151,13 @@ val solve :
     [?checkpoint] writes a resumable snapshot (schema
     ["opm-checkpoint-v1"], see {!Opm_robust.Checkpoint}) after every
     [?checkpoint_every]-th window (default 1) and after the final one.
-    The payload holds the cross-window handoff state — the order-1
-    endpoint vector or the integer-recurrence rings — plus the solved
-    column prefix and a fingerprint of (system kind, [n], [m], [w],
-    effective memory length, [h], the [α] list, input order, backend,
-    and a digest of [bu]). Writes are atomic (tmp + rename), so the file
+    The payload holds the cross-window handoff state — the
+    integer-recurrence rings and the fractional tails — plus the solved
+    column prefix and a fingerprint of ([n], [m], [w], effective memory
+    length, [h], the [α] list, input order, backend, and a digest of
+    [bu]). The fingerprint's [kind] is always ["general"]: a checkpoint
+    of the retired order-1 endpoint path (kind ["linear"]) is refused
+    with [Checkpoint_error]. Writes are atomic (tmp + rename), so the file
     on disk is always a complete, checksummed envelope.
 
     [?resume_from] loads such a snapshot and continues from its

@@ -403,6 +403,34 @@ let solve_dae ?checkpoint ?resume_from () =
 let test_kill_resume_dae () =
   kill_resume_differential ~nwin:(dae_m / dae_w) solve_dae
 
+(* Order-1 windows once carried an endpoint vector under fingerprint
+   kind "linear"; they now run the general path, whose kind is always
+   "general". A checkpoint of the old path must be refused with a
+   structured error, not resumed into the wrong state. *)
+let test_linear_kind_checkpoint_refused () =
+  with_tmp @@ fun ck ->
+  ignore (solve_dae ~checkpoint:ck () : Sim_result.t);
+  let relabel = function
+    | Opm_obs.Json.Obj fields ->
+        Opm_obs.Json.Obj
+          (List.map
+             (fun (k, v) ->
+               if k = "kind" then (k, Opm_obs.Json.String "linear") else (k, v))
+             fields)
+    | j -> j
+  in
+  (match Checkpoint.load ~path:ck with
+  | Opm_obs.Json.Obj fields ->
+      Checkpoint.save ~path:ck
+        (Opm_obs.Json.Obj
+           (List.map
+              (fun (k, v) -> if k = "fingerprint" then (k, relabel v) else (k, v))
+              fields))
+  | _ -> Alcotest.fail "checkpoint payload is not an object");
+  match solve_dae ~resume_from:ck () with
+  | (_ : Sim_result.t) -> Alcotest.fail "a \"linear\" checkpoint was resumed"
+  | exception Opm_error.Error (Opm_error.Checkpoint_error _) -> ()
+
 let () =
   Alcotest.run "resilience"
     [
@@ -441,5 +469,7 @@ let () =
             test_kill_resume_differential;
           Alcotest.test_case "kill/resume bit-identity, order-1 DAE" `Slow
             test_kill_resume_dae;
+          Alcotest.test_case "order-1 \"linear\" checkpoint refused" `Quick
+            test_linear_kind_checkpoint_refused;
         ] );
     ]
