@@ -967,7 +967,7 @@ let frozen_digests =
           ("order-1 adaptive", "71a55382c072ce4f");
           ("windowed general", "f85e9c783263d75c");
           ("windowed general memory 8", "d7ecb39638dd061d");
-          ("windowed order-1", "9647d0af996461ad");
+          ("windowed order-1", "68514b8069b83a3d");
           ("compiled query", "a7e37297c82ef49f");
           ("integral uniform", "89c50a4e66eae189");
           ("integral adaptive", "2ded33315d029ead");
@@ -983,7 +983,7 @@ let frozen_digests =
           ("order-1 adaptive", "ddc6f412fa7e8da0");
           ("windowed general", "4908dc16e4fe29d3");
           ("windowed general memory 8", "08f5af7e17497cfd");
-          ("windowed order-1", "28afbcef6281fb7b");
+          ("windowed order-1", "b4bf58fe77c2e449");
           ("compiled query", "0ffa3108cbdbed8e");
           ("integral uniform", "d4ce985f2f6cfc18");
           ("integral adaptive", "15d9df76fcee453f");
