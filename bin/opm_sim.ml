@@ -100,8 +100,10 @@ let steps_arg =
 
 let method_arg =
   let doc =
-    "Transient method: opm, opm-adaptive, integral (integral-form OPM; \
-     ODE only), be (backward Euler), trap (trapezoidal), gear (BDF2), \
+    "Transient method: opm, opm-adaptive, integral (deprecated: the \
+     integral form is the same discrete system as the order-1 opm \
+     route, which now solves it; ODE only), be (backward Euler), trap \
+     (trapezoidal), gear (BDF2), \
      fft (frequency domain), gl (Grünwald–Letnikov), exact \
      (matrix-exponential reference; ODE only)."
   in
@@ -399,11 +401,14 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
                    srcs)
                   .Sim_result.outputs))
     | Integral ->
+        Printf.eprintf
+          "opm_sim: warning: --method integral is deprecated and will be \
+           removed; solving with the order-1 opm route, the same discrete \
+           system\n%!";
         let sys, srcs = Mna.stamp_linear ?outputs net in
         let grid = Grid.uniform ~t_end ~m:steps in
         with_state_names sys.Descriptor.state_names (fun () ->
-            (Opm.simulate_linear_integral ?health ?budget ~grid sys srcs)
-              .Sim_result.outputs)
+            (Opm.simulate_linear ?health ?budget ~grid sys srcs).Sim_result.outputs)
     | Opm_adaptive ->
         let sys, srcs = Mna.stamp_linear ?outputs net in
         let result, stats =

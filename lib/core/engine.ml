@@ -526,7 +526,6 @@ type history =
   | Triangular of { d : Mat.t array; orders : float list }
       (* an adaptive grid's D_k, general upper triangles *)
   | Alternating of float array
-  | Running_sum of { steps : float array; x0 : Vec.t }
 
 let toeplitz ~orders ~step ~horizon columns =
   if columns < 0 then invalid_arg "Engine.toeplitz: negative column count";
@@ -581,18 +580,16 @@ let triangular ~orders ds =
 
 let alternating steps = Alternating steps
 
-let running_sum ~x0 steps = Running_sum { steps; x0 }
-
 let nterms = function
   | Banded b -> Array.length b.scales
   | Triangular { d; _ } -> Array.length d
-  | Alternating _ | Running_sum _ -> 1
+  | Alternating _ -> 1
 
 let columns = function
   | Banded b -> b.columns
   | Triangular { d = [||]; _ } -> 0
   | Triangular { d; _ } -> fst (Mat.dims d.(0))
-  | Alternating steps | Running_sum { steps; _ } -> Array.length steps
+  | Alternating steps -> Array.length steps
 
 (* one step for every column: one block serves the whole horizon, and
    pinning it costs exactly one entry (an adaptive grid would pin one
@@ -600,8 +597,7 @@ let columns = function
 let uniform = function
   | Banded _ -> true
   | Triangular _ -> false
-  | Alternating s | Running_sum { steps = s; _ } ->
-      Array.for_all (fun (h : float) -> h = s.(0)) s
+  | Alternating s -> Array.for_all (fun (h : float) -> h = s.(0)) s
 
 (* the coefficients c(i) of column i's block Σ_j c_j·M_j *)
 let column_coeffs history i =
@@ -611,20 +607,17 @@ let column_coeffs history i =
       let k = Array.length d in
       Array.init (k + 1) (fun j -> if j < k then Mat.get d.(j) i i else -1.0)
   | Alternating steps -> [| 2.0 /. steps.(i); -1.0 |]
-  | Running_sum { steps; _ } -> [| 1.0; -.(0.5 *. steps.(i)) |]
 
 (* Cache key of column i's block. The differential form carries the
    term orders and, on a uniform grid, the step, so a cache shared
    across solves never confuses two (α, h) pencils with coincident
    diagonals; the order-1 form solves (2/h·E − A), α pinned to 1 but
-   carried in the key anyway; the integral form keys on H's diagonal
-   entry h_i/2. *)
+   carried in the key anyway. *)
 let column_key history i =
   match history with
   | Banded b -> b.orders @ (b.step :: Array.to_list b.scales)
   | Triangular { d; orders } -> orders @ List.init (Array.length d) (fun k -> Mat.get d.(k) i i)
   | Alternating steps -> [ 1.0; steps.(i) ]
-  | Running_sum { steps; _ } -> [ 0.5 *. steps.(i) ]
 
 (* M_1 … M_N of a banded history, assembled as [factor] assembles its
    blocks *)
@@ -669,7 +662,7 @@ let toeplitz_spectra ~m = function
           let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
           Atomic.set b.spectra (Some sp);
           Some sp)
-  | Banded _ | Triangular _ | Alternating _ | Running_sum _ -> None
+  | Banded _ | Triangular _ | Alternating _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
@@ -701,11 +694,9 @@ let prepare ctx pencil history =
   (match history with
   | (Banded _ | Triangular _) when nterms history <> nops pencil - 1 ->
       invalid_arg "Engine.prepare: one D_k per E_k"
-  | (Alternating _ | Running_sum _) when nops pencil <> 2 ->
-      invalid_arg "Engine.prepare: the order-1 and integral forms take [E; A]"
-  | Running_sum { x0; _ } when Array.length x0 <> pencil.n ->
-      invalid_arg "Engine.prepare: x0 length mismatch"
-  | Banded _ | Triangular _ | Alternating _ | Running_sum _ -> ());
+  | Alternating _ when nops pencil <> 2 ->
+      invalid_arg "Engine.prepare: the order-1 form takes [E; A]"
+  | Banded _ | Triangular _ | Alternating _ -> ());
   let m = columns history in
   if m < 1 then invalid_arg "Engine.prepare: empty horizon";
   let cache =
@@ -721,7 +712,7 @@ let prepare ctx pencil history =
   let lags =
     match history with
     | Banded b -> lag_ops pencil b
-    | Triangular _ | Alternating _ | Running_sum _ -> Dense_ops [||]
+    | Triangular _ | Alternating _ -> Dense_ops [||]
   in
   let spectra = toeplitz_spectra ~m history in
   {
@@ -778,7 +769,7 @@ let subtract_scan pencil ~op w cols rhs =
 (* One run's column state: [rhs i] assembles column i's right-hand side
    from the forcing [bu i], [push i x_i] records the solved column and
    [finish ()] books the run's metrics. Each history keeps only what it
-   reads back: the order-1 and integral forms a running sum, a banded
+   reads back: the order-1 form a running sum, a banded
    history its last N columns (its convolver keeps its own copy), the
    naive scans every column. *)
 let column_history p bu =
@@ -862,22 +853,6 @@ let column_history p bu =
         rhs
       in
       (rhs, (fun i xi -> Vec.axpy (sign i) xi salt), ignore)
-  | Running_sum { steps; x0 } ->
-      (* integral form: rhs_i = bu_i + E·x₀ + A·Σ_{j<i} h_j x_j. The
-         running sum adds the same weights H_{ji} = h_j in the same
-         j-ascending order as a naive scan of H, so it is bit-identical
-         to it while carrying only O(n) state *)
-      let e_x0 = apply p.pencil 0 x0 in
-      let sum = Array.make n 0.0 in
-      let rhs i =
-        let rhs = bu i in
-        for r = 0 to n - 1 do
-          rhs.(r) <- rhs.(r) +. e_x0.(r)
-        done;
-        if i > 0 then Vec.axpy 1.0 (apply p.pencil 1 sum) rhs;
-        rhs
-      in
-      (rhs, (fun i xi -> Vec.axpy steps.(i) xi sum), ignore)
 
 let span_name p =
   match (p.history, p.pencil.ops) with
@@ -885,8 +860,6 @@ let span_name p =
   | (Banded _ | Triangular _), Sparse_ops _ -> "engine.solve_sparse"
   | Alternating _, Dense_ops _ -> "engine.solve_linear_dense"
   | Alternating _, Sparse_ops _ -> "engine.solve_linear_sparse"
-  | Running_sum _, Dense_ops _ -> "engine.solve_integral_dense"
-  | Running_sum _, Sparse_ops _ -> "engine.solve_integral_sparse"
 
 let run p ~bu ~emit =
   Trace.with_span (span_name p) @@ fun () ->

@@ -23,11 +23,11 @@ open Opm_robust
       [4(−1)^{i−j}/h_i] above): [M = [E; A]], [c = [2/h_i; −1]], history
       [(4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j], one running alternating sum
       ({!alternating}) — [O(n^β·#distinct steps + n·m)] instead of
-      [O(n·m²)];
-    - integral form [E·X = A·X·H + B·U·H + (E x₀)·1ᵀ] (the lineage of
-      the paper's refs [2], [4]; initial conditions enter for free):
-      [M = [E; A]], [c = [1; −H_{ii}]], history [A·Σ_{j<i} h_j x_j], one
-      running sum ({!running_sum}).
+      [O(n·m²)].
+
+    The integral form [E·X = A·X·H + B·U·H + (E x₀)·1ᵀ] (the lineage of
+    the paper's refs [2], [4]) needs no history of its own: [D = H⁻¹],
+    so it is the same discrete system as the differential form.
 
     When the coefficients are constant across columns (uniform step)
     one factorisation serves every column — why Table II shows OPM's
@@ -210,11 +210,6 @@ val triangular : orders:float list -> Mat.t list -> history
 val alternating : float array -> history
 (** Order-1 form over the given steps [h_i]; never materialises [D]. *)
 
-val running_sum : x0:Vec.t -> float array -> history
-(** Integral form over the given block-pulse steps [h_i], with initial
-    state [x0]: the run's [bu] is [B·U·H]. Carries O(n) state, so any
-    horizon costs [O(n^β·#distinct steps + n·m)]. *)
-
 (** {1 Prepare / run} *)
 
 type ctx = {
@@ -235,7 +230,7 @@ val prepare : ctx -> pencil -> history -> plan
 (** Validate the shapes, look up (or factor) the column-0 block in the
     cache — pinned on uniform grids — and return the plan. Raises
     [Invalid_argument] when the history does not fit the pencil (one
-    [D_k] per [E_k]; [[E; A]] for the order-1 and integral forms) or
+    [D_k] per [E_k]; [[E; A]] for the order-1 form) or
     the horizon is empty, {!Opm_error.Error} when the block is
     singular. *)
 
@@ -248,8 +243,8 @@ val run : plan -> bu:(int -> Vec.t) -> emit:(int -> Vec.t -> unit) -> unit
     only the history state it reads back (see {b Column state}),
     so a sink that reduces each column never holds an [n×m] matrix.
 
-    {b Column state.} The order-1 and integral forms keep one running
-    sum; a banded history its last [N] columns (its FFT convolver keeps
+    {b Column state.} The order-1 form keeps one running sum; a banded
+    history its last [N] columns (its FFT convolver keeps
     its own copy); the naive fractional scan and {!triangular} keep
     every column.
 

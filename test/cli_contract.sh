@@ -4,6 +4,7 @@
 #   - `--method integral --window 16` warns that --window only applies to
 #     the opm methods, exits 0, and writes the same CSV bytes as the run
 #     without --window (the integral form has no windowed variant);
+#   - `--method integral` prints exactly one deprecation line on stderr;
 #   - `--basis spectral --window 16` is a usage error (exit 2);
 #   - `--method opm --window 16 --memory-len 8` exits 0 with as many CSV
 #     rows as the unwindowed run, and does not warn;
@@ -68,6 +69,8 @@ ignored="--memory-len only applies with --window < --steps; ignored"
 
 run integral --method integral
 [ "$code" -eq 0 ] || fail "--method integral exited $code"
+[ "$(grep -c -- "--method integral is deprecated" "$tmp/integral.err")" -eq 1 ] \
+  || fail "--method integral did not print exactly one deprecation line"
 run integral_w --method integral --window 16
 [ "$code" -eq 0 ] || fail "--method integral --window 16 exited $code"
 grep -q -- "--window only applies to the opm methods; ignored" "$tmp/integral_w.err" \

@@ -563,54 +563,33 @@ let test_x0_size_check () =
        false
      with Invalid_argument _ -> true)
 
+(* The integral form E·X = A·X·H + B·U·H + E·x₀·1ᵀ (the lineage of the
+   paper's refs [2], [4]) is the discrete system the differential route
+   solves, because D = H⁻¹. Solved densely through the Kronecker
+   reference (terms (E, I) and (−A, H)), it matches simulate_linear
+   with and without x₀ on a uniform and an adaptive grid. *)
 let test_integral_form_equals_differential () =
   let sys = Descriptor.random_stable ~seed:33 ~n:6 ~p:1 ~q:2 () in
   let src = [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.2; offset = 0.1 } |] in
+  let e = Csr.to_dense sys.Descriptor.e and a = Csr.to_dense sys.Descriptor.a in
   List.iter
     (fun (grid, x0) ->
-      let ri = Opm.simulate_linear_integral ?x0 ~grid sys src in
+      let m = Grid.size grid in
+      let h = Block_pulse.integral_matrix grid in
+      let ex0 = Mat.mul_vec e (Option.value x0 ~default:(Vec.zeros 6)) in
+      let buh = Mat.mul (Mat.mul sys.Descriptor.b (Opm.input_coefficients ~grid src)) h in
+      let integral =
+        Engine.solve_dense_kron
+          ~terms:[ (e, Mat.eye m); (Mat.scale (-1.0) a, h) ]
+          ~a:(Mat.zeros 6 6)
+          ~bu:(Mat.init 6 m (fun r j -> Mat.get buh r j +. ex0.(r)))
+      in
       let rd = Opm.simulate_linear ?x0 ~grid sys src in
-      close "integral = differential" 0.0
-        (Mat.max_abs_diff ri.Sim_result.x rd.Sim_result.x)
+      close "integral = differential" 0.0 (Mat.max_abs_diff integral rd.Sim_result.x)
         ~tol:1e-10)
     (List.concat_map
        (fun grid -> [ (grid, None); (grid, Some (Array.init 6 (fun i -> 0.3 *. float_of_int (i - 2)))) ])
        [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ])
-
-let test_integral_form_x0 () =
-  let grid = Grid.uniform ~t_end:5.0 ~m:400 in
-  let r =
-    Opm.simulate_linear_integral ~x0:[| 1.0 |] ~grid rc [| Source.Dc 0.0 |]
-  in
-  check_bool "discharge via integral form" true
-    (max_err_against (fun t -> exp (-.t)) r < 1e-4)
-
-(* Regression for the integral entry point's API seam: it used to take
-   no [?backend]/[?health], so it silently ran dense and outside the
-   health cascade while every differential entry point honoured them.
-   The full signature must now hold: sparse agrees with dense and a
-   health collector sees every column. *)
-let test_integral_form_full_signature () =
-  let sys = Descriptor.random_stable ~seed:44 ~n:6 ~p:1 ~q:1 () in
-  let src =
-    [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.1; offset = 0.2 } |]
-  in
-  let m = 64 in
-  let grid = Grid.uniform ~t_end:3.0 ~m in
-  let x0 = Array.init 6 (fun i -> 0.2 *. float_of_int (i - 3)) in
-  let dense = Opm.simulate_linear_integral ~backend:`Dense ~x0 ~grid sys src in
-  let sparse =
-    Opm.simulate_linear_integral ~backend:`Sparse ~x0 ~grid sys src
-  in
-  close "sparse = dense (integral form)" 0.0
-    (Mat.max_abs_diff dense.Sim_result.x sparse.Sim_result.x)
-    ~tol:1e-9;
-  let health = Opm_robust.Health.create () in
-  let r = Opm.simulate_linear_integral ~health ~grid sys src in
-  check_int "health sees every integral column" m
-    (Opm_robust.Health.columns health);
-  check_bool "health report carried on the result" true
-    (match r.Sim_result.health with Some h -> h == health | None -> false)
 
 let test_legendre_solver_spectral () =
   (* smooth input: a handful of Legendre coefficients beats many block
@@ -902,9 +881,6 @@ let frozen_routes (backend : Opm.backend) =
     x (Opm.simulate_fractional ~backend ?window ?memory_len ~grid:(uniform m)
          ~alpha:0.5 sys src)
   in
-  let integral grid =
-    x (Opm.simulate_linear_integral ~backend ~x0:(Array.make 6 0.1) ~grid sys src)
-  in
   [
     ("general naive", fun () -> frac 64);
     ("general fft", fun () -> frac 512);
@@ -930,8 +906,6 @@ let frozen_routes (backend : Opm.backend) =
         in
         ignore (Compiled_model.solve model src);
         x (Compiled_model.solve model src) );
-    ("integral uniform", fun () -> integral (uniform 512));
-    ("integral adaptive", fun () -> integral adaptive);
   ]
   @
   match backend with
@@ -969,8 +943,6 @@ let frozen_digests =
           ("windowed general memory 8", "d7ecb39638dd061d");
           ("windowed order-1", "68514b8069b83a3d");
           ("compiled query", "a7e37297c82ef49f");
-          ("integral uniform", "89c50a4e66eae189");
-          ("integral adaptive", "2ded33315d029ead");
       ] );
     ( `Sparse,
       [
@@ -985,8 +957,6 @@ let frozen_digests =
           ("windowed general memory 8", "08f5af7e17497cfd");
           ("windowed order-1", "b4bf58fe77c2e449");
           ("compiled query", "0ffa3108cbdbed8e");
-          ("integral uniform", "d4ce985f2f6cfc18");
-          ("integral adaptive", "15d9df76fcee453f");
           ("power grid NA amd", "ab1143c67dd16384");
           ("power grid MNA amd", "5773842b2ca54b70");
       ] );
@@ -1282,8 +1252,6 @@ let () =
           t "superposition with x0" test_x0_superposition;
           t "x0 size check" test_x0_size_check;
           t "integral = differential" test_integral_form_equals_differential;
-          t "integral form with x0" test_integral_form_x0;
-          t "integral form full signature" test_integral_form_full_signature;
           t "legendre spectral accuracy" test_legendre_solver_spectral;
           t "legendre with x0" test_legendre_solver_x0;
         ] );
