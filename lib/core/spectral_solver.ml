@@ -7,8 +7,13 @@ module Budget = Opm_robust.Budget
 module Opm_error = Opm_robust.Opm_error
 module Trace = Opm_obs.Trace
 
+(* The dense Kronecker operator: factor Σ_k (M_kᵀ ⊗ C_k) once, then
+   solve Σ_k C_k X M_k = R for many right-hand sides. [make] raises a
+   structured Singular_pencil, records the condition estimate into
+   [health] and charges [budget] one factorisation of (nm)² floats;
+   [solve] raises a structured Non_finite on NaN/Inf. *)
 module Operator = struct
-  type t = { n : int; m : int; lu : Lu.t; cond : float }
+  type t = { n : int; m : int; lu : Lu.t }
 
   let make ?health ?budget ~n ~m terms =
     Trace.with_span "spectral.factor" @@ fun () ->
@@ -60,11 +65,8 @@ module Operator = struct
           (Opm_error.Singular_pencil
              { column = k mod m; step = k / m; pivot = 0.0; name = None })
     in
-    let cond = Lu.cond_est lu in
-    (match health with Some h -> Health.record_cond h cond | None -> ());
-    { n; m; lu; cond }
-
-  let cond t = t.cond
+    (match health with Some h -> Health.record_cond h (Lu.cond_est lu) | None -> ());
+    { n; m; lu }
 
   let solve ?health ?budget t rhs =
     (match budget with

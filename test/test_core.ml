@@ -591,21 +591,26 @@ let test_integral_form_equals_differential () =
        (fun grid -> [ (grid, None); (grid, Some (Array.init 6 (fun i -> 0.3 *. float_of_int (i - 2)))) ])
        [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ])
 
+(* The Legendre integral-form solver these two tests once reached is
+   gone: the Jacobi–Gauss spectral basis at its default a = b = 0 is
+   Legendre–Gauss collocation, and it serves the same smooth-input and
+   x₀ cases. *)
 let test_legendre_solver_spectral () =
-  (* smooth input: a handful of Legendre coefficients beats many block
-     pulses *)
+  (* smooth input: a handful of Legendre–Gauss nodes beats as many
+     block pulses *)
   let src = [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.2; offset = 0.1 } |] in
   let t_end = 5.0 in
   let fine =
     Opm.simulate_linear ~grid:(Grid.uniform ~t_end ~m:20000) rc src
   in
-  let wl = Legendre_solver.simulate ~t_end ~m:14 ~sample_count:100 rc src in
+  let grid = Grid.uniform ~t_end ~m:14 in
+  let spectral = (Opm.simulate_linear ~basis:`Spectral ~grid rc src).Sim_result.outputs in
   let err_leg =
     Error.waveform_error_db
-      ~reference:(Waveform.resample fine.Sim_result.outputs wl.Waveform.times)
-      wl
+      ~reference:(Waveform.resample fine.Sim_result.outputs spectral.Waveform.times)
+      spectral
   in
-  let rb = Opm.simulate_linear ~grid:(Grid.uniform ~t_end ~m:14) rc src in
+  let rb = Opm.simulate_linear ~grid rc src in
   let err_bpf =
     Error.waveform_error_db ~reference:fine.Sim_result.outputs
       rb.Sim_result.outputs
@@ -618,15 +623,16 @@ let test_legendre_solver_spectral () =
 
 let test_legendre_solver_x0 () =
   let wl =
-    Legendre_solver.simulate ~x0:[| 1.0 |] ~t_end:4.0 ~m:16 ~sample_count:60 rc
-      [| Source.Dc 0.0 |]
+    (Opm.simulate_linear ~basis:`Spectral ~x0:[| 1.0 |]
+       ~grid:(Grid.uniform ~t_end:4.0 ~m:16) rc [| Source.Dc 0.0 |])
+      .Sim_result.outputs
   in
   let y = Waveform.channel wl 0 in
   let err = ref 0.0 in
   Array.iteri
     (fun i t -> err := Float.max !err (Float.abs (y.(i) -. exp (-.t))))
     wl.Waveform.times;
-  check_bool "spectral discharge" true (!err < 1e-6)
+  check_bool (Printf.sprintf "spectral discharge (error %.2g)" !err) true (!err < 1e-6)
 
 (* ---------- backends and result packaging ---------- *)
 

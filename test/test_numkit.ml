@@ -562,62 +562,6 @@ let test_series_eval_scalar () =
   (* 2 + 3x + 4x² at x = −3: 2 − 9 + 36 = 29 *)
   close "horner" 29.0 (Series.eval [| 2.0; 3.0; 4.0 |] (-3.0)) ~tol:1e-12
 
-(* ---------- Poly ---------- *)
-
-let test_poly_mul_eval () =
-  let p = [| 1.0; 2.0 |] (* 1 + 2x *)
-  and q = [| -1.0; 1.0 |] (* x − 1 *) in
-  let r = Poly.mul p q in
-  close "eval"
-    ((1.0 +. (2.0 *. 0.7)) *. (0.7 -. 1.0))
-    (Poly.eval r 0.7) ~tol:1e-12
-
-let test_poly_derive_integrate () =
-  let p = [| 5.0; 0.0; 3.0 |] in
-  let back = Poly.derive (Poly.integrate p) in
-  check_bool "d/dx ∘ ∫ = id" true
-    (Array.for_all2
-       (fun a b -> Float.abs (a -. b) < 1e-12)
-       (Poly.normalize back) (Poly.normalize p))
-
-let test_poly_definite_integral () =
-  (* ∫₀¹ x² = 1/3 *)
-  close "x² integral" (1.0 /. 3.0)
-    (Poly.definite_integral [| 0.0; 0.0; 1.0 |] 0.0 1.0)
-    ~tol:1e-12
-
-let test_poly_legendre_values () =
-  (* P_n(1) = 1 for all n *)
-  List.iter
-    (fun n ->
-      close
-        (Printf.sprintf "P_%d(1)" n)
-        1.0
-        (Poly.eval (Poly.legendre n) 1.0)
-        ~tol:1e-9)
-    [ 0; 1; 2; 3; 4; 5 ];
-  (* P_2(x) = (3x² − 1)/2 *)
-  close "P2(0)" (-0.5) (Poly.eval (Poly.legendre 2) 0.0) ~tol:1e-12
-
-let test_poly_legendre_orthogonal () =
-  let p3 = Poly.legendre 3 and p5 = Poly.legendre 5 in
-  close "⟨P3,P5⟩ = 0" 0.0
-    (Poly.definite_integral (Poly.mul p3 p5) (-1.0) 1.0)
-    ~tol:1e-10;
-  (* ‖P_n‖² = 2/(2n+1) *)
-  close "‖P3‖²" (2.0 /. 7.0)
-    (Poly.definite_integral (Poly.mul p3 p3) (-1.0) 1.0)
-    ~tol:1e-10
-
-let test_poly_shifted_legendre () =
-  (* shifted: orthogonal on [0,1], SL_n(1) = 1 *)
-  let sl4 = Poly.shifted_legendre 4 in
-  close "SL4(1)" 1.0 (Poly.eval sl4 1.0) ~tol:1e-9;
-  let sl2 = Poly.shifted_legendre 2 in
-  close "⟨SL2,SL4⟩" 0.0
-    (Poly.definite_integral (Poly.mul sl2 sl4) 0.0 1.0)
-    ~tol:1e-10
-
 (* ---------- Special ---------- *)
 
 let test_gamma_values () =
@@ -838,15 +782,6 @@ let () =
           t "eval nilpotent toeplitz" test_series_eval_nilpotent;
           t "eval scalar" test_series_eval_scalar;
           q prop_series_power_addition;
-        ] );
-      ( "poly",
-        [
-          t "mul + eval" test_poly_mul_eval;
-          t "derive ∘ integrate" test_poly_derive_integrate;
-          t "definite integral" test_poly_definite_integral;
-          t "legendre values" test_poly_legendre_values;
-          t "legendre orthogonality" test_poly_legendre_orthogonal;
-          t "shifted legendre" test_poly_shifted_legendre;
         ] );
       ( "special",
         [
