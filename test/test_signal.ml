@@ -279,56 +279,6 @@ let test_measure_delay () =
   let d = Measure.delay_between w ~from_channel:0 ~to_channel:1 ~level:0.5 in
   close "2 s delay" 2.0 d ~tol:0.11
 
-(* ---------- Spectrum ---------- *)
-
-(* an exactly periodic record: y = 1·sin(2π·5t) + 0.1·sin(2π·15t) over
-   two fundamental periods *)
-let distorted_waveform () =
-  let f0 = 5.0 in
-  let n = 2048 in
-  let t_end = 2.0 /. f0 in
-  let times = Array.init n (fun k -> float_of_int k *. t_end /. float_of_int (n - 1)) in
-  Waveform.make times
-    [|
-      Array.map
-        (fun t ->
-          sin (2.0 *. Float.pi *. f0 *. t)
-          +. (0.1 *. sin (2.0 *. Float.pi *. 3.0 *. f0 *. t)))
-        times;
-    |]
-
-let test_spectrum_harmonic_amplitudes () =
-  let w = distorted_waveform () in
-  let a = Spectrum.harmonics w ~channel:0 ~fundamental_hz:5.0 ~count:4 in
-  close "fundamental" 1.0 a.(0) ~tol:2e-3;
-  close "2nd absent" 0.0 a.(1) ~tol:2e-3;
-  close "3rd harmonic" 0.1 a.(2) ~tol:2e-3;
-  close "4th absent" 0.0 a.(3) ~tol:2e-3
-
-let test_spectrum_thd () =
-  let w = distorted_waveform () in
-  close "thd = 10%" 0.1 (Spectrum.thd w ~channel:0 ~fundamental_hz:5.0 ()) ~tol:3e-3
-
-let test_spectrum_linear_is_clean () =
-  (* a pure sine has ~zero THD *)
-  let times = Array.init 1000 (fun k -> float_of_int k /. 999.0) in
-  let w =
-    Waveform.make times
-      [| Array.map (fun t -> 0.7 *. sin (2.0 *. Float.pi *. 4.0 *. t)) times |]
-  in
-  check_bool "clean" true (Spectrum.thd w ~channel:0 ~fundamental_hz:4.0 () < 1e-3)
-
-let test_spectrum_magnitude_peak () =
-  let w = distorted_waveform () in
-  let spec = Spectrum.magnitude ~window:`Hann w ~channel:0 in
-  (* the largest bin must sit at ~5 Hz *)
-  let f_peak, _ =
-    Array.fold_left
-      (fun (bf, bm) (f, m) -> if m > bm then (f, m) else (bf, bm))
-      (0.0, 0.0) spec
-  in
-  check_bool "peak near f0" true (Float.abs (f_peak -. 5.0) < 1.5)
-
 (* ---------- Error metrics ---------- *)
 
 let test_relative_error_db () =
@@ -409,13 +359,6 @@ let () =
           t "overshoot" test_measure_overshoot;
           t "settling time" test_measure_settling;
           t "delay between channels" test_measure_delay;
-        ] );
-      ( "spectrum",
-        [
-          t "harmonic amplitudes" test_spectrum_harmonic_amplitudes;
-          t "thd" test_spectrum_thd;
-          t "pure tone is clean" test_spectrum_linear_is_clean;
-          t "fft magnitude peak" test_spectrum_magnitude_peak;
         ] );
       ( "error",
         [
