@@ -20,8 +20,10 @@ exception Pattern_mismatch
 
 type ordering = [ `Amd | `Auto | `Natural | `Rcm ]
 
-type int_ba = Bcsr.int_ba
-type float_ba = Bcsr.float_ba
+(* the factors live in Bigarrays, outside the OCaml heap: a
+   100K-state pencil's L and U add nothing to the GC's scan work *)
+type int_ba = (int32, Ba.int32_elt, Ba.c_layout) Ba.Array1.t
+type float_ba = (float, Ba.float64_elt, Ba.c_layout) Ba.Array1.t
 
 let geti (a : int_ba) k = Int32.to_int (Ba.Array1.unsafe_get a k)
 let getf (a : float_ba) k : float = Ba.Array1.unsafe_get a k
@@ -185,17 +187,14 @@ let prune ~pinv ~l_ptr ~lpend ~pruned ~(l_idx : int_ba) ~(l_val : float_ba)
   end
 
 (* Gilbert–Peierls left-looking factorisation with threshold pivoting,
-   recording the symbolic structure as it goes. [row_ptr]/[col_ind]
-   describe the input pattern in original coordinates, [val_at] fetches
-   a value by its index in the caller's value storage, and [pat] is a
-   CSR view of the same pattern used only to compute the ordering. *)
-let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
-    ~norm1 =
+   recording the symbolic structure as it goes *)
+let analyze_core ~ordering ~pivot_tol ~norm1 (a : Csr.t) =
+  let { Csr.rows = n; row_ptr; col_ind; values; _ } = a in
   let sym =
     match resolve_ordering ordering n with
     | `Natural -> None
-    | `Rcm -> Some (Rcm.ordering pat)
-    | `Amd -> Some (Amd.ordering pat)
+    | `Rcm -> Some (Rcm.ordering a)
+    | `Amd -> Some (Amd.ordering a)
   in
   (* permuted CSC with source indices: entry (i, j) of A lands in column
      psym(j) as row psym(i), remembering where its value lives *)
@@ -236,8 +235,8 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
   for i = 0 to n - 1 do
     let m = ref 0.0 in
     for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-      let a = Float.abs (val_at k) in
-      if a > !m then m := a
+      let v = Float.abs values.(k) in
+      if v > !m then m := v
     done;
     if !m > 0.0 then Ba.Array1.set rscale psym.(i) (1.0 /. !m)
   done;
@@ -272,7 +271,7 @@ let analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind ~val_at ~pat
        (reverse post-order), recording the pivotal columns touched *)
     for k = at_ptr.(j) to at_ptr.(j + 1) - 1 do
       let i' = at_idx.(k) in
-      x.(i') <- val_at at_src.(k) *. getf rscale i'
+      x.(i') <- values.(at_src.(k)) *. getf rscale i'
     done;
     for s = count - 1 downto 0 do
       let v = stack.(s) in
@@ -393,49 +392,11 @@ let analyze ?(ordering = `Auto) ?(pivot_tol = 0.1) (a : Csr.t) =
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
   let norm1 = csr_norm1 a in
-  let s, f =
-    analyze_core ~ordering ~pivot_tol ~n ~row_ptr:a.Csr.row_ptr
-      ~col_ind:a.Csr.col_ind
-      ~val_at:(fun k -> a.Csr.values.(k))
-      ~pat:a ~norm1
-  in
+  let s, f = analyze_core ~ordering ~pivot_tol ~norm1 a in
   note_fill f (Csr.nnz a);
   (s, f)
 
 let factor ?ordering ?pivot_tol a = snd (analyze ?ordering ?pivot_tol a)
-
-let factor_b ?(ordering = `Auto) ?(pivot_tol = 0.1) (b : Bcsr.t) =
-  check_pivot_tol pivot_tol;
-  let n, m = Bcsr.dims b in
-  if n <> m then invalid_arg "Slu.factor: non-square matrix";
-  Metrics.incr m_analyze;
-  Metrics.incr m_factor;
-  Metrics.time h_factor_seconds @@ fun () ->
-  let nnz = Bcsr.nnz b in
-  let row_ptr =
-    Array.init (n + 1) (fun i -> Int32.to_int (Ba.Array1.get b.Bcsr.row_ptr i))
-  in
-  let col_ind =
-    Array.init nnz (fun k -> Int32.to_int (Ba.Array1.get b.Bcsr.col_ind k))
-  in
-  (* pattern-only CSR view for the ordering; the numeric scatter reads
-     the Bigarray values directly, no float copy is made *)
-  let pat =
-    { Csr.rows = n; cols = n; row_ptr; col_ind; values = Array.make nnz 1.0 }
-  in
-  let sums = Array.make n 0.0 in
-  for k = 0 to nnz - 1 do
-    let j = col_ind.(k) in
-    sums.(j) <- sums.(j) +. Float.abs (Ba.Array1.get b.Bcsr.values k)
-  done;
-  let norm1 = Array.fold_left Float.max 0.0 sums in
-  let _, f =
-    analyze_core ~ordering ~pivot_tol ~n ~row_ptr ~col_ind
-      ~val_at:(fun k -> Ba.Array1.get b.Bcsr.values k)
-      ~pat ~norm1
-  in
-  note_fill f nnz;
-  f
 
 let pattern_matches s (a : Csr.t) =
   let same_ints (x : int array) (y : int array) =

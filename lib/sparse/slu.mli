@@ -121,11 +121,6 @@ val refactor : ?stability_tol:float -> symbolic -> Csr.t -> t
 val factor : ?ordering:ordering -> ?pivot_tol:float -> Csr.t -> t
 (** [analyze] without keeping the symbolic part. *)
 
-val factor_b : ?ordering:ordering -> ?pivot_tol:float -> Bcsr.t -> t
-(** {!factor} reading Bigarray-backed storage: the numeric scatter pulls
-    values straight from the [float64] Bigarray (no copy), so the
-    factorisation agrees with [factor (Bcsr.to_csr b)] bit for bit. *)
-
 val factor_hinted :
   ?ordering:ordering ->
   ?pivot_tol:float ->

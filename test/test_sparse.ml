@@ -344,7 +344,7 @@ let prop_slu_random =
       let xd = Lu.solve_dense d b in
       Vec.max_abs_diff xs xd < 1e-8)
 
-(* ---------- Amd + symbolic/numeric split + Bcsr ---------- *)
+(* ---------- Amd + symbolic/numeric split ---------- *)
 
 let is_permutation n p =
   Array.length p = n
@@ -531,83 +531,6 @@ let test_solve_many_matches_map () =
       check_bool "explicit pool bit-identical" true
         (Slu.solve_many ~pool f bs = seq))
 
-(* Bigarray-backed storage must agree with the array-backed ops to the
-   last bit *)
-
-let bcsr_cases () =
-  let empty_rows =
-    Mat.init 12 12 (fun i j ->
-        if i mod 3 = 0 then 0.0
-        else if (i + j) mod 4 = 0 then float_of_int (i - j) /. 7.0
-        else 0.0)
-  in
-  let dup =
-    let c = Coo.create ~rows:8 ~cols:8 in
-    for k = 0 to 40 do
-      Coo.add c (k mod 8) (k * 3 mod 8) (sin (float_of_int k))
-    done;
-    (* duplicate coordinates on purpose: they merge in to_csr *)
-    Coo.add c 2 6 0.125;
-    Coo.add c 2 6 0.25;
-    Coo.to_csr c
-  in
-  [
-    ("random", Csr.of_dense (random_sparse ~dominant:false 47 18));
-    ("empty rows", Csr.of_dense empty_rows);
-    ("duplicate coords", dup);
-  ]
-
-let test_bcsr_roundtrip () =
-  List.iter
-    (fun (name, a) ->
-      let b = Bcsr.to_csr (Bcsr.of_csr a) in
-      check_bool (name ^ ": roundtrip row_ptr") true
-        (b.Csr.row_ptr = a.Csr.row_ptr);
-      check_bool (name ^ ": roundtrip col_ind") true
-        (b.Csr.col_ind = a.Csr.col_ind);
-      check_bool (name ^ ": roundtrip values") true (b.Csr.values = a.Csr.values))
-    (bcsr_cases ())
-
-let test_bcsr_ops_bit_identical () =
-  List.iter
-    (fun (name, a) ->
-      let b = Bcsr.of_csr a in
-      let rows, cols = Csr.dims a in
-      let x = Array.init cols (fun i -> cos (float_of_int (3 * i))) in
-      let xt = Array.init rows (fun i -> sin (float_of_int (2 * i))) in
-      check_bool (name ^ ": mul_vec bit-identical") true
-        (Bcsr.mul_vec b x = Csr.mul_vec a x);
-      check_bool (name ^ ": tmul_vec bit-identical") true
-        (Bcsr.tmul_vec b xt = Csr.tmul_vec a xt);
-      let sc = Bcsr.to_csr (Bcsr.scale (-0.37) b) in
-      check_bool (name ^ ": scale bit-identical") true
-        (sc.Csr.values = (Csr.scale (-0.37) a).Csr.values);
-      let other =
-        Csr.of_dense
-          (Mat.init rows cols (fun i j ->
-               if (i + (2 * j)) mod 3 = 0 then float_of_int (j - i) /. 11.0
-               else 0.0))
-      in
-      let s_ref = Csr.add ~alpha:1.25 ~beta:(-2.0) a other in
-      let s_big =
-        Bcsr.to_csr (Bcsr.add ~alpha:1.25 ~beta:(-2.0) b (Bcsr.of_csr other))
-      in
-      check_bool (name ^ ": add pattern identical") true
-        (s_big.Csr.row_ptr = s_ref.Csr.row_ptr
-        && s_big.Csr.col_ind = s_ref.Csr.col_ind);
-      check_bool (name ^ ": add values bit-identical") true
-        (s_big.Csr.values = s_ref.Csr.values))
-    (bcsr_cases ())
-
-let test_bcsr_factor_agrees () =
-  let a = grid_pencil 4 4 2 in
-  let n, _ = Csr.dims a in
-  let f_arr = Slu.factor a in
-  let f_big = Slu.factor_b (Bcsr.of_csr a) in
-  let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
-  check_bool "bigarray-backed factor solves bit-identically" true
-    (Slu.solve f_big b = Slu.solve f_arr b)
-
 (* ---------- symmetric pruning of the reach DFS ---------- *)
 
 (* the second-order NA pencil of a power grid, as the engine builds it
@@ -783,12 +706,6 @@ let () =
           t "singular named under amd" test_refactor_singular_named;
           t "unstable + hinted fallback" test_refactor_unstable_and_hint_fallback;
           t "solve_many bit-identical" test_solve_many_matches_map;
-        ] );
-      ( "bcsr",
-        [
-          t "roundtrip" test_bcsr_roundtrip;
-          t "ops bit-identical" test_bcsr_ops_bit_identical;
-          t "factor agrees" test_bcsr_factor_agrees;
         ] );
       ( "pruning",
         [
