@@ -124,7 +124,8 @@ let window_arg =
      factorisation and state handoff across boundaries. Exact for \
      integer orders; fractional orders carry a history tail (see \
      $(b,--memory-len)). $(docv) ≥ the step count runs the ordinary \
-     global solve."
+     global solve. Other methods, the deprecated integral alias \
+     included, ignore it with a warning."
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"W" ~doc)
 
