@@ -101,8 +101,8 @@ let lgamma_abs g =
 
 (* E_{α,β}(z) by its power series with Kahan summation; the terms
    z^k / Γ(αk+β) are computed in log space to dodge overflow. The
-   series runs until its terms are negligible: a fixed cap truncated
-   E_{0.3}(4), whose terms peak near k ≈ |z|^{1/α}/α ≈ 340. *)
+   series runs until its terms are negligible, with no term cap: the
+   terms peak near k ≈ |z|^{1/α}/α, already ≈ 340 for E_{0.3}(4). *)
 let ml_series ~alpha ~beta z =
   let sum = ref 0.0 and comp = ref 0.0 in
   let add v =
@@ -143,8 +143,8 @@ let ml_series ~alpha ~beta z =
    like exp(cos(π/α)·|z|^{1/α}), which is not small for α near 2.
    The sum stops where the envelope Γ(1 − β + αk)/(π·|z|^k) of the
    terms (|1/Γ(g)| = |sin πg|·Γ(1−g)/π) starts to grow, not at the first
-   growing term: a term next to a pole of Γ is small, and stopping after
-   it threw the rest of the expansion away. *)
+   growing term: a term next to a pole of Γ is small, so the term after
+   it grows long before the expansion has converged. *)
 let ml_asymptotic ~alpha ~beta z =
   let residues =
     if alpha > 1.0 then begin

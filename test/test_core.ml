@@ -591,10 +591,8 @@ let test_integral_form_equals_differential () =
        (fun grid -> [ (grid, None); (grid, Some (Array.init 6 (fun i -> 0.3 *. float_of_int (i - 2)))) ])
        [ Grid.uniform ~t_end:3.0 ~m:32; Grid.adaptive [| 0.5; 0.2; 0.8; 0.1 |] ])
 
-(* The Legendre integral-form solver these two tests once reached is
-   gone: the Jacobi–Gauss spectral basis at its default a = b = 0 is
-   Legendre–Gauss collocation, and it serves the same smooth-input and
-   x₀ cases. *)
+(* Legendre–Gauss collocation — the spectral basis at its default
+   a = b = 0 — on a smooth input and on an x₀ discharge *)
 let test_legendre_solver_spectral () =
   (* smooth input: a handful of Legendre–Gauss nodes beats as many
      block pulses *)

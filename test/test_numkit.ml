@@ -658,11 +658,11 @@ let prop_ml_beta_recurrence =
     QCheck.(pair (float_range 0.3 1.8) (float_range (-4.0) 4.0))
     ml_beta_recurrence
 
-(* points of the recurrence's domain where it used to fail: the
-   asymptotic expansion stopping at a term next to a pole of Γ
-   (α ≈ 0.35–0.45, z just past the old series/asymptotic switch), the
-   series cancelling near that switch, and the series' term cap
-   truncating E_{0.3}(4) *)
+(* hard points of the recurrence's domain: negative z with
+   |z|^{1/α} ≈ 20, where the series cancels to ≈ 1e-6 and the
+   asymptotic expansion has terms next to poles of Γ (α ≈ 0.35–0.45),
+   and E_{0.3}(4), whose series needs ≈ 650 terms. (0.392016573032,
+   −3.070286756) failed a seeded run of the property. *)
 let test_ml_recurrence_fixed_points () =
   List.iter
     (fun (alpha, z) ->
