@@ -58,9 +58,8 @@ let fault_handoff () =
                | None -> "unknown");
            })
 
-(* per-term carried state of the general path: the ρ_α = ρ_n ⊛ ρ_β
-   split (see run_general below) plus the ring of transformed history
-   columns y_t *)
+(* per-term carried state: the ρ_α = ρ_n ⊛ ρ_β split (see [run]
+   below) plus the ring of transformed history columns y_t *)
 type term_state = {
   coeff : Csr.t;
   scale : float;  (** (2/h)^α *)
@@ -105,9 +104,9 @@ let pencil_of backend (sys : Multi_term.t) =
     (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
     @ [ sys.Multi_term.a ])
 
-(* The general path's within-window D blocks: the leading wlen×wlen
-   block of the global Toeplitz D^α, so each window's engine run can
-   take the FFT history path (gated on the global horizon [m]). *)
+(* The within-window D blocks: the leading wlen×wlen block of the
+   global Toeplitz D^α, so each window's engine run can take the FFT
+   history path (gated on the global horizon [m]). *)
 let window_history ~h ~m ~orders wlen = Engine.toeplitz ~orders ~step:h ~horizon:m wlen
 
 let orders_of (sys : Multi_term.t) =
@@ -116,9 +115,8 @@ let orders_of (sys : Multi_term.t) =
 let prefactor ctx pencil ~window:w ~grid (sys : Multi_term.t) =
   let m = Grid.size grid in
   let h = Grid.t_end grid /. float_of_int m in
-  ignore
-    (Engine.prepare ctx pencil (window_history ~h ~m ~orders:(orders_of sys) (min w m))
-      : Engine.plan)
+  let history = window_history ~h ~m ~orders:(orders_of sys) (min w m) in
+  ignore (Engine.prepare ctx pencil history : Engine.plan)
 
 let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     ?budget ?checkpoint ?checkpoint_every ?resume_from
@@ -341,7 +339,8 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
     | None -> ()
     | Some b -> Budget.check_deadline_now b ~site:"window.boundary"
   in
-  (* The tail of the Toeplitz history becomes a RHS correction. ρ_α factors as ρ_n ⊛ ρ_β (n = ⌊α⌋): because
+  (* The tail of the Toeplitz history becomes a RHS correction. ρ_α
+     factors as ρ_n ⊛ ρ_β (n = ⌊α⌋): because
      ((1−q)/(1+q))^n satisfies (1+q)^n·y = (1−q)^n·x, the integer
      factor is an order-n linear recurrence
 
