@@ -141,10 +141,11 @@ let ml_series ~alpha ~beta z =
    For 1 < α < 2 the Laplace-inversion integrand s^{α−β}/(s^α − z) has
    the two poles s = |z|^{1/α}·e^{±iπ/α}; their residues decay only
    like exp(cos(π/α)·|z|^{1/α}), which is not small for α near 2.
-   The sum stops where the envelope Γ(1 − β + αk)/(π·|z|^k) of the
-   terms (|1/Γ(g)| = |sin πg|·Γ(1−g)/π) starts to grow, not at the first
-   growing term: a term next to a pole of Γ is small, so the term after
-   it grows long before the expansion has converged. *)
+   Once β − αk < 0 the sum stops where the envelope
+   Γ(1 − β + αk)/(π·|z|^k) of the terms (|1/Γ(g)| = |sin πg|·Γ(1−g)/π)
+   starts to grow, not at the first growing term: a term next to a pole
+   of Γ is small, so the term after it grows long before the expansion
+   has converged. *)
 let ml_asymptotic ~alpha ~beta z =
   let residues =
     if alpha > 1.0 then begin
@@ -156,14 +157,19 @@ let ml_asymptotic ~alpha ~beta z =
     else 0.0
   in
   let sum = ref residues in
-  let envelope k = exp (lgamma (1.0 -. beta +. (alpha *. float_of_int k)) -. (float_of_int k *. log (Float.abs z))) in
-  let k = ref 1 in
-  while !k <= 50 && (!k = 1 || envelope !k <= envelope (!k - 1)) do
-    let g = beta -. (alpha *. float_of_int !k) in
-    let inv_gamma = if Float.is_integer g && g <= 0.0 then 0.0 else 1.0 /. gamma g in
-    sum := !sum -. (inv_gamma *. (z ** float_of_int (- !k)));
-    incr k
-  done;
+  let prev = ref infinity in
+  (try
+     for k = 1 to 50 do
+       let g = beta -. (alpha *. float_of_int k) in
+       if g < 0.0 then begin
+         let envelope = lgamma (1.0 -. g) -. (float_of_int k *. log (Float.abs z)) in
+         if envelope > !prev then raise Exit;
+         prev := envelope
+       end;
+       let inv_gamma = if Float.is_integer g && g <= 0.0 then 0.0 else 1.0 /. gamma g in
+       sum := !sum -. (inv_gamma *. (z ** float_of_int (-k)))
+     done
+   with Exit -> ());
   !sum
 
 (* E_{α,β}(z) for z < 0 and 0 < α < 1 as the inverse Laplace transform
