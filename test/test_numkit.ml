@@ -683,17 +683,18 @@ let test_ml_recurrence_fixed_points () =
    |z|^{1/α}·e^{±iπ/α}, which dominate as α → 2 *)
 let test_ml_reference_values () =
   List.iter
-    (fun (alpha, z, want, tol) ->
+    (fun (alpha, beta, z, want, tol) ->
       close
-        (Printf.sprintf "E_%g(%g)" alpha z)
+        (Printf.sprintf "E_%g,%g(%g)" alpha beta z)
         want
-        (Special.mittag_leffler ~alpha z)
+        (Special.mittag_leffler ~alpha ~beta z)
         ~tol:(tol *. Float.abs want))
     [
-      (0.35, -2.8667, 0.21207165026175294375, 1e-12);
-      (0.3, 4.0, 4.4100941505093522982e+44, 1e-12);
-      (1.9, -300.0, 0.070721670248504037951, 1e-8);
-      (1.5, -100.0, -0.0027898467733372399413, 1e-7);
+      (0.35, 1.0, -2.8667, 0.21207165026175294375, 1e-12);
+      (0.3, 1.0, 4.0, 4.4100941505093522982e+44, 1e-12);
+      (1.9, 1.0, -300.0, 0.070721670248504037951, 1e-8);
+      (1.5, 1.0, -100.0, -0.0027898467733372399413, 1e-7);
+      (1.5, 3.0, -500.0, 0.0022567617187959441591, 1e-12);
     ]
 
 let () =
