@@ -198,8 +198,8 @@ val basis : t -> basis
 
 (** {2 Shared OPM helpers}
 
-    Implementation home of helpers re-exported by {!Opm} (this module
-    sits below it in the dependency order). *)
+    The input projection {!Opm} re-exports (this module sits below it in
+    the dependency order) and the forcing matrix every query builds. *)
 
 val input_coefficients : grid:Grid.t -> Source.t array -> Mat.t
 
