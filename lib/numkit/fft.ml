@@ -1,44 +1,122 @@
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-(* iterative radix-2 Cooley–Tukey with bit-reversal permutation;
-   sign = -1 for the forward transform, +1 for the inverse (unnormalised) *)
-let radix2 sign x =
-  let n = Array.length x in
-  let y = Array.copy x in
-  (* bit-reversal permutation *)
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      let tmp = y.(i) in
-      y.(i) <- y.(!j);
-      y.(!j) <- tmp
-    end;
-    let m = ref (n lsr 1) in
-    while !m >= 1 && !j land !m <> 0 do
-      j := !j lxor !m;
-      m := !m lsr 1
+let next_power_of_two n =
+  let rec go p = if p >= n then p else go (p * 2) in
+  go 1
+
+(* ------------------------------------------------------------------ *)
+(* Split-format radix-2 kernels.
+
+   One transform pair on separate re/im float arrays (flat, unboxed:
+   boxed Complex.t records cost an allocation per butterfly):
+
+   - [forward] is decimation in frequency: natural order in,
+     bit-reversed order out;
+   - [inverse] is decimation in time: bit-reversed order in, natural
+     order out, unnormalised.
+
+   A convolution multiplies two spectra pointwise, so it never needs
+   the natural order in between: forward, multiply, inverse, with no
+   bit-reversal pass at all.
+
+   Both read their twiddles from a table: entry [h + j] is
+   e^{−2πi·j/(2h)} for each half-size h = 1, 2, 4, … and 0 ≤ j < h, so
+   the stage of half-size h reads the contiguous slice [h, 2h). A table
+   built for size n serves every power-of-two size up to n. *)
+
+type twiddles = { wr : float array; wi : float array }
+
+let twiddles n =
+  let size = max n 1 in
+  let wr = Array.make size 1.0 and wi = Array.make size 0.0 in
+  let h = ref 1 in
+  while !h < n do
+    for j = 0 to !h - 1 do
+      let ang = -.Float.pi *. float_of_int j /. float_of_int !h in
+      wr.(!h + j) <- cos ang;
+      wi.(!h + j) <- sin ang
     done;
-    j := !j lor !m
+    h := 2 * !h
   done;
-  let len = ref 2 in
-  while !len <= n do
-    let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
-    let wlen = { Complex.re = cos ang; im = sin ang } in
+  { wr; wi }
+
+(* the first [n] entries of [re]/[im] (n a power of two ≤ the table's
+   size), in place *)
+let forward tw re im n =
+  let wr = tw.wr and wi = tw.wi in
+  let h = ref (n lsr 1) in
+  while !h >= 1 do
+    let h' = !h in
     let i = ref 0 in
     while !i < n do
-      let w = ref Complex.one in
-      for k = 0 to (!len / 2) - 1 do
-        let u = y.(!i + k) in
-        let v = Complex.mul y.(!i + k + (!len / 2)) !w in
-        y.(!i + k) <- Complex.add u v;
-        y.(!i + k + (!len / 2)) <- Complex.sub u v;
-        w := Complex.mul !w wlen
+      for j = 0 to h' - 1 do
+        let a = !i + j in
+        let b = a + h' in
+        let ur = Array.unsafe_get re a and ui = Array.unsafe_get im a in
+        let vr = Array.unsafe_get re b and vi = Array.unsafe_get im b in
+        let dr = ur -. vr and di = ui -. vi in
+        let cr = Array.unsafe_get wr (h' + j) and ci = Array.unsafe_get wi (h' + j) in
+        Array.unsafe_set re a (ur +. vr);
+        Array.unsafe_set im a (ui +. vi);
+        Array.unsafe_set re b ((dr *. cr) -. (di *. ci));
+        Array.unsafe_set im b ((dr *. ci) +. (di *. cr))
       done;
-      i := !i + !len
+      i := !i + (2 * h')
     done;
-    len := !len lsl 1
+    h := h' lsr 1
+  done
+
+let inverse tw re im n =
+  let wr = tw.wr and wi = tw.wi in
+  let h = ref 1 in
+  while !h < n do
+    let h' = !h in
+    let i = ref 0 in
+    while !i < n do
+      for j = 0 to h' - 1 do
+        let a = !i + j in
+        let b = a + h' in
+        (* the conjugate twiddle *)
+        let cr = Array.unsafe_get wr (h' + j) and ci = Array.unsafe_get wi (h' + j) in
+        let xr = Array.unsafe_get re b and xi = Array.unsafe_get im b in
+        let vr = (xr *. cr) +. (xi *. ci) and vi = (xi *. cr) -. (xr *. ci) in
+        let ur = Array.unsafe_get re a and ui = Array.unsafe_get im a in
+        Array.unsafe_set re a (ur +. vr);
+        Array.unsafe_set im a (ui +. vi);
+        Array.unsafe_set re b (ur -. vr);
+        Array.unsafe_set im b (ui -. vi)
+      done;
+      i := !i + (2 * h')
+    done;
+    h := 2 * h'
+  done
+
+(* bit-reversed index of [i] among [n] (a power of two) *)
+let bit_reverse n i =
+  let r = ref 0 and i = ref i and k = ref (n lsr 1) in
+  while !k > 0 do
+    r := (!r lsl 1) lor (!i land 1);
+    i := !i lsr 1;
+    k := !k lsr 1
   done;
-  y
+  !r
+
+(* ------------------------------------------------------------------ *)
+(* Complex.t entry points, for the spectrum and frequency-domain
+   callers *)
+
+let split x =
+  (Array.map (fun c -> c.Complex.re) x, Array.map (fun c -> c.Complex.im) x)
+
+(* power-of-two length: the forward kernel behind one natural-order
+   permutation *)
+let radix2 x =
+  let n = Array.length x in
+  let re, im = split x in
+  forward (twiddles n) re im n;
+  Array.init n (fun k ->
+      let s = bit_reverse n k in
+      { Complex.re = re.(s); im = im.(s) })
 
 let dft_naive x =
   let n = Array.length x in
@@ -50,12 +128,9 @@ let dft_naive x =
       done;
       !s)
 
-let next_power_of_two n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 (* Bluestein's algorithm: a DFT of arbitrary length N as a circular
-   convolution of length >= 2N-1, performed with the radix-2 FFT *)
+   convolution of length >= 2N-1, performed with the radix-2 pair (a
+   convolution, so no permutation) *)
 let bluestein x =
   let n = Array.length x in
   let m = next_power_of_two ((2 * n) - 1) in
@@ -65,30 +140,40 @@ let bluestein x =
     let ang = -.Float.pi *. float_of_int k2 /. float_of_int n in
     { Complex.re = cos ang; im = sin ang }
   in
-  let a = Array.make m Complex.zero in
+  let ar = Array.make m 0.0 and ai = Array.make m 0.0 in
   for k = 0 to n - 1 do
-    a.(k) <- Complex.mul x.(k) (chirp k)
+    let c = Complex.mul x.(k) (chirp k) in
+    ar.(k) <- c.Complex.re;
+    ai.(k) <- c.Complex.im
   done;
-  let b = Array.make m Complex.zero in
-  b.(0) <- Complex.conj (chirp 0);
+  let br = Array.make m 0.0 and bi = Array.make m 0.0 in
+  let set k (c : Complex.t) =
+    br.(k) <- c.re;
+    bi.(k) <- -.c.im
+  in
+  set 0 (chirp 0);
   for k = 1 to n - 1 do
-    let c = Complex.conj (chirp k) in
-    b.(k) <- c;
-    b.(m - k) <- c
+    set k (chirp k);
+    set (m - k) (chirp k)
   done;
-  let fa = radix2 (-1.0) a and fb = radix2 (-1.0) b in
-  let prod = Array.init m (fun i -> Complex.mul fa.(i) fb.(i)) in
-  let conv = radix2 1.0 prod in
+  let tw = twiddles m in
+  forward tw ar ai m;
+  forward tw br bi m;
+  for i = 0 to m - 1 do
+    let r = (ar.(i) *. br.(i)) -. (ai.(i) *. bi.(i)) in
+    ai.(i) <- (ar.(i) *. bi.(i)) +. (ai.(i) *. br.(i));
+    ar.(i) <- r
+  done;
+  inverse tw ar ai m;
   let scale = 1.0 /. float_of_int m in
   Array.init n (fun k ->
-      Complex.mul (chirp k)
-        { Complex.re = conv.(k).Complex.re *. scale; im = conv.(k).Complex.im *. scale })
+      Complex.mul (chirp k) { Complex.re = ar.(k) *. scale; im = ai.(k) *. scale })
 
 let fft x =
   let n = Array.length x in
   if n = 0 then invalid_arg "Fft.fft: empty input";
   if n = 1 then Array.copy x
-  else if is_power_of_two n then radix2 (-1.0) x
+  else if is_power_of_two n then radix2 x
   else bluestein x
 
 let ifft x =
@@ -102,68 +187,32 @@ let ifft x =
 let fft_real x = fft (Array.map (fun re -> { Complex.re; im = 0.0 }) x)
 
 (* ------------------------------------------------------------------ *)
-(* Split-format real convolution kernels.
+(* Real convolution *)
 
-   The Complex-based entry points above serve the spectrum /
-   frequency-domain callers; the convolution engine below runs inside
-   the per-column solver hot path, where an array of boxed Complex.t
-   records costs an allocation per butterfly. These kernels work in
-   place on separate re/im float arrays (flat, unboxed) instead. *)
-
-let radix2_split sign re im =
-  let n = Array.length re in
-  if Array.length im <> n then invalid_arg "Fft.radix2_split: length mismatch";
-  (* bit-reversal permutation *)
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      let t = re.(i) in
-      re.(i) <- re.(!j);
-      re.(!j) <- t;
-      let t = im.(i) in
-      im.(i) <- im.(!j);
-      im.(!j) <- t
-    end;
-    let m = ref (n lsr 1) in
-    while !m >= 1 && !j land !m <> 0 do
-      j := !j lxor !m;
-      m := !m lsr 1
-    done;
-    j := !j lor !m
-  done;
-  let len = ref 2 in
-  while !len <= n do
-    let half = !len lsr 1 in
-    let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
-    let wr = cos ang and wi = sin ang in
-    let i = ref 0 in
-    while !i < n do
-      let cr = ref 1.0 and ci = ref 0.0 in
-      for k = !i to !i + half - 1 do
-        let ur = Array.unsafe_get re k and ui = Array.unsafe_get im k in
-        let xr = Array.unsafe_get re (k + half) and xi = Array.unsafe_get im (k + half) in
-        let vr = (xr *. !cr) -. (xi *. !ci) in
-        let vi = (xr *. !ci) +. (xi *. !cr) in
-        Array.unsafe_set re k (ur +. vr);
-        Array.unsafe_set im k (ui +. vi);
-        Array.unsafe_set re (k + half) (ur -. vr);
-        Array.unsafe_set im (k + half) (ui -. vi);
-        let nr = (!cr *. wr) -. (!ci *. wi) in
-        ci := (!cr *. wi) +. (!ci *. wr);
-        cr := nr
-      done;
-      i := !i + !len
-    done;
-    len := !len lsl 1
-  done
-
-(* DFT of a real kernel zero-padded to [size] (power of two), split
-   format *)
-let kernel_spectrum kernel size =
+(* Spectrum, in transform (bit-reversed) order and pre-scaled by 1/size,
+   of a real kernel's slice [lo, hi) zero-padded to [size]: multiplying
+   by it and running [inverse] gives the normalised convolution. The
+   scale is a power of two, so pre-scaling rounds exactly as scaling
+   the output would. *)
+let kernel_spectrum tw kernel ~lo ~hi size =
   let kr = Array.make size 0.0 and ki = Array.make size 0.0 in
-  Array.blit kernel 0 kr 0 (min (Array.length kernel) size);
-  radix2_split (-1.0) kr ki;
+  Array.blit kernel lo kr 0 (hi - lo);
+  forward tw kr ki size;
+  let scale = 1.0 /. float_of_int size in
+  for u = 0 to size - 1 do
+    kr.(u) <- kr.(u) *. scale;
+    ki.(u) <- ki.(u) *. scale
+  done;
   (kr, ki)
+
+(* (zr, zi)·(kr, ki) into (wr, wi), over the first [size] entries *)
+let mul_spectra ~zr ~zi ~kr ~ki ~wr ~wi size =
+  for u = 0 to size - 1 do
+    let ar = Array.unsafe_get zr u and ai = Array.unsafe_get zi u in
+    let br = Array.unsafe_get kr u and bi = Array.unsafe_get ki u in
+    Array.unsafe_set wr u ((ar *. br) -. (ai *. bi));
+    Array.unsafe_set wi u ((ar *. bi) +. (ai *. br))
+  done
 
 let conv_real_many xs kernel =
   let rows = Array.length xs in
@@ -180,9 +229,10 @@ let conv_real_many xs kernel =
     else begin
       let n = lx + lk - 1 in
       let size = next_power_of_two n in
-      let kr, ki = kernel_spectrum kernel size in
+      let tw = twiddles size in
+      let kr, ki = kernel_spectrum tw kernel ~lo:0 ~hi:lk size in
       let out = Array.make rows [||] in
-      let scale = 1.0 /. float_of_int size in
+      let zr = Array.make size 0.0 and zi = Array.make size 0.0 in
       (* two rows per transform: for a real kernel,
          (a + ib) ⊛ k = (a ⊛ k) + i·(b ⊛ k), so the re channel carries
          row 2p and the im channel row 2p+1 through one forward and one
@@ -190,19 +240,15 @@ let conv_real_many xs kernel =
       for p = 0 to ((rows + 1) / 2) - 1 do
         let r0 = 2 * p in
         let r1 = r0 + 1 in
-        let zr = Array.make size 0.0 and zi = Array.make size 0.0 in
+        Array.fill zr lx (size - lx) 0.0;
+        Array.fill zi 0 size 0.0;
         Array.blit xs.(r0) 0 zr 0 lx;
         if r1 < rows then Array.blit xs.(r1) 0 zi 0 lx;
-        radix2_split (-1.0) zr zi;
-        for t = 0 to size - 1 do
-          let vr = (zr.(t) *. kr.(t)) -. (zi.(t) *. ki.(t)) in
-          let vi = (zr.(t) *. ki.(t)) +. (zi.(t) *. kr.(t)) in
-          zr.(t) <- vr;
-          zi.(t) <- vi
-        done;
-        radix2_split 1.0 zr zi;
-        out.(r0) <- Array.init n (fun t -> zr.(t) *. scale);
-        if r1 < rows then out.(r1) <- Array.init n (fun t -> zi.(t) *. scale)
+        forward tw zr zi size;
+        mul_spectra ~zr ~zi ~kr ~ki ~wr:zr ~wi:zi size;
+        inverse tw zr zi size;
+        out.(r0) <- Array.sub zr 0 n;
+        if r1 < rows then out.(r1) <- Array.sub zi 0 n
       done;
       out
     end
@@ -240,22 +286,31 @@ module Blocked_conv = struct
     base : int;  (** naive-tail width; power of two *)
     m : int;  (** horizon (column count) *)
     kernels : float array array;  (** per-term lag coefficients; index = lag *)
+    tw : twiddles;  (** sized for the largest level; serves every level *)
     khat : (float array * float array) option array array;
-        (** [khat.(lvl).(k)]: split DFT (length 2B) of kernel [k]'s lag
-            slice [[B, min(2B, lags))]; [None] when the slice is empty *)
+        (** [khat.(lvl).(k)]: spectrum (length 2B, transform order,
+            pre-scaled by 1/2B) of kernel [k]'s lag slice
+            [[B, min(2B, lags))]; [None] when the slice is empty *)
     nlevels : int;
   }
 
   type t = {
     sp : spectra;
-    rows : int;  (** state dimension *)
+    rows : int;
     cols : float array array;  (** rows × m pushed values *)
     acc : float array array array;  (** term × row × column contributions *)
+    zr : float array;  (** scratch: a row pair's block spectrum *)
+    zi : float array;
+    wr : float array;  (** scratch: its product with one kernel *)
+    wi : float array;
     mutable pushed : int;
     mutable blocks : int;  (** FFT block convolutions performed (obs) *)
   }
 
   let default_base = 32
+
+  (* the transform size of the top level, 0 without levels *)
+  let top_size sp = if sp.nlevels = 0 then 0 else 2 * (sp.base lsl (sp.nlevels - 1))
 
   let spectra ?(base = default_base) ~kernels ~m () =
     if base < 2 || not (is_power_of_two base) then
@@ -267,31 +322,30 @@ module Blocked_conv = struct
       let rec go l = if base lsl l < m then go (l + 1) else l in
       go 0
     in
+    let tw = twiddles (if nlevels = 0 then 1 else 2 * (base lsl (nlevels - 1))) in
     let khat =
       Array.init nlevels (fun lvl ->
           let b = base lsl lvl in
           Array.map
             (fun kernel ->
               let hi = min (2 * b) (Array.length kernel) in
-              if hi <= b then None
-              else begin
-                let kr = Array.make (2 * b) 0.0 in
-                let ki = Array.make (2 * b) 0.0 in
-                Array.blit kernel b kr 0 (hi - b);
-                radix2_split (-1.0) kr ki;
-                Some (kr, ki)
-              end)
+              if hi <= b then None else Some (kernel_spectrum tw kernel ~lo:b ~hi (2 * b)))
             kernels)
     in
-    { base; m; kernels; khat; nlevels }
+    { base; m; kernels; tw; khat; nlevels }
 
   let create sp ~rows =
     if rows < 1 then invalid_arg "Fft.Blocked_conv.create: rows < 1";
+    let scratch () = Array.make (top_size sp) 0.0 in
     {
       sp;
       rows;
       cols = Array.make_matrix rows sp.m 0.0;
       acc = Array.init (Array.length sp.kernels) (fun _ -> Array.make_matrix rows sp.m 0.0);
+      zr = scratch ();
+      zi = scratch ();
+      wr = scratch ();
+      wi = scratch ();
       pushed = 0;
       blocks = 0;
     }
@@ -300,52 +354,43 @@ module Blocked_conv = struct
 
   let blocks t = t.blocks
 
+  (* acc.(p + d) += w.(d), d < hi *)
+  let add_into acc w p hi =
+    for d = 0 to hi - 1 do
+      Array.unsafe_set acc (p + d) (Array.unsafe_get acc (p + d) +. Array.unsafe_get w d)
+    done
+
   (* one finished block at level [lvl] ending at column [p] *)
   let flush_block t lvl p =
     let sp = t.sp in
     let b = sp.base lsl lvl in
     let b2 = 2 * b in
-    let nterms = Array.length sp.kernels in
-    let scale = 1.0 /. float_of_int b2 in
+    let khat = sp.khat.(lvl) in
+    let { zr; zi; wr; wi; _ } = t in
     (* target columns p+d, d ∈ [0, 2B−1) ∩ [0, m−p) *)
     let hi = min (b2 - 1) (sp.m - p) in
-    if hi > 0 && Array.exists Option.is_some sp.khat.(lvl) then begin
-      let pair pr =
-        let r0 = 2 * pr in
-        let r1 = r0 + 1 in
-        let zr = Array.make b2 0.0 and zi = Array.make b2 0.0 in
-        Array.blit t.cols.(r0) (p - b) zr 0 b;
-        if r1 < t.rows then Array.blit t.cols.(r1) (p - b) zi 0 b;
-        radix2_split (-1.0) zr zi;
-        for k = 0 to nterms - 1 do
-          match sp.khat.(lvl).(k) with
-          | None -> ()
-          | Some (kr, ki) ->
-              let wr = Array.make b2 0.0 and wi = Array.make b2 0.0 in
-              for u = 0 to b2 - 1 do
-                let ar = Array.unsafe_get zr u and ai = Array.unsafe_get zi u in
-                let br = Array.unsafe_get kr u and bi = Array.unsafe_get ki u in
-                Array.unsafe_set wr u ((ar *. br) -. (ai *. bi));
-                Array.unsafe_set wi u ((ar *. bi) +. (ai *. br))
-              done;
-              radix2_split 1.0 wr wi;
-              let a0 = t.acc.(k).(r0) in
-              for d = 0 to hi - 1 do
-                a0.(p + d) <- a0.(p + d) +. (wr.(d) *. scale)
-              done;
-              if r1 < t.rows then begin
-                let a1 = t.acc.(k).(r1) in
-                for d = 0 to hi - 1 do
-                  a1.(p + d) <- a1.(p + d) +. (wi.(d) *. scale)
-                done
-              end
-        done
-      in
+    if hi > 0 && Array.exists Option.is_some khat then begin
       (* serial: a horizon flushes hundreds of mostly small blocks, and
          handing each to the domain pool made a solve's wall time swing
          by up to a third between runs whenever the other core was busy *)
       for pr = 0 to ((t.rows + 1) / 2) - 1 do
-        pair pr
+        let r0 = 2 * pr in
+        let r1 = r0 + 1 in
+        Array.blit t.cols.(r0) (p - b) zr 0 b;
+        Array.fill zr b b 0.0;
+        if r1 < t.rows then Array.blit t.cols.(r1) (p - b) zi 0 b
+        else Array.fill zi 0 b 0.0;
+        Array.fill zi b b 0.0;
+        forward sp.tw zr zi b2;
+        for k = 0 to Array.length khat - 1 do
+          match khat.(k) with
+          | None -> ()
+          | Some (kr, ki) ->
+              mul_spectra ~zr ~zi ~kr ~ki ~wr ~wi b2;
+              inverse sp.tw wr wi b2;
+              add_into t.acc.(k).(r0) wr p hi;
+              if r1 < t.rows then add_into t.acc.(k).(r1) wi p hi
+        done
       done;
       t.blocks <- t.blocks + 1
     end
