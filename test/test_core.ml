@@ -937,9 +937,9 @@ let frozen_digests =
     ( (`Dense : Opm.backend),
       [
           ("general naive", "a7e37297c82ef49f");
-          ("general fft", "00dab45c5fc90bcf");
+          ("general fft", "d4a62739398f0d22");
           ("two-term", "a7ccc61ed8bc9b10");
-          ("multi-term fft", "2bbb4e33b9aa48ae");
+          ("multi-term fft", "206abd7f24c502ea");
           ("general adaptive", "6fd129340adba265");
           ("order-1 uniform", "be73f1f2650cfae2");
           ("order-1 adaptive", "71a55382c072ce4f");
@@ -951,9 +951,9 @@ let frozen_digests =
     ( `Sparse,
       [
           ("general naive", "0ffa3108cbdbed8e");
-          ("general fft", "e532b56e4e94fa7b");
+          ("general fft", "3a8bb2e705b62f1a");
           ("two-term", "0a598582f97b55c3");
-          ("multi-term fft", "634c723264340109");
+          ("multi-term fft", "d34dbac9949ac5b7");
           ("general adaptive", "f79c3fe9e2e8daf2");
           ("order-1 uniform", "262d649541f9da67");
           ("order-1 adaptive", "ddc6f412fa7e8da0");
