@@ -512,8 +512,9 @@ type banded = {
          fractional one: the E_k coefficients of M_l *)
   frac : int array;  (* the term of each fractional kernel *)
   kernels : Vec.t array;  (* κ of each fractional term, one weight per column *)
-  lags : (pencil * ops) option Atomic.t;
-      (* M_1 … M_N of the pencil last prepared against *)
+  lags : (pencil * ops * int array) option Atomic.t;
+      (* M_1 … M_N of the pencil last prepared against, and the support
+         of its fractional terms *)
   spectra : Fft.Blocked_conv.spectra option Atomic.t;
       (* the kernels' FFT spectra, once a prepare takes the FFT path.
          Both are built by the first prepare (a compiled model's
@@ -619,11 +620,31 @@ let column_key history i =
   | Triangular { d; orders } -> orders @ List.init (Array.length d) (fun k -> Mat.get d.(k) i i)
   | Alternating steps -> [ 1.0; steps.(i) ]
 
+(* The support of a banded history's fractional terms: the state
+   columns, ascending, where some fractional E_k has a nonzero. The
+   fractional history of a state outside it is multiplied by zero
+   only, so the convolver never needs it. *)
+let frac_support pencil b =
+  let seen = Array.make pencil.n false in
+  Array.iter
+    (fun k ->
+      match pencil.ops with
+      | Dense_ops ms ->
+          let e = ms.(k) in
+          for r = 0 to pencil.n - 1 do
+            for c = 0 to pencil.n - 1 do
+              if Mat.get e r c <> 0.0 then seen.(c) <- true
+            done
+          done
+      | Sparse_ops ms -> Csr.iter (fun _ c v -> if v <> 0.0 then seen.(c) <- true) ms.(k))
+    b.frac;
+  Array.of_list (List.filter (fun c -> seen.(c)) (List.init pencil.n Fun.id))
+
 (* M_1 … M_N of a banded history, assembled as [factor] assembles its
-   blocks *)
+   blocks, and its fractional support *)
 let lag_ops pencil b =
   match Atomic.get b.lags with
-  | Some (p, ops) when p == pencil -> ops
+  | Some (p, ops, support) when p == pencil -> (ops, support)
   | Some _ | None ->
       let coeffs l = Array.append b.band.(l) [| -.b.binom.(l + 1) |] in
       let lags = Array.length b.band in
@@ -632,8 +653,9 @@ let lag_ops pencil b =
         | Dense_ops ms -> Dense_ops (Array.init lags (fun l -> dense_sum ms (coeffs l)))
         | Sparse_ops ms -> Sparse_ops (Array.init lags (fun l -> sparse_sum ms (coeffs l)))
       in
-      Atomic.set b.lags (Some (pencil, ops));
-      ops
+      let support = frac_support pencil b in
+      Atomic.set b.lags (Some (pencil, ops, support));
+      (ops, support)
 
 (* Below this horizon length the naive scan wins (or ties within
    noise): the convolver's first dyadic levels are many tiny FFTs whose
@@ -641,8 +663,9 @@ let lag_ops pencil b =
    Table I kernel the crossover sits between m = 128 and m = 256. *)
 let fft_rhs_min_m = 256
 
-(* The FFT gate of the differential history: a uniform grid with at
-   least one fractional kernel. Every κ_k decays, so blockwise FFT
+(* The FFT gate of the differential history's fractional kernels, on
+   a uniform grid (the caller has checked that some fractional E_k is
+   nonzero). Every κ_k decays, so blockwise FFT
    reassociation keeps the conv/naive agreement within the ≤ 1e-10
    contract for every order. The gate compares the global [horizon],
    not the local column count: a windowed caller hands the engine
@@ -650,19 +673,31 @@ let fft_rhs_min_m = 256
    horizon solved in 64-column windows on the naive scan forever,
    although the workload as a whole amortises the FFT setup many times
    over. *)
-let toeplitz_spectra ~m = function
-  | Banded b
-    when Array.length b.frac > 0
-         && m > 1
-         && max m b.horizon >= fft_rhs_min_m
-         && fft_rhs_enabled () -> (
-      match Atomic.get b.spectra with
-      | Some sp -> Some sp
-      | None ->
-          let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
-          Atomic.set b.spectra (Some sp);
-          Some sp)
-  | Banded _ | Triangular _ | Alternating _ -> None
+let toeplitz_spectra ~m b =
+  if m > 1 && max m b.horizon >= fft_rhs_min_m && fft_rhs_enabled () then
+    match Atomic.get b.spectra with
+    | Some sp -> Some sp
+    | None ->
+        let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
+        Atomic.set b.spectra (Some sp);
+        Some sp
+  else None
+
+(* How a banded history sums its fractional terms. An empty support
+   (no fractional term, or every fractional E_k zero) sums nothing:
+   E_k·h is zero for any history h. *)
+type fractional =
+  | No_fractional
+  | Naive_scan
+  | Fft_conv of Fft.Blocked_conv.spectra * int array
+      (* the kernels' spectra and the support rows the convolver keeps *)
+
+let fractional ~m b support =
+  if Array.length support = 0 then No_fractional
+  else
+    match toeplitz_spectra ~m b with
+    | Some sp -> Fft_conv (sp, support)
+    | None -> Naive_scan
 
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
@@ -685,7 +720,7 @@ type plan = {
   key0 : float list;
   block0 : block;
   lags : ops;  (* a banded history's M_1 … M_N *)
-  spectra : Fft.Blocked_conv.spectra option;  (* the fractional kernels', when gated in *)
+  fractional : fractional;  (* and how it sums its fractional terms *)
   mutable hits : int;  (* this plan's cache lookups: hits and misses *)
   mutable misses : int;
 }
@@ -709,12 +744,13 @@ let prepare ctx pencil history =
         factor ?health:ctx.health ?budget:ctx.budget pencil ~column:0
           (column_coeffs history 0))
   in
-  let lags =
+  let lags, fractional =
     match history with
-    | Banded b -> lag_ops pencil b
-    | Triangular _ | Alternating _ -> Dense_ops [||]
+    | Banded b ->
+        let lags, support = lag_ops pencil b in
+        (lags, fractional ~m b support)
+    | Triangular _ | Alternating _ -> (Dense_ops [||], No_fractional)
   in
-  let spectra = toeplitz_spectra ~m history in
   {
     ctx;
     pencil;
@@ -725,7 +761,7 @@ let prepare ctx pencil history =
     key0;
     block0;
     lags;
-    spectra;
+    fractional;
     hits = Bool.to_int hit;
     misses = Bool.to_int (not hit);
   }
@@ -777,8 +813,13 @@ let column_history p bu =
   match p.history with
   | Banded b ->
       let lags = Array.length b.band and nk = Array.length b.frac in
-      let conv = Option.map (fun sp -> Fft.Blocked_conv.create sp ~rows:n) p.spectra in
-      let naive = nk > 0 && conv = None in
+      let conv =
+        match p.fractional with
+        | Fft_conv (sp, support) ->
+            Some (Fft.Blocked_conv.create sp ~rows:(Array.length support), support)
+        | Naive_scan | No_fractional -> None
+      in
+      let naive = match p.fractional with Naive_scan -> true | No_fractional | Fft_conv _ -> false in
       (* column j at slot j mod keep *)
       let keep = if naive then p.m else max lags 1 in
       let cols = Array.make keep [||] in
@@ -796,15 +837,16 @@ let column_history p bu =
           Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.((i - l) mod keep)) rhs
         done;
         (match conv with
-        | Some cv ->
+        | Some (cv, support) ->
             if i > 0 then begin
               let poison = fault_fft_block () in
               for f = 0 to nk - 1 do
-                let hist = Fft.Blocked_conv.history cv ~term:f i in
-                (* [history] returns a fresh vector, so poisoning it
-                   never touches the convolver's internal state *)
-                if poison && f = 0 && Array.length hist > 0 then
-                  hist.(0) <- Float.nan;
+                let rows = Fft.Blocked_conv.history cv ~term:f i in
+                let hist = Array.make n 0.0 in
+                Array.iteri (fun j s -> hist.(s) <- rows.(j)) support;
+                (* [hist] is a fresh vector, so poisoning it never
+                   touches the convolver's internal state *)
+                if poison && f = 0 then hist.(0) <- Float.nan;
                 Vec.axpy (-1.0) (apply p.pencil b.frac.(f) hist) rhs
               done
             end
@@ -817,11 +859,13 @@ let column_history p bu =
       in
       let push i xi =
         cols.(i mod keep) <- xi;
-        Option.iter (fun cv -> Fft.Blocked_conv.push cv xi) conv
+        Option.iter
+          (fun (cv, support) -> Fft.Blocked_conv.push cv (Array.map (fun s -> xi.(s)) support))
+          conv
       in
       let finish () =
         match conv with
-        | Some cv -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
+        | Some (cv, _) -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
         | None -> if naive then Metrics.incr ~by:p.m m_rhsconv_naive
       in
       (rhs, push, finish)

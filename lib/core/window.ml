@@ -62,6 +62,7 @@ let fault_handoff () =
    below) plus the ring of transformed history columns y_t *)
 type term_state = {
   coeff : Csr.t;
+  support : int array;  (** the columns where [coeff] has a nonzero, ascending *)
   scale : float;  (** (2/h)^α *)
   n_int : int;  (** ⌊α⌋ *)
   beta : float;  (** α − ⌊α⌋ *)
@@ -370,8 +371,11 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
              exact carried state — and, for a ρ_β tail, the last k_eff
              transformed columns *)
           let yr = max (if beta = 0.0 then n_int else max k_eff n_int) 1 in
+          let seen = Array.make n false in
+          Csr.iter (fun _ c v -> if v <> 0.0 then seen.(c) <- true) coeff;
           {
             coeff;
+            support = Array.of_list (List.filter (fun c -> seen.(c)) (List.init n Fun.id));
             scale = (2.0 /. h) ** alpha;
             n_int;
             beta;
@@ -472,9 +476,10 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
                    the convolution of the ring contents y[j0, s) with
                    the ρ_β prefix. Above a flop threshold (naive is
                    wlen·p_len axpys per row vs two length-fsize
-                   transforms) it goes through the shared FFT kernels;
-                   the in-window part (at most wlen lags) stays naive
-                   either way *)
+                   transforms) it goes through the shared FFT kernels,
+                   for the support rows only: coeff multiplies the
+                   other rows of v by zero. The in-window part (at
+                   most wlen lags) stays naive either way *)
                 let p_len = s - j0 in
                 let pre =
                   if ti.beta = 0.0 || p_len = 0 then None
@@ -489,9 +494,11 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
                       in
                       let kernel = Array.sub ti.rho_beta 0 klen in
                       let ys =
-                        Array.init n (fun r ->
+                        Array.map
+                          (fun r ->
                             Array.init p_len (fun a ->
                                 ti.yring.((j0 + a) mod ti.yr).(r)))
+                          ti.support
                       in
                       Some (Fft.conv_real_many ys kernel)
                     end
@@ -506,11 +513,12 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
                      match pre with
                      | Some cv ->
                          let idx = p_len + l in
-                         for r = 0 to n - 1 do
-                           let c = cv.(r) in
-                           if idx < Array.length c then
-                             v.(r) <- ti.scale *. c.(idx)
-                         done;
+                         Array.iteri
+                           (fun j r ->
+                             let c = cv.(j) in
+                             if idx < Array.length c then
+                               v.(r) <- ti.scale *. c.(idx))
+                           ti.support;
                          for tt = s to t do
                            let c = ti.scale *. ti.rho_beta.(t - tt) in
                            if c <> 0.0 then Vec.axpy c u.(tt - s) v
