@@ -991,6 +991,60 @@ let test_frozen_bits () =
     Alcotest.failf "%d route(s) moved:\n  %s" (List.length mismatches)
       (String.concat "\n  " mismatches)
 
+(* ---------- fractional support ---------- *)
+
+(* [e] with every column outside [cols] zeroed: a fractional term that
+   reads only those states *)
+let restrict_cols e cols =
+  Csr.of_dense (Mat.init 6 6 (fun r c -> if List.mem c cols then Csr.get e r c else 0.0))
+
+(* The FFT history convolves only the states some fractional E_k reads.
+   With that support a strict, odd-sized subset of the states (the last
+   row of the convolver unpaired), or empty (no convolver at all), the
+   FFT history must agree with the naive scan over every state. *)
+let test_fractional_support () =
+  let sys = Descriptor.random_stable ~seed:31 ~n:6 ~p:1 ~q:1 () in
+  let src =
+    [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.3; offset = 0.2 } |]
+  in
+  let grid = Grid.uniform ~t_end:3.0 ~m:512 in
+  let metrics_were = Opm_obs.Metrics.enabled () and fft_was = Engine.fft_rhs_enabled () in
+  Opm_obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_fft_rhs_enabled fft_was;
+      Opm_obs.Metrics.reset ();
+      Opm_obs.Metrics.set_enabled metrics_were)
+  @@ fun () ->
+  let counter name = Opm_obs.Metrics.(counter_value (counter name)) in
+  List.iter
+    (fun (name, e_frac, fft_blocks) ->
+      List.iter
+        (fun backend ->
+          let mt =
+            Multi_term.make
+              ~terms:[ (Csr.eye 6, 1.0); (e_frac, 0.5) ]
+              ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+          in
+          let solve fft =
+            Engine.set_fft_rhs_enabled fft;
+            Opm_obs.Metrics.reset ();
+            let x = (Opm.simulate_multi_term ~backend ~grid mt src).Sim_result.x in
+            (x, counter "engine.rhsconv.blocks", counter "engine.rhsconv.naive_cols")
+          in
+          let x_fft, blocks, naive_cols = solve true in
+          let x_naive, _, _ = solve false in
+          let rel = Mat.max_abs_diff x_fft x_naive /. Mat.norm_inf x_naive in
+          if not (rel <= 1e-10) then
+            Alcotest.failf "%s: FFT history vs naive scan, rel %.3g > 1e-10" name rel;
+          check_bool (name ^ ": FFT path taken as expected") fft_blocks (blocks > 0);
+          check_int (name ^ ": no naive columns with the FFT on") 0 naive_cols)
+        [ `Dense; `Sparse ])
+    [
+      ("support {0, 2, 5}", restrict_cols sys.Descriptor.e [ 0; 2; 5 ], true);
+      ("empty support", Csr.zero ~rows:6 ~cols:6, false);
+    ]
+
 (* ---------- re-entrant compiled queries ---------- *)
 
 (* One row per plan kind a compiled model can take. *)
@@ -1015,6 +1069,9 @@ let plan_kinds () =
     ( "banded fractional fft",
       compile ~backend:`Sparse (uniform 512)
         (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
+    ( "banded fractional fft, partial support",
+      compile (uniform 512)
+        (mt [ (Csr.eye 6, 1.0); (restrict_cols sys.Descriptor.e [ 1; 3; 4 ], 0.5) ]) );
     ( "adaptive triangular",
       compile ~backend:`Sparse (Grid.geometric ~t_end:3.0 ~m:48 ~ratio:1.03) half );
     ("windowed", compile ~window:16 (uniform 64) half);
@@ -1268,6 +1325,8 @@ let () =
       ("cross-route", [ t "toeplitz vs triangular and kron" test_toeplitz_oracle ]);
       ("rounding", [ t "oscillator vs double-double scan" test_oscillator_rounding ]);
       ("frozen-bits", [ t "every engine route" test_frozen_bits ]);
+      ( "fractional support",
+        [ t "strict and empty support, FFT vs naive" test_fractional_support ] );
       ( "re-entrant queries",
         [
           t "solve_outputs = solve's outputs, every plan" test_solve_outputs_bits;

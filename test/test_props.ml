@@ -212,10 +212,12 @@ let prop_opm_vs_grunwald =
    Σ_{j<i} kernel_k(i−j) · x_j(r). Random kernels, rows, term counts,
    block bases and the exact m values the dyadic schedule treats
    differently (1, powers of two, just-past-a-power, odd primes). *)
-let check_blocked_conv st m =
-      let rows = 1 + Random.State.int st 4 in
+let check_blocked_conv ?rows ?base st m =
+      let rows = match rows with Some r -> r | None -> 1 + Random.State.int st 4 in
       let nterms = 1 + Random.State.int st 2 in
-      let base = [| 4; 8; 32 |].(Random.State.int st 3) in
+      let base =
+        match base with Some b -> b | None -> [| 4; 8; 32 |].(Random.State.int st 3)
+      in
       let rand () = Random.State.float st 2.0 -. 1.0 in
       let kernels =
         Array.init nterms (fun _ -> Array.init m (fun _ -> rand ()))
@@ -269,7 +271,14 @@ let prop_blocked_conv_vs_naive =
   prop ~n:3 (fun st _seed ->
       (* the sizes the dyadic schedule treats differently: degenerate,
          below-base, a power of two, just past one, an odd prime *)
-      List.iter (check_blocked_conv st) [ 1; 2; 3; 16; 100; 257 ])
+      List.iter (check_blocked_conv st) [ 1; 2; 3; 16; 100; 257 ];
+      (* seven dyadic levels at base 32, so every transform size a
+         4096-column horizon flushes (64 … 4096) runs one after the
+         other through the convolver's reused scratch and pre-scaled
+         spectra, with the last row unpaired at odd row counts *)
+      for rows = 1 to 5 do
+        check_blocked_conv ~rows ~base:32 st 2049
+      done)
 
 (* The Toeplitz contract the engine fast path relies on: every row of the
    uniform-grid D^α is the (2/h)^α-scaled ρ_α series shifted to start at

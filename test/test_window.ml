@@ -450,6 +450,36 @@ let test_fft_gate_uses_global_history_len () =
            history convolver (blocks = %d)"
           w m blocks)
 
+(* A ladder whose shunts alternate C and CPE (α = 0.5): the fractional
+   term reads only the two CPE nodes of the six states. Windows of 128
+   columns on a 1024-column horizon put the late handoffs on the FFT
+   (the last one convolves p_len = 896 carried columns: 128·896 flops
+   per row against 4·1024·11 for the transforms), which then runs over
+   those two rows only. *)
+let test_fft_handoff_partial_support () =
+  let mt, srcs =
+    Mna.stamp
+      (Parser.parse_string
+         "V1 in 0 sin(0.2 1 1e5 0.3)\n\
+          R1 in n1 100\n\
+          C1 n1 0 1n\n\
+          R2 n1 n2 120\n\
+          P2 n2 0 q=1u alpha=0.5\n\
+          R3 n2 n3 80\n\
+          C3 n3 0 2n\n\
+          R4 n3 n4 150\n\
+          P4 n4 0 q=0.5u alpha=0.5\n")
+  in
+  let grid = Grid.uniform ~t_end:2e-5 ~m:1024 in
+  let fft_was_on = Engine.fft_rhs_enabled () in
+  Engine.set_fft_rhs_enabled true;
+  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was_on) @@ fun () ->
+  let global = Opm.simulate_multi_term ~grid mt srcs in
+  let windowed = Opm.simulate_multi_term ~window:128 ~grid mt srcs in
+  check_le "C/CPE ladder, FFT handoff on the CPE rows, windowed vs global"
+    (rel_diff windowed.Sim_result.x global.Sim_result.x)
+    1e-10
+
 let test_truncation_mass () =
   (* sanity of the bound itself: monotone in memory_len, 0 when nothing
      is truncated *)
@@ -476,6 +506,8 @@ let () =
             test_table1_windowed;
           Alcotest.test_case "order-1 DAE ladder windowed vs global" `Quick
             test_order1_dae_windowed;
+          Alcotest.test_case "FFT handoff on the support rows" `Quick
+            test_fft_handoff_partial_support;
         ] );
       ( "boundaries",
         [
