@@ -657,10 +657,13 @@ let lag_ops pencil b =
       Atomic.set b.lags (Some (pencil, ops, support));
       (ops, support)
 
-(* Below this horizon length the naive scan wins (or ties within
-   noise): the convolver's first dyadic levels are many tiny FFTs whose
-   setup cost the short naive tail never amortises. Measured on the
-   Table I kernel the crossover sits between m = 128 and m = 256. *)
+(* Below this horizon length the fractional kernels are scanned
+   naively. Measured with [bench/main.exe rhs-conv] on the Table I
+   kernel (t-line, n = 7, 2-core VM) with this gate lowered, the FFT
+   history is already ahead at m = 64 (1.5–1.8×) and m = 128 (≈2×), so
+   the crossover lies at or below 64 columns. The gate stays at 256:
+   lowering it would move the bits of every fractional route between
+   64 and 256 columns, frozen digests included. *)
 let fft_rhs_min_m = 256
 
 (* The FFT gate of the differential history's fractional kernels, on

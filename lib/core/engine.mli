@@ -63,12 +63,21 @@ open Opm_robust
 
     On uniform grids the fractional kernels of {!toeplitz} are causal
     convolutions with the solved-column sequence, routed through
-    {!Opm_numkit.Fft.Blocked_conv} — [O(n·m·log² m)] instead of the
+    {!Opm_numkit.Fft.Blocked_conv} — [O(|S|·m·log² m)] instead of the
     naive [O(n·m²)] scan — once the horizon reaches 256 columns. Every
     kernel decays, so the FFT serves every order. It reassociates the
     summation: results agree with the naive scan of the same kernels to
     ≤ 1e-10 relative, not bit-identically. {!fft_rhs_enabled} gates the
-    fast path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]). *)
+    fast path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]).
+
+    The convolver keeps only the support S of the fractional terms: the
+    state columns where some fractional [E_k] has a nonzero, computed
+    once per pencil. Each solved column is pushed restricted to S, and
+    each history vector is scattered back into the full state before
+    [E_k] multiplies it; a state outside S only ever meets zeros of
+    [E_k]. When S is empty (every fractional [E_k] is zero) no
+    convolver is built and no fractional history is summed, on either
+    route. *)
 
 val fft_rhs_enabled : unit -> bool
 (** Whether the FFT Toeplitz history path may be used. Defaults to

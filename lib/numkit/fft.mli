@@ -1,9 +1,16 @@
 (** Discrete Fourier transforms.
 
-    Radix-2 Cooley–Tukey for power-of-two lengths and Bluestein's chirp-z
-    algorithm for arbitrary lengths (Table I's "FFT-2" uses 100 frequency
-    samples, which is not a power of two). Conventions:
-    forward [X_k = Σ_n x_n e^{-2πi kn/N}], inverse divides by [N]. *)
+    One radix-2 kernel pair on split (unboxed) re/im arrays, reading a
+    precomputed twiddle table: a decimation-in-frequency forward
+    transform (natural order in, bit-reversed order out) and a
+    decimation-in-time inverse (bit-reversed in, natural out). A
+    convolution runs forward, pointwise product, inverse, and never
+    permutes; {!fft} on a power-of-two length runs the forward kernel
+    behind one natural-order permutation, and Bluestein's chirp-z
+    algorithm covers arbitrary lengths (Table I's "FFT-2" uses 100
+    frequency samples, which is not a power of two) with the pair.
+    Conventions: forward [X_k = Σ_n x_n e^{-2πi kn/N}], inverse divides
+    by [N]. *)
 
 val is_power_of_two : int -> bool
 
@@ -54,12 +61,17 @@ val conv_real_many : float array array -> float array -> float array array
     FFT reassociates the summation, so results match the naive sum to
     roundoff (≤ 1e-10 relative in practice), not bit-identically.
 
-    The state splits in two. The {!spectra} (the kernels and their
-    per-level transforms) depend on the kernels and the horizon alone:
-    build them once and share them, also between domains, since nothing
-    writes them after {!spectra} returns. A convolver {!t} is one run's
-    data (the pushed columns and the accumulators): {!create} one per
-    run over shared spectra, and use it from one domain. *)
+    The state splits in two. The {!spectra} depend on the kernels and
+    the horizon alone: one twiddle table sized for the largest level
+    (its prefixes serve the smaller ones) and each kernel's per-level
+    spectrum, stored in the forward transform's bit-reversed order and
+    pre-scaled by [1/2B], so a block is forward, pointwise product,
+    inverse, with no permutation and no output scaling. Build them once
+    and share them, also between domains, since nothing writes them
+    after {!spectra} returns. A convolver {!t} is one run's data (the
+    pushed columns, the accumulators and the transform scratch that
+    every block reuses): {!create} one per run over shared spectra, and
+    use it from one domain. *)
 module Blocked_conv : sig
   type spectra
 
@@ -74,8 +86,8 @@ module Blocked_conv : sig
   type t
 
   val create : spectra -> rows:int -> t
-  (** [create sp ~rows] is a fresh run over [sp] for [rows] state
-      rows, nothing pushed yet. *)
+  (** [create sp ~rows] is a fresh run over [sp] for [rows ≥ 1] rows,
+      nothing pushed yet. *)
 
   val push : t -> float array -> unit
   (** Append the next column (length [rows]); raises [Invalid_argument]
