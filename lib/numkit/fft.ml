@@ -105,14 +105,11 @@ let bit_reverse n i =
 (* Complex.t entry points, for the spectrum and frequency-domain
    callers *)
 
-let split x =
-  (Array.map (fun c -> c.Complex.re) x, Array.map (fun c -> c.Complex.im) x)
-
 (* power-of-two length: the forward kernel behind one natural-order
    permutation *)
 let radix2 x =
   let n = Array.length x in
-  let re, im = split x in
+  let re = Array.map (fun c -> c.Complex.re) x and im = Array.map (fun c -> c.Complex.im) x in
   forward (twiddles n) re im n;
   Array.init n (fun k ->
       let s = bit_reverse n k in
@@ -310,7 +307,7 @@ module Blocked_conv = struct
   let default_base = 32
 
   (* the transform size of the top level, 0 without levels *)
-  let top_size sp = if sp.nlevels = 0 then 0 else 2 * (sp.base lsl (sp.nlevels - 1))
+  let top_size ~base nlevels = if nlevels = 0 then 0 else 2 * (base lsl (nlevels - 1))
 
   let spectra ?(base = default_base) ~kernels ~m () =
     if base < 2 || not (is_power_of_two base) then
@@ -322,7 +319,7 @@ module Blocked_conv = struct
       let rec go l = if base lsl l < m then go (l + 1) else l in
       go 0
     in
-    let tw = twiddles (if nlevels = 0 then 1 else 2 * (base lsl (nlevels - 1))) in
+    let tw = twiddles (top_size ~base nlevels) in
     let khat =
       Array.init nlevels (fun lvl ->
           let b = base lsl lvl in
@@ -336,7 +333,7 @@ module Blocked_conv = struct
 
   let create sp ~rows =
     if rows < 1 then invalid_arg "Fft.Blocked_conv.create: rows < 1";
-    let scratch () = Array.make (top_size sp) 0.0 in
+    let scratch () = Array.make (top_size ~base:sp.base sp.nlevels) 0.0 in
     {
       sp;
       rows;
