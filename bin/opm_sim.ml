@@ -23,7 +23,6 @@ type method_ =
   | Gl
   | Opm_adaptive
   | Exact
-  | Integral
 
 let method_conv =
   let parse = function
@@ -35,7 +34,6 @@ let method_conv =
     | "fft" -> Ok Fft
     | "gl" | "grunwald" -> Ok Gl
     | "exact" -> Ok Exact
-    | "integral" | "opm-integral" -> Ok Integral
     | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
   in
   let print ppf m =
@@ -48,8 +46,7 @@ let method_conv =
       | Gear -> "gear"
       | Fft -> "fft"
       | Gl -> "gl"
-      | Exact -> "exact"
-      | Integral -> "integral")
+      | Exact -> "exact")
   in
   Arg.conv (parse, print)
 
@@ -100,11 +97,8 @@ let steps_arg =
 
 let method_arg =
   let doc =
-    "Transient method: opm, opm-adaptive, integral (deprecated: the \
-     integral form is the same discrete system as the order-1 opm \
-     route, which now solves it; ODE only), be (backward Euler), trap \
-     (trapezoidal), gear (BDF2), \
-     fft (frequency domain), gl (Grünwald–Letnikov), exact \
+    "Transient method: opm, opm-adaptive, be (backward Euler), trap \
+     (trapezoidal), gear (BDF2), fft (frequency domain), gl (Grünwald–Letnikov), exact \
      (matrix-exponential reference; ODE only)."
   in
   Arg.(value & opt method_conv Opm_method & info [ "method" ] ~docv:"METHOD" ~doc)
@@ -124,8 +118,7 @@ let window_arg =
      factorisation and state handoff across boundaries. Exact for \
      integer orders; fractional orders carry a history tail (see \
      $(b,--memory-len)). $(docv) ≥ the step count runs the ordinary \
-     global solve. Other methods, the deprecated integral alias \
-     included, ignore it with a warning."
+     global solve. Other methods ignore it with a warning."
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"W" ~doc)
 
@@ -185,10 +178,10 @@ let points_arg =
 
 let no_fft_rhs_arg =
   let doc =
-    "Disable the FFT Toeplitz history fast path in the OPM engine \
-     (equivalent to setting $(b,OPM_NO_FFT_RHS)). The fractional history \
-     kernels are then scanned naively, column by column; results agree \
-     with the fast path to 1e-10 relative, not bit for bit."
+    "Deprecated and ignored, as is $(b,OPM_NO_FFT_RHS): prints one \
+     warning. The fractional history of the opm method always runs \
+     through the blocked FFT convolver, which sums short horizons \
+     directly."
   in
   Arg.(value & flag & info [ "no-fft-rhs" ] ~doc)
 
@@ -350,7 +343,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
     | None -> failwith "transient analysis needs --tend"
   in
   (match (window, method_) with
-  | Some _, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive | Integral) ->
+  | Some _, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive) ->
       Printf.eprintf
         "opm_sim: warning: --window only applies to the opm methods; ignored\n%!"
   | _ -> ());
@@ -367,8 +360,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
         None
   in
   (match (basis, method_) with
-  | `Spectral, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive | Integral)
-    ->
+  | `Spectral, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive) ->
       Printf.eprintf
         "opm_sim: warning: --basis only applies to the opm method; ignored\n%!"
   | _ -> ());
@@ -401,15 +393,6 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
                    ?checkpoint_every ?resume_from ?window ?memory_len ~grid mt
                    srcs)
                   .Sim_result.outputs))
-    | Integral ->
-        Printf.eprintf
-          "opm_sim: warning: --method integral is deprecated and will be \
-           removed; solving with the order-1 opm route, the same discrete \
-           system\n%!";
-        let sys, srcs = Mna.stamp_linear ?outputs net in
-        let grid = Grid.uniform ~t_end ~m:steps in
-        with_state_names sys.Descriptor.state_names (fun () ->
-            (Opm.simulate_linear ?health ?budget ~grid sys srcs).Sim_result.outputs)
     | Opm_adaptive ->
         let sys, srcs = Mna.stamp_linear ?outputs net in
         let result, stats =
@@ -426,7 +409,7 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
           match method_ with
           | Be -> Stepper.Backward_euler
           | Trap -> Stepper.Trapezoidal
-          | Gear | Opm_method | Opm_adaptive | Fft | Gl | Exact | Integral ->
+          | Gear | Opm_method | Opm_adaptive | Fft | Gl | Exact ->
               Stepper.Gear2
         in
         let sys, srcs = Mna.stamp_linear ?outputs net in
@@ -686,7 +669,16 @@ let run netlist_path mode t_end steps method_ probes tol window memory_len
     validate_flags ~mode ~method_ ~steps ~window ~memory_len ~basis ~domains
       ~checkpoint ~resume ~checkpoint_every ~deadline ~max_factors ~max_heap
       ~fault;
-    if no_fft_rhs then Engine.set_fft_rhs_enabled false;
+    let env_no_fft =
+      match Sys.getenv_opt "OPM_NO_FFT_RHS" with
+      | None | Some ("" | "0") -> false
+      | Some _ -> true
+    in
+    if no_fft_rhs || env_no_fft then
+      Printf.eprintf
+        "opm_sim: warning: --no-fft-rhs and OPM_NO_FFT_RHS are deprecated \
+         and ignored; the fractional history always runs through the FFT \
+         convolver\n%!";
     (match domains with
     | Some d -> Opm_parallel.Pool.set_default_domains d
     | None -> ());

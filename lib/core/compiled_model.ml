@@ -233,8 +233,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                       (* each D^α is upper-triangular Toeplitz: the
                          engine derives its banded recurrence and
                          fractional kernels from the orders and step *)
-                      Engine.toeplitz ~orders ~step:(t_end /. float_of_int m)
-                        ~horizon:m m
+                      Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m
                   | Grid.Adaptive _ ->
                       (* near-uniform adaptive grids stay off the Toeplitz
                          path too: every [Grid.Adaptive] solve is

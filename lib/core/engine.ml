@@ -19,29 +19,6 @@ let m_rhsconv_blocks = Metrics.counter "engine.rhsconv.blocks"
 let m_rhsconv_naive = Metrics.counter "engine.rhsconv.naive_cols"
 
 (* ------------------------------------------------------------------ *)
-(* FFT history-convolution switch. The fast path reassociates the
-   fractional kernels' history sums, so its output matches the naive
-   scan to roundoff rather than bit-identically; OPM_NO_FFT_RHS (or
-   [set_fft_rhs_enabled false], or the CLI's --no-fft-rhs) forces every
-   solve back onto the naive scan. *)
-
-let fft_rhs_flag = Atomic.make None
-
-let fft_rhs_enabled () =
-  match Atomic.get fft_rhs_flag with
-  | Some b -> b
-  | None ->
-      let b =
-        match Sys.getenv_opt "OPM_NO_FFT_RHS" with
-        | None | Some "" | Some "0" -> true
-        | Some _ -> false
-      in
-      Atomic.set fft_rhs_flag (Some b);
-      b
-
-let set_fft_rhs_enabled b = Atomic.set fft_rhs_flag (Some b)
-
-(* ------------------------------------------------------------------ *)
 (* Fault-injection sites and budget check-points. Each [Fault.fire] is
    one atomic load when no plan is armed, and each budget hook is one
    [Option] match when no budget is threaded — together they are the
@@ -504,7 +481,6 @@ type banded = {
   orders : float list;
   step : float;
   columns : int;
-  horizon : int;
   scales : float array;  (* s_k, the diagonal of D_k *)
   binom : float array;  (* C(N, l), l = 0 … N: the weights of bu_{i−l} *)
   band : float array array;
@@ -516,9 +492,9 @@ type banded = {
       (* M_1 … M_N of the pencil last prepared against, and the support
          of its fractional terms *)
   spectra : Fft.Blocked_conv.spectra option Atomic.t;
-      (* the kernels' FFT spectra, once a prepare takes the FFT path.
-         Both are built by the first prepare (a compiled model's
-         compile) and only read by the runs after it; each run
+      (* the kernels' FFT spectra, once a prepare finds a nonempty
+         support. Both are built by the first prepare (a compiled
+         model's compile) and only read by the runs after it; each run
          convolves into a Blocked_conv.t of its own *)
 }
 
@@ -528,7 +504,7 @@ type history =
       (* an adaptive grid's D_k, general upper triangles *)
   | Alternating of float array
 
-let toeplitz ~orders ~step ~horizon columns =
+let toeplitz ~orders ~step columns =
   if columns < 0 then invalid_arg "Engine.toeplitz: negative column count";
   let alphas = Array.of_list orders in
   if not (Array.for_all (fun a -> a >= 0.0) alphas) then
@@ -558,7 +534,6 @@ let toeplitz ~orders ~step ~horizon columns =
       orders;
       step;
       columns;
-      horizon;
       scales;
       binom = Series.binomial_product 0.0 (float_of_int lags) (lags + 1);
       band = Array.init lags (fun l -> Array.map (fun p -> p.(l + 1)) poly);
@@ -657,50 +632,18 @@ let lag_ops pencil b =
       Atomic.set b.lags (Some (pencil, ops, support));
       (ops, support)
 
-(* Below this horizon length the fractional kernels are scanned
-   naively. Measured with [bench/main.exe rhs-conv] on the Table I
-   kernel (t-line, n = 7, 2-core VM) with this gate lowered, the FFT
-   history is already ahead at m = 64 (1.5–1.8×) and m = 128 (≈2×), so
-   the crossover lies at or below 64 columns. The gate stays at 256:
-   lowering it would move the bits of every fractional route between
-   64 and 256 columns, frozen digests included. *)
-let fft_rhs_min_m = 256
-
-(* The FFT gate of the differential history's fractional kernels, on
-   a uniform grid (the caller has checked that some fractional E_k is
-   nonzero). Every κ_k decays, so blockwise FFT
-   reassociation keeps the conv/naive agreement within the ≤ 1e-10
-   contract for every order. The gate compares the global [horizon],
-   not the local column count: a windowed caller hands the engine
-   w-column blocks, and gating on w alone would keep a 4096-column
-   horizon solved in 64-column windows on the naive scan forever,
-   although the workload as a whole amortises the FFT setup many times
-   over. *)
+(* The kernels' spectra for an [m]-column run, built on first use. The
+   convolver serves every horizon: below its 32-column base it sums the
+   lags directly with no FFT level, and every κ_k decays, so blockwise
+   FFT reassociation stays within roundoff of a direct sum for every
+   order. *)
 let toeplitz_spectra ~m b =
-  if m > 1 && max m b.horizon >= fft_rhs_min_m && fft_rhs_enabled () then
-    match Atomic.get b.spectra with
-    | Some sp -> Some sp
-    | None ->
-        let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
-        Atomic.set b.spectra (Some sp);
-        Some sp
-  else None
-
-(* How a banded history sums its fractional terms. An empty support
-   (no fractional term, or every fractional E_k zero) sums nothing:
-   E_k·h is zero for any history h. *)
-type fractional =
-  | No_fractional
-  | Naive_scan
-  | Fft_conv of Fft.Blocked_conv.spectra * int array
-      (* the kernels' spectra and the support rows the convolver keeps *)
-
-let fractional ~m b support =
-  if Array.length support = 0 then No_fractional
-  else
-    match toeplitz_spectra ~m b with
-    | Some sp -> Fft_conv (sp, support)
-    | None -> Naive_scan
+  match Atomic.get b.spectra with
+  | Some sp -> sp
+  | None ->
+      let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
+      Atomic.set b.spectra (Some sp);
+      sp
 
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
@@ -723,7 +666,11 @@ type plan = {
   key0 : float list;
   block0 : block;
   lags : ops;  (* a banded history's M_1 … M_N *)
-  fractional : fractional;  (* and how it sums its fractional terms *)
+  fractional : (Fft.Blocked_conv.spectra * int array) option;
+      (* and its kernels' spectra with the support rows the convolver
+         keeps; [None] when the support is empty (no fractional term,
+         or every fractional E_k zero): E_k·h is zero for any history
+         h, so nothing is summed *)
   mutable hits : int;  (* this plan's cache lookups: hits and misses *)
   mutable misses : int;
 }
@@ -751,8 +698,8 @@ let prepare ctx pencil history =
     match history with
     | Banded b ->
         let lags, support = lag_ops pencil b in
-        (lags, fractional ~m b support)
-    | Triangular _ | Alternating _ -> (Dense_ops [||], No_fractional)
+        (lags, if Array.length support = 0 then None else Some (toeplitz_spectra ~m b, support))
+    | Triangular _ | Alternating _ -> (Dense_ops [||], None)
   in
   {
     ctx;
@@ -771,60 +718,60 @@ let prepare ctx pencil history =
 
 let lookups p = (p.hits, p.misses)
 
-(* rows per block of the naive history scan: one accumulator block
-   (2 KiB) plus the column blocks it reads stay cache-resident *)
+(* rows per block of the history scan: one accumulator block (2 KiB)
+   plus the column blocks it reads stay cache-resident *)
 let scan_block = 256
 
-(* rhs −= Σ_k E_{op.(k)} Σ_{j<i} w.(j).(k)·x_j, the naive history scan.
-   Rows go in blocks: an accumulator block stays in L1 while every lag
-   adds into it, and the column blocks the first term streamed in serve
-   the other terms from L2, so the solved columns leave memory once per
-   query, not once per term. Term k still sums (w·x_j) + acc in
-   ascending j per row, the arithmetic of one [Vec.axpy] per lag. *)
-let subtract_scan pencil ~op w cols rhs =
-  let n = pencil.n and terms = Array.length op in
+(* rhs −= Σ_k E_k Σ_{j<i} d^{(k)}_{ji}·x_j, the plain scan of an
+   adaptive grid's operational matrices. Rows go in blocks: an
+   accumulator block stays in L1 while every lag adds into it, and the
+   column blocks the first term streamed in serve the other terms from
+   L2, so the solved columns leave memory once per query, not once per
+   term. Term k still sums (d·x_j) + acc in ascending j per row, the
+   arithmetic of one [Vec.axpy] per lag. *)
+let subtract_scan pencil d i cols rhs =
+  let n = pencil.n and terms = Array.length d in
   let accs = Array.init terms (fun _ -> Array.make n 0.0) in
   let lo = ref 0 in
   while !lo < n do
     let hi = min n (!lo + scan_block) - 1 in
     for k = 0 to terms - 1 do
       let acc = accs.(k) in
-      for j = 0 to Array.length w - 1 do
-        let wk = w.(j).(k) and col = cols.(j) in
-        if wk <> 0.0 then
+      for j = 0 to i - 1 do
+        let w = Mat.get d.(k) j i and col = cols.(j) in
+        if w <> 0.0 then
           for r = !lo to hi do
             Array.unsafe_set acc r
-              ((wk *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
+              ((w *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
           done
       done
     done;
     lo := hi + 1
   done;
   for k = 0 to terms - 1 do
-    if Array.exists (fun wj -> wj.(k) <> 0.0) w then
-      Vec.axpy (-1.0) (apply pencil op.(k) accs.(k)) rhs
+    let rec any j = j < i && (Mat.get d.(k) j i <> 0.0 || any (j + 1)) in
+    if any 0 then Vec.axpy (-1.0) (apply pencil k accs.(k)) rhs
   done
 
 (* One run's column state: [rhs i] assembles column i's right-hand side
    from the forcing [bu i], [push i x_i] records the solved column and
    [finish ()] books the run's metrics. Each history keeps only what it
-   reads back: the order-1 form a running sum, a banded
-   history its last N columns (its convolver keeps its own copy), the
-   naive scans every column. *)
+   reads back: the order-1 form a running sum, a banded history its
+   last N columns (its convolver keeps its own copy of the support
+   rows), the triangular scan every column. *)
 let column_history p bu =
   let n = p.pencil.n in
   match p.history with
   | Banded b ->
       let lags = Array.length b.band and nk = Array.length b.frac in
       let conv =
-        match p.fractional with
-        | Fft_conv (sp, support) ->
-            Some (Fft.Blocked_conv.create sp ~rows:(Array.length support), support)
-        | Naive_scan | No_fractional -> None
+        Option.map
+          (fun (sp, support) ->
+            (Fft.Blocked_conv.create sp ~rows:(Array.length support), support))
+          p.fractional
       in
-      let naive = match p.fractional with Naive_scan -> true | No_fractional | Fft_conv _ -> false in
       (* column j at slot j mod keep *)
-      let keep = if naive then p.m else max lags 1 in
+      let keep = max lags 1 in
       let cols = Array.make keep [||] in
       (* the last N + 1 columns of bu, column i at slot i mod (N + 1):
          (I+Q)^N·bu is summed on the fly, never stored *)
@@ -840,24 +787,18 @@ let column_history p bu =
           Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.((i - l) mod keep)) rhs
         done;
         (match conv with
-        | Some (cv, support) ->
-            if i > 0 then begin
-              let poison = fault_fft_block () in
-              for f = 0 to nk - 1 do
-                let rows = Fft.Blocked_conv.history cv ~term:f i in
-                let hist = Array.make n 0.0 in
-                Array.iteri (fun j s -> hist.(s) <- rows.(j)) support;
-                (* [hist] is a fresh vector, so poisoning it never
-                   touches the convolver's internal state *)
-                if poison && f = 0 then hist.(0) <- Float.nan;
-                Vec.axpy (-1.0) (apply p.pencil b.frac.(f) hist) rhs
-              done
-            end
-        | None ->
-            if naive then
-              subtract_scan p.pencil ~op:b.frac
-                (Array.init i (fun j -> Array.map (fun kappa -> kappa.(i - j)) b.kernels))
-                cols rhs);
+        | Some (cv, support) when i > 0 ->
+            let poison = fault_fft_block () in
+            for f = 0 to nk - 1 do
+              let rows = Fft.Blocked_conv.history cv ~term:f i in
+              let hist = Array.make n 0.0 in
+              Array.iteri (fun j s -> hist.(s) <- rows.(j)) support;
+              (* [hist] is a fresh vector, so poisoning it never
+                 touches the convolver's internal state *)
+              if poison && f = 0 then hist.(0) <- Float.nan;
+              Vec.axpy (-1.0) (apply p.pencil b.frac.(f) hist) rhs
+            done
+        | Some _ | None -> ());
         rhs
       in
       let push i xi =
@@ -867,20 +808,16 @@ let column_history p bu =
           conv
       in
       let finish () =
-        match conv with
-        | Some (cv, _) -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks
-        | None -> if naive then Metrics.incr ~by:p.m m_rhsconv_naive
+        Option.iter
+          (fun (cv, _) -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks)
+          conv
       in
       (rhs, push, finish)
   | Triangular { d; _ } ->
-      (* rhs_i = bu_i − Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j *)
       let cols = Array.make p.m [||] in
-      let op = Array.init (Array.length d) Fun.id in
       let rhs i =
         let rhs = bu i in
-        subtract_scan p.pencil ~op
-          (Array.init i (fun j -> Array.map (fun dk -> Mat.get dk j i) d))
-          cols rhs;
+        subtract_scan p.pencil d i cols rhs;
         rhs
       in
       (rhs, (fun i xi -> cols.(i) <- xi), fun () -> Metrics.incr ~by:p.m m_rhsconv_naive)

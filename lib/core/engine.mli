@@ -62,13 +62,13 @@ open Opm_robust
     {2 Fast history convolution}
 
     On uniform grids the fractional kernels of {!toeplitz} are causal
-    convolutions with the solved-column sequence, routed through
+    convolutions with the solved-column sequence, always routed through
     {!Opm_numkit.Fft.Blocked_conv} — [O(|S|·m·log² m)] instead of the
-    naive [O(n·m²)] scan — once the horizon reaches 256 columns. Every
+    [O(n·m²)] column scan. Below the convolver's 32-column base it sums
+    the lags directly, so short horizons need no FFT level. Every
     kernel decays, so the FFT serves every order. It reassociates the
-    summation: results agree with the naive scan of the same kernels to
-    ≤ 1e-10 relative, not bit-identically. {!fft_rhs_enabled} gates the
-    fast path globally ([OPM_NO_FFT_RHS], the CLI's [--no-fft-rhs]).
+    summation: results agree with a direct scan of the same recast
+    system to ≤ 1e-10 relative, not bit-identically.
 
     The convolver keeps only the support S of the fractional terms: the
     state columns where some fractional [E_k] has a nonzero, computed
@@ -78,15 +78,6 @@ open Opm_robust
     [E_k]. When S is empty (every fractional [E_k] is zero) no
     convolver is built and no fractional history is summed, on either
     route. *)
-
-val fft_rhs_enabled : unit -> bool
-(** Whether the FFT Toeplitz history path may be used. Defaults to
-    [true] unless the environment variable [OPM_NO_FFT_RHS] is set to a
-    non-empty value other than ["0"]. *)
-
-val set_fft_rhs_enabled : bool -> unit
-(** Override the switch for the rest of the process (takes precedence
-    over the environment). *)
 
 (** Bounded factorisation cache keyed by an arbitrary hashable key. A
     hashtable keyed on the exact key gives O(1) lookups (the former
@@ -171,8 +162,8 @@ val backend : pencil -> [ `Dense | `Sparse ]
 
 type history
 
-val toeplitz : orders:float list -> step:float -> horizon:int -> int -> history
-(** [toeplitz ~orders ~step ~horizon m]: the differential form on a
+val toeplitz : orders:float list -> step:float -> int -> history
+(** [toeplitz ~orders ~step m]: the differential form on a
     uniform grid of [m] columns of step [h = step], one differentiation
     order per [E_k]. Every [D_k = s_k·ρ_{α_k}(Q)] ([s_k = (2/h)^{α_k}],
     [ρ_α = ((1−q)/(1+q))^α], paper eq. (21)–(24)) is upper-triangular
@@ -195,12 +186,9 @@ val toeplitz : orders:float list -> step:float -> horizon:int -> int -> history
 
     The discrete solution is the paper's; only the rounding differs
     from a plain scan of [D_k], and it is much smaller for orders above
-    one. The fractional kernels take the FFT path when {!fft_rhs_enabled}
-    and [max m horizon ≥ 256] — [horizon] is the global history length,
-    so a windowed caller solving a long horizon in short blocks still
-    amortises the FFT; below that crossover they are scanned naively
-    (see {!triangular}). The history keeps [M_l] and the kernels' FFT
-    spectra across runs: the first {!prepare} builds them (a compiled
+    one. The fractional kernels are summed by the blocked FFT convolver
+    at every horizon (see {b Fast history convolution}). The history
+    keeps [M_l] and the kernels' FFT spectra across runs: the first {!prepare} builds them (a compiled
     model's compile), later runs only read them, and each run convolves
     into a convolver of its own. Raises [Invalid_argument] on a negative
     order or column count. *)
@@ -253,9 +241,8 @@ val run : plan -> bu:(int -> Vec.t) -> emit:(int -> Vec.t -> unit) -> unit
     so a sink that reduces each column never holds an [n×m] matrix.
 
     {b Column state.} The order-1 form keeps one running sum; a banded
-    history its last [N] columns (its FFT convolver keeps
-    its own copy); the naive fractional scan and {!triangular} keep
-    every column.
+    history its last [N] columns (its FFT convolver keeps its own copy
+    of the support rows); {!triangular} keeps every column.
 
     A plan may be run repeatedly, but by one domain at a time (it
     counts its cache lookups); plans prepared from one pencil and

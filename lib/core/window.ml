@@ -105,18 +105,13 @@ let pencil_of backend (sys : Multi_term.t) =
     (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
     @ [ sys.Multi_term.a ])
 
-(* The within-window D blocks: the leading wlen×wlen block of the
-   global Toeplitz D^α, so each window's engine run can take the FFT
-   history path (gated on the global horizon [m]). *)
-let window_history ~h ~m ~orders wlen = Engine.toeplitz ~orders ~step:h ~horizon:m wlen
-
 let orders_of (sys : Multi_term.t) =
   List.map (fun { Multi_term.alpha; _ } -> alpha) sys.Multi_term.terms
 
 let prefactor ctx pencil ~window:w ~grid (sys : Multi_term.t) =
   let m = Grid.size grid in
   let h = Grid.t_end grid /. float_of_int m in
-  let history = window_history ~h ~m ~orders:(orders_of sys) (min w m) in
+  let history = Engine.toeplitz ~orders:(orders_of sys) ~step:h (min w m) in
   ignore (Engine.prepare ctx pencil history : Engine.plan)
 
 let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
@@ -386,7 +381,9 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
           })
         sys.Multi_term.terms
     in
-    let history = window_history ~h ~m ~orders in
+    (* the within-window D blocks: the leading wlen×wlen block of the
+       global Toeplitz D^α *)
+    let history = Engine.toeplitz ~orders ~step:h in
     let full_history = history w in
     let ilog2 v =
       let r = ref 0 and v = ref v in
@@ -485,10 +482,7 @@ let solve ?(backend = `Auto) ?health ?memory_len ?on_window ?fcache
                   if ti.beta = 0.0 || p_len = 0 then None
                   else begin
                     let fsize = Fft.next_power_of_two (p_len + wlen) in
-                    if
-                      Engine.fft_rhs_enabled ()
-                      && wlen * p_len >= 4 * fsize * (ilog2 fsize + 1)
-                    then begin
+                    if wlen * p_len >= 4 * fsize * (ilog2 fsize + 1) then begin
                       let klen =
                         min (Array.length ti.rho_beta) (p_len + wlen)
                       in

@@ -730,7 +730,7 @@ let test_toeplitz_oracle () =
               let run history = Engine.solve (Engine.prepare Engine.default pencil history) bu in
               let x =
                 run
-                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) ~horizon:m m)
+                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m)
               in
               let rel reference =
                 Mat.max_abs_diff x reference /. Float.max (Mat.norm_inf reference) 1e-300
@@ -747,7 +747,7 @@ let test_toeplitz_oracle () =
               within "triangular" (rel (run (Engine.triangular ~orders ds)));
               within "kron" (rel kron))
             [ `Dense; `Sparse ])
-        [ 1; 2; 7; 48 ])
+        [ 1; 2; 7; 32; 33; 48; 64; 65 ])
     systems
 
 (* ---------- rounding ---------- *)
@@ -796,7 +796,7 @@ let test_oscillator_rounding () =
       let x =
         Engine.solve
           (Engine.prepare Engine.default pencil
-             (Engine.toeplitz ~orders:[ alpha ] ~step ~horizon:m m))
+             (Engine.toeplitz ~orders:[ alpha ] ~step m))
           (Mat.init 1 m (fun _ _ -> 1.0))
       in
       (* ρ_α = (1−q)^α · (1+q)^{−α}, C(a, k) = C(a, k−1)·(a − k + 1)/k *)
@@ -886,7 +886,7 @@ let frozen_routes (backend : Opm.backend) =
          ~alpha:0.5 sys src)
   in
   [
-    ("general naive", fun () -> frac 64);
+    ("general short", fun () -> frac 64);
     ("general fft", fun () -> frac 512);
     ( "two-term",
       fun () ->
@@ -936,7 +936,7 @@ let frozen_digests =
   [
     ( (`Dense : Opm.backend),
       [
-          ("general naive", "a7e37297c82ef49f");
+          ("general short", "a7e37297c82ef49f");
           ("general fft", "d4a62739398f0d22");
           ("two-term", "a7ccc61ed8bc9b10");
           ("multi-term fft", "206abd7f24c502ea");
@@ -950,7 +950,7 @@ let frozen_digests =
       ] );
     ( `Sparse,
       [
-          ("general naive", "0ffa3108cbdbed8e");
+          ("general short", "0ffa3108cbdbed8e");
           ("general fft", "3a8bb2e705b62f1a");
           ("two-term", "0a598582f97b55c3");
           ("multi-term fft", "d34dbac9949ac5b7");
@@ -967,10 +967,6 @@ let frozen_digests =
   ]
 
 let test_frozen_bits () =
-  let fft_was = Engine.fft_rhs_enabled () in
-  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was)
-  @@ fun () ->
-  Engine.set_fft_rhs_enabled true;
   (* every route runs before the verdict, so one failure lists each
      moved digest old → new *)
   let mismatches =
@@ -1001,18 +997,18 @@ let restrict_cols e cols =
 (* The FFT history convolves only the states some fractional E_k reads.
    With that support a strict, odd-sized subset of the states (the last
    row of the convolver unpaired), or empty (no convolver at all), the
-   FFT history must agree with the naive scan over every state. *)
+   engine must agree with a direct scan of the recast system over every
+   state ([Recast_oracle]). *)
 let test_fractional_support () =
   let sys = Descriptor.random_stable ~seed:31 ~n:6 ~p:1 ~q:1 () in
   let src =
     [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.3; offset = 0.2 } |]
   in
   let grid = Grid.uniform ~t_end:3.0 ~m:512 in
-  let metrics_were = Opm_obs.Metrics.enabled () and fft_was = Engine.fft_rhs_enabled () in
+  let metrics_were = Opm_obs.Metrics.enabled () in
   Opm_obs.Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_fft_rhs_enabled fft_was;
       Opm_obs.Metrics.reset ();
       Opm_obs.Metrics.set_enabled metrics_were)
   @@ fun () ->
@@ -1026,19 +1022,15 @@ let test_fractional_support () =
               ~terms:[ (Csr.eye 6, 1.0); (e_frac, 0.5) ]
               ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
           in
-          let solve fft =
-            Engine.set_fft_rhs_enabled fft;
-            Opm_obs.Metrics.reset ();
-            let x = (Opm.simulate_multi_term ~backend ~grid mt src).Sim_result.x in
-            (x, counter "engine.rhsconv.blocks", counter "engine.rhsconv.naive_cols")
-          in
-          let x_fft, blocks, naive_cols = solve true in
-          let x_naive, _, _ = solve false in
-          let rel = Mat.max_abs_diff x_fft x_naive /. Mat.norm_inf x_naive in
+          let reference = Recast_oracle.solve ~backend ~grid mt src in
+          Opm_obs.Metrics.reset ();
+          let x = (Opm.simulate_multi_term ~backend ~grid mt src).Sim_result.x in
+          let rel = Mat.max_abs_diff x reference /. Mat.norm_inf reference in
           if not (rel <= 1e-10) then
-            Alcotest.failf "%s: FFT history vs naive scan, rel %.3g > 1e-10" name rel;
-          check_bool (name ^ ": FFT path taken as expected") fft_blocks (blocks > 0);
-          check_int (name ^ ": no naive columns with the FFT on") 0 naive_cols)
+            Alcotest.failf "%s: FFT history vs recast scan, rel %.3g > 1e-10" name rel;
+          check_bool (name ^ ": FFT path taken as expected") fft_blocks
+            (counter "engine.rhsconv.blocks" > 0);
+          check_int (name ^ ": no naive columns") 0 (counter "engine.rhsconv.naive_cols"))
         [ `Dense; `Sparse ])
     [
       ("support {0, 2, 5}", restrict_cols sys.Descriptor.e [ 0; 2; 5 ], true);
@@ -1064,7 +1056,7 @@ let plan_kinds () =
     ( "banded integer order",
       compile ~backend:`Sparse (uniform 64)
         (mt [ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]) );
-    ( "banded fractional naive",
+    ( "banded fractional short",
       compile (uniform 64) (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
     ( "banded fractional fft",
       compile ~backend:`Sparse (uniform 512)
@@ -1101,15 +1093,9 @@ let same_outputs (a : Waveform.t) (b : Waveform.t) =
   && Array.length a.channels = Array.length b.channels
   && Array.for_all2 same_bits a.channels b.channels
 
-let with_fft f =
-  let was = Engine.fft_rhs_enabled () in
-  Engine.set_fft_rhs_enabled true;
-  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled was) f
-
 (* solve_outputs streams C·x_i, but must equal solve's outputs bit for
    bit, with and without an initial state *)
 let test_solve_outputs_bits () =
-  with_fft @@ fun () ->
   List.iter
     (fun (name, make) ->
       let model = make () in
@@ -1178,7 +1164,6 @@ let check_concurrent ~domains ~per_domain name make =
   check_int (name ^ ": factorisations") fact' fact
 
 let test_concurrent_queries () =
-  with_fft @@ fun () ->
   List.iter
     (fun (name, make) -> check_concurrent ~domains:2 ~per_domain:25 name make)
     (plan_kinds ())

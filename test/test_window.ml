@@ -353,7 +353,7 @@ let test_factor_cache_alpha_h_regression () =
     in
     Engine.solve
       (Engine.prepare { Engine.default with fcache } pencil
-         (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 ~horizon:m m))
+         (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 m))
       (bu alpha)
   in
   let shared = Engine.Factor_cache.create () in
@@ -418,24 +418,20 @@ let test_pinned_factor_survives_interleaving () =
   if Mat.max_abs_diff x x_clean <> 0.0 then
     Alcotest.fail "interleaved run must stay bit-identical to the clean run"
 
-(* FFT-gating regression: the convolver used to gate on the per-window
+(* FFT-gating regression: the convolver once gated on the per-window
    column count (w = 64 < 256 ⇒ never engaged, however long the
    horizon), quietly costing O(m·w) per window on the history tail.
-   The gate now compares the effective global history length, so small
-   windows on a long horizon must engage the FFT path. *)
+   Small windows on a long horizon must engage the FFT path. *)
 let test_fft_gate_uses_global_history_len () =
   let st = Random.State.make [| 0x9e37; base_seed + 144 |] in
   let sys, srcs = random_system st (base_seed + 144) in
   let m = 4096 and w = 64 in
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let metrics_were_on = Opm_obs.Metrics.enabled () in
-  let fft_was_on = Engine.fft_rhs_enabled () in
   Opm_obs.Metrics.set_enabled true;
   Opm_obs.Metrics.reset ();
-  Engine.set_fft_rhs_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Engine.set_fft_rhs_enabled fft_was_on;
       Opm_obs.Metrics.reset ();
       Opm_obs.Metrics.set_enabled metrics_were_on)
     (fun () ->
@@ -471,9 +467,6 @@ let test_fft_handoff_partial_support () =
           P4 n4 0 q=0.5u alpha=0.5\n")
   in
   let grid = Grid.uniform ~t_end:2e-5 ~m:1024 in
-  let fft_was_on = Engine.fft_rhs_enabled () in
-  Engine.set_fft_rhs_enabled true;
-  Fun.protect ~finally:(fun () -> Engine.set_fft_rhs_enabled fft_was_on) @@ fun () ->
   let global = Opm.simulate_multi_term ~grid mt srcs in
   let windowed = Opm.simulate_multi_term ~window:128 ~grid mt srcs in
   check_le "C/CPE ladder, FFT handoff on the CPE rows, windowed vs global"
