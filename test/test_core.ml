@@ -936,31 +936,31 @@ let frozen_digests =
   [
     ( (`Dense : Opm.backend),
       [
-          ("general short", "a7e37297c82ef49f");
+          ("general short", "c94fe8bfabfbd0b1");
           ("general fft", "d4a62739398f0d22");
           ("two-term", "a7ccc61ed8bc9b10");
           ("multi-term fft", "206abd7f24c502ea");
           ("general adaptive", "6fd129340adba265");
           ("order-1 uniform", "be73f1f2650cfae2");
           ("order-1 adaptive", "71a55382c072ce4f");
-          ("windowed general", "f85e9c783263d75c");
-          ("windowed general memory 8", "d7ecb39638dd061d");
+          ("windowed general", "d9d52ae864331c4c");
+          ("windowed general memory 8", "cd69efc8183a388b");
           ("windowed order-1", "68514b8069b83a3d");
-          ("compiled query", "a7e37297c82ef49f");
+          ("compiled query", "c94fe8bfabfbd0b1");
       ] );
     ( `Sparse,
       [
-          ("general short", "0ffa3108cbdbed8e");
+          ("general short", "5a651d45bb94602f");
           ("general fft", "3a8bb2e705b62f1a");
           ("two-term", "0a598582f97b55c3");
           ("multi-term fft", "d34dbac9949ac5b7");
           ("general adaptive", "f79c3fe9e2e8daf2");
           ("order-1 uniform", "262d649541f9da67");
           ("order-1 adaptive", "ddc6f412fa7e8da0");
-          ("windowed general", "4908dc16e4fe29d3");
-          ("windowed general memory 8", "08f5af7e17497cfd");
+          ("windowed general", "335ff50a8efa6c54");
+          ("windowed general memory 8", "fb6f8769ed083299");
           ("windowed order-1", "b4bf58fe77c2e449");
-          ("compiled query", "0ffa3108cbdbed8e");
+          ("compiled query", "5a651d45bb94602f");
           ("power grid NA amd", "ab1143c67dd16384");
           ("power grid MNA amd", "5773842b2ca54b70");
       ] );
