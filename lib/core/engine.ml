@@ -632,16 +632,16 @@ let lag_ops pencil b =
       Atomic.set b.lags (Some (pencil, ops, support));
       (ops, support)
 
-(* The kernels' spectra for an [m]-column run, built on first use. The
-   convolver serves every horizon: below its 32-column base it sums the
-   lags directly with no FFT level, and every κ_k decays, so blockwise
-   FFT reassociation stays within roundoff of a direct sum for every
+(* The kernels' spectra, built on first use. The convolver serves
+   every horizon: below its 32-column base it sums the lags directly
+   with no FFT level, and every κ_k decays, so blockwise FFT
+   reassociation stays within roundoff of a direct sum for every
    order. *)
-let toeplitz_spectra ~m b =
+let toeplitz_spectra b =
   match Atomic.get b.spectra with
   | Some sp -> sp
   | None ->
-      let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m () in
+      let sp = Fft.Blocked_conv.spectra ~kernels:b.kernels ~m:b.columns () in
       Atomic.set b.spectra (Some sp);
       sp
 
@@ -698,7 +698,7 @@ let prepare ctx pencil history =
     match history with
     | Banded b ->
         let lags, support = lag_ops pencil b in
-        (lags, if Array.length support = 0 then None else Some (toeplitz_spectra ~m b, support))
+        (lags, if Array.length support = 0 then None else Some (toeplitz_spectra b, support))
     | Triangular _ | Alternating _ -> (Dense_ops [||], None)
   in
   {

@@ -132,9 +132,8 @@ val solve :
     passes a cache {!prefactor} has filled, so no query factorises
     anything; the engine pins the uniform-grid block it inserts (the
     bounded cache can never evict the hot pencil mid-run, whatever else
-    shares the cache). The per-window histories carry the
-    global horizon for the FFT gate, so long horizons keep the Toeplitz
-    fast path even when [w] is far below the crossover.
+    shares the cache). Each window's history sums its fractional
+    kernels through the FFT convolver, however short [w] is.
 
     The [stats] hits/misses are deltas over this call when the cache is
     shared.

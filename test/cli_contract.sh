@@ -1,17 +1,17 @@
 #!/usr/bin/env bash
 # Contract of the opm_sim command line on a small RC ladder:
 #
-#   - `--method integral --window 16` warns that --window only applies to
-#     the opm methods, exits 0, and writes the same CSV bytes as the run
-#     without --window (the integral form has no windowed variant);
-#   - `--method integral` prints exactly one deprecation line on stderr;
+#   - `--method integral` (a removed alias) is a usage error (exit 124);
 #   - `--basis spectral --window 16` is a usage error (exit 2);
 #   - `--method opm --window 16 --memory-len 8` exits 0 with as many CSV
 #     rows as the unwindowed run, and does not warn;
 #   - on a ladder with a constant-phase element at 256 steps,
 #     `--memory-len 8` alone and with `--window 256` warns that
 #     --memory-len is ignored and writes the same CSV bytes as the
-#     full-history run (the tail is only truncated between windows).
+#     full-history run (the tail is only truncated between windows);
+#   - on that ladder, `--no-fft-rhs` and `OPM_NO_FFT_RHS=1` each print
+#     exactly one deprecation line and write the same CSV bytes as the
+#     run without them.
 #
 # Usage: cli_contract.sh <opm_sim.exe>
 set -u
@@ -68,15 +68,7 @@ run_cpe() {
 ignored="--memory-len only applies with --window < --steps; ignored"
 
 run integral --method integral
-[ "$code" -eq 0 ] || fail "--method integral exited $code"
-[ "$(grep -c -- "--method integral is deprecated" "$tmp/integral.err")" -eq 1 ] \
-  || fail "--method integral did not print exactly one deprecation line"
-run integral_w --method integral --window 16
-[ "$code" -eq 0 ] || fail "--method integral --window 16 exited $code"
-grep -q -- "--window only applies to the opm methods; ignored" "$tmp/integral_w.err" \
-  || fail "--method integral --window 16 did not warn that --window is ignored"
-cmp -s "$tmp/integral.csv" "$tmp/integral_w.csv" \
-  || fail "--method integral CSV changed under --window 16"
+[ "$code" -eq 124 ] || fail "--method integral exited $code, expected 124"
 
 run spectral --basis spectral --window 16
 [ "$code" -eq 2 ] || fail "--basis spectral --window 16 exited $code, expected 2"
@@ -103,6 +95,18 @@ for args in "--memory-len 8" "--memory-len 8 --window 256"; do
   cmp -s "$tmp/cpe.csv" "$tmp/cpe_k.csv" \
     || fail "CPE ladder CSV changed under $args"
 done
+
+deprecated="--no-fft-rhs and OPM_NO_FFT_RHS are deprecated and ignored"
+run_cpe cpe_nofft --no-fft-rhs
+[ "$code" -eq 0 ] || fail "CPE ladder --no-fft-rhs exited $code"
+OPM_NO_FFT_RHS=1 run_cpe cpe_nofft_env
+[ "$code" -eq 0 ] || fail "CPE ladder with OPM_NO_FFT_RHS=1 exited $code"
+for name in cpe_nofft cpe_nofft_env; do
+  [ "$(grep -c -- "$deprecated" "$tmp/$name.err")" -eq 1 ] \
+    || fail "$name did not print exactly one deprecation line"
+  cmp -s "$tmp/cpe.csv" "$tmp/$name.csv" || fail "$name CSV differs from the CPE run"
+done
+grep -q -- "$deprecated" "$tmp/cpe.err" && fail "CPE run without the flag warned"
 
 [ "$status" -eq 0 ] && echo "cli-contract: ok"
 exit $status
