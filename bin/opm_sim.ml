@@ -98,8 +98,8 @@ let steps_arg =
 let method_arg =
   let doc =
     "Transient method: opm, opm-adaptive, be (backward Euler), trap \
-     (trapezoidal), gear (BDF2), fft (frequency domain), gl (Grünwald–Letnikov), exact \
-     (matrix-exponential reference; ODE only)."
+     (trapezoidal), gear (BDF2), fft (frequency domain), gl \
+     (Grünwald–Letnikov), exact (matrix-exponential reference; ODE only)."
   in
   Arg.(value & opt method_conv Opm_method & info [ "method" ] ~docv:"METHOD" ~doc)
 

@@ -732,6 +732,7 @@ let scan_block = 256
 let subtract_scan pencil d i cols rhs =
   let n = pencil.n and terms = Array.length d in
   let accs = Array.init terms (fun _ -> Array.make n 0.0) in
+  let used = Array.make terms false in
   let lo = ref 0 in
   while !lo < n do
     let hi = min n (!lo + scan_block) - 1 in
@@ -739,18 +740,19 @@ let subtract_scan pencil d i cols rhs =
       let acc = accs.(k) in
       for j = 0 to i - 1 do
         let w = Mat.get d.(k) j i and col = cols.(j) in
-        if w <> 0.0 then
+        if w <> 0.0 then begin
+          used.(k) <- true;
           for r = !lo to hi do
             Array.unsafe_set acc r
               ((w *. Array.unsafe_get col r) +. Array.unsafe_get acc r)
           done
+        end
       done
     done;
     lo := hi + 1
   done;
   for k = 0 to terms - 1 do
-    let rec any j = j < i && (Mat.get d.(k) j i <> 0.0 || any (j + 1)) in
-    if any 0 then Vec.axpy (-1.0) (apply pencil k accs.(k)) rhs
+    if used.(k) then Vec.axpy (-1.0) (apply pencil k accs.(k)) rhs
   done
 
 (* One run's column state: [rhs i] assembles column i's right-hand side
