@@ -1,7 +1,7 @@
 (* Approximate-minimum-degree ordering, a port of the cs_amd quotient-graph
    algorithm (Davis, "Direct Methods for Sparse Linear Systems", CSparse).
    Works on the symmetrized pattern A + Aᵀ with the diagonal dropped, so it
-   accepts the same unsymmetric circuit pencils as {!Rcm}.
+   accepts unsymmetric circuit pencils as they are.
 
    The quotient graph lives in one integer workspace [ci] with elbow room
    t = cnz + cnz/5 + 2n; eliminated pivots become *elements* whose adjacency

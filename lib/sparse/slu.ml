@@ -18,7 +18,9 @@ exception Singular of int
 exception Unstable of int
 exception Pattern_mismatch
 
-type ordering = [ `Amd | `Auto | `Natural | `Rcm ]
+(* [refactor] raises [Unstable] when a recorded pivot falls below this
+   fraction of its column maximum *)
+let stability_tol = 0.01
 
 (* the factors live in Bigarrays, outside the OCaml heap: a
    100K-state pencil's L and U add nothing to the GC's scan work *)
@@ -62,7 +64,7 @@ end
    replays all of it against new values. *)
 type symbolic = {
   sn : int;
-  sym : int array option;  (* fill-reducing ordering, new -> old *)
+  sym : int array;  (* AMD fill-reducing ordering, new -> old *)
   pinv : int array;  (* permuted row -> pivot position *)
   perm : int array;  (* pivot position -> permuted row *)
   l_ptr : int array;  (* n+1 column pointers into l_idx *)
@@ -92,7 +94,6 @@ type t = {
           queries on several domains *)
 }
 
-let symbolic_of f = f.s
 let nnz_factors f = f.s.l_ptr.(f.s.sn) + f.s.u_ptr.(f.s.sn)
 
 let note_fill f nnz_a =
@@ -105,11 +106,6 @@ let check_pivot_tol pivot_tol =
   if not (pivot_tol > 0.0 && pivot_tol <= 1.0) then
     invalid_arg
       (Printf.sprintf "Slu.factor: pivot_tol %g outside (0, 1]" pivot_tol)
-
-let resolve_ordering ordering n =
-  match ordering with
-  | `Auto -> if n > 512 then `Amd else `Rcm
-  | (`Amd | `Rcm | `Natural) as o -> o
 
 (* depth-first search from [start] through the columns of L restricted
    to pivotal rows; emits vertices in post-order onto [stack]. The
@@ -188,19 +184,13 @@ let prune ~pinv ~l_ptr ~lpend ~pruned ~(l_idx : int_ba) ~(l_val : float_ba)
 
 (* Gilbert–Peierls left-looking factorisation with threshold pivoting,
    recording the symbolic structure as it goes *)
-let analyze_core ~ordering ~pivot_tol ~norm1 (a : Csr.t) =
+let analyze_core ~pivot_tol ~norm1 (a : Csr.t) =
   let { Csr.rows = n; row_ptr; col_ind; values; _ } = a in
-  let sym =
-    match resolve_ordering ordering n with
-    | `Natural -> None
-    | `Rcm -> Some (Rcm.ordering a)
-    | `Amd -> Some (Amd.ordering a)
-  in
+  let sym = Amd.ordering a in
   (* permuted CSC with source indices: entry (i, j) of A lands in column
      psym(j) as row psym(i), remembering where its value lives *)
-  let psym =
-    match sym with None -> Array.init n Fun.id | Some p -> Rcm.inverse p
-  in
+  let psym = Array.make n 0 in
+  Array.iteri (fun i v -> psym.(v) <- i) sym;
   let nnz = row_ptr.(n) in
   let at_ptr = Array.make (n + 1) 0 in
   let at_idx = Array.make nnz 0 in
@@ -311,7 +301,7 @@ let analyze_core ~ordering ~pivot_tol ~norm1 (a : Csr.t) =
     if !best < 0 || !best_mag < 1e-300 then
       (* report the column in the *original* ordering so callers can
          name the offending unknown *)
-      raise (Singular (match sym with Some p -> p.(j) | None -> j));
+      raise (Singular sym.(j));
     (* threshold pivoting: keep the diagonal when it is big enough *)
     let pivot_row =
       if !diag_present && Float.abs !diag_val >= pivot_tol *. !best_mag then j
@@ -384,7 +374,7 @@ let csr_norm1 a =
   Csr.iter (fun _ j v -> sums.(j) <- sums.(j) +. Float.abs v) a;
   Array.fold_left Float.max 0.0 sums
 
-let analyze ?(ordering = `Auto) ?(pivot_tol = 0.1) (a : Csr.t) =
+let analyze ?(pivot_tol = 0.1) (a : Csr.t) =
   check_pivot_tol pivot_tol;
   let n, m = Csr.dims a in
   if n <> m then invalid_arg "Slu.factor: non-square matrix";
@@ -392,11 +382,11 @@ let analyze ?(ordering = `Auto) ?(pivot_tol = 0.1) (a : Csr.t) =
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
   let norm1 = csr_norm1 a in
-  let s, f = analyze_core ~ordering ~pivot_tol ~norm1 a in
+  let s, f = analyze_core ~pivot_tol ~norm1 a in
   note_fill f (Csr.nnz a);
   (s, f)
 
-let factor ?ordering ?pivot_tol a = snd (analyze ?ordering ?pivot_tol a)
+let factor ?pivot_tol a = snd (analyze ?pivot_tol a)
 
 let pattern_matches s (a : Csr.t) =
   let same_ints (x : int array) (y : int array) =
@@ -420,11 +410,7 @@ let pattern_matches s (a : Csr.t) =
   && same_ints a.Csr.row_ptr s.p_row_ptr
   && same_ints a.Csr.col_ind s.p_col_ind
 
-let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
-  if not (stability_tol >= 0.0 && stability_tol <= 1.0) then
-    invalid_arg
-      (Printf.sprintf "Slu.refactor: stability_tol %g outside [0, 1]"
-         stability_tol);
+let refactor s (a : Csr.t) =
   if not (pattern_matches s a) then raise Pattern_mismatch;
   Metrics.incr m_factor;
   Metrics.time h_factor_seconds @@ fun () ->
@@ -434,14 +420,13 @@ let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
   let l_val = Ba.Array1.create Ba.float64 Ba.c_layout s.l_ptr.(n) in
   let u_val = Ba.Array1.create Ba.float64 Ba.c_layout s.u_ptr.(n) in
   let x = Array.make n 0.0 in
-  let orig j = match s.sym with Some p -> p.(j) | None -> j in
   (* row equilibration recomputed from the new values, exactly as the
      analysis did, so a refactor on the analyzed values stays
      bit-identical to the fresh factorisation *)
   let rscale = Ba.Array1.create Ba.float64 Ba.c_layout n in
   Ba.Array1.fill rscale 1.0;
   for j' = 0 to n - 1 do
-    let i = orig j' in
+    let i = s.sym.(j') in
     let m = ref 0.0 in
     for k = s.p_row_ptr.(i) to s.p_row_ptr.(i + 1) - 1 do
       let a = Float.abs values.(k) in
@@ -474,9 +459,9 @@ let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
       let m = Float.abs x.(geti s.l_idx q) in
       if m > !best_mag then best_mag := m
     done;
-    if !best_mag < 1e-300 then raise (Singular (orig j));
+    if !best_mag < 1e-300 then raise (Singular s.sym.(j));
     if Float.abs piv < 1e-300 || Float.abs piv < stability_tol *. !best_mag
-    then raise (Unstable (orig j));
+    then raise (Unstable s.sym.(j));
     for q = s.l_ptr.(j) to s.l_ptr.(j + 1) - 1 do
       Ba.Array1.unsafe_set l_val q (x.(geti s.l_idx q) /. piv)
     done;
@@ -497,25 +482,23 @@ let refactor ?(stability_tol = 0.01) s (a : Csr.t) =
   Metrics.incr m_reuse;
   { s; l_val; u_val; rscale; norm1; cond1 = Atomic.make None }
 
-let factor_hinted ?ordering ?pivot_tol ?stability_tol ~hint a =
+let factor_hinted ?pivot_tol ~hint a =
   let fresh () =
-    let s, f = analyze ?ordering ?pivot_tol a in
+    let s, f = analyze ?pivot_tol a in
     hint := Some s;
     f
   in
   match !hint with
   | None -> fresh ()
   | Some s -> (
-      match refactor ?stability_tol s a with
+      match refactor s a with
       | f -> f
       | exception (Pattern_mismatch | Unstable _ | Singular _) -> fresh ())
 
 (* The factors are of R·A' with A' = P A Pᵀ, (Pz)(i) = z(p(i)) for the
-   fill-reducing ordering p (identity when there is none), so
+   fill-reducing ordering p, so
    x = Pᵀ U⁻¹ L⁻¹ (R P b). The permutation of b and of the result are
    folded into the first and last passes. *)
-let sym_index s i = match s.sym with None -> i | Some p -> p.(i)
-
 let solve_unlogged f b =
   let s = f.s in
   let n = s.sn in
@@ -525,7 +508,7 @@ let solve_unlogged f b =
      collects the values in pivot order *)
   let xr = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    xr.(i) <- b.(sym_index s i) *. getf f.rscale i
+    xr.(i) <- b.(s.sym.(i)) *. getf f.rscale i
   done;
   let y = Array.make n 0.0 in
   for k = 0 to n - 1 do
@@ -550,13 +533,10 @@ let solve_unlogged f b =
         y.(p) <- y.(p) -. (getf f.u_val t *. xj)
       done
   done;
-  match s.sym with
-  | None -> y
-  | Some p ->
-      for i = 0 to n - 1 do
-        xr.(p.(i)) <- y.(i)
-      done;
-      xr
+  for i = 0 to n - 1 do
+    xr.(s.sym.(i)) <- y.(i)
+  done;
+  xr
 
 let solve f b =
   Metrics.incr m_solve;
@@ -580,7 +560,7 @@ let solve_transpose f b =
     invalid_arg "Slu.solve_transpose: dimension mismatch";
   let z = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    z.(i) <- b.(sym_index s i)
+    z.(i) <- b.(s.sym.(i))
   done;
   for j = 0 to n - 1 do
     let lo = s.u_ptr.(j) and hi = s.u_ptr.(j + 1) in
@@ -600,7 +580,7 @@ let solve_transpose f b =
   let x = Array.make n 0.0 in
   for k = 0 to n - 1 do
     let row = s.perm.(k) in
-    x.(sym_index s row) <- z.(k) *. getf f.rscale row
+    x.(s.sym.(row)) <- z.(k) *. getf f.rscale row
   done;
   x
 

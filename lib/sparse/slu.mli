@@ -21,10 +21,9 @@ open Opm_numkit
     below.
 
     Fill is controlled three ways: a symmetric fill-reducing reordering
-    ({!Amd} at paper scale, {!Rcm} for small bandwidth-friendly systems,
-    picked by the [`Auto] heuristic); *threshold* pivoting — the
-    diagonal candidate is kept whenever its magnitude is within
-    [pivot_tol] of the column maximum, so the fill-reducing order
+    by {!Amd}, the one ordering for pencils of every size; *threshold*
+    pivoting — the diagonal candidate is kept whenever its magnitude is
+    within [pivot_tol] of the column maximum, so the fill-reducing order
     survives; otherwise the column maximum is chosen (stability first);
     and KLU-style *row equilibration* — the factors internally hold
     [R·A] with [R = diag(1/max|row|)], so a badly scaled pencil (an
@@ -72,14 +71,10 @@ type symbolic
     sequence, fill patterns, elimination schedule, and the scatter map
     back into the analyzed matrix's value array. *)
 
-type ordering = [ `Amd | `Auto | `Natural | `Rcm ]
-(** [`Auto] (the default) picks {!Amd} above a few hundred unknowns and
-    {!Rcm} below, where bandwidth ordering's locality wins. *)
-
 exception Singular of int
 (** Numerically zero pivot column, reported in the *original* (not
-    fill-reduced) ordering so callers can name the offending unknown —
-    under [`Amd] and [`Rcm] alike. *)
+    AMD-reordered) numbering so callers can name the offending
+    unknown. *)
 
 exception Unstable of int
 (** Raised by {!refactor} when the recorded pivot of the named unknown
@@ -90,10 +85,10 @@ exception Pattern_mismatch
 (** Raised by {!refactor} when the matrix's sparsity pattern differs
     from the analyzed one. *)
 
-val analyze : ?ordering:ordering -> ?pivot_tol:float -> Csr.t -> symbolic * t
+val analyze : ?pivot_tol:float -> Csr.t -> symbolic * t
 (** Full factorisation returning both the reusable symbolic object and
-    the numeric factors for the given values. Defaults
-    [ordering = `Auto], [pivot_tol = 0.1].
+    the numeric factors for the given values: {!Amd} ordering, then the
+    left-looking factorisation. Default [pivot_tol = 0.1].
 
     [pivot_tol] must lie in [(0, 1]]: it is the fraction of the column
     maximum a diagonal candidate must reach to be kept, so [1.0] means
@@ -103,7 +98,7 @@ val analyze : ?ordering:ordering -> ?pivot_tol:float -> Csr.t -> symbolic * t
     [Invalid_argument] on non-square input or a [pivot_tol] outside
     [(0, 1]]; raises {!Singular} when no acceptable pivot exists. *)
 
-val refactor : ?stability_tol:float -> symbolic -> Csr.t -> t
+val refactor : symbolic -> Csr.t -> t
 (** Numeric-only refactorisation of a matrix with the *exact* sparsity
     pattern that was analyzed (verified; {!Pattern_mismatch} otherwise).
     Replays the recorded elimination schedule with the new values —
@@ -114,28 +109,18 @@ val refactor : ?stability_tol:float -> symbolic -> Csr.t -> t
     The pivot sequence is fixed by the analysis, so each pivot is
     re-checked against the new values: {!Singular} if its column is
     numerically zero, {!Unstable} if the pivot magnitude falls below
-    [stability_tol] (default [0.01], must be within [[0, 1]]) times the
-    column maximum. Either way no factor with a poisoned pivot is ever
-    returned. *)
+    [0.01] times the column maximum. Either way no factor with a
+    poisoned pivot is ever returned. *)
 
-val factor : ?ordering:ordering -> ?pivot_tol:float -> Csr.t -> t
+val factor : ?pivot_tol:float -> Csr.t -> t
 (** [analyze] without keeping the symbolic part. *)
 
-val factor_hinted :
-  ?ordering:ordering ->
-  ?pivot_tol:float ->
-  ?stability_tol:float ->
-  hint:symbolic option ref ->
-  Csr.t ->
-  t
+val factor_hinted : ?pivot_tol:float -> hint:symbolic option ref -> Csr.t -> t
 (** Factor-with-reuse: try {!refactor} against [!hint], and on [None],
     {!Pattern_mismatch}, {!Unstable} or {!Singular} fall back to a fresh
     {!analyze}, storing its symbolic object back into [hint]. The hint
     ref makes reuse *explicit* — callers that must stay bit-identical
     across runs (e.g. serial-vs-parallel sweeps) keep separate hints. *)
-
-val symbolic_of : t -> symbolic
-(** The symbolic object a factorisation was built from (or produced). *)
 
 val solve : t -> Vec.t -> Vec.t
 (** Solve [A x = b] reusing the factorisation. *)

@@ -203,11 +203,38 @@ let prop_csr_matvec_linear =
 (* ---------- Slu ---------- *)
 
 let test_slu_vs_dense () =
-  let d = random_sparse 31 40 in
-  let s = Csr.of_dense d in
-  let b = Array.init 40 (fun i -> sin (float_of_int i)) in
-  check_bool "sparse = dense solution" true
-    (Vec.approx_equal ~tol:1e-10 (Slu.solve_dense s b) (Lu.solve_dense d b))
+  let block_diagonal =
+    (* three disconnected components: the ordering's graph has no edge
+       between them *)
+    Mat.init 12 12 (fun i j ->
+        if i = j then 3.0 +. float_of_int i
+        else if i / 4 = j / 4 then 1.0 /. float_of_int (1 + i + (2 * j))
+        else 0.0)
+  in
+  let arrow =
+    (* one dense row and column on a diagonal *)
+    Mat.init 50 50 (fun i j ->
+        if i = j then 60.0 +. float_of_int i
+        else if i = 0 || j = 0 then 1.0 +. (0.01 *. float_of_int (i + j))
+        else 0.0)
+  in
+  List.iter
+    (fun (name, d) ->
+      let n = d.Mat.rows in
+      let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+      check_bool (name ^ ": sparse = dense solution") true
+        (Vec.approx_equal ~tol:1e-10
+           (Slu.solve_dense (Csr.of_dense d) b)
+           (Lu.solve_dense d b)))
+    [
+      ("random n = 40", random_sparse 31 40);
+      ("n = 0", Mat.zeros 0 0);
+      ("n = 1", Mat.of_arrays [| [| -2.5 |] |]);
+      ( "zero diagonal, off-diagonal pivots",
+        Mat.of_arrays [| [| 0.0; 2.0 |]; [| 3.0; 0.0 |] |] );
+      ("block diagonal", block_diagonal);
+      ("50 x 50 arrow", arrow);
+    ]
 
 let test_slu_factor_reuse () =
   let d = random_sparse 37 25 in
@@ -261,7 +288,7 @@ let test_slu_tridiagonal_no_fill () =
   let f = Slu.factor s in
   check_bool "fill stays linear" true (Slu.nnz_factors f <= 3 * n)
 
-(* ---------- Rcm ---------- *)
+(* ---------- threshold pivoting + AMD fill ---------- *)
 
 let shuffled_band seed n bw =
   (* a band matrix viewed through a random symmetric permutation *)
@@ -281,57 +308,16 @@ let shuffled_band seed n bw =
   in
   Csr.of_dense d
 
-let test_rcm_is_permutation () =
-  let a = shuffled_band 3 30 2 in
-  let p = Rcm.ordering a in
-  let sorted = Array.copy p in
-  Array.sort compare sorted;
-  check_bool "bijection" true (Array.to_list sorted = List.init 30 Fun.id)
-
-let test_rcm_reduces_bandwidth () =
-  let a = shuffled_band 5 60 2 in
-  let p = Rcm.ordering a in
-  let permuted = Rcm.permute_symmetric a p in
-  check_bool
-    (Printf.sprintf "bandwidth %d -> %d" (Rcm.bandwidth a)
-       (Rcm.bandwidth permuted))
-    true
-    (Rcm.bandwidth permuted < Rcm.bandwidth a / 2)
-
-let test_rcm_permute_values () =
-  let d = Mat.init 5 5 (fun i j -> float_of_int ((10 * i) + j)) in
-  let a = Csr.of_dense d in
-  let p = [| 4; 2; 0; 1; 3 |] in
-  let a' = Rcm.permute_symmetric a p in
-  (* a'_{ij} = a_{p(i) p(j)} *)
-  Alcotest.(check (float 1e-12)) "entry" (Mat.get d 4 2) (Csr.get a' 0 1);
-  Alcotest.(check (float 1e-12)) "entry 2" (Mat.get d 1 3) (Csr.get a' 3 4)
-
-let test_rcm_inverse () =
-  let p = [| 3; 0; 2; 1 |] in
-  let inv = Rcm.inverse p in
-  Array.iteri (fun i v -> Alcotest.(check int) "roundtrip" i inv.(p.(i)) |> ignore; ignore v) p
-
-let test_slu_ordering_variants_agree () =
+let test_slu_threshold_vs_strict () =
   let d = Csr.to_dense (shuffled_band 11 40 3) in
   let s = Csr.of_dense d in
   let b = Array.init 40 (fun i -> sin (float_of_int i)) in
-  let x_rcm = Slu.solve (Slu.factor ~ordering:`Rcm s) b in
-  let x_nat = Slu.solve (Slu.factor ~ordering:`Natural s) b in
+  let x = Slu.solve (Slu.factor s) b in
   let x_strict = Slu.solve (Slu.factor ~pivot_tol:1.0 s) b in
-  check_bool "rcm = natural" true (Vec.approx_equal ~tol:1e-9 x_rcm x_nat);
+  check_bool "sparse = dense LU" true
+    (Vec.approx_equal ~tol:1e-9 x (Lu.solve_dense d b));
   check_bool "threshold = strict pivoting" true
-    (Vec.approx_equal ~tol:1e-9 x_rcm x_strict)
-
-let test_slu_rcm_reduces_fill () =
-  let s = shuffled_band 13 200 2 in
-  let f_rcm = Slu.factor ~ordering:`Rcm s in
-  let f_nat = Slu.factor ~ordering:`Natural s in
-  check_bool
-    (Printf.sprintf "fill %d (rcm) < %d (natural)" (Slu.nnz_factors f_rcm)
-       (Slu.nnz_factors f_nat))
-    true
-    (Slu.nnz_factors f_rcm < Slu.nnz_factors f_nat)
+    (Vec.approx_equal ~tol:1e-9 x x_strict)
 
 let prop_slu_random =
   QCheck.Test.make ~count:30 ~name:"slu: agrees with dense LU on random sparse"
@@ -398,21 +384,21 @@ let test_amd_permutation_grid () =
   check_bool "amd is a permutation (power grid)" true
     (is_permutation n (Amd.ordering a))
 
-let test_amd_fill_le_natural () =
-  let a = grid_pencil 6 6 3 in
-  let f_amd = Slu.factor ~ordering:`Amd a in
-  let f_nat = Slu.factor ~ordering:`Natural a in
-  check_bool
-    (Printf.sprintf "fill %d (amd) <= %d (natural)" (Slu.nnz_factors f_amd)
-       (Slu.nnz_factors f_nat))
-    true
-    (Slu.nnz_factors f_amd <= Slu.nnz_factors f_nat)
+let test_amd_fill_pinned () =
+  (* a band behind a random permutation: AMD finds an order with no
+     fill, the factors hold just the matrix's own 994 nonzeros (3 204
+     in the natural order) *)
+  check_int "shuffled band fill" 994
+    (Slu.nnz_factors (Slu.factor (shuffled_band 13 200 2)));
+  (* 11 650 in the natural order *)
+  check_int "3-d grid fill" 2338
+    (Slu.nnz_factors (Slu.factor (grid_pencil 6 6 3)))
 
 let test_amd_solves_grid () =
   let a = grid_pencil 5 4 3 in
   let n, _ = Csr.dims a in
   let b = Array.init n (fun i -> sin (float_of_int i)) in
-  let x = Slu.solve (Slu.factor ~ordering:`Amd a) b in
+  let x = Slu.solve (Slu.factor a) b in
   let r = Vec.sub (Csr.mul_vec a x) b in
   check_bool "amd-ordered solve residual" true
     (Vec.norm2 r /. Vec.norm2 b < 1e-9)
@@ -469,31 +455,37 @@ let test_refactor_pattern_mismatch () =
 let test_singular_named_in_original_order () =
   let n = 12 in
   let d0 = random_sparse 53 n in
-  (* structurally disconnect unknown 7 *)
-  let d =
-    Mat.init n n (fun i j -> if i = 7 || j = 7 then 0.0 else Mat.get d0 i j)
-  in
-  let s = Csr.of_dense d in
   List.iter
-    (fun (name, ord) ->
-      match Slu.factor ~ordering:ord s with
+    (fun (name, d, want) ->
+      check_bool (name ^ ": dense LU raises too") true
+        (match Lu.factor d with
+        | _ -> false
+        | exception Lu.Singular _ -> true);
+      match Slu.factor (Csr.of_dense d) with
       | _ -> Alcotest.fail (name ^ ": expected Singular")
       | exception Slu.Singular k ->
-          check_int (name ^ " names the original unknown") 7 k)
-    [ ("amd", `Amd); ("rcm", `Rcm); ("natural", `Natural) ]
+          check_int (name ^ " names the original unknown") want k)
+    [
+      ( "unknown 7 disconnected",
+        Mat.init n n (fun i j -> if i = 7 || j = 7 then 0.0 else Mat.get d0 i j),
+        7 );
+      ( "empty column 1",
+        Mat.init n n (fun i j -> if j = 1 then 0.0 else Mat.get d0 i j),
+        1 );
+    ]
 
 let test_refactor_singular_named () =
   let n = 9 in
   let d = Mat.init n n (fun i j -> if i = j then float_of_int (i + 2) else 0.0) in
   let a = Csr.of_dense d in
-  let s, _ = Slu.analyze ~ordering:`Amd a in
+  let s, _ = Slu.analyze a in
   let values = Array.copy a.Csr.values in
   Array.iteri (fun k c -> if c = 4 then values.(k) <- 0.0) a.Csr.col_ind;
   let a2 = { a with Csr.values } in
   match Slu.refactor s a2 with
   | _ -> Alcotest.fail "expected Singular from refactor"
   | exception Slu.Singular k ->
-      check_int "refactor names the original unknown under `Amd" 4 k
+      check_int "refactor names the original unknown" 4 k
 
 let test_refactor_unstable_and_hint_fallback () =
   let a1 = Csr.of_dense (Mat.of_arrays [| [| 1.0; 0.5 |]; [| 0.5; 1.0 |] |]) in
@@ -606,19 +598,15 @@ let random_unsym seed n =
   done;
   d
 
-let orderings : (string * Slu.ordering) list =
-  [ ("amd", `Amd); ("rcm", `Rcm); ("natural", `Natural) ]
-
 let prop_slu_unsymmetric =
   QCheck.Test.make ~count:40
     ~name:"slu: off-diagonal pivots on random unsymmetric patterns"
-    QCheck.(triple (int_range 20 200) (int_range 0 10_000) (int_range 0 2))
-    (fun (n, seed, o) ->
-      let ordering = snd (List.nth orderings o) in
+    QCheck.(pair (int_range 20 200) (int_range 0 10_000))
+    (fun (n, seed) ->
       let d = random_unsym seed n in
       let a = Csr.of_dense d in
       let b = Array.init n (fun i -> cos (float_of_int i)) in
-      let s, f = Slu.analyze ~ordering a in
+      let s, f = Slu.analyze a in
       let x = Slu.solve f b in
       let xd = Lu.solve_dense d b in
       Vec.max_abs_diff x xd <= 1e-10 *. (1.0 +. Vec.norm_inf xd)
@@ -628,21 +616,12 @@ let test_unsymmetric_fill_pinned () =
   (* fill of the unpruned analysis on these patterns: pruning only
      shortens the DFS, so reach sets, pivots and fill must not move *)
   List.iter
-    (fun (n, seed, fills) ->
-      let a = Csr.of_dense (random_unsym seed n) in
-      List.iter2
-        (fun (name, ordering) want ->
-          check_int
-            (Printf.sprintf "n=%d seed=%d %s fill" n seed name)
-            want
-            (Slu.nnz_factors (Slu.factor ~ordering a)))
-        orderings fills)
-    [
-      (20, 1, [ 110; 128; 131 ]);
-      (77, 6, [ 1476; 1546; 1906 ]);
-      (150, 7, [ 3692; 4846; 5270 ]);
-      (200, 4, [ 6094; 7195; 9034 ]);
-    ]
+    (fun (n, seed, want) ->
+      check_int
+        (Printf.sprintf "n=%d seed=%d fill" n seed)
+        want
+        (Slu.nnz_factors (Slu.factor (Csr.of_dense (random_unsym seed n)))))
+    [ (20, 1, 110); (77, 6, 1476); (150, 7, 3692); (200, 4, 6094) ]
 
 let () =
   let t name f = Alcotest.test_case name `Quick f in
@@ -670,15 +649,6 @@ let () =
           q prop_csr_add_commutes;
           q prop_csr_matvec_linear;
         ] );
-      ( "rcm",
-        [
-          t "is a permutation" test_rcm_is_permutation;
-          t "reduces bandwidth" test_rcm_reduces_bandwidth;
-          t "permute values" test_rcm_permute_values;
-          t "inverse" test_rcm_inverse;
-          t "ordering variants agree" test_slu_ordering_variants_agree;
-          t "rcm reduces fill" test_slu_rcm_reduces_fill;
-        ] );
       ( "slu",
         [
           t "vs dense LU" test_slu_vs_dense;
@@ -687,13 +657,14 @@ let () =
           t "singular raises" test_slu_singular;
           t "dae pencil" test_slu_dae_pencil;
           t "tridiagonal no fill" test_slu_tridiagonal_no_fill;
+          t "threshold = strict pivoting" test_slu_threshold_vs_strict;
           q prop_slu_random;
         ] );
       ( "amd",
         [
           t "permutation on random rlc" test_amd_permutation_rlc;
           t "permutation on power grid" test_amd_permutation_grid;
-          t "fill <= natural on 3-d grid" test_amd_fill_le_natural;
+          t "fill pinned on shuffled band and 3-d grid" test_amd_fill_pinned;
           t "solves grid pencil" test_amd_solves_grid;
           t "singular named in original order"
             test_singular_named_in_original_order;
