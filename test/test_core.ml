@@ -950,17 +950,17 @@ let frozen_digests =
       ] );
     ( `Sparse,
       [
-          ("general short", "5a651d45bb94602f");
-          ("general fft", "3a8bb2e705b62f1a");
-          ("two-term", "0a598582f97b55c3");
-          ("multi-term fft", "d34dbac9949ac5b7");
-          ("general adaptive", "f79c3fe9e2e8daf2");
-          ("order-1 uniform", "262d649541f9da67");
-          ("order-1 adaptive", "ddc6f412fa7e8da0");
-          ("windowed general", "335ff50a8efa6c54");
-          ("windowed general memory 8", "fb6f8769ed083299");
-          ("windowed order-1", "b4bf58fe77c2e449");
-          ("compiled query", "5a651d45bb94602f");
+          ("general short", "4682a8983b603a14");
+          ("general fft", "5160a2c0a91e4ae1");
+          ("two-term", "09b169bacb4559cc");
+          ("multi-term fft", "c16ef8cebd1f40a8");
+          ("general adaptive", "2563b438fcc9f5fe");
+          ("order-1 uniform", "223ae2acf69c2ba2");
+          ("order-1 adaptive", "f57d396c8b326a12");
+          ("windowed general", "ea9cbd42b6365e7d");
+          ("windowed general memory 8", "a27f0981dea1a40f");
+          ("windowed order-1", "44a1b2b17d2478a5");
+          ("compiled query", "4682a8983b603a14");
           ("power grid NA amd", "ab1143c67dd16384");
           ("power grid MNA amd", "5773842b2ca54b70");
       ] );
