@@ -155,12 +155,9 @@ let basis_arg =
 
 let compile_arg =
   let doc =
-    "Route the opm transient through an explicit compiled model: \
-     compile the plant once (operational matrices, FFT plan, pinned \
-     pencil factorisation), then answer the run as a single query. \
-     Output is bit-identical to the direct opm run; combine with \
-     $(b,--metrics) to see the compiled.queries / compiled.factor_reuse \
-     counters."
+    "Deprecated and ignored: prints one warning. The opm method always \
+     compiles the plant once (operational matrices, FFT plan, pinned \
+     pencil factorisation) and answers the run as a single query."
   in
   Arg.(value & flag & info [ "compile" ] ~doc)
 
@@ -336,7 +333,7 @@ let with_state_names names f =
       (Opm_error.Singular_pencil { r with name = Some names.(step) })
 
 let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
-    ?window ?memory_len ~basis ~compile net outputs t_end steps method_ tol =
+    ?window ?memory_len ~basis net outputs t_end steps method_ tol =
   let t_end =
     match t_end with
     | Some t -> t
@@ -364,26 +361,8 @@ let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
       Printf.eprintf
         "opm_sim: warning: --basis only applies to the opm method; ignored\n%!"
   | _ -> ());
-  (match method_ with
-  | _ when not compile -> ()
-  | Opm_method -> ()
-  | _ ->
-      Printf.eprintf
-        "opm_sim: warning: --compile only applies to the opm method; ignored\n%!");
   let waveform =
     match method_ with
-    | Opm_method when compile ->
-        let mt, srcs = Mna.stamp ?outputs net in
-        let grid = Grid.uniform ~t_end ~m:steps in
-        with_state_names mt.Multi_term.state_names (fun () ->
-            handle_interrupted ~mt ~t_end ~steps (fun () ->
-                let model =
-                  Compiled_model.compile ~basis ?health ?window ?memory_len
-                    ~grid mt
-                in
-                (Compiled_model.solve ?health ?budget ?checkpoint
-                   ?checkpoint_every ?resume_from model srcs)
-                  .Sim_result.outputs))
     | Opm_method ->
         let mt, srcs = Mna.stamp ?outputs net in
         let grid = Grid.uniform ~t_end ~m:steps in
@@ -679,6 +658,10 @@ let run netlist_path mode t_end steps method_ probes tol window memory_len
         "opm_sim: warning: --no-fft-rhs and OPM_NO_FFT_RHS are deprecated \
          and ignored; the fractional history always runs through the FFT \
          convolver\n%!";
+    if compile then
+      Printf.eprintf
+        "opm_sim: warning: --compile is deprecated and ignored; the opm \
+         method always compiles the plant once and solves it as one query\n%!";
     (match domains with
     | Some d -> Opm_parallel.Pool.set_default_domains d
     | None -> ());
@@ -705,7 +688,7 @@ let run netlist_path mode t_end steps method_ probes tol window memory_len
     (match mode with
     | Tran ->
         run_tran ?health ?budget ?checkpoint ~checkpoint_every
-          ?resume_from:resume ?window ?memory_len ~basis ~compile net outputs
+          ?resume_from:resume ?window ?memory_len ~basis net outputs
           t_end steps method_ tol
     | Ac_mode -> run_ac net outputs fstart fstop points
     | Dc_mode -> run_dc net outputs

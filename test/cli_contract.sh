@@ -11,7 +11,9 @@
 #     full-history run (the tail is only truncated between windows);
 #   - on that ladder, `--no-fft-rhs` and `OPM_NO_FFT_RHS=1` each print
 #     exactly one deprecation line and write the same CSV bytes as the
-#     run without them.
+#     run without them;
+#   - on that ladder, `--compile` prints exactly one warning line, the
+#     deprecation, and writes the same CSV bytes as the run without it.
 #
 # Usage: cli_contract.sh <opm_sim.exe>
 set -u
@@ -107,6 +109,14 @@ for name in cpe_nofft cpe_nofft_env; do
   cmp -s "$tmp/cpe.csv" "$tmp/$name.csv" || fail "$name CSV differs from the CPE run"
 done
 grep -q -- "$deprecated" "$tmp/cpe.err" && fail "CPE run without the flag warned"
+
+run_cpe cpe_compile --compile
+[ "$code" -eq 0 ] || fail "CPE ladder --compile exited $code"
+[ "$(grep -c -- "warning" "$tmp/cpe_compile.err")" -eq 1 ] \
+  || fail "--compile did not print exactly one warning line"
+grep -q -- "--compile is deprecated and ignored" "$tmp/cpe_compile.err" \
+  || fail "--compile did not print its deprecation line"
+cmp -s "$tmp/cpe.csv" "$tmp/cpe_compile.csv" || fail "--compile CSV differs from the CPE run"
 
 [ "$status" -eq 0 ] && echo "cli-contract: ok"
 exit $status
