@@ -16,6 +16,9 @@ let m_dense_fallback = Metrics.counter "engine.dense_fallback"
    read per column would by itself eat the < 2% overhead budget *)
 let h_column_seconds = Metrics.histogram "engine.column_seconds"
 let m_rhsconv_blocks = Metrics.counter "engine.rhsconv.blocks"
+(* columns whose history is a [Triangular] scan (adaptive grids, no
+   convolution); the name dates from a removed uniform-grid kernel scan
+   and is kept because the benchmark's per-layer metrics read it *)
 let m_rhsconv_naive = Metrics.counter "engine.rhsconv.naive_cols"
 
 (* ------------------------------------------------------------------ *)

@@ -914,9 +914,8 @@ let frozen_routes (backend : Opm.backend) =
   @
   match backend with
   | `Sparse ->
-      (* above 512 unknowns [`Auto] orders with AMD: pin that path on a
-         second-order NA (n = 768) and a first-order MNA (n = 1 280)
-         power-grid pencil *)
+      (* the AMD-ordered path at power-grid scale: a second-order NA
+         (n = 768) and a first-order MNA (n = 1 280) pencil *)
       let net =
         Opm_circuit.Power_grid.(
           generate { default_spec with nx = 16; ny = 16; nz = 3; load_count = 8 })

@@ -664,7 +664,7 @@ let () =
         [
           t "permutation on random rlc" test_amd_permutation_rlc;
           t "permutation on power grid" test_amd_permutation_grid;
-          t "fill pinned on shuffled band and 3-d grid" test_amd_fill_pinned;
+          t "fill pinned on band and 3-d grid" test_amd_fill_pinned;
           t "solves grid pencil" test_amd_solves_grid;
           t "singular named in original order"
             test_singular_named_in_original_order;
