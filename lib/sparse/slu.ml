@@ -20,7 +20,7 @@ exception Pattern_mismatch
 
 (* [refactor] raises [Unstable] when a recorded pivot falls below this
    fraction of its column maximum *)
-let stability_tol = 0.01
+let min_pivot_fraction = 0.01
 
 (* the factors live in Bigarrays, outside the OCaml heap: a
    100K-state pencil's L and U add nothing to the GC's scan work *)
@@ -460,7 +460,7 @@ let refactor s (a : Csr.t) =
       if m > !best_mag then best_mag := m
     done;
     if !best_mag < 1e-300 then raise (Singular s.sym.(j));
-    if Float.abs piv < 1e-300 || Float.abs piv < stability_tol *. !best_mag
+    if Float.abs piv < 1e-300 || Float.abs piv < min_pivot_fraction *. !best_mag
     then raise (Unstable s.sym.(j));
     for q = s.l_ptr.(j) to s.l_ptr.(j + 1) - 1 do
       Ba.Array1.unsafe_set l_val q (x.(geti s.l_idx q) /. piv)
