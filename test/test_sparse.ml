@@ -212,7 +212,9 @@ let test_slu_vs_dense () =
         else 0.0)
   in
   let arrow =
-    (* one dense row and column on a diagonal *)
+    (* one dense row and column on a diagonal: AMD sets the dense node
+       (degree 49, above its threshold of 48 at n = 50) aside and
+       orders it last *)
     Mat.init 50 50 (fun i j ->
         if i = j then 60.0 +. float_of_int i
         else if i = 0 || j = 0 then 1.0 +. (0.01 *. float_of_int (i + j))
