@@ -386,15 +386,43 @@ let test_amd_permutation_grid () =
   check_bool "amd is a permutation (power grid)" true
     (is_permutation n (Amd.ordering a))
 
-let test_amd_fill_pinned () =
+(* nonzeros of L + U when [a] is eliminated in its own order without
+   pivoting: the symbolic fill AMD is measured against *)
+let natural_fill a =
+  let n, _ = Csr.dims a in
+  let pat = Array.make_matrix n n false in
+  Csr.iter (fun i j _ -> pat.(i).(j) <- true) a;
+  for k = 0 to n - 1 do
+    for i = k + 1 to n - 1 do
+      if pat.(i).(k) then
+        for j = k + 1 to n - 1 do
+          if pat.(k).(j) then pat.(i).(j) <- true
+        done
+    done
+  done;
+  Array.fold_left
+    (fun acc row -> Array.fold_left (fun c b -> if b then c + 1 else c) acc row)
+    0 pat
+
+let test_amd_reduces_band_fill () =
   (* a band behind a random permutation: AMD finds an order with no
-     fill, the factors hold just the matrix's own 994 nonzeros (3 204
-     in the natural order) *)
-  check_int "shuffled band fill" 994
-    (Slu.nnz_factors (Slu.factor (shuffled_band 13 200 2)));
-  (* 11 650 in the natural order *)
-  check_int "3-d grid fill" 2338
-    (Slu.nnz_factors (Slu.factor (grid_pencil 6 6 3)))
+     fill, the factors hold just the matrix's own 994 nonzeros *)
+  let a = shuffled_band 13 200 2 in
+  let fill = Slu.nnz_factors (Slu.factor a) in
+  check_int "shuffled band fill" 994 fill;
+  check_bool
+    (Printf.sprintf "fill %d (amd) < %d (natural)" fill (natural_fill a))
+    true
+    (fill < natural_fill a)
+
+let test_amd_fill_le_natural () =
+  let a = grid_pencil 6 6 3 in
+  let fill = Slu.nnz_factors (Slu.factor a) in
+  check_int "3-d grid fill" 2338 fill;
+  check_bool
+    (Printf.sprintf "fill %d (amd) <= %d (natural)" fill (natural_fill a))
+    true
+    (fill <= natural_fill a)
 
 let test_amd_solves_grid () =
   let a = grid_pencil 5 4 3 in
@@ -666,7 +694,8 @@ let () =
         [
           t "permutation on random rlc" test_amd_permutation_rlc;
           t "permutation on power grid" test_amd_permutation_grid;
-          t "fill pinned on band and 3-d grid" test_amd_fill_pinned;
+          t "reduces fill on shuffled band" test_amd_reduces_band_fill;
+          t "fill <= natural on 3-d grid" test_amd_fill_le_natural;
           t "solves grid pencil" test_amd_solves_grid;
           t "singular named in original order"
             test_singular_named_in_original_order;
