@@ -67,10 +67,6 @@ let bu_matrix ~grid (sys : Multi_term.t) sources =
   Trace.with_span "opm.project_inputs" @@ fun () ->
   Mat.mul sys.Multi_term.b (projected_inputs ~grid sys sources)
 
-let shift_by_x0 x x0 =
-  let n, m = Mat.dims x in
-  Mat.init n m (fun r i -> Mat.get x r i +. x0.(r))
-
 (* A·x₀, the forcing shift of the substitution z = x − x₀ (the Caputo
    derivative of a constant vanishes for every α > 0, so the
    differential terms are untouched): E d^α z = A z + (B u + A x₀) *)
@@ -132,14 +128,12 @@ let output_sink c x0 m =
    the factored (pinned) column-0 block. A query writes no model-level
    state except under a lock (the factor cache) or through an Atomic
    (the counters), so queries may run on several domains at once. *)
-type plan =
-  | Spectral of Spectral_solver.t
-  | Windowed of { w : int }
-  | Column of Engine.history
+type plan = Spectral of Spectral_solver.t | Column of Engine.history
 
 type t = {
   sys : Multi_term.t;
   grid : Grid.t;
+  window : int option;  (* a width below the horizon: the windowed driver *)
   memory_len : int option;
   plan : plan;
   pencil : Engine.pencil;
@@ -167,15 +161,14 @@ let backend t = Engine.backend t.pencil
 let factor_reuse t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factor_reuse sp
-  | Windowed _ | Column _ -> Engine.Factor_cache.hits t.fcache
+  | Column _ -> Engine.Factor_cache.hits t.fcache
 
 let factorisations t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factorisations sp
-  | Windowed _ | Column _ -> Engine.Factor_cache.misses t.fcache
+  | Column _ -> Engine.Factor_cache.misses t.fcache
 
-let basis t =
-  match t.plan with Spectral _ -> `Spectral | Windowed _ | Column _ -> `Bpf
+let basis t = match t.plan with Spectral _ -> `Spectral | Column _ -> `Bpf
 
 let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
     ~grid (sys : Multi_term.t) =
@@ -190,8 +183,8 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       @ [ sys.Multi_term.a ])
   in
   let fcache = Engine.Factor_cache.create () in
-  let model plan memory_len =
-    { sys; grid; memory_len; plan; pencil; fcache; queries = Atomic.make 0 }
+  let model plan window memory_len =
+    { sys; grid; window; memory_len; plan; pencil; fcache; queries = Atomic.make 0 }
   in
   match basis with
   | `Spectral ->
@@ -202,7 +195,7 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
         invalid_arg "Opm: ?window streaming requires the block-pulse basis";
       if memory_len <> None then
         invalid_arg "Opm: ?memory_len requires the block-pulse basis";
-      model (Spectral (Spectral_solver.compile ?health ~grid sys)) None
+      model (Spectral (Spectral_solver.compile ?health ~grid sys)) None None
   | `Bpf ->
       (* pinning and prefactoring are gated on uniformity: an adaptive
          grid would pin one entry per distinct step, and the pinned set
@@ -210,43 +203,40 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       let uniform =
         match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
       in
-      let ctx = { Engine.default with health; fcache = Some fcache } in
-      let plan =
+      (* a window as wide as the horizon is the global solve; the
+         memory cutoff acts only between windows *)
+      let window, memory_len =
         match window with
         | Some w when w < m ->
-            (* prefactor the very block the Window driver will look up —
-               same cache, same keys. Adaptive grids are rejected by
-               Window at query time, so nothing to warm. *)
-            if uniform then
-              Window.prefactor ctx pencil ~window:w ~grid sys;
-            Windowed { w }
-        | _ ->
-            let history =
-              match (sys.Multi_term.terms, sys.Multi_term.input_order) with
-              | [ { Multi_term.alpha = 1.0; _ } ], 0 ->
-                  Engine.alternating (Grid.steps grid)
-              | terms, _ -> (
-                  let orders = List.map (fun { Multi_term.alpha; _ } -> alpha) terms in
-                  Trace.with_span "opm.operational_matrices" @@ fun () ->
-                  match grid with
-                  | Grid.Uniform { t_end; m } ->
-                      (* each D^α is upper-triangular Toeplitz: the
-                         engine derives its banded recurrence and
-                         fractional kernels from the orders and step *)
-                      Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m
-                  | Grid.Adaptive _ ->
-                      (* near-uniform adaptive grids stay off the Toeplitz
-                         path too: every [Grid.Adaptive] solve is
-                         bit-identical to the naive engine *)
-                      Engine.triangular ~orders
-                        (List.map
-                           (Block_pulse.fractional_differential_matrix grid)
-                           orders))
-            in
-            if uniform then ignore (Engine.prepare ctx pencil history : Engine.plan);
-            Column history
+            if not uniform then
+              invalid_arg "Opm: windowed streaming requires a uniform grid";
+            (Some w, memory_len)
+        | _ -> (None, None)
       in
-      model plan memory_len
+      let history =
+        match (sys.Multi_term.terms, sys.Multi_term.input_order) with
+        | [ { Multi_term.alpha = 1.0; _ } ], 0 -> Engine.alternating (Grid.steps grid)
+        | terms, _ -> (
+            let orders = List.map (fun { Multi_term.alpha; _ } -> alpha) terms in
+            Trace.with_span "opm.operational_matrices" @@ fun () ->
+            match grid with
+            | Grid.Uniform { t_end; m } ->
+                (* each D^α is upper-triangular Toeplitz: the engine
+                   derives its banded recurrence and fractional kernels
+                   from the orders and step *)
+                Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m
+            | Grid.Adaptive _ ->
+                (* near-uniform adaptive grids stay off the Toeplitz
+                   path too: every [Grid.Adaptive] solve is
+                   bit-identical to the naive engine *)
+                Engine.triangular ~orders
+                  (List.map (Block_pulse.fractional_differential_matrix grid) orders))
+      in
+      if uniform then
+        ignore
+          (Engine.prepare { Engine.default with health; fcache = Some fcache } pencil history
+            : Engine.plan);
+      model (Column history) window memory_len
 
 let compile_linear ?backend ?basis ?health ?window ?memory_len ~grid sys =
   compile ?backend ?basis ?health ?window ?memory_len ~grid
@@ -261,43 +251,42 @@ let count_query t =
   Atomic.incr t.queries;
   Metrics.incr m_queries
 
-let global_checkpoint checkpoint resume_from =
-  if checkpoint <> None || resume_from <> None then
-    invalid_arg
-      "Compiled_model.solve: checkpointing requires a windowed model \
-       (compile with ?window)"
-
 (* One query of a column plan: the engine loop, fed B·u_i (+ A·x₀) per
    column from the p×m inputs [u], emitting each solved column to
-   [emit]. *)
-let column_query ?health ?budget ?ax0 t history u emit =
+   [emit]; a windowed model runs the same loop through the windowed
+   driver. *)
+let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0 t
+    history u emit =
   Trace.with_span "compiled_solve" @@ fun () ->
-  count_query t;
-  let plan =
-    Engine.prepare { Engine.health; budget; fcache = Some t.fcache } t.pencil history
+  let ctx = { Engine.health; budget; fcache = Some t.fcache } in
+  let bu = forcing (mul_rows t.sys.Multi_term.b) u ax0 in
+  let hits =
+    match t.window with
+    | Some window ->
+        count_query t;
+        (Window.run ?memory_len:t.memory_len ?checkpoint ?checkpoint_every ?resume_from
+           ~window ctx t.pencil history ~bu ~emit)
+          .Window.factor_hits
+    | None ->
+        if checkpoint <> None || resume_from <> None then
+          invalid_arg
+            "Compiled_model.solve: checkpointing requires a windowed model \
+             (compile with ?window)";
+        count_query t;
+        let plan = Engine.prepare ctx t.pencil history in
+        Engine.run plan ~bu ~emit;
+        fst (Engine.lookups plan)
   in
-  Engine.run plan ~bu:(forcing (mul_rows t.sys.Multi_term.b) u ax0) ~emit;
-  Metrics.incr ~by:(fst (Engine.lookups plan)) m_factor_reuse
+  Metrics.incr ~by:hits m_factor_reuse
 
-let column_solve ?health ?budget ?x0 t history sources emit =
+let column_solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
+    history sources emit =
   let u =
     Trace.with_span "opm.project_inputs" @@ fun () ->
     projected_inputs ~grid:t.grid t.sys sources
   in
-  column_query ?health ?budget ?ax0:(x0_shift t.sys x0) t history u emit
-
-let windowed_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from t
-    ~w bu =
-  Trace.with_span "compiled_solve" @@ fun () ->
-  count_query t;
-  let x, stats =
-    Window.solve
-      ~backend:(backend t :> backend)
-      ?health ?memory_len:t.memory_len ~fcache:t.fcache ?budget ?checkpoint
-      ?checkpoint_every ?resume_from ~window:w ~grid:t.grid t.sys ~bu
-  in
-  Metrics.incr ~by:stats.Window.factor_hits m_factor_reuse;
-  x
+  column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
+    ?ax0:(x0_shift t.sys x0) t history u emit
 
 let spectral_rejected () =
   invalid_arg
@@ -316,17 +305,16 @@ let solve_coeffs ?health ?budget t u =
   let u = apply_input_order ~grid:t.grid t.sys u in
   match t.plan with
   | Spectral _ -> spectral_rejected ()
-  | Windowed { w } ->
-      windowed_query ?health ?budget t ~w (Mat.mul t.sys.Multi_term.b u)
   | Column history ->
       let x = Mat.zeros (Multi_term.order t.sys) m in
       column_query ?health ?budget t history u (fun i xi -> Mat.set_col x i xi);
       x
 
-let solve_spectral ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
-    ?x0 t sp sources =
-  global_checkpoint checkpoint resume_from;
-  ignore checkpoint_every;
+let solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources =
+  if checkpoint <> None || resume_from <> None then
+    invalid_arg
+      "Compiled_model.solve: checkpointing requires a windowed model \
+       (compile with ?window)";
   count_query t;
   let result = Spectral_solver.solve ?health ?budget ?x0 sp sources in
   Metrics.incr m_factor_reuse;
@@ -340,27 +328,11 @@ let result ?health t x =
 let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
     sources =
   match t.plan with
-  | Spectral sp ->
-      solve_spectral ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
-        ?x0 t sp sources
-  | Windowed { w } ->
-      let bu = bu_matrix ~grid:t.grid t.sys sources in
-      let bu =
-        match x0_shift t.sys x0 with
-        | None -> bu
-        | Some ax0 ->
-            let n, m = Mat.dims bu in
-            Mat.init n m (fun r i -> Mat.get bu r i +. ax0.(r))
-      in
-      let x =
-        windowed_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
-          t ~w bu
-      in
-      result ?health t (match x0 with None -> x | Some x0 -> shift_by_x0 x x0)
+  | Spectral sp -> solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources
   | Column history ->
-      global_checkpoint checkpoint resume_from;
       let x = Mat.zeros (Multi_term.order t.sys) (Grid.size t.grid) in
-      column_solve ?health ?budget ?x0 t history sources
+      column_solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
+        history sources
         (match x0 with
         | None -> fun i xi -> Mat.set_col x i xi
         | Some x0 -> fun i xi -> Array.iteri (fun r v -> Mat.set x r i (v +. x0.(r))) xi);
@@ -368,7 +340,7 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
 
 let solve_outputs ?health ?budget ?x0 t sources =
   match t.plan with
-  | Spectral _ | Windowed _ -> (solve ?health ?budget ?x0 t sources).Sim_result.outputs
+  | Spectral _ -> (solve ?health ?budget ?x0 t sources).Sim_result.outputs
   | Column history ->
       let ys, emit = output_sink (mul_rows t.sys.Multi_term.c) x0 (Grid.size t.grid) in
       column_solve ?health ?budget ?x0 t history sources emit;

@@ -85,6 +85,19 @@ let fault_fft_block () =
   | Some Fault.Nan_poison -> true
   | Some (Fault.Singular | Fault.Enospc) -> fault_injected Fault.Fft_block
 
+(* Window-handoff site, fired at every window boundary: Nan_poison
+   corrupts the state carried into the next window (never a column
+   already emitted), so the NaN surfaces as a structured error in a
+   later column, never in delivered data. *)
+let fault_handoff () =
+  match Fault.fire Fault.Window_handoff with
+  | None -> false
+  | Some Fault.Latency ->
+      Fault.latency_sleep ();
+      false
+  | Some Fault.Nan_poison -> true
+  | Some (Fault.Singular | Fault.Enospc) -> fault_injected Fault.Window_handoff
+
 let budget_column budget =
   match budget with
   | None -> ()
@@ -421,6 +434,8 @@ let pencil backend ms =
 
 let backend p = match p.ops with Dense_ops _ -> `Dense | Sparse_ops _ -> `Sparse
 
+let size p = p.n
+
 let nops p =
   match p.ops with Dense_ops a -> Array.length a | Sparse_ops a -> Array.length a
 
@@ -721,6 +736,8 @@ let prepare ctx pencil history =
 
 let lookups p = (p.hits, p.misses)
 
+let identity p = (p.m, p.key0)
+
 (* rows per block of the history scan: one accumulator block (2 KiB)
    plus the column blocks it reads stay cache-resident *)
 let scan_block = 256
@@ -758,22 +775,43 @@ let subtract_scan pencil d i cols rhs =
     if used.(k) then Vec.axpy (-1.0) (apply pencil k accs.(k)) rhs
   done
 
-(* One run's column state: [rhs i] assembles column i's right-hand side
-   from the forcing [bu i], [push i x_i] records the solved column and
-   [finish ()] books the run's metrics. Each history keeps only what it
-   reads back: the order-1 form a running sum, a banded history its
-   last N columns (its convolver keeps its own copy of the support
-   rows), the triangular scan every column. *)
+(* One run's column state. [rhs i] assembles column i's right-hand side
+   from the forcing [bu i] and [push i x_i] records the solved column;
+   [replay i x_i] records a column solved by an earlier run, with the
+   forcing [rhs] would have read, so a replayed state is the state of
+   the run that solved it, bit for bit. [cutoff k] drops the fractional
+   history of every column but the last [k], [poison c] puts a NaN into
+   the state carried past column c − 1, and [finish ()] books the run's metrics. Each
+   history keeps only what it reads back: the order-1 form a running
+   sum, a banded history its last N columns and forcings (its convolver
+   keeps its own copy of the support rows), the triangular scan every
+   column. *)
+type column_state = {
+  rhs : int -> Vec.t;
+  push : int -> Vec.t -> unit;
+  replay : int -> Vec.t -> unit;
+  cutoff : int -> unit;
+  poison : int -> unit;
+  finish : unit -> unit;
+}
+
+(* a NaN-headed copy: the original may be held by the caller's sink *)
+let poisoned x =
+  let x = Array.copy x in
+  x.(0) <- Float.nan;
+  x
+
 let column_history p bu =
   let n = p.pencil.n in
   match p.history with
   | Banded b ->
       let lags = Array.length b.band and nk = Array.length b.frac in
       let conv =
-        Option.map
-          (fun (sp, support) ->
-            (Fft.Blocked_conv.create sp ~rows:(Array.length support), support))
-          p.fractional
+        ref
+          (Option.map
+             (fun (sp, support) ->
+               (Fft.Blocked_conv.create sp ~rows:(Array.length support), support))
+             p.fractional)
       in
       (* column j at slot j mod keep *)
       let keep = max lags 1 in
@@ -791,11 +829,14 @@ let column_history p bu =
         for l = 1 to min lags i do
           Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.((i - l) mod keep)) rhs
         done;
-        (match conv with
-        | Some (cv, support) when i > 0 ->
+        (match !conv with
+        | Some (cv, support) when Fft.Blocked_conv.pushed cv > 0 ->
             let poison = fault_fft_block () in
+            (* the convolver counts its own columns: after a cutoff they
+               start at the first column it kept *)
+            let at = Fft.Blocked_conv.pushed cv in
             for f = 0 to nk - 1 do
-              let rows = Fft.Blocked_conv.history cv ~term:f i in
+              let rows = Fft.Blocked_conv.history cv ~term:f at in
               let hist = Array.make n 0.0 in
               Array.iteri (fun j s -> hist.(s) <- rows.(j)) support;
               (* [hist] is a fresh vector, so poisoning it never
@@ -810,38 +851,85 @@ let column_history p bu =
         cols.(i mod keep) <- xi;
         Option.iter
           (fun (cv, support) -> Fft.Blocked_conv.push cv (Array.map (fun s -> xi.(s)) support))
-          conv
+          !conv
       in
-      let finish () =
-        Option.iter
-          (fun (cv, _) -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks)
-          conv
+      (* a fresh convolver fed the last [k] pushed columns, the newest
+         through [last] *)
+      let rebuild k last =
+        match (!conv, p.fractional) with
+        | Some (cv, support), Some (sp, _) ->
+            let fresh = Fft.Blocked_conv.create sp ~rows:(Array.length support) in
+            let pushed = Fft.Blocked_conv.pushed cv in
+            for j = max 0 (pushed - k) to pushed - 1 do
+              let x = Fft.Blocked_conv.column cv j in
+              Fft.Blocked_conv.push fresh (if j = pushed - 1 then last x else x)
+            done;
+            conv := Some (fresh, support)
+        | _ -> ()
       in
-      (rhs, push, finish)
+      {
+        rhs;
+        push;
+        replay =
+          (fun i xi ->
+            ring.(i mod (lags + 1)) <- bu i;
+            push i xi);
+        cutoff =
+          (fun k ->
+            match !conv with
+            | Some (cv, _) when Fft.Blocked_conv.pushed cv > k -> rebuild k Fun.id
+            | Some _ | None -> ());
+        poison =
+          (fun c ->
+            (* the newest lag column and the newest convolved column,
+               whichever the next column reads *)
+            if lags > 0 then cols.((c - 1) mod keep) <- poisoned cols.((c - 1) mod keep);
+            rebuild max_int poisoned);
+        finish =
+          (fun () ->
+            Option.iter
+              (fun (cv, _) -> Metrics.incr ~by:(Fft.Blocked_conv.blocks cv) m_rhsconv_blocks)
+              !conv);
+      }
   | Triangular { d; _ } ->
       let cols = Array.make p.m [||] in
-      let rhs i =
-        let rhs = bu i in
-        subtract_scan p.pencil d i cols rhs;
-        rhs
-      in
-      (rhs, (fun i xi -> cols.(i) <- xi), fun () -> Metrics.incr ~by:p.m m_rhsconv_naive)
+      let push i xi = cols.(i) <- xi in
+      {
+        rhs =
+          (fun i ->
+            let rhs = bu i in
+            subtract_scan p.pencil d i cols rhs;
+            rhs);
+        push;
+        replay = push;
+        cutoff = ignore;
+        poison = ignore;
+        finish = (fun () -> Metrics.incr ~by:p.m m_rhsconv_naive);
+      }
   | Alternating steps ->
       (* paper §III-A: D's special pattern — (2/h_i) on the diagonal and
          4(−1)^{i−j}/h_i above — reduces the history to one running
          alternating sum: rhs_i = bu_i − (4/h_i)·E·(−1)^i·Σ_{j<i} (−1)^j x_j *)
       let salt = Array.make n 0.0 in
       let sign i = if i land 1 = 1 then -1.0 else 1.0 in
-      let rhs i =
-        let rhs = bu i in
-        (* salt is exactly zero on column 0 (and after any exact reset):
-           the coupling term contributes ±0.0 per entry, which adding to
-           rhs is a no-op, so the E·salt matvec can be skipped *)
-        if not (Array.for_all (fun v -> v = 0.0) salt) then
-          Vec.axpy (-4.0 /. steps.(i) *. sign i) (apply p.pencil 0 salt) rhs;
-        rhs
-      in
-      (rhs, (fun i xi -> Vec.axpy (sign i) xi salt), ignore)
+      let push i xi = Vec.axpy (sign i) xi salt in
+      {
+        rhs =
+          (fun i ->
+            let rhs = bu i in
+            (* salt is exactly zero on column 0 (and after any exact
+               reset): the coupling term contributes ±0.0 per entry,
+               which adding to rhs is a no-op, so the E·salt matvec can
+               be skipped *)
+            if not (Array.for_all (fun v -> v = 0.0) salt) then
+              Vec.axpy (-4.0 /. steps.(i) *. sign i) (apply p.pencil 0 salt) rhs;
+            rhs);
+        push;
+        replay = push;
+        cutoff = ignore;
+        poison = (fun _ -> salt.(0) <- Float.nan);
+        finish = ignore;
+      }
 
 let span_name p =
   match (p.history, p.pencil.ops) with
@@ -850,7 +938,9 @@ let span_name p =
   | Alternating _, Dense_ops _ -> "engine.solve_linear_dense"
   | Alternating _, Sparse_ops _ -> "engine.solve_linear_sparse"
 
-let run p ~bu ~emit =
+type boundary = { width : int; memory : int option; at : int -> unit }
+
+let run ?boundary ?replay p ~bu ~emit =
   Trace.with_span (span_name p) @@ fun () ->
   let { health; budget; _ } = p.ctx in
   (* per-run memo in front of the cache, seeded with the prepared
@@ -871,18 +961,55 @@ let run p ~bu ~emit =
     end;
     snd !memo
   in
-  let rhs, push, finish = column_history p bu in
-  Metrics.incr ~by:p.m m_columns;
+  let st = column_history p bu in
+  Option.iter (fun b -> if b.width < 1 then invalid_arg "Engine.run: boundary width < 1") boundary;
+  (* the window boundary after column c − 1: the caller's hook, the
+     memory cutoff of the next window, the handoff fault site and the
+     deadline *)
+  let cross b c =
+    b.at c;
+    if c < p.m then begin
+      Option.iter st.cutoff b.memory;
+      if fault_handoff () then st.poison c;
+      match budget with
+      | None -> ()
+      | Some bg -> Budget.check_deadline_now bg ~site:"window.boundary"
+    end
+  in
+  let first =
+    match replay with
+    | None -> 0
+    | Some (k, col) ->
+        if k < 0 || k > p.m then invalid_arg "Engine.run: replay beyond the horizon";
+        for j = 0 to k - 1 do
+          st.replay j (col j)
+        done;
+        (match boundary with
+        | Some { memory = Some mem; _ } when k > 0 && k < p.m -> st.cutoff mem
+        | Some _ | None -> ());
+        k
+  in
+  Metrics.incr ~by:(p.m - first) m_columns;
   let t_lap = ref (Metrics.lap_start ()) in
-  for i = 0 to p.m - 1 do
+  let column i =
     budget_column budget;
-    let rhs = rhs i in
+    let rhs = st.rhs i in
     let x = solve_col ?health ~column:i (block i) rhs in
-    push i x;
+    st.push i x;
     emit i x;
     if i land 7 = 7 then t_lap := Metrics.lap_mean h_column_seconds 8 !t_lap
-  done;
-  finish ()
+  in
+  (match boundary with
+  | None ->
+      for i = first to p.m - 1 do
+        column i
+      done
+  | Some b ->
+      for i = first to p.m - 1 do
+        column i;
+        if (i + 1) mod b.width = 0 || i = p.m - 1 then cross b (i + 1)
+      done);
+  st.finish ()
 
 let solve p bu =
   let n = p.pencil.n and m = p.m in

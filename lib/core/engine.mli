@@ -158,6 +158,9 @@ val pencil : [ `Auto | `Dense | `Sparse ] -> Csr.t list -> pencil
 
 val backend : pencil -> [ `Dense | `Sparse ]
 
+val size : pencil -> int
+(** The state count [n]. *)
+
 (** {1 History} *)
 
 type history
@@ -231,24 +234,62 @@ val prepare : ctx -> pencil -> history -> plan
     the horizon is empty, {!Opm_error.Error} when the block is
     singular. *)
 
-val run : plan -> bu:(int -> Vec.t) -> emit:(int -> Vec.t -> unit) -> unit
+(** A window boundary every [width] columns (see {!run}). *)
+type boundary = {
+  width : int;
+  memory : int option;
+      (** [Some k]: at each window start [s], the fractional history
+          keeps columns [max 0 (s − k) … s − 1] only; the integer band
+          stays exact. [k ≥ 0]. *)
+  at : int -> unit;
+      (** called with the solved column count [c] at each boundary *)
+}
+
+val run :
+  ?boundary:boundary ->
+  ?replay:int * (int -> Vec.t) ->
+  plan ->
+  bu:(int -> Vec.t) ->
+  emit:(int -> Vec.t -> unit) ->
+  unit
 (** [run plan ~bu ~emit] performs the column loop, the one loop every
     OPM route solves with. Column [i] of the forcing is [bu i], asked
-    for once, in order: a fresh length-[n] vector the engine keeps and
-    overwrites. Each solved column goes to [emit i x_i], in order; the
-    history may keep [x_i], so [emit] must not mutate it. The run keeps
-    only the history state it reads back (see {b Column state}),
-    so a sink that reduces each column never holds an [n×m] matrix.
+    for at most once, in order: a fresh length-[n] vector the engine
+    keeps and overwrites. Each solved column goes to [emit i x_i], in
+    order; the history may keep [x_i], so [emit] must not mutate it.
+    The run keeps only the history state it reads back (see {b Column
+    state}), so a sink that reduces each column never holds an [n×m]
+    matrix.
 
     {b Column state.} The order-1 form keeps one running sum; a banded
-    history its last [N] columns (its FFT convolver keeps its own copy
-    of the support rows); {!triangular} keeps every column.
+    history its last [N] columns and forcings (its FFT convolver keeps
+    its own copy of the support rows); {!triangular} keeps every
+    column.
+
+    {b Windows.} [?boundary] fires after column [i] whenever
+    [(i+1) mod width = 0] or [i = m − 1]: first [at (i+1)], then, unless
+    the run is done, the [memory] cutoff, the [window-handoff] fault
+    site (a [Nan_poison] corrupts the carried column state, never an
+    emitted column, so the NaN surfaces as a structured error in a
+    later column) and the ["window.boundary"] deadline check. A window
+    is a slice of the one column loop, not a second operator: without
+    [memory] the columns are those of the run without [?boundary], bit
+    for bit. Without [?boundary] the loop is unchanged.
+
+    {b Replay.} [?replay:(k, col)] seeds the column state from columns
+    [0 … k−1] solved earlier ([col j] is column [j]) by pushing them
+    through the history, asking [bu j] again where the history keeps
+    forcings, and starts the loop at column [k]; the [memory] cutoff
+    applies at [k]. Every push is deterministic, so a run resumed from
+    its own prefix is bit-identical to the uninterrupted one. Replayed
+    columns are not emitted.
 
     A plan may be run repeatedly, but by one domain at a time (it
     counts its cache lookups); plans prepared from one pencil and
     history may run on several domains at once. Raises
     {!Opm_error.Error} when a block is singular or a column stays
-    non-finite. *)
+    non-finite, and [Invalid_argument] on [width < 1] or [k] outside
+    [0 … m]. *)
 
 val solve : plan -> Mat.t -> Mat.t
 (** [solve plan bu] is {!run} against the [n×m] forcing [bu],
@@ -259,6 +300,10 @@ val lookups : plan -> int * int
 (** [(hits, misses)] of the factor-cache lookups this plan's {!prepare}
     and runs made — a per-query view that stays exact while other
     queries share the cache. *)
+
+val identity : plan -> int * float list
+(** [(m, key)]: the column count and the cache key of the column-0
+    block (the history's orders and step). *)
 
 val solve_dense_kron : terms:(Mat.t * Mat.t) list -> a:Mat.t -> bu:Mat.t -> Mat.t
 (** Reference implementation that forms the full

@@ -351,6 +351,10 @@ module Blocked_conv = struct
 
   let blocks t = t.blocks
 
+  let column t j =
+    if j < 0 || j >= t.pushed then invalid_arg "Fft.Blocked_conv.column: not pushed";
+    Array.init t.rows (fun r -> t.cols.(r).(j))
+
   (* acc.(p + d) += w.(d), d < hi *)
   let add_into acc w p hi =
     for d = 0 to hi - 1 do

@@ -105,6 +105,12 @@ module Blocked_conv : sig
   val pushed : t -> int
   (** Columns pushed so far. *)
 
+  val column : t -> int -> float array
+  (** [column t j] is a fresh copy of pushed column [j], bit for bit
+      as it was pushed; raises [Invalid_argument] unless
+      [0 ≤ j < pushed t]. Pushing [column t j] for [j = a … pushed t − 1]
+      into a fresh run rebuilds the history of those columns alone. *)
+
   val blocks : t -> int
   (** FFT block convolutions this run performed (observability). *)
 end

@@ -1107,7 +1107,24 @@ let test_solve_outputs_bits () =
             Alcotest.failf "%s%s: solve_outputs differs from solve's outputs" name
               (if x0 = None then "" else " with x0"))
         [ None; Some (Array.init 6 (fun r -> 0.1 *. float_of_int (r + 1))) ])
-    (plan_kinds ())
+    (plan_kinds ());
+  (* a windowed model without a memory cutoff is the global model: both
+     answers equal the global model's outputs bit for bit *)
+  let sys = Descriptor.random_stable ~seed:23 ~n:6 ~p:2 ~q:2 () in
+  let grid = Grid.uniform ~t_end:3.0 ~m:64 in
+  List.iter
+    (fun (name, mt) ->
+      let src = sweep_sources 5 in
+      let want = Compiled_model.solve_outputs (Compiled_model.compile ~grid mt) src in
+      let windowed = Compiled_model.compile ~window:16 ~grid mt in
+      if not (same_outputs want (Compiled_model.solve windowed src).Sim_result.outputs) then
+        Alcotest.failf "%s: windowed solve differs from the global model" name;
+      if not (same_outputs want (Compiled_model.solve_outputs windowed src)) then
+        Alcotest.failf "%s: windowed solve_outputs differs from the global model" name)
+    [
+      ("windowed α = 0.5", Multi_term.of_fractional ~alpha:0.5 sys);
+      ("windowed order-1", Multi_term.of_linear sys);
+    ]
 
 type answer = States of Mat.t | Outputs of Waveform.t
 

@@ -9,7 +9,8 @@
    recovery — never a silently wrong answer and never NaN/Inf in a
    returned result; (2) a run killed at any window boundary by an
    injected checkpoint-write ENOSPC and resumed from the surviving
-   checkpoint is bit-identical to the uninterrupted run.
+   checkpoint is bit-identical to the uninterrupted run, and to the
+   unwindowed global solve.
 
    Seeded from OPM_PROP_SEED (default 20260806), same protocol as
    test_props.ml. *)
@@ -35,12 +36,12 @@ let m = 256
 let w = 64
 let nwin = (m + w - 1) / w
 
-let solve ?budget ?checkpoint ?resume_from () =
+let solve ?budget ?checkpoint ?resume_from ?(window = w) () =
   let sys = Opm_circuit.Tline.model () in
   let srcs = Opm_circuit.Tline.inputs () in
   let grid = Grid.uniform ~t_end:Opm_circuit.Tline.t_end ~m in
   Opm.simulate_fractional ?budget ?checkpoint ~checkpoint_every:1 ?resume_from
-    ~window:w ~grid ~alpha:Opm_circuit.Tline.alpha sys srcs
+    ~window ~grid ~alpha:Opm_circuit.Tline.alpha sys srcs
 
 let bits_equal a b =
   let ra, ca = Mat.dims a and rb, cb = Mat.dims b in
@@ -341,10 +342,14 @@ let test_fault_matrix () =
 (* ---------- solver-level: kill/resume differential (satellite: kill
    at every window boundary, resume, demand bit-identity) ---------- *)
 
-let kill_resume_differential ~nwin
+let kill_resume_differential ~nwin ~global
     (solve : ?checkpoint:string -> ?resume_from:string -> unit -> Sim_result.t) =
   Fault.disarm ();
   let reference = (solve ()).Sim_result.x in
+  (* a window is a slice of the one column loop: the uninterrupted
+     windowed run is the unwindowed global solve, bit for bit *)
+  if not (bits_equal reference global) then
+    Alcotest.fail "the windowed run is not bit-identical to the global solve";
   for k = 1 to nwin do
     with_tmp @@ fun ck ->
     Sys.remove ck;
@@ -368,22 +373,26 @@ let kill_resume_differential ~nwin
             let resumed = solve ~resume_from:path () in
             if not (bits_equal resumed.Sim_result.x reference) then
               Alcotest.failf
-                "boundary %d: resumed run is not bit-identical" k)
+                "boundary %d: resumed run is not bit-identical" k;
+            if not (bits_equal resumed.Sim_result.x global) then
+              Alcotest.failf
+                "boundary %d: resumed run differs from the global solve" k)
     | exception e ->
         Fault.disarm ();
         raise e)
   done
 
 let test_kill_resume_differential () =
-  kill_resume_differential ~nwin (fun ?checkpoint ?resume_from () ->
-      solve ?checkpoint ?resume_from ())
+  kill_resume_differential ~nwin
+    ~global:(solve ~window:m ()).Sim_result.x
+    (fun ?checkpoint ?resume_from () -> solve ?checkpoint ?resume_from ())
 
 (* the same kill/resume at every boundary of order-1 windows over a
    singular E: an RC–RL ladder driven by a voltage source *)
 let dae_m = 128
 let dae_w = 16
 
-let solve_dae ?checkpoint ?resume_from () =
+let solve_dae ?checkpoint ?resume_from ?(window = dae_w) () =
   let sys, srcs =
     Opm_circuit.Mna.stamp_linear
       (Opm_circuit.Parser.parse_string
@@ -398,38 +407,58 @@ let solve_dae ?checkpoint ?resume_from () =
           R4 n4 0 1k\n")
   in
   Opm.simulate_linear ?checkpoint ~checkpoint_every:1 ?resume_from
-    ~window:dae_w ~grid:(Grid.uniform ~t_end:2e-5 ~m:dae_m) sys srcs
+    ~window ~grid:(Grid.uniform ~t_end:2e-5 ~m:dae_m) sys srcs
 
 let test_kill_resume_dae () =
-  kill_resume_differential ~nwin:(dae_m / dae_w) solve_dae
+  kill_resume_differential ~nwin:(dae_m / dae_w)
+    ~global:(solve_dae ~window:dae_m ()).Sim_result.x
+    (fun ?checkpoint ?resume_from () -> solve_dae ?checkpoint ?resume_from ())
 
-(* Order-1 windows once carried an endpoint vector under fingerprint
-   kind "linear"; they now run the general path, whose kind is always
-   "general". A checkpoint of the old path must be refused with a
-   structured error, not resumed into the wrong state. *)
+(* Checkpoints of older payloads must be refused with a structured
+   error, not resumed into the wrong state: order-1 windows once carried
+   an endpoint vector under fingerprint kind "linear", and windows once
+   carried integer-recurrence rings and fractional tails next to the
+   prefix under kind "general". Both are rebuilt here from a current
+   checkpoint of the same run. *)
 let test_linear_kind_checkpoint_refused () =
-  with_tmp @@ fun ck ->
-  ignore (solve_dae ~checkpoint:ck () : Sim_result.t);
-  let relabel = function
-    | Opm_obs.Json.Obj fields ->
-        Opm_obs.Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if k = "kind" then (k, Opm_obs.Json.String "linear") else (k, v))
-             fields)
+  let module Json = Opm_obs.Json in
+  let relabel kind = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "kind" then (k, Json.String kind) else (k, v)) fields)
     | j -> j
   in
-  (match Checkpoint.load ~path:ck with
-  | Opm_obs.Json.Obj fields ->
-      Checkpoint.save ~path:ck
-        (Opm_obs.Json.Obj
-           (List.map
-              (fun (k, v) -> if k = "fingerprint" then (k, relabel v) else (k, v))
-              fields))
-  | _ -> Alcotest.fail "checkpoint payload is not an object");
-  match solve_dae ~resume_from:ck () with
-  | (_ : Sim_result.t) -> Alcotest.fail "a \"linear\" checkpoint was resumed"
-  | exception Opm_error.Error (Opm_error.Checkpoint_error _) -> ()
+  let linear = function
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "fingerprint" then (k, relabel "linear" v) else (k, v)) fields)
+    | j -> j
+  in
+  (* the ring-state payload: the prefix plus next_window, the handoff
+     time and the x/y rings, under kind "general" *)
+  let ring_state = function
+    | Json.Obj fields ->
+        let ring = Json.List [ Checkpoint.encode_floats [||] ] in
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "fingerprint" then (k, relabel "general" v) else (k, v)) fields
+          @ [
+              ("next_window", Json.Int (dae_m / dae_w));
+              ("handoff", Checkpoint.encode_floats [| 0.0 |]);
+              ( "state",
+                Json.Obj
+                  [ ("xring", ring); ("terms", Json.List [ Json.Obj [ ("yring", ring) ] ]) ] );
+            ])
+    | j -> j
+  in
+  List.iter
+    (fun (name, rewrite) ->
+      with_tmp @@ fun ck ->
+      ignore (solve_dae ~checkpoint:ck () : Sim_result.t);
+      Checkpoint.save ~path:ck (rewrite (Checkpoint.load ~path:ck));
+      match solve_dae ~resume_from:ck () with
+      | (_ : Sim_result.t) -> Alcotest.failf "a %s checkpoint was resumed" name
+      | exception Opm_error.Error (Opm_error.Checkpoint_error _) -> ())
+    [ ("\"linear\"", linear); ("ring-state", ring_state) ]
 
 let () =
   Alcotest.run "resilience"

@@ -1,8 +1,9 @@
 (* Differential suite for the windowed streaming driver (lib/core/window):
    windowed vs global solves on random passive RLC networks and the
-   Table-I fractional line, the w = m degenerate case, short-memory
-   truncation against the documented mass bound, and the Factor_cache
-   (α, h) collision regression.
+   Table-I fractional line — bit-identical with full memory, since a
+   window is a slice of the one column loop — the w = m degenerate case,
+   short-memory truncation against the documented mass bound, and the
+   Factor_cache (α, h) collision regression.
 
    Random cases are seeded from OPM_PROP_SEED (default 20260806) and
    every failure message carries the replay seed, same protocol as
@@ -36,6 +37,22 @@ let rel_diff a b =
   let scale = Float.max (Mat.norm_inf b) 1e-30 in
   Mat.max_abs_diff a b /. scale
 
+(* bit identity of two coefficient matrices *)
+let check_bits msg a b =
+  let rows, cols = Mat.dims b in
+  if Mat.dims a <> (rows, cols) then Alcotest.failf "%s: shapes differ" msg;
+  for r = 0 to rows - 1 do
+    for i = 0 to cols - 1 do
+      if
+        not
+          (Int64.equal (Int64.bits_of_float (Mat.get a r i))
+             (Int64.bits_of_float (Mat.get b r i)))
+      then
+        Alcotest.failf "%s: entry (%d, %d) is %h, global %h" msg r i (Mat.get a r i)
+          (Mat.get b r i)
+    done
+  done
+
 let random_input st =
   Source.Sine
     {
@@ -60,10 +77,9 @@ let prop_integer_windowed_matches_global =
       let grid = Grid.uniform ~t_end:2e-5 ~m in
       let global = Opm.simulate_linear ~grid sys srcs in
       let windowed = Opm.simulate_linear ~window:w ~grid sys srcs in
-      check_le
+      check_bits
         (Printf.sprintf "windowed (w = m/8) vs global, seed %d" seed)
-        (rel_diff windowed.Sim_result.x global.Sim_result.x)
-        1e-10)
+        windowed.Sim_result.x global.Sim_result.x)
 
 (* the general (Toeplitz-history) path must agree too: force it through
    a multi-term wrapper of the same order-1 system with full memory *)
@@ -91,10 +107,9 @@ let prop_integer_general_path_matches_global =
       let grid = Grid.uniform ~t_end:2e-5 ~m in
       let global = Opm.simulate_multi_term ~grid mt srcs in
       let windowed = Opm.simulate_multi_term ~window:(m / 8) ~grid mt srcs in
-      check_le
+      check_bits
         (Printf.sprintf "multi-term windowed vs global, seed %d" seed)
-        (rel_diff windowed.Sim_result.x global.Sim_result.x)
-        1e-10)
+        windowed.Sim_result.x global.Sim_result.x)
 
 (* ---------- fractional orders ---------- *)
 
@@ -105,12 +120,11 @@ let fractional_case ~alpha st seed =
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let global = Opm.simulate_fractional ~grid ~alpha sys srcs in
   let windowed = Opm.simulate_fractional ~window:w ~grid ~alpha sys srcs in
-  (* full memory: the windowed recurrence is the global one re-bracketed *)
-  check_le
+  (* full memory: the windowed run is the global column loop *)
+  check_bits
     (Printf.sprintf "α = %g full-memory windowed vs global, seed %d" alpha
        seed)
-    (rel_diff windowed.Sim_result.x global.Sim_result.x)
-    1e-10;
+    windowed.Sim_result.x global.Sim_result.x;
   (* short memory: relative error below the documented truncation mass
      (with a unit safety factor — the mass over-counts because the
      dropped history columns are multiplied by decaying ρ weights *and*
@@ -131,9 +145,10 @@ let fractional_case ~alpha st seed =
 let prop_fractional_05 = prop ~n:3 (fractional_case ~alpha:0.5)
 let prop_fractional_15 = prop ~n:3 (fractional_case ~alpha:1.5)
 
-(* integer orders carry their history through the exact ρ_n recurrence,
-   so even memory_len = 0 must not degrade them (the general path is
-   forced via the split-term trick above) *)
+(* integer orders carry their history in the exact banded recurrence,
+   which no memory cutoff touches, so even memory_len = 0 leaves them
+   bit for bit (the general path is forced via the split-term trick
+   above) *)
 let prop_integer_exact_under_truncation =
   prop ~n:2 (fun st seed ->
       let sys, srcs = random_system st seed in
@@ -158,10 +173,9 @@ let prop_integer_exact_under_truncation =
       let truncated =
         Opm.simulate_multi_term ~window:(m / 8) ~memory_len:0 ~grid mt srcs
       in
-      check_le
+      check_bits
         (Printf.sprintf "integer order, memory_len = 0, seed %d" seed)
-        (rel_diff truncated.Sim_result.x global.Sim_result.x)
-        1e-10)
+        truncated.Sim_result.x global.Sim_result.x)
 
 (* Table-I line (n = 7, α = 0.5): the acceptance workload *)
 let test_table1_windowed () =
@@ -174,9 +188,8 @@ let test_table1_windowed () =
   let windowed =
     Opm.simulate_fractional ~window:(m / 8) ~grid ~alpha sys srcs
   in
-  check_le "table-I windowed (w = m/8) vs global"
-    (rel_diff windowed.Sim_result.x global.Sim_result.x)
-    1e-10
+  check_bits "table-I windowed (w = m/8) vs global" windowed.Sim_result.x
+    global.Sim_result.x
 
 (* An RC–RL ladder driven by a voltage source: the source node, the
    source current and the nodes between an inductor and a resistor
@@ -206,13 +219,11 @@ let test_order1_dae_windowed () =
       let global = Opm.simulate_linear ?x0 ~grid sys srcs in
       List.iter
         (fun w ->
-          check_le
+          check_bits
             (Printf.sprintf "DAE ladder, w = %d%s" w
                (if x0 = None then "" else ", x0"))
-            (rel_diff
-               (Opm.simulate_linear ?x0 ~window:w ~grid sys srcs).Sim_result.x
-               global.Sim_result.x)
-            1e-10)
+            (Opm.simulate_linear ?x0 ~window:w ~grid sys srcs).Sim_result.x
+            global.Sim_result.x)
         [ 1; 7; 16 ])
     [ None; Some (Array.init n (fun i -> 0.05 *. float_of_int (i + 1))) ]
 
@@ -238,9 +249,8 @@ let test_short_last_window () =
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let global = Opm.simulate_linear ~grid sys srcs in
   let windowed = Opm.simulate_linear ~window:w ~grid sys srcs in
-  check_le "short last window (m = 50, w = 8)"
-    (rel_diff windowed.Sim_result.x global.Sim_result.x)
-    1e-10
+  check_bits "short last window (m = 50, w = 8)" windowed.Sim_result.x
+    global.Sim_result.x
 
 let test_windowed_with_x0 () =
   let st = Random.State.make [| 0x9e37; base_seed + 13 |] in
@@ -251,9 +261,7 @@ let test_windowed_with_x0 () =
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let global = Opm.simulate_linear ~x0 ~grid sys srcs in
   let windowed = Opm.simulate_linear ~x0 ~window:(m / 8) ~grid sys srcs in
-  check_le "windowed with x0"
-    (rel_diff windowed.Sim_result.x global.Sim_result.x)
-    1e-10
+  check_bits "windowed with x0" windowed.Sim_result.x global.Sim_result.x
 
 let test_invalid_args () =
   let st = Random.State.make [| 0x9e37; base_seed |] in
@@ -270,6 +278,29 @@ let test_invalid_args () =
 
 (* ---------- streaming stats, metrics, callbacks ---------- *)
 
+(* the windowed driver on the banded history of [mt] over a uniform
+   [grid], streaming the forcing matrix [bu] and collecting the columns *)
+let window_run ?fcache ?on_window ~w ~grid (mt : Multi_term.t) bu =
+  let m = Grid.size grid in
+  let pencil =
+    Engine.pencil `Auto
+      (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
+      @ [ mt.Multi_term.a ])
+  in
+  let history =
+    Engine.toeplitz
+      ~orders:(List.map (fun { Multi_term.alpha; _ } -> alpha) mt.Multi_term.terms)
+      ~step:(Grid.t_end grid /. float_of_int m)
+      m
+  in
+  let x = Mat.zeros (Multi_term.order mt) m in
+  let stats =
+    Window.run ?on_window ~window:w { Engine.default with fcache } pencil history
+      ~bu:(fun i -> Mat.col bu i)
+      ~emit:(fun i xi -> Mat.set_col x i xi)
+  in
+  (x, stats)
+
 let test_window_stats_and_callback () =
   let st = Random.State.make [| 0x9e37; base_seed + 21 |] in
   let sys, srcs = random_system st (base_seed + 21) in
@@ -279,20 +310,16 @@ let test_window_stats_and_callback () =
   let bu = Mat.mul mt.Multi_term.b (Opm.input_coefficients ~grid srcs) in
   let seen = ref [] in
   let x, stats =
-    Window.solve ~window:w ~grid mt ~bu
+    window_run ~w ~grid mt bu
       ~on_window:(fun ~index ~start blk ->
         seen := (index, start, snd (Mat.dims blk)) :: !seen)
   in
   Alcotest.(check int) "windows" (m / w) stats.Window.windows;
   Alcotest.(check int) "width" w stats.Window.width;
   Alcotest.(check int) "full memory by default" m stats.Window.memory_len;
-  (* one pencil on a uniform grid: a single factorisation, and each
-     engine call after the first is served from the shared cache (the
-     within-window columns are served by the engine's per-call memo, so
-     hits count windows, not columns) *)
+  (* one pencil on a uniform grid and one column loop: a single
+     factorisation, every column served by the engine's per-run memo *)
   Alcotest.(check int) "one factorisation" 1 stats.Window.factor_misses;
-  Alcotest.(check int) "⌈m/w⌉ − 1 cache hits" (stats.Window.windows - 1)
-    stats.Window.factor_hits;
   Alcotest.(check int) "callback per window" (m / w) (List.length !seen);
   List.iter
     (fun (index, start, cols) ->
@@ -302,6 +329,8 @@ let test_window_stats_and_callback () =
   Alcotest.(check (pair int int)) "assembled dims" (Multi_term.order mt, m)
     (Mat.dims x)
 
+(* a compiled model prefactors its block, so the one column loop of a
+   windowed query is served from the cache: one hit per query *)
 let test_factor_reuse_metric () =
   let st = Random.State.make [| 0x9e37; base_seed + 34 |] in
   let sys, srcs = random_system st (base_seed + 34) in
@@ -322,8 +351,7 @@ let test_factor_reuse_metric () =
         Opm_obs.Metrics.counter_value (Opm_obs.Metrics.counter "window.count")
       in
       Alcotest.(check int) "window.count" (m / w) windows;
-      check_le "window.factor_reuse ≥ windows" (float_of_int windows)
-        (float_of_int reuse))
+      Alcotest.(check int) "window.factor_reuse: the prefactored block" 1 reuse)
 
 (* ---------- Factor_cache (α, h) collision regression ---------- *)
 
@@ -371,13 +399,11 @@ let test_factor_cache_alpha_h_regression () =
     1e-15
 
 (* Eviction-pinning regression: the Factor_cache is capacity-bounded,
-   and before entry pinning existed a sweep that interleaved more than
-   [capacity] other (α, h) keys between windows triggered the overflow
-   reset and evicted the window's own pencil — every later window
-   re-factored. The windowed driver now pins its entry, so the hit
-   count must stay at ⌈m/w⌉ − 1 no matter how hard the shared cache is
-   thrashed from the [on_window] callback, and the result must stay
-   bit-identical to an uninterfered run. *)
+   and a sweep that interleaves more than [capacity] other (α, h) keys
+   triggers the overflow reset. The windowed run pins its entry and
+   serves every column from its per-run memo, so however hard the
+   shared cache is thrashed from the [on_window] callback it factors
+   once, and the result stays bit-identical to an uninterfered run. *)
 let test_pinned_factor_survives_interleaving () =
   let st = Random.State.make [| 0x9e37; base_seed + 89 |] in
   let sys, srcs = random_system st (base_seed + 89) in
@@ -385,7 +411,7 @@ let test_pinned_factor_survives_interleaving () =
   let m = 64 and w = 8 in
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let bu = Mat.mul mt.Multi_term.b (Opm.input_coefficients ~grid srcs) in
-  let x_clean, _ = Window.solve ~window:w ~grid mt ~bu in
+  let x_clean, _ = window_run ~w ~grid mt bu in
   (* capacity 2: the three foreign keys inserted between consecutive
      windows are guaranteed to overflow the unpinned table every time *)
   let fcache = Engine.Factor_cache.create ~capacity:2 () in
@@ -407,51 +433,19 @@ let test_pinned_factor_survives_interleaving () =
     done
   in
   let x, stats =
-    Window.solve ~fcache ~window:w ~grid mt ~bu
+    window_run ~fcache ~w ~grid mt bu
       ~on_window:(fun ~index:_ ~start:_ _ -> pollute ())
   in
-  Alcotest.(check int)
-    "⌈m/w⌉ − 1 hits despite cache-thrashing interleaving"
-    (stats.Window.windows - 1) stats.Window.factor_hits;
+  Alcotest.(check int) "one factorisation despite cache-thrashing interleaving" 1
+    stats.Window.factor_misses;
   Alcotest.(check int) "exactly one pinned entry" 1
     (Engine.Factor_cache.pinned_count fcache);
-  if Mat.max_abs_diff x x_clean <> 0.0 then
-    Alcotest.fail "interleaved run must stay bit-identical to the clean run"
-
-(* FFT-gating regression: the convolver once gated on the per-window
-   column count (w = 64 < 256 ⇒ never engaged, however long the
-   horizon), quietly costing O(m·w) per window on the history tail.
-   Small windows on a long horizon must engage the FFT path. *)
-let test_fft_gate_uses_global_history_len () =
-  let st = Random.State.make [| 0x9e37; base_seed + 144 |] in
-  let sys, srcs = random_system st (base_seed + 144) in
-  let m = 4096 and w = 64 in
-  let grid = Grid.uniform ~t_end:2e-5 ~m in
-  let metrics_were_on = Opm_obs.Metrics.enabled () in
-  Opm_obs.Metrics.set_enabled true;
-  Opm_obs.Metrics.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Opm_obs.Metrics.reset ();
-      Opm_obs.Metrics.set_enabled metrics_were_on)
-    (fun () ->
-      ignore (Opm.simulate_fractional ~window:w ~grid ~alpha:0.5 sys srcs);
-      let blocks =
-        Opm_obs.Metrics.counter_value
-          (Opm_obs.Metrics.counter "engine.rhsconv.blocks")
-      in
-      if blocks <= 0 then
-        Alcotest.failf
-          "w = %d windows on an m = %d horizon must engage the FFT \
-           history convolver (blocks = %d)"
-          w m blocks)
+  check_bits "interleaved run vs the clean run" x x_clean
 
 (* A ladder whose shunts alternate C and CPE (α = 0.5): the fractional
-   term reads only the two CPE nodes of the six states. Windows of 128
-   columns on a 1024-column horizon put the late handoffs on the FFT
-   (the last one convolves p_len = 896 carried columns: 128·896 flops
-   per row against 4·1024·11 for the transforms), which then runs over
-   those two rows only. *)
+   term reads only the two CPE nodes of the six states, so the
+   convolver keeps those two rows. Windows of 128 columns on a
+   1024-column horizon cross several FFT block levels. *)
 let test_fft_handoff_partial_support () =
   let mt, srcs =
     Mna.stamp
@@ -469,9 +463,8 @@ let test_fft_handoff_partial_support () =
   let grid = Grid.uniform ~t_end:2e-5 ~m:1024 in
   let global = Opm.simulate_multi_term ~grid mt srcs in
   let windowed = Opm.simulate_multi_term ~window:128 ~grid mt srcs in
-  check_le "C/CPE ladder, FFT handoff on the CPE rows, windowed vs global"
-    (rel_diff windowed.Sim_result.x global.Sim_result.x)
-    1e-10
+  check_bits "C/CPE ladder, convolver on the CPE rows, windowed vs global"
+    windowed.Sim_result.x global.Sim_result.x
 
 let test_truncation_mass () =
   (* sanity of the bound itself: monotone in memory_len, 0 when nothing
@@ -523,8 +516,6 @@ let () =
             test_factor_cache_alpha_h_regression;
           Alcotest.test_case "pinned entry survives interleaving" `Quick
             test_pinned_factor_survives_interleaving;
-          Alcotest.test_case "FFT gate uses global history length" `Quick
-            test_fft_gate_uses_global_history_len;
           Alcotest.test_case "truncation mass bound" `Quick
             test_truncation_mass;
         ] );
