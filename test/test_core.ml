@@ -942,9 +942,9 @@ let frozen_digests =
           ("general adaptive", "6fd129340adba265");
           ("order-1 uniform", "be73f1f2650cfae2");
           ("order-1 adaptive", "71a55382c072ce4f");
-          ("windowed general", "d9d52ae864331c4c");
-          ("windowed general memory 8", "cd69efc8183a388b");
-          ("windowed order-1", "68514b8069b83a3d");
+          ("windowed general", "c94fe8bfabfbd0b1");
+          ("windowed general memory 8", "c19234a74376569c");
+          ("windowed order-1", "be73f1f2650cfae2");
           ("compiled query", "c94fe8bfabfbd0b1");
       ] );
     ( `Sparse,
@@ -956,9 +956,9 @@ let frozen_digests =
           ("general adaptive", "2563b438fcc9f5fe");
           ("order-1 uniform", "223ae2acf69c2ba2");
           ("order-1 adaptive", "f57d396c8b326a12");
-          ("windowed general", "ea9cbd42b6365e7d");
-          ("windowed general memory 8", "a27f0981dea1a40f");
-          ("windowed order-1", "44a1b2b17d2478a5");
+          ("windowed general", "4682a8983b603a14");
+          ("windowed general memory 8", "5666757a1acc2e93");
+          ("windowed order-1", "223ae2acf69c2ba2");
           ("compiled query", "4682a8983b603a14");
           ("power grid NA amd", "ab1143c67dd16384");
           ("power grid MNA amd", "5773842b2ca54b70");
