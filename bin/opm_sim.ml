@@ -113,21 +113,22 @@ let tol_arg =
 
 let window_arg =
   let doc =
-    "Windowed streaming for the opm method: split the horizon into \
-     windows of $(docv) steps, solved in sequence with one shared pencil \
-     factorisation and state handoff across boundaries. Exact for \
-     integer orders; fractional orders carry a history tail (see \
-     $(b,--memory-len)). $(docv) ≥ the step count runs the ordinary \
-     global solve. Other methods ignore it with a warning."
+    "Windowed streaming for the opm method: one column loop over the \
+     horizon with a boundary every $(docv) steps, where the completed \
+     window is committed and checkpointed (see $(b,--checkpoint)). \
+     Without $(b,--memory-len) the output is that of the unwindowed run, \
+     bit for bit. $(docv) ≥ the step count runs the ordinary global \
+     solve. Other methods ignore it with a warning."
   in
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"W" ~doc)
 
 let memory_len_arg =
   let doc =
-    "With $(b,--window): truncate the fractional history tail to the \
-     last $(docv) steps (the short-memory principle; the error is \
-     bounded by the discarded ρ-series mass). Default: full tail — \
-     exact. Integer-order history is always carried exactly."
+    "With $(b,--window): at each window start, keep the fractional \
+     history of the last $(docv) steps only (the short-memory principle; \
+     the error is bounded by the discarded mass of the fractional \
+     kernel). Default: full history — exact. Integer-order history is \
+     always carried exactly."
   in
   Arg.(value & opt (some int) None & info [ "memory-len" ] ~docv:"K" ~doc)
 
@@ -153,14 +154,6 @@ let basis_arg =
   in
   Arg.(value & opt basis_conv `Bpf & info [ "basis" ] ~docv:"BASIS" ~doc)
 
-let compile_arg =
-  let doc =
-    "Deprecated and ignored: prints one warning. The opm method always \
-     compiles the plant once (operational matrices, FFT plan, pinned \
-     pencil factorisation) and answers the run as a single query."
-  in
-  Arg.(value & flag & info [ "compile" ] ~doc)
-
 let fstart_arg =
   let doc = "AC sweep start frequency (Hz)." in
   Arg.(value & opt float 1.0 & info [ "fstart" ] ~doc)
@@ -172,15 +165,6 @@ let fstop_arg =
 let points_arg =
   let doc = "AC sweep point count." in
   Arg.(value & opt int 50 & info [ "points" ] ~doc)
-
-let no_fft_rhs_arg =
-  let doc =
-    "Deprecated and ignored, as is $(b,OPM_NO_FFT_RHS): prints one \
-     warning. The fractional history of the opm method always runs \
-     through the blocked FFT convolver, which sums short horizons \
-     directly."
-  in
-  Arg.(value & flag & info [ "no-fft-rhs" ] ~doc)
 
 let domains_arg =
   let doc =
@@ -641,27 +625,13 @@ let validate_flags ~mode ~method_ ~steps ~window ~memory_len ~basis ~domains
       | Error msg -> usage "--fault %s: %s" plan msg)
 
 let run netlist_path mode t_end steps method_ probes tol window memory_len
-    basis compile fstart fstop points no_fft_rhs domains check strict metrics
+    basis fstart fstop points domains check strict metrics
     trace report checkpoint resume checkpoint_every deadline max_factors
     max_heap fault =
   try
     validate_flags ~mode ~method_ ~steps ~window ~memory_len ~basis ~domains
       ~checkpoint ~resume ~checkpoint_every ~deadline ~max_factors ~max_heap
       ~fault;
-    let env_no_fft =
-      match Sys.getenv_opt "OPM_NO_FFT_RHS" with
-      | None | Some ("" | "0") -> false
-      | Some _ -> true
-    in
-    if no_fft_rhs || env_no_fft then
-      Printf.eprintf
-        "opm_sim: warning: --no-fft-rhs and OPM_NO_FFT_RHS are deprecated \
-         and ignored; the fractional history always runs through the FFT \
-         convolver\n%!";
-    if compile then
-      Printf.eprintf
-        "opm_sim: warning: --compile is deprecated and ignored; the opm \
-         method always compiles the plant once and solves it as one query\n%!";
     (match domains with
     | Some d -> Opm_parallel.Pool.set_default_domains d
     | None -> ());
@@ -781,8 +751,7 @@ let cmd =
     Term.(
       const run $ netlist_arg $ mode_arg $ t_end_arg $ steps_arg $ method_arg
       $ probes_arg $ tol_arg $ window_arg $ memory_len_arg $ basis_arg
-      $ compile_arg
-      $ fstart_arg $ fstop_arg $ points_arg $ no_fft_rhs_arg $ domains_arg
+      $ fstart_arg $ fstop_arg $ points_arg $ domains_arg
       $ check_arg $ strict_arg $ metrics_arg $ trace_arg $ report_arg
       $ checkpoint_arg $ resume_arg $ checkpoint_every_arg $ deadline_arg
       $ max_factors_arg $ max_heap_arg $ fault_arg)

@@ -5,15 +5,16 @@
 #   - `--basis spectral --window 16` is a usage error (exit 2);
 #   - `--method opm --window 16 --memory-len 8` exits 0 with as many CSV
 #     rows as the unwindowed run, and does not warn;
+#   - `--method opm --window 16` alone writes the CSV bytes of the
+#     unwindowed run (a window is a slice of the one column loop);
 #   - on a ladder with a constant-phase element at 256 steps,
 #     `--memory-len 8` alone and with `--window 256` warns that
 #     --memory-len is ignored and writes the same CSV bytes as the
-#     full-history run (the tail is only truncated between windows);
-#   - on that ladder, `--no-fft-rhs` and `OPM_NO_FFT_RHS=1` each print
-#     exactly one deprecation line and write the same CSV bytes as the
-#     run without them;
-#   - on that ladder, `--compile` prints exactly one warning line, the
-#     deprecation, and writes the same CSV bytes as the run without it.
+#     full-history run (the tail is only truncated between windows),
+#     and `--window 16` alone writes the bytes of that run too;
+#   - `--no-fft-rhs` and `--compile` (removed no-ops) are unknown
+#     options (exit 124), and `OPM_NO_FFT_RHS=1` changes nothing: the
+#     same CSV bytes as the run without it, and no warning line.
 #
 # Usage: cli_contract.sh <opm_sim.exe>
 set -u
@@ -85,6 +86,10 @@ rows_w=$(wc -l < "$tmp/opm_w.csv")
   || fail "windowed opm CSV has $rows_w rows, unwindowed $rows"
 grep -q -- "$ignored" "$tmp/opm_w.err" \
   && fail "--window 16 --memory-len 8 warned that --memory-len is ignored"
+run opm_w16 --method opm --window 16
+[ "$code" -eq 0 ] || fail "--method opm --window 16 exited $code"
+cmp -s "$tmp/opm.csv" "$tmp/opm_w16.csv" \
+  || fail "--window 16 CSV differs from the unwindowed RC ladder run"
 
 run_cpe cpe
 [ "$code" -eq 0 ] || fail "CPE ladder exited $code"
@@ -98,25 +103,20 @@ for args in "--memory-len 8" "--memory-len 8 --window 256"; do
     || fail "CPE ladder CSV changed under $args"
 done
 
-deprecated="--no-fft-rhs and OPM_NO_FFT_RHS are deprecated and ignored"
-run_cpe cpe_nofft --no-fft-rhs
-[ "$code" -eq 0 ] || fail "CPE ladder --no-fft-rhs exited $code"
+run_cpe cpe_w16 --window 16
+[ "$code" -eq 0 ] || fail "CPE ladder --window 16 exited $code"
+cmp -s "$tmp/cpe.csv" "$tmp/cpe_w16.csv" \
+  || fail "CPE ladder --window 16 CSV differs from the unwindowed run"
+
+for flag in --no-fft-rhs --compile; do
+  run_cpe cpe_removed "$flag"
+  [ "$code" -eq 124 ] || fail "CPE ladder $flag exited $code, expected 124"
+done
 OPM_NO_FFT_RHS=1 run_cpe cpe_nofft_env
 [ "$code" -eq 0 ] || fail "CPE ladder with OPM_NO_FFT_RHS=1 exited $code"
-for name in cpe_nofft cpe_nofft_env; do
-  [ "$(grep -c -- "$deprecated" "$tmp/$name.err")" -eq 1 ] \
-    || fail "$name did not print exactly one deprecation line"
-  cmp -s "$tmp/cpe.csv" "$tmp/$name.csv" || fail "$name CSV differs from the CPE run"
-done
-grep -q -- "$deprecated" "$tmp/cpe.err" && fail "CPE run without the flag warned"
-
-run_cpe cpe_compile --compile
-[ "$code" -eq 0 ] || fail "CPE ladder --compile exited $code"
-[ "$(grep -c -- "warning" "$tmp/cpe_compile.err")" -eq 1 ] \
-  || fail "--compile did not print exactly one warning line"
-grep -q -- "--compile is deprecated and ignored" "$tmp/cpe_compile.err" \
-  || fail "--compile did not print its deprecation line"
-cmp -s "$tmp/cpe.csv" "$tmp/cpe_compile.csv" || fail "--compile CSV differs from the CPE run"
+cmp -s "$tmp/cpe.csv" "$tmp/cpe_nofft_env.csv" \
+  || fail "OPM_NO_FFT_RHS=1 CSV differs from the CPE run"
+grep -q -- "warning" "$tmp/cpe_nofft_env.err" && fail "OPM_NO_FFT_RHS=1 printed a warning"
 
 [ "$status" -eq 0 ] && echo "cli-contract: ok"
 exit $status
