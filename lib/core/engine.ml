@@ -781,11 +781,11 @@ let subtract_scan pencil d i cols rhs =
    forcing [rhs] would have read, so a replayed state is the state of
    the run that solved it, bit for bit. [cutoff k] drops the fractional
    history of every column but the last [k], [poison c] puts a NaN into
-   the state carried past column c − 1, and [finish ()] books the run's metrics. Each
-   history keeps only what it reads back: the order-1 form a running
-   sum, a banded history its last N columns and forcings (its convolver
-   keeps its own copy of the support rows), the triangular scan every
-   column. *)
+   the state carried past column c − 1, and [finish ()] books the run's
+   metrics. Each history keeps only what it reads back: the order-1
+   form a running sum, a banded history its last N columns and
+   forcings (its convolver keeps its own copy of the support rows), the
+   triangular scan every column. *)
 type column_state = {
   rhs : int -> Vec.t;
   push : int -> Vec.t -> unit;

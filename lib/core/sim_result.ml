@@ -10,43 +10,6 @@ type t = {
   health : Opm_robust.Health.t option;
 }
 
-module Builder = struct
-  type builder = {
-    n : int;
-    mutable rev_blocks : Mat.t list;
-    mutable cols : int;
-  }
-
-  let create ~n =
-    if n < 0 then invalid_arg "Sim_result.Builder.create: n < 0";
-    { n; rev_blocks = []; cols = 0 }
-
-  let append b blk =
-    let bn, bm = Mat.dims blk in
-    if bn <> b.n then
-      invalid_arg
-        (Printf.sprintf
-           "Sim_result.Builder.append: block has %d rows, builder expects %d"
-           bn b.n);
-    b.rev_blocks <- blk :: b.rev_blocks;
-    b.cols <- b.cols + bm
-
-  let cols b = b.cols
-
-  let to_mat b =
-    let x = Mat.zeros b.n b.cols in
-    let off = ref 0 in
-    List.iter
-      (fun blk ->
-        let _, bm = Mat.dims blk in
-        for i = 0 to bm - 1 do
-          Mat.set_col x (!off + i) (Mat.col blk i)
-        done;
-        off := !off + bm)
-      (List.rev b.rev_blocks);
-    x
-end
-
 let make ?health ~grid ~x ~c ~state_names ~output_names () =
   let times = Grid.midpoints grid in
   let n, _m = Mat.dims x in

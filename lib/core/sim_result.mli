@@ -15,29 +15,6 @@ type t = {
       (** the collector the solve was run with, when one was passed *)
 }
 
-(** Incremental assembly of the coefficient matrix from column blocks —
-    the windowed streaming driver ({!Window}) appends each solved
-    window instead of allocating (and zero-filling) the whole horizon
-    up front. Blocks are kept by reference until {!Builder.to_mat}, so
-    a caller that only streams windows through [?on_window] and never
-    materialises the result keeps an O(n·w) working set. *)
-module Builder : sig
-  type builder
-
-  val create : n:int -> builder
-  (** Builder for an [n]-row coefficient matrix with 0 columns so far. *)
-
-  val append : builder -> Mat.t -> unit
-  (** Append a block of columns. Raises [Invalid_argument] when the
-      block's row count differs from [n]. *)
-
-  val cols : builder -> int
-  (** Total columns appended so far. *)
-
-  val to_mat : builder -> Mat.t
-  (** Concatenate the appended blocks left to right. *)
-end
-
 val make :
   ?health:Opm_robust.Health.t ->
   grid:Grid.t ->
