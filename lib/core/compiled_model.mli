@@ -30,7 +30,8 @@ open Opm_signal
     compile-then-solve), because compile and query prepare the same
     pencil and history under the same keys.
 
-    Windowed models delegate queries to {!Window.solve}, sharing the
+    A windowed model is the same column model with a window width: its
+    queries run the one column loop through {!Window.run}, sharing the
     factor cache across windows {e and} queries.
 
     {b Re-entrant queries.} One [t] may be queried from several domains
@@ -70,15 +71,17 @@ val compile :
   grid:Grid.t ->
   Multi_term.t ->
   t
-(** Precompute everything plant-dependent. [?window] selects the
-    windowed streaming driver for queries (same semantics as
-    {!Opm.simulate_multi_term}; [window ≥ m] degenerates to the global
-    path). [?memory_len] truncates that driver's fractional history
-    tail, so it has no effect without a [window < m]: the global path
-    always carries the full history. [?health] collects fallback
-    events of the compile-time factorisation itself; per-query
-    collection is a {!solve} argument.
-    Raises [Invalid_argument] for [window < 1].
+(** Precompute everything plant-dependent. [?window] puts a boundary
+    every [window] columns of each query's column loop (same semantics
+    as {!Opm.simulate_multi_term}; [window ≥ m] degenerates to the
+    global path); the model takes the global model's history, so its
+    answers are the global ones, bit for bit. [?memory_len] cuts the
+    fractional history at each window start, so it has no effect
+    without a [window < m]: the global path always carries the full
+    history. [?health] collects fallback events of the compile-time
+    factorisation itself; per-query collection is a {!solve} argument.
+    Raises [Invalid_argument] for [window < 1], and for a [window < m]
+    on an adaptive grid.
 
     Adaptive grids compile too — the operational matrices are still
     amortised — but skip prefactoring and pinning (one pinned entry per
@@ -133,7 +136,7 @@ val solve :
 
     [?budget] enforces the deadline/factor/heap caps cooperatively on
     every plan; [?checkpoint]/[?checkpoint_every]/[?resume_from] are
-    forwarded to {!Window.solve} and require a windowed model
+    forwarded to {!Window.run} and require a windowed model
     ([Invalid_argument] otherwise — the global paths have no
     window-boundary state to snapshot). A budget breach or
     checkpoint-write failure on a windowed model raises
@@ -150,8 +153,10 @@ val solve_outputs :
     without the states. On a global block-pulse model it streams: each
     solved column goes straight into [y_i = C·x_i] and no [n×m] matrix
     is built: a query holds its [q×m] outputs and the column state its
-    history reads back (see {!Engine.run}). Windowed and spectral
-    models answer through {!solve}.
+    history reads back (see {!Engine.run}); a windowed model streams
+    too, plus its in-flight window, and keeps the solved prefix only
+    under a [?budget] (for {!Window.Interrupted}). Spectral models
+    answer through {!solve}.
 
     {b Bit contract.} [B·u_i] and [C·x_i] are summed as {!Mat.mul}
     sums: ascending [k], zero coefficients skipped, starting from

@@ -55,9 +55,10 @@ open Opm_robust
     charged (with an estimated footprint — [n²·8] bytes dense, [nnz·16]
     sparse) before it runs; on breach a structured
     [Opm_error.Deadline_exceeded] / [Budget_exhausted] is raised. The
-    engine also carries three fault-injection sites ([factor],
-    [column-solve], [fft-block], see {i Opm_robust.Fault}); when no plan
-    is armed each site is a single atomic load.
+    engine also carries four fault-injection sites ([factor],
+    [column-solve], [fft-block], and [window-handoff] at window
+    boundaries, see {i Opm_robust.Fault}); when no plan is armed each
+    site is a single atomic load.
 
     {2 Fast history convolution}
 

@@ -20,21 +20,18 @@ open Opm_signal
     Collection never changes the computed waveforms.
 
     Windowed streaming: the transient entry points accept [?window:w],
-    which tiles the horizon into [⌈m/w⌉] windows solved by the
-    {!Window} driver — one shared pencil factorisation across all
-    windows, state handed across boundaries as a history-tail RHS
-    correction whose integer-order part is carried exactly (see
-    {!Window}). [?memory_len] truncates the fractional history tail
-    (default: full tail = exact). Requires a uniform grid. [w ≥ m] (and
-    [?window] omitted) runs the ordinary global solve, so the
-    degenerate window is bit-identical to an unwindowed run; raises
-    [Invalid_argument] when [w < 1].
+    which puts a boundary every [w] columns of the one column loop (see
+    {!Window}): without [?memory_len] the result is the unwindowed
+    one, bit for bit. [?memory_len] cuts the fractional history at each
+    window start to the last [K] columns; integer orders stay exact.
+    Requires a uniform grid. [w ≥ m] (and [?window] omitted) runs the
+    ordinary global solve; raises [Invalid_argument] when [w < 1].
 
     Crash safety: the transient entry points accept [?budget]
     (cooperative deadline/factor/heap enforcement — see
     {!Opm_robust.Budget}) and, on windowed runs, [?checkpoint]/
     [?checkpoint_every]/[?resume_from] (resumable window-boundary
-    snapshots — see {!Window.solve}; requesting a checkpoint without
+    snapshots — see {!Window.run}; requesting a checkpoint without
     [?window] raises [Invalid_argument]). A mid-run breach on a windowed
     solve raises {!Window.Interrupted} with the completed prefix. *)
 

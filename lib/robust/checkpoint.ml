@@ -1,10 +1,9 @@
 (* Versioned, checksummed checkpoint envelope.
 
    The payload is an opaque Json value built by the owner of the state
-   (Window.solve builds the cross-window handoff payload: the solved
-   prefix, the integer-recurrence and fractional-tail rings, and a
-   fingerprint whose kind is always "general" — the Csr/Mat types live
-   above this library). This module owns the envelope:
+   (Window.run writes the solved prefix and a fingerprint of kind
+   "prefix" — the Mat types live above this library). This module owns
+   the envelope:
 
      { "schema": "opm-checkpoint-v1", "version": 1,
        "checksum": "<fnv1a64 hex of compact payload>",

@@ -2,8 +2,8 @@
 
     This module owns the on-disk envelope only; the *payload* is an
     opaque [Opm_obs.Json] value built by the owner of the state
-    ([Window.solve] serialises its cross-window handoff state here —
-    the matrix types live above this library). Envelope format:
+    ([Window.run] serialises its solved prefix here — the matrix types
+    live above this library). Envelope format:
 
     {v
     { "schema": "opm-checkpoint-v1", "version": 1,

@@ -31,7 +31,7 @@ type site =
   | Factor  (** pencil factorisation (dense LU / sparse LU) *)
   | Column_solve  (** per-column triangular solve *)
   | Fft_block  (** FFT blocked-convolution history query *)
-  | Window_handoff  (** cross-window state carry in [Window.solve] *)
+  | Window_handoff  (** column state carried across a window boundary *)
   | Checkpoint_write  (** atomic checkpoint file write *)
   | Pool_dispatch  (** parallel-pool chunk dispatch *)
   | Accept  (** [opm_serve] connection accept *)

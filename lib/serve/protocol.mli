@@ -16,7 +16,10 @@ open Opm_circuit
     typo'd sweep fails loudly instead of silently simulating the
     default. [basis] is ["bpf"] (default) or ["spectral"] (Jacobi-Gauss
     collocation — [steps] becomes the collocation-node count; rejects
-    [window]).
+    [window]). [window] puts a boundary every [window] steps of the
+    one column loop: alone it changes no output bit; [memory_len]
+    (which requires it) cuts the fractional history at each window
+    start to the last [memory_len] steps.
     Netlist syntax and element semantics are delegated to
     {!Opm_circuit.Parser} and reported with its line numbers; every
     rejection is a one-line structured JSON error.
