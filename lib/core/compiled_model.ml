@@ -251,6 +251,12 @@ let count_query t =
   Atomic.incr t.queries;
   Metrics.incr m_queries
 
+let global_checkpoint checkpoint resume_from =
+  if checkpoint <> None || resume_from <> None then
+    invalid_arg
+      "Compiled_model.solve: checkpointing requires a windowed model \
+       (compile with ?window)"
+
 (* One query of a column plan: the engine loop, fed B·u_i (+ A·x₀) per
    column from the p×m inputs [u], emitting each solved column to
    [emit]; a windowed model runs the same loop through the windowed
@@ -258,21 +264,17 @@ let count_query t =
 let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0 t
     history u emit =
   Trace.with_span "compiled_solve" @@ fun () ->
+  if t.window = None then global_checkpoint checkpoint resume_from;
+  count_query t;
   let ctx = { Engine.health; budget; fcache = Some t.fcache } in
   let bu = forcing (mul_rows t.sys.Multi_term.b) u ax0 in
   let hits =
     match t.window with
     | Some window ->
-        count_query t;
         (Window.run ?memory_len:t.memory_len ?checkpoint ?checkpoint_every ?resume_from
            ~window ctx t.pencil history ~bu ~emit)
           .Window.factor_hits
     | None ->
-        if checkpoint <> None || resume_from <> None then
-          invalid_arg
-            "Compiled_model.solve: checkpointing requires a windowed model \
-             (compile with ?window)";
-        count_query t;
         let plan = Engine.prepare ctx t.pencil history in
         Engine.run plan ~bu ~emit;
         fst (Engine.lookups plan)
@@ -311,10 +313,7 @@ let solve_coeffs ?health ?budget t u =
       x
 
 let solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources =
-  if checkpoint <> None || resume_from <> None then
-    invalid_arg
-      "Compiled_model.solve: checkpointing requires a windowed model \
-       (compile with ?window)";
+  global_checkpoint checkpoint resume_from;
   count_query t;
   let result = Spectral_solver.solve ?health ?budget ?x0 sp sources in
   Metrics.incr m_factor_reuse;

@@ -990,25 +990,19 @@ let run ?boundary ?replay p ~bu ~emit =
         k
   in
   Metrics.incr ~by:(p.m - first) m_columns;
+  let { rhs; push; _ } = st in
   let t_lap = ref (Metrics.lap_start ()) in
-  let column i =
+  for i = first to p.m - 1 do
     budget_column budget;
-    let rhs = st.rhs i in
+    let rhs = rhs i in
     let x = solve_col ?health ~column:i (block i) rhs in
-    st.push i x;
+    push i x;
     emit i x;
-    if i land 7 = 7 then t_lap := Metrics.lap_mean h_column_seconds 8 !t_lap
-  in
-  (match boundary with
-  | None ->
-      for i = first to p.m - 1 do
-        column i
-      done
-  | Some b ->
-      for i = first to p.m - 1 do
-        column i;
-        if (i + 1) mod b.width = 0 || i = p.m - 1 then cross b (i + 1)
-      done);
+    if i land 7 = 7 then t_lap := Metrics.lap_mean h_column_seconds 8 !t_lap;
+    match boundary with
+    | Some b when (i + 1) mod b.width = 0 || i = p.m - 1 -> cross b (i + 1)
+    | Some _ | None -> ()
+  done;
   st.finish ()
 
 let solve p bu =
