@@ -193,9 +193,7 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
     Engine.run
       ~boundary:
         { Engine.width = w; memory = (if k_eff < m then Some k_eff else None); at }
-      ?replay:
-        (if Array.length resumed > 0 then Some (Array.length resumed, Array.get resumed)
-         else None)
+      ~replay:(Array.length resumed, Array.get resumed)
       plan ~bu
       ~emit:(fun i x -> stage.(i mod w) <- x);
     let hits, misses = Engine.lookups plan in

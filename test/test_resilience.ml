@@ -36,12 +36,13 @@ let m = 256
 let w = 64
 let nwin = (m + w - 1) / w
 
-let solve ?budget ?checkpoint ?resume_from ?(window = w) () =
+let solve ?budget ?checkpoint ?resume_from ?(window = w) ?(alpha = Opm_circuit.Tline.alpha)
+    ?memory_len () =
   let sys = Opm_circuit.Tline.model () in
   let srcs = Opm_circuit.Tline.inputs () in
   let grid = Grid.uniform ~t_end:Opm_circuit.Tline.t_end ~m in
   Opm.simulate_fractional ?budget ?checkpoint ~checkpoint_every:1 ?resume_from
-    ~window ~grid ~alpha:Opm_circuit.Tline.alpha sys srcs
+    ?memory_len ~window ~grid ~alpha sys srcs
 
 let bits_equal a b =
   let ra, ca = Mat.dims a and rb, cb = Mat.dims b in
@@ -317,6 +318,11 @@ let test_fault_matrix () =
           Fun.protect ~finally:Fault.disarm @@ fun () ->
           match solve ~checkpoint:ck () with
           | r ->
+              (* a NaN carried into the next window must surface as a
+                 structured error: completing would mean the poison
+                 never reached the column state *)
+              if site = Fault.Window_handoff && kind = Fault.Nan_poison then
+                Alcotest.failf "%s: run completed" label;
               (* completion is only acceptable when the result is clean:
                  finite everywhere and (if the fault actually fired)
                  equal to the reference within recovery tolerance *)
@@ -342,12 +348,14 @@ let test_fault_matrix () =
 (* ---------- solver-level: kill/resume differential (satellite: kill
    at every window boundary, resume, demand bit-identity) ---------- *)
 
-let kill_resume_differential ~nwin ~global
+let kill_resume_differential ~nwin ?global
     (solve : ?checkpoint:string -> ?resume_from:string -> unit -> Sim_result.t) =
   Fault.disarm ();
   let reference = (solve ()).Sim_result.x in
-  (* a window is a slice of the one column loop: the uninterrupted
-     windowed run is the unwindowed global solve, bit for bit *)
+  (* a window is a slice of the one column loop: without a memory
+     cutoff the uninterrupted windowed run is the unwindowed global
+     solve, bit for bit *)
+  let global = Option.value global ~default:reference in
   if not (bits_equal reference global) then
     Alcotest.fail "the windowed run is not bit-identical to the global solve";
   for k = 1 to nwin do
@@ -382,10 +390,17 @@ let kill_resume_differential ~nwin ~global
         raise e)
   done
 
+(* α = 0.5 replays the convolver alone; α = 1.5 (N = 1) also the lag
+   and forcing rings; with a memory cutoff the resumed run must also
+   cut its replayed history at the window it resumes *)
 let test_kill_resume_differential () =
-  kill_resume_differential ~nwin
-    ~global:(solve ~window:m ()).Sim_result.x
-    (fun ?checkpoint ?resume_from () -> solve ?checkpoint ?resume_from ())
+  List.iter
+    (fun (alpha, memory_len) ->
+      kill_resume_differential ~nwin
+        ?global:
+          (if memory_len = None then Some (solve ~window:m ~alpha ()).Sim_result.x else None)
+        (fun ?checkpoint ?resume_from () -> solve ?checkpoint ?resume_from ~alpha ?memory_len ()))
+    [ (Opm_circuit.Tline.alpha, None); (1.5, None); (1.5, Some 32) ]
 
 (* the same kill/resume at every boundary of order-1 windows over a
    singular E: an RC–RL ladder driven by a voltage source *)
