@@ -653,6 +653,199 @@ let test_unsymmetric_fill_pinned () =
         (Slu.nnz_factors (Slu.factor (Csr.of_dense (random_unsym seed n)))))
     [ (20, 1, 110); (77, 6, 1476); (150, 7, 3692); (200, 4, 6094) ]
 
+(* ---------- frozen bits ---------- *)
+
+(* FNV-1a-64 over [Int64.bits_of_float] of every entry, bytes
+   little-endian: a change of any bit of any entry changes the digest *)
+let fnv1a64_floats (x : float array) =
+  let h = ref 0xcbf29ce484222325L in
+  Array.iter
+    (fun v ->
+      let bits = Int64.bits_of_float v in
+      for b = 0 to 7 do
+        let byte = Int64.logand (Int64.shift_right_logical bits (8 * b)) 0xffL in
+        h := Int64.mul (Int64.logxor !h byte) 0x100000001b3L
+      done)
+    x;
+  Printf.sprintf "%016Lx" !h
+
+(* The factors of the NA and MNA power-grid pencils, pinned to their
+   exact bits: fill, and the digests of a solve and a transpose solve.
+   [solve_transpose] reads each U column in stored order, so its digest
+   also pins the order of the U entries. A digest may only change
+   together with an intended change of the factor arithmetic. *)
+let test_factor_digests () =
+  List.iter
+    (fun (name, a, fill, d_solve, d_trans) ->
+      let n, _ = Csr.dims a in
+      let f = Slu.factor a in
+      let b = Array.init n (fun i -> sin (float_of_int (i + 1))) in
+      check_int (name ^ " fill") fill (Slu.nnz_factors f);
+      Alcotest.(check string) (name ^ " solve digest") d_solve
+        (fnv1a64_floats (Slu.solve f b));
+      Alcotest.(check string) (name ^ " solve_transpose digest") d_trans
+        (fnv1a64_floats (Slu.solve_transpose f b)))
+    [
+      ("na 16x16x3", na_grid_pencil 16 16 3, 27_488, "3a472905a8f68583", "8856abb9b6e8efdc");
+      ("mna 16x16x3", grid_pencil 16 16 3, 30_412, "0cca84086f5bad9d", "ca58055f33908880");
+    ]
+
+(* [Csr.add] and [Csr.of_dense] as first written: each merged row built
+   as lists, then copied out. The library versions must reproduce their
+   pattern and every value bit. *)
+let list_add ?(alpha = 1.0) ?(beta = 1.0) (a : Csr.t) (b : Csr.t) : Csr.t =
+  let row_ptr = Array.make (a.rows + 1) 0 in
+  let col_acc = ref [] and val_acc = ref [] and total = ref 0 in
+  for i = 0 to a.rows - 1 do
+    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
+    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
+    let row_cols = ref [] and row_vals = ref [] and count = ref 0 in
+    let push c v =
+      row_cols := c :: !row_cols;
+      row_vals := v :: !row_vals;
+      incr count
+    in
+    while !ka < ea || !kb < eb do
+      if !ka < ea && (!kb >= eb || a.col_ind.(!ka) < b.col_ind.(!kb)) then begin
+        push a.col_ind.(!ka) (alpha *. a.values.(!ka));
+        incr ka
+      end
+      else if !kb < eb && (!ka >= ea || b.col_ind.(!kb) < a.col_ind.(!ka)) then begin
+        push b.col_ind.(!kb) (beta *. b.values.(!kb));
+        incr kb
+      end
+      else begin
+        push a.col_ind.(!ka) ((alpha *. a.values.(!ka)) +. (beta *. b.values.(!kb)));
+        incr ka;
+        incr kb
+      end
+    done;
+    col_acc := List.rev !row_cols :: !col_acc;
+    val_acc := List.rev !row_vals :: !val_acc;
+    total := !total + !count;
+    row_ptr.(i + 1) <- !total
+  done;
+  let col_ind = Array.of_list (List.concat (List.rev !col_acc)) in
+  let values = Array.of_list (List.concat (List.rev !val_acc)) in
+  { rows = a.rows; cols = a.cols; row_ptr; col_ind; values }
+
+let list_of_dense ?(tol = 0.0) d : Csr.t =
+  let rows, cols = Mat.dims d in
+  let row_ptr = Array.make (rows + 1) 0 in
+  let col_acc = ref [] and val_acc = ref [] and total = ref 0 in
+  for i = 0 to rows - 1 do
+    let row_cols = ref [] and row_vals = ref [] in
+    for j = cols - 1 downto 0 do
+      let v = Mat.get d i j in
+      if Float.abs v > tol then begin
+        row_cols := j :: !row_cols;
+        row_vals := v :: !row_vals;
+        incr total
+      end
+    done;
+    col_acc := !row_cols :: !col_acc;
+    val_acc := !row_vals :: !val_acc;
+    row_ptr.(i + 1) <- !total
+  done;
+  let col_ind = Array.of_list (List.concat (List.rev !col_acc)) in
+  let values = Array.of_list (List.concat (List.rev !val_acc)) in
+  { rows; cols; row_ptr; col_ind; values }
+
+let same_csr_bits msg (want : Csr.t) (got : Csr.t) =
+  let bits v = Array.map Int64.bits_of_float v in
+  check_bool (msg ^ ": dims") true (want.rows = got.rows && want.cols = got.cols);
+  Alcotest.(check (array int)) (msg ^ ": row_ptr") want.row_ptr got.row_ptr;
+  Alcotest.(check (array int)) (msg ^ ": col_ind") want.col_ind got.col_ind;
+  check_bool (msg ^ ": values, bit for bit") true (bits want.values = bits got.values)
+
+(* random CSR with explicit zeros, ±0.0, NaN, empty rows, and (when
+   [shadow] is given) entries that cancel [shadow]'s at shared columns *)
+let random_csr_bits st ?shadow rows cols : Csr.t =
+  let value () =
+    match Random.State.int st 8 with
+    | 0 -> 0.0
+    | 1 -> -0.0
+    | 2 -> Float.nan
+    | 3 -> float_of_int (Random.State.int st 5 - 2)
+    | _ -> Random.State.float st 2.0 -. 1.0
+  in
+  let row_ptr = Array.make (rows + 1) 0 in
+  let cols_acc = ref [] and vals_acc = ref [] in
+  for i = 0 to rows - 1 do
+    let density = if Random.State.int st 4 = 0 then 0.0 else Random.State.float st 1.0 in
+    let count = ref 0 in
+    for j = 0 to cols - 1 do
+      if Random.State.float st 1.0 < density then begin
+        let v =
+          match shadow with
+          | Some (s : Csr.t) when Random.State.bool st ->
+              let rec find k =
+                if k >= s.row_ptr.(i + 1) then value ()
+                else if s.col_ind.(k) = j then -.s.values.(k)
+                else find (k + 1)
+              in
+              find s.row_ptr.(i)
+          | _ -> value ()
+        in
+        cols_acc := j :: !cols_acc;
+        vals_acc := v :: !vals_acc;
+        incr count
+      end
+    done;
+    row_ptr.(i + 1) <- row_ptr.(i) + !count
+  done;
+  {
+    rows;
+    cols;
+    row_ptr;
+    col_ind = Array.of_list (List.rev !cols_acc);
+    values = Array.of_list (List.rev !vals_acc);
+  }
+
+let test_csr_add_matches_list_merge () =
+  let st = Random.State.make [| 0xadd; 28 |] in
+  let coeff () =
+    match Random.State.int st 5 with
+    | 0 -> 0.0
+    | 1 -> 1.0
+    | 2 -> -1.0
+    | _ -> Random.State.float st 4.0 -. 2.0
+  in
+  for case = 0 to 199 do
+    let rows = Random.State.int st 10 and cols = 1 + Random.State.int st 10 in
+    let a = random_csr_bits st rows cols in
+    let b = random_csr_bits st ~shadow:a rows cols in
+    let msg = Printf.sprintf "case %d" case in
+    same_csr_bits (msg ^ " defaults") (list_add a b) (Csr.add a b);
+    let alpha = coeff () and beta = coeff () in
+    same_csr_bits
+      (Printf.sprintf "%s alpha %h beta %h" msg alpha beta)
+      (list_add ~alpha ~beta a b) (Csr.add ~alpha ~beta a b)
+  done;
+  (* a cancelling pair stays an explicit zero *)
+  let a = Csr.eye 3 in
+  let sum = Csr.add ~beta:(-1.0) a a in
+  check_int "cancelled entries kept" 3 (Csr.nnz sum);
+  check_bool "as zeros" true (Array.for_all (fun v -> v = 0.0) sum.values)
+
+let test_csr_of_dense_matches_list_build () =
+  let st = Random.State.make [| 0xde5e; 28 |] in
+  for case = 0 to 199 do
+    let rows = Random.State.int st 10 and cols = Random.State.int st 10 in
+    let d =
+      Mat.init rows cols (fun _ _ ->
+          match Random.State.int st 7 with
+          | 0 | 1 -> 0.0
+          | 2 -> -0.0
+          | 3 -> Float.nan
+          | _ -> Random.State.float st 2.0 -. 1.0)
+    in
+    let tol = if Random.State.bool st then 0.0 else Random.State.float st 0.5 in
+    same_csr_bits
+      (Printf.sprintf "case %d tol %h" case tol)
+      (list_of_dense ~tol d) (Csr.of_dense ~tol d)
+  done
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let q = QCheck_alcotest.to_alcotest in
@@ -714,5 +907,11 @@ let () =
           t "reach edges bounded by fill" test_reach_edges_bounded;
           t "unsymmetric fill pinned" test_unsymmetric_fill_pinned;
           q prop_slu_unsymmetric;
+        ] );
+      ( "bits",
+        [
+          t "factor digests of the grid pencils" test_factor_digests;
+          t "add matches the list merge" test_csr_add_matches_list_merge;
+          t "of_dense matches the list build" test_csr_of_dense_matches_list_build;
         ] );
     ]
