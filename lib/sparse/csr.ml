@@ -90,52 +90,50 @@ let scale s a = { a with values = Array.map (fun v -> s *. v) a.values }
 
 let map f a = { a with values = Array.map f a.values }
 
+(* two passes over the merged rows: the first counts them into
+   [row_ptr], the second writes the entries straight into arrays of the
+   exact size. A column in both rows gives one entry, kept even when it
+   cancels to zero, so the pattern is the union of the two. *)
 let add ?(alpha = 1.0) ?(beta = 1.0) a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Csr.add: dimension mismatch";
   let row_ptr = Array.make (a.rows + 1) 0 in
-  let col_acc = ref [] and val_acc = ref [] and total = ref 0 in
   for i = 0 to a.rows - 1 do
-    (* merge the two sorted rows *)
     let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
     let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    let row_cols = ref [] and row_vals = ref [] and count = ref 0 in
-    let push c v =
-      row_cols := c :: !row_cols;
-      row_vals := v :: !row_vals;
+    let count = ref 0 in
+    while !ka < ea && !kb < eb do
+      let ca = a.col_ind.(!ka) and cb = b.col_ind.(!kb) in
+      if ca <= cb then incr ka;
+      if cb <= ca then incr kb;
       incr count
-    in
-    while !ka < ea || !kb < eb do
+    done;
+    row_ptr.(i + 1) <- row_ptr.(i) + !count + (ea - !ka) + (eb - !kb)
+  done;
+  let total = row_ptr.(a.rows) in
+  let col_ind = Array.make total 0 and values = Array.make total 0.0 in
+  for i = 0 to a.rows - 1 do
+    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
+    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
+    for k = row_ptr.(i) to row_ptr.(i + 1) - 1 do
       if !ka < ea && (!kb >= eb || a.col_ind.(!ka) < b.col_ind.(!kb)) then begin
-        push a.col_ind.(!ka) (alpha *. a.values.(!ka));
+        col_ind.(k) <- a.col_ind.(!ka);
+        values.(k) <- alpha *. a.values.(!ka);
         incr ka
       end
       else if !kb < eb && (!ka >= ea || b.col_ind.(!kb) < a.col_ind.(!ka)) then begin
-        push b.col_ind.(!kb) (beta *. b.values.(!kb));
+        col_ind.(k) <- b.col_ind.(!kb);
+        values.(k) <- beta *. b.values.(!kb);
         incr kb
       end
       else begin
-        push a.col_ind.(!ka) ((alpha *. a.values.(!ka)) +. (beta *. b.values.(!kb)));
+        col_ind.(k) <- a.col_ind.(!ka);
+        values.(k) <- (alpha *. a.values.(!ka)) +. (beta *. b.values.(!kb));
         incr ka;
         incr kb
       end
-    done;
-    col_acc := List.rev !row_cols :: !col_acc;
-    val_acc := List.rev !row_vals :: !val_acc;
-    total := !total + !count;
-    row_ptr.(i + 1) <- !total
+    done
   done;
-  let col_ind = Array.make !total 0 and values = Array.make !total 0.0 in
-  let k = ref 0 in
-  List.iter2
-    (fun cs vs ->
-      List.iter2
-        (fun c v ->
-          col_ind.(!k) <- c;
-          values.(!k) <- v;
-          incr k)
-        cs vs)
-    (List.rev !col_acc) (List.rev !val_acc);
   { rows = a.rows; cols = a.cols; row_ptr; col_ind; values }
 
 let to_dense a =
@@ -149,33 +147,27 @@ let to_dense a =
 
 let of_dense ?(tol = 0.0) d =
   let rows, cols = Mat.dims d in
+  let keep i j = Float.abs (Mat.get d i j) > tol in
   let row_ptr = Array.make (rows + 1) 0 in
-  let col_acc = ref [] and val_acc = ref [] and total = ref 0 in
   for i = 0 to rows - 1 do
-    let row_cols = ref [] and row_vals = ref [] in
-    for j = cols - 1 downto 0 do
-      let v = Mat.get d i j in
-      if Float.abs v > tol then begin
-        row_cols := j :: !row_cols;
-        row_vals := v :: !row_vals;
-        incr total
-      end
+    let count = ref 0 in
+    for j = 0 to cols - 1 do
+      if keep i j then incr count
     done;
-    col_acc := !row_cols :: !col_acc;
-    val_acc := !row_vals :: !val_acc;
-    row_ptr.(i + 1) <- !total
+    row_ptr.(i + 1) <- row_ptr.(i) + !count
   done;
-  let col_ind = Array.make !total 0 and values = Array.make !total 0.0 in
+  let total = row_ptr.(rows) in
+  let col_ind = Array.make total 0 and values = Array.make total 0.0 in
   let k = ref 0 in
-  List.iter2
-    (fun cs vs ->
-      List.iter2
-        (fun c v ->
-          col_ind.(!k) <- c;
-          values.(!k) <- v;
-          incr k)
-        cs vs)
-    (List.rev !col_acc) (List.rev !val_acc);
+  for i = 0 to rows - 1 do
+    for j = 0 to cols - 1 do
+      if keep i j then begin
+        col_ind.(!k) <- j;
+        values.(!k) <- Mat.get d i j;
+        incr k
+      end
+    done
+  done;
   { rows; cols; row_ptr; col_ind; values }
 
 let iter f a =

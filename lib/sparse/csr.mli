@@ -32,7 +32,11 @@ val scale : float -> t -> t
 
 val add : ?alpha:float -> ?beta:float -> t -> t -> t
 (** [add ~alpha ~beta a b = alpha·a + beta·b] (defaults 1.0); symbolic
-    union of the patterns. *)
+    union of the patterns. An entry in only one operand is [alpha *. a]
+    or [beta *. b], one in both is [(alpha *. a) +. (beta *. b)], and a
+    sum that cancels stays an explicit zero: the pattern depends on the
+    operands' patterns only, which [Slu.refactor]'s pattern check (and
+    with it symbolic reuse) relies on. Allocates only the result. *)
 
 val map : (float -> float) -> t -> t
 (** Map over stored values (pattern unchanged). Zero results are kept. *)

@@ -32,7 +32,10 @@ let getf (a : float_ba) k : float = Ba.Array1.unsafe_get a k
 
 (* growable Bigarray buffer: the fill pattern is unknown up front, so
    factor columns are appended here and trimmed to exact size at the
-   end; the payload never touches the OCaml heap *)
+   end; the payload never touches the OCaml heap. The two pushes are
+   monomorphic and inlined, so each entry is one unboxed store: a push
+   polymorphic in the kind would go through the generic C setter and
+   box every float it stores. *)
 module Gbuf = struct
   type ('a, 'b) t = {
     mutable ba : ('a, 'b, Ba.c_layout) Ba.Array1.t;
@@ -41,13 +44,20 @@ module Gbuf = struct
 
   let create kind = { ba = Ba.Array1.create kind Ba.c_layout 256; len = 0 }
 
-  let push b v =
+  (* the one growth path: double the capacity, keep the payload *)
+  let grow b =
     let cap = Ba.Array1.dim b.ba in
-    if b.len >= cap then begin
-      let nba = Ba.Array1.create (Ba.Array1.kind b.ba) Ba.c_layout (2 * cap) in
-      Ba.Array1.blit b.ba (Ba.Array1.sub nba 0 cap);
-      b.ba <- nba
-    end;
+    let nba = Ba.Array1.create (Ba.Array1.kind b.ba) Ba.c_layout (2 * cap) in
+    Ba.Array1.blit b.ba (Ba.Array1.sub nba 0 cap);
+    b.ba <- nba
+
+  let[@inline] push_int (b : (int32, Ba.int32_elt) t) v =
+    if b.len >= Ba.Array1.dim b.ba then grow b;
+    Ba.Array1.unsafe_set b.ba b.len (Int32.of_int v);
+    b.len <- b.len + 1
+
+  let[@inline] push_float (b : (float, Ba.float64_elt) t) v =
+    if b.len >= Ba.Array1.dim b.ba then grow b;
     Ba.Array1.unsafe_set b.ba b.len v;
     b.len <- b.len + 1
 
@@ -56,6 +66,54 @@ module Gbuf = struct
     Ba.Array1.blit (Ba.Array1.sub b.ba 0 b.len) out;
     out
 end
+
+(* sort a.(lo .. hi - 1) ascending in place, for distinct ints: quicksort
+   on the median of three, recursing into the smaller side and looping
+   on the larger, then insertion sort below 16 entries *)
+let rec sort_ints (a : int array) lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !hi - !lo > 16 do
+    let x = a.(!lo) and y = a.((!lo + !hi) / 2) and z = a.(!hi - 1) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref !lo and k = ref (!hi - 1) in
+    while !i <= !k do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!k) > pivot do
+        decr k
+      done;
+      if !i <= !k then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!k);
+        a.(!k) <- t;
+        incr i;
+        decr k
+      end
+    done;
+    if !k + 1 - !lo < !hi - !i then begin
+      sort_ints a !lo (!k + 1);
+      lo := !i
+    end
+    else begin
+      sort_ints a !i !hi;
+      hi := !k + 1
+    end
+  done;
+  for i = !lo + 1 to !hi - 1 do
+    let v = a.(i) in
+    let k = ref (i - 1) in
+    while !k >= !lo && a.(!k) > v do
+      a.(!k + 1) <- a.(!k);
+      decr k
+    done;
+    a.(!k + 1) <- v
+  done
 
 (* Everything value-independent about a factorisation: the fill
    ordering, the pivot permutation, the L/U fill patterns, the recorded
@@ -108,12 +166,14 @@ let check_pivot_tol pivot_tol =
       (Printf.sprintf "Slu.factor: pivot_tol %g outside (0, 1]" pivot_tol)
 
 (* depth-first search from [start] through the columns of L restricted
-   to pivotal rows; emits vertices in post-order onto [stack]. The
-   explicit vertex/cursor stacks avoid recursion and allocation. Column
-   k is scanned up to [lpend.(k)], which pruning may have pulled in
-   from [l_ptr.(k + 1)]; [edges] counts the entries scanned. *)
+   to pivotal rows; emits vertices in post-order onto [stack] from
+   [top] on and returns the new top. The explicit vertex/cursor stacks
+   avoid recursion and allocation. Column k is scanned up to
+   [lpend.(k)], which pruning may have pulled in from [l_ptr.(k + 1)];
+   [edges] counts the entries scanned. *)
 let reach ~pinv ~l_ptr ~lpend ~(l_idx : int_ba) ~marked ~mark ~stack ~top
     ~dfs_v ~dfs_c ~edges start =
+  let top = ref top in
   if marked.(start) <> mark then begin
     marked.(start) <- mark;
     dfs_v.(0) <- start;
@@ -142,7 +202,8 @@ let reach ~pinv ~l_ptr ~lpend ~(l_idx : int_ba) ~marked ~mark ~stack ~top
         decr depth
       end
     done
-  end
+  end;
+  !top
 
 (* Symmetric pruning (Eisenstat–Liu, as in KLU). When column j pivots
    on a row that L(:, k) holds, for a column k in U(:, j), every row of
@@ -250,13 +311,17 @@ let analyze_core ~pivot_tol ~norm1 (a : Csr.t) =
   let tail_i = Array.make n 0 and tail_v = Array.make n 0.0 in
   let edges = ref 0 in
   for j = 0 to n - 1 do
+    (* column j's L entries are appended after its elimination, so the
+       buffers' Bigarrays stay the same until then *)
+    let l_idx = lb_idx.Gbuf.ba and l_val = lb_val.Gbuf.ba in
     (* symbolic: union of reaches from the pattern of column j *)
-    let top = ref 0 in
+    let count = ref 0 in
     for k = at_ptr.(j) to at_ptr.(j + 1) - 1 do
-      reach ~pinv ~l_ptr ~lpend ~l_idx:lb_idx.Gbuf.ba ~marked ~mark:j ~stack
-        ~top ~dfs_v ~dfs_c ~edges at_idx.(k)
+      count :=
+        reach ~pinv ~l_ptr ~lpend ~l_idx ~marked ~mark:j ~stack ~top:!count
+          ~dfs_v ~dfs_c ~edges at_idx.(k)
     done;
-    let count = !top in
+    let count = !count in
     (* numeric: scatter the column, then eliminate in topological order
        (reverse post-order), recording the pivotal columns touched *)
     for k = at_ptr.(j) to at_ptr.(j + 1) - 1 do
@@ -267,12 +332,12 @@ let analyze_core ~pivot_tol ~norm1 (a : Csr.t) =
       let v = stack.(s) in
       let k = pinv.(v) in
       if k >= 0 then begin
-        Gbuf.push eb (Int32.of_int k);
+        Gbuf.push_int eb k;
         let xv = x.(v) in
         if xv <> 0.0 then
           for t = l_ptr.(k) to l_ptr.(k + 1) - 1 do
-            let r = geti lb_idx.Gbuf.ba t in
-            x.(r) <- x.(r) -. (getf lb_val.Gbuf.ba t *. xv)
+            let r = geti l_idx t in
+            x.(r) <- x.(r) -. (getf l_val t *. xv)
           done
       end
     done;
@@ -312,19 +377,19 @@ let analyze_core ~pivot_tol ~norm1 (a : Csr.t) =
     for s = 0 to count - 1 do
       let v = stack.(s) in
       if pinv.(v) < 0 && v <> pivot_row then begin
-        Gbuf.push lb_idx (Int32.of_int v);
-        Gbuf.push lb_val (x.(v) /. piv)
+        Gbuf.push_int lb_idx v;
+        Gbuf.push_float lb_val (x.(v) /. piv)
       end
     done;
     (* U column: pivotal entries sorted by position, diagonal last *)
-    let upos = Array.sub u_pos 0 !ucount in
-    Array.sort compare upos;
-    for t = 0 to !ucount - 1 do
-      Gbuf.push ub_idx (Int32.of_int upos.(t));
-      Gbuf.push ub_val x.(perm.(upos.(t)))
+    let ucount = !ucount in
+    sort_ints u_pos 0 ucount;
+    for t = 0 to ucount - 1 do
+      Gbuf.push_int ub_idx u_pos.(t);
+      Gbuf.push_float ub_val x.(perm.(u_pos.(t)))
     done;
-    Gbuf.push ub_idx (Int32.of_int j);
-    Gbuf.push ub_val piv;
+    Gbuf.push_int ub_idx j;
+    Gbuf.push_float ub_val piv;
     for s = 0 to count - 1 do
       x.(stack.(s)) <- 0.0
     done;
@@ -334,12 +399,12 @@ let analyze_core ~pivot_tol ~norm1 (a : Csr.t) =
     u_ptr.(j + 1) <- ub_idx.Gbuf.len;
     elim_ptr.(j + 1) <- eb.Gbuf.len;
     lpend.(j) <- l_ptr.(j + 1);
-    Array.iter
-      (fun k ->
-        if not pruned.(k) then
-          prune ~pinv ~l_ptr ~lpend ~pruned ~l_idx:lb_idx.Gbuf.ba
-            ~l_val:lb_val.Gbuf.ba ~tail_i ~tail_v ~pivot_row k)
-      upos
+    for t = 0 to ucount - 1 do
+      let k = u_pos.(t) in
+      if not pruned.(k) then
+        prune ~pinv ~l_ptr ~lpend ~pruned ~l_idx:lb_idx.Gbuf.ba
+          ~l_val:lb_val.Gbuf.ba ~tail_i ~tail_v ~pivot_row k
+    done
   done;
   Metrics.incr ~by:!edges m_reach_edges;
   let s =

@@ -846,6 +846,41 @@ let test_csr_of_dense_matches_list_build () =
       (list_of_dense ~tol d) (Csr.of_dense ~tol d)
   done
 
+(* ---------- allocation budgets ---------- *)
+
+(* Gc.allocated_bytes is deterministic, so these gate what wall time on
+   a shared host cannot. *)
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+(* The analysis of the 24×24×2 NA pencil allocates 0.70 MiB: the
+   ordering and the O(n + nnz) work arrays, nothing per factor entry.
+   The limit is about 1.5× that. A push that boxes each stored entry
+   takes it to 2.7 MiB, and a [Csr.add] that builds its rows as lists,
+   inside the ordering's A + Aᵀ, to 2.6 MiB. *)
+let test_analyze_allocation () =
+  let a = na_grid_pencil 24 24 2 in
+  let r, bytes = allocated (fun () -> Slu.analyze a) in
+  ignore (Sys.opaque_identity r);
+  let mb = bytes /. 1048576.0 in
+  if mb >= 1.05 then
+    Alcotest.failf "Slu.analyze allocated %.2f MiB (limit 1.05 MiB)" mb
+
+(* [Csr.add] allocates its three output arrays and nothing else *)
+let test_add_allocation () =
+  let spec = { Opm_circuit.Power_grid.default_spec with nx = 24; ny = 24; nz = 2 } in
+  let mt, _ = Opm_circuit.Na2.stamp (Opm_circuit.Power_grid.generate spec) in
+  let e = (List.hd mt.Opm_core.Multi_term.terms).Opm_core.Multi_term.coeff in
+  let sum, bytes =
+    allocated (fun () -> Csr.add ~alpha:2.0 ~beta:(-1.0) mt.Opm_core.Multi_term.a e)
+  in
+  (* each array: its words plus one header word *)
+  let output = 8 * (sum.Csr.rows + 2 + (2 * (Csr.nnz sum + 1))) in
+  if bytes > float_of_int (output + 256) then
+    Alcotest.failf "Csr.add allocated %.0f bytes for %d bytes of output" bytes output
+
 let () =
   let t name f = Alcotest.test_case name `Quick f in
   let q = QCheck_alcotest.to_alcotest in
@@ -913,5 +948,10 @@ let () =
           t "factor digests of the grid pencils" test_factor_digests;
           t "add matches the list merge" test_csr_add_matches_list_merge;
           t "of_dense matches the list build" test_csr_of_dense_matches_list_build;
+        ] );
+      ( "budgets",
+        [
+          t "analyze allocation" test_analyze_allocation;
+          t "add allocates only its output" test_add_allocation;
         ] );
     ]
