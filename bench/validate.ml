@@ -20,6 +20,11 @@
    - table-specific contracts: in the "rhs-conv" table every "rhs-fft"
      row must satisfy [error_db <= -200.0] (the 1e-10 relative
      agreement contract between the FFT and naive history paths);
+     in the "window-scaling" table every row carries a finite,
+     non-negative [max_rel_diff] from the global solve, and it must be
+     exactly 0 on the global and the full-memory window rows (methods
+     without a "-k" memory suffix): a window without a memory cutoff
+     returns the global run's bits;
    - the "resilience" table (BENCH_resilience.json) additionally
      requires a string [outcome] per row drawn from the closed set of
      acceptable results — {recovered, structured-error, no-fire,
@@ -123,6 +128,20 @@ let validate file =
         if table = "rhs-conv" && method_ = "rhs-fft" && error_db > -200.0 then
           fail "row %d: rhs-fft error_db %.1f exceeds the -200 dB contract" i
             error_db
+      end;
+      (* bit contract of windowed solves: the raw difference, since the
+         dB column clamps every difference below 1e-16 to -320 dB *)
+      if table = "window-scaling" then begin
+        let rel = finite "max_rel_diff" in
+        if rel < 0.0 then fail "row %d: negative max_rel_diff" i;
+        let has_cutoff =
+          match String.rindex_opt method_ '-' with
+          | Some p -> p + 1 < String.length method_ && method_.[p + 1] = 'k'
+          | None -> false
+        in
+        if (not has_cutoff) && rel <> 0.0 then
+          fail "row %d (%s): max_rel_diff %g, full-memory rows must be bit-identical"
+            i method_ rel
       end;
       (* symbolic-reuse contract: every table2 row records how many
          pencils it factored and how many of those were numeric-only
