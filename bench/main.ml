@@ -1123,8 +1123,8 @@ let window_scaling () =
    [Opm.simulate_fractional]. Each wall is the median of runs that
    alternate naive and fft, so both routes see the same machine state;
    a best-of at m <= 128 swung about 2× between runs of one build. The
-   naive rows carry the −320 dB reference floor; each fft row records the max relative deviation from its
-   naive twin, which the validator gates at the ≤ 1e-10 (−200 dB)
+   naive rows carry the −320 dB reference floor; each fft row records
+   the max relative deviation from its naive twin, which the validator gates at the ≤ 1e-10 (−200 dB)
    differential contract. Emitted as BENCH_rhsconv.json
    (opm-bench-v1).                                                      *)
 
@@ -1142,7 +1142,6 @@ let rhs_conv () =
      noisy box *)
   let runs_for m = if !smoke_mode then 1 else if m <= 256 then 9 else 3 in
   let median ts =
-    let ts = Array.copy ts in
     Array.sort Float.compare ts;
     ts.(Array.length ts / 2)
   in
@@ -1158,19 +1157,16 @@ let rhs_conv () =
       in
       let naive_run () = Engine.solve (Engine.prepare Engine.default pencil history) bu in
       let fft_run () = Opm.simulate_fractional ~grid ~alpha sys srcs in
-      let walls_naive = Array.make runs 0.0 and walls_fft = Array.make runs 0.0 in
-      (* one untimed warm-up pair, then the alternating timed runs *)
-      let naive = ref (naive_run ()) and fft = ref (fft_run ()) in
-      for r = 0 to runs - 1 do
-        let t, x = wall naive_run in
-        walls_naive.(r) <- t;
-        naive := x;
-        let t, x = wall fft_run in
-        walls_fft.(r) <- t;
-        fft := x
-      done;
-      let t_naive = median walls_naive and t_fft = median walls_fft in
-      let naive = !naive and fft = !fft in
+      (* one untimed warm-up pair gives the outputs; the timed runs
+         alternate the two routes *)
+      let naive = naive_run () in
+      let fft = fft_run () in
+      let walls =
+        Array.init runs (fun _ ->
+            let t_naive = fst (wall naive_run) in
+            (t_naive, fst (wall fft_run)))
+      in
+      let t_naive = median (Array.map fst walls) and t_fft = median (Array.map snd walls) in
       let scale = Float.max (Mat.norm_inf naive) 1e-300 in
       let rel = Mat.max_abs_diff fft.Sim_result.x naive /. scale in
       let err_db = 20.0 *. log10 (Float.max rel 1e-16) in
