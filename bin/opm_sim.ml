@@ -480,7 +480,7 @@ let run_poles net =
    the raw-coefficient query).  The CSV has one column per
    output × input pair, which is exactly the step-response model
    matrix an OPOM/MPC layer consumes; every column reuses the single
-   pinned pencil factorisation made at compile time. *)
+   pencil factorisation made at compile time. *)
 let run_response ~kind net outputs t_end steps =
   let module Mat = Opm_numkit.Mat in
   let t_end =

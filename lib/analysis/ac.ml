@@ -59,15 +59,3 @@ let gain_db pt ~input ~output =
 
 let phase_deg pt ~input ~output =
   Complex.arg (Cmat.get pt.response output input) *. 180.0 /. Float.pi
-
-let bode_csv ~input ~output pts =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "omega,gain_db,phase_deg\n";
-  List.iter
-    (fun pt ->
-      Buffer.add_string buf
-        (Printf.sprintf "%.9g,%.9g,%.9g\n" pt.omega
-           (gain_db pt ~input ~output)
-           (phase_deg pt ~input ~output)))
-    pts;
-  Buffer.contents buf

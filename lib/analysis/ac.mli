@@ -37,6 +37,3 @@ val gain_db : point -> input:int -> output:int -> float
 (** [20·log₁₀ |G_{output,input}(jω)|]. *)
 
 val phase_deg : point -> input:int -> output:int -> float
-
-val bode_csv : input:int -> output:int -> point list -> string
-(** "omega,gain_db,phase_deg" rows. *)

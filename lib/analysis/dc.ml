@@ -10,15 +10,3 @@ let operating_point (sys : Descriptor.t) ~u0 =
 
 let outputs_at sys ~u0 =
   Mat.mul_vec sys.Descriptor.c (operating_point sys ~u0)
-
-let dc_gain (sys : Descriptor.t) =
-  let p = Descriptor.input_count sys in
-  let q = Descriptor.output_count sys in
-  let f = Slu.factor sys.Descriptor.a in
-  let g = Mat.zeros q p in
-  for j = 0 to p - 1 do
-    let bj = Array.init (Descriptor.order sys) (fun r -> Mat.get sys.Descriptor.b r j) in
-    let xj = Vec.scale (-1.0) (Slu.solve f bj) in
-    Mat.set_col g j (Mat.mul_vec sys.Descriptor.c xj)
-  done;
-  g

@@ -16,7 +16,3 @@ val operating_point : Descriptor.t -> u0:Vec.t -> Vec.t
 
 val outputs_at : Descriptor.t -> u0:Vec.t -> Vec.t
 (** [C · operating_point]. *)
-
-val dc_gain : Descriptor.t -> Mat.t
-(** [−C A^{−1} B] — the zero-frequency transfer matrix, column per
-    input. *)

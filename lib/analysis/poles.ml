@@ -29,12 +29,5 @@ let is_stable ?shift ?(margin = 0.0) sys =
     (fun z -> z.Complex.re <= -.margin)
     (of_descriptor ?shift sys)
 
-let dominant ?shift sys =
-  let poles = of_descriptor ?shift sys in
-  if Array.length poles = 0 then raise Not_found;
-  Array.fold_left
-    (fun best z -> if z.Complex.re > best.Complex.re then z else best)
-    poles.(0) poles
-
 let fractional_stability_angle ~alpha z =
   Float.abs (Complex.arg z) > alpha *. Float.pi /. 2.0

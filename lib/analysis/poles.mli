@@ -19,10 +19,6 @@ val of_descriptor : ?shift:float -> Descriptor.t -> Complex.t array
 val is_stable : ?shift:float -> ?margin:float -> Descriptor.t -> bool
 (** All finite poles satisfy [Re λ <= −margin] (default [margin = 0]). *)
 
-val dominant : ?shift:float -> Descriptor.t -> Complex.t
-(** Finite pole with the largest real part (slowest / least stable).
-    Raises [Not_found] if every pole is at infinity. *)
-
 val fractional_stability_angle : alpha:float -> Complex.t -> bool
 (** Matignon's criterion for the fractional system
     [d^α x = A x]: the mode [λ] is stable iff [|arg λ| > α·π/2].

@@ -4,16 +4,6 @@ let run ?pool evaluate values =
   | None -> Array.map eval values
   | Some p -> Opm_parallel.Pool.map p eval values
 
-let extreme name better pairs =
-  if Array.length pairs = 0 then invalid_arg ("Sweep." ^ name ^ ": empty sweep");
-  Array.fold_left
-    (fun (bv, bm) (v, m) -> if better m bm then (v, m) else (bv, bm))
-    pairs.(0) pairs
-
-let argmin pairs = extreme "argmin" ( < ) pairs
-
-let argmax pairs = extreme "argmax" ( > ) pairs
-
 type stats = {
   samples : int;
   mean : float;
@@ -55,26 +45,3 @@ let statistics values =
     median = percentile sorted 0.5;
     q95 = percentile sorted 0.95;
   }
-
-let monte_carlo ?(seed = 42) ?pool ~samples ~sampler evaluate =
-  if samples < 1 then invalid_arg "Sweep.monte_carlo: samples < 1";
-  let st = Random.State.make [| seed |] in
-  (* draw all parameters serially (one shared RNG stream keeps the
-     sample set independent of the pool size), then evaluate in
-     parallel *)
-  let params = Array.init samples (fun _ -> sampler st) in
-  let values =
-    match pool with
-    | None -> Array.map evaluate params
-    | Some p -> Opm_parallel.Pool.map p evaluate params
-  in
-  statistics values
-
-let uniform ~lo ~hi st =
-  if hi < lo then invalid_arg "Sweep.uniform: hi < lo";
-  lo +. Random.State.float st (hi -. lo)
-
-let gaussian ~mean ~std st =
-  let u1 = Float.max 1e-300 (Random.State.float st 1.0) in
-  let u2 = Random.State.float st 1.0 in
-  mean +. (std *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))

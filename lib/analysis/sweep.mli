@@ -1,9 +1,7 @@
-(** Parameter studies: deterministic sweeps and Monte-Carlo sampling
-    over any [parameter → measurement] evaluation (typically: build a
-    netlist with the parameter, stamp, simulate, measure).
-
-    Everything is deterministic: Monte-Carlo uses an explicit seed, so
-    corner reports are reproducible. *)
+(** Parameter studies: deterministic sweeps over any
+    [parameter → measurement] evaluation (typically: build a netlist
+    with the parameter, stamp, simulate, measure), and summary
+    statistics of the measurements. *)
 
 val run :
   ?pool:Opm_parallel.Pool.t -> ('a -> float) -> 'a array -> ('a * float) array
@@ -11,11 +9,6 @@ val run :
     evaluations run in parallel (pass a pool only when [evaluate] is
     pure — most simulate-and-measure closures are); the result array
     order and contents are identical to the serial run. *)
-
-val argmin : ('a * float) array -> 'a * float
-(** Raises [Invalid_argument] on an empty sweep. *)
-
-val argmax : ('a * float) array -> 'a * float
 
 type stats = {
   samples : int;
@@ -31,21 +24,3 @@ type stats = {
 val statistics : float array -> stats
 (** Raises [Invalid_argument] on an empty array. *)
 
-val monte_carlo :
-  ?seed:int ->
-  ?pool:Opm_parallel.Pool.t ->
-  samples:int ->
-  sampler:(Random.State.t -> 'a) ->
-  ('a -> float) ->
-  stats
-(** Draw [samples] parameters from [sampler] (seeded, default 42),
-    evaluate, and summarise. All parameters are drawn first from one
-    sequential RNG stream, so the sample set — and hence the statistics
-    — are identical whether or not a [pool] parallelises the
-    evaluations. *)
-
-val uniform : lo:float -> hi:float -> Random.State.t -> float
-(** Convenience samplers for {!monte_carlo}. *)
-
-val gaussian : mean:float -> std:float -> Random.State.t -> float
-(** Box–Muller. *)

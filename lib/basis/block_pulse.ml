@@ -10,26 +10,6 @@ let project_source grid src =
   Array.init (Grid.size grid) (fun i ->
       Opm_signal.Source.average src b.(i) b.(i + 1))
 
-let reconstruct grid coeffs t =
-  let b = Grid.boundaries grid in
-  let m = Grid.size grid in
-  if Array.length coeffs <> m then
-    invalid_arg "Block_pulse.reconstruct: coefficient length mismatch";
-  if t < 0.0 || t > b.(m) then 0.0
-  else if t >= b.(m) then
-    (* clamp the exact right endpoint t = t_end to the last interval so
-       evaluating a waveform at the final time is not silently zero *)
-    coeffs.(m - 1)
-  else begin
-    (* binary search for the interval containing t *)
-    let lo = ref 0 and hi = ref m in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if b.(mid) <= t then lo := mid else hi := mid
-    done;
-    coeffs.(!lo)
-  end
-
 let integral_matrix grid =
   let s = Grid.steps grid in
   let m = Array.length s in
@@ -71,9 +51,3 @@ let fractional_differential_matrix grid alpha =
   | Grid.Adaptive _ ->
       if Float.is_integer alpha then integer_power grid (int_of_float alpha)
       else Tri.fractional_power (differential_matrix grid) alpha
-
-let fractional_integral_matrix grid alpha =
-  if alpha < 0.0 then
-    invalid_arg "Block_pulse.fractional_integral_matrix: alpha < 0";
-  if alpha = 0.0 then Mat.eye (Grid.size grid)
-  else Tri.invert_upper (fractional_differential_matrix grid alpha)

@@ -17,12 +17,6 @@ val project_source : Grid.t -> Opm_signal.Source.t -> Vec.t
 (** Same, but exact (closed-form interval averages) for structured
     sources. *)
 
-val reconstruct : Grid.t -> Vec.t -> float -> float
-(** Evaluate the BPF expansion at time [t] ([0] outside [[0, t_end]]).
-    The exact right endpoint [t = t_end] is clamped to the last
-    interval, so the final time evaluates to the last coefficient
-    rather than 0. *)
-
 val integral_matrix : Grid.t -> Mat.t
 (** [H]: eq. (4) for uniform grids, eq. (17)'s [H̃] for adaptive ones
     ([H̃_{ii} = h_i/2], [H̃_{ij} = h_i] for [j > i]). *)
@@ -46,7 +40,3 @@ val fractional_differential_matrix : Grid.t -> float -> Mat.t
       {!Grid.geometric}) or use a uniform grid.
 
     Integer [α] falls back to exact matrix powers. *)
-
-val fractional_integral_matrix : Grid.t -> float -> Mat.t
-(** [H^α = (D^α)^{−1}] — the Riemann–Liouville fractional integration
-    operator in BPF coordinates. *)

@@ -43,18 +43,6 @@ let is_uniform ?(tol = 0.0) = function
       let h0 = steps.(0) in
       Array.for_all (fun h -> Float.abs (h -. h0) <= tol *. h0) steps
 
-let has_distinct_steps ?(tol = 1e-12) g =
-  match g with
-  | Uniform { m; _ } -> m = 1
-  | Adaptive { steps } ->
-      let sorted = Array.copy steps in
-      Array.sort compare sorted;
-      let ok = ref true in
-      for i = 1 to Array.length sorted - 1 do
-        if sorted.(i) -. sorted.(i - 1) <= tol *. sorted.(i) then ok := false
-      done;
-      !ok
-
 let geometric ~t_end ~m ~ratio =
   if t_end <= 0.0 || m <= 0 || ratio <= 0.0 then
     invalid_arg "Grid.geometric: bad arguments";

@@ -32,11 +32,6 @@ val midpoints : t -> float array
 
 val is_uniform : ?tol:float -> t -> bool
 
-val has_distinct_steps : ?tol:float -> t -> bool
-(** Whether all steps are pairwise distinct — the condition under which
-    the adaptive fractional matrix of paper eq. (25) can be computed by a
-    diagonal-separated method (we use the Parlett recurrence). *)
-
 val geometric : t_end:float -> m:int -> ratio:float -> t
 (** Adaptive grid with steps in geometric progression summing to
     [t_end]; [ratio ≠ 1] gives pairwise distinct steps. *)

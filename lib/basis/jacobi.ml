@@ -196,23 +196,6 @@ let barycentric_weights x =
       done;
       1.0 /. !p)
 
-let interpolate ~nodes ~bw ~values t =
-  let n = Array.length nodes in
-  let hit = ref (-1) in
-  for j = 0 to n - 1 do
-    if t = nodes.(j) then hit := j
-  done;
-  if !hit >= 0 then values.(!hit)
-  else begin
-    let num = ref 0.0 and den = ref 0.0 in
-    for j = 0 to n - 1 do
-      let w = bw.(j) /. (t -. nodes.(j)) in
-      num := !num +. (w *. values.(j));
-      den := !den +. w
-    done;
-    !num /. !den
-  end
-
 let collocation ~t_end ~m =
   if m < 1 then invalid_arg "Jacobi.collocation: m < 1";
   if not (t_end > 0.0) then invalid_arg "Jacobi.collocation: t_end <= 0";
@@ -266,8 +249,6 @@ let integer_colloc c q =
   let dfull = diff_matrix c in
   let dq = if q = 1 then dfull else Mat.pow dfull q in
   Mat.init c.m c.m (fun i j -> Mat.get dq (i + 1) (j + 1))
-
-let diff_colloc c = integer_colloc c 1
 
 let caputo_colloc c ~alpha =
   if not (alpha > 0.0) then invalid_arg "Jacobi.caputo_colloc: alpha <= 0";

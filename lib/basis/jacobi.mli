@@ -64,11 +64,6 @@ val barycentric_weights : float array -> float array
     capacity [(max − min)/4] so they neither overflow nor underflow at
     the sizes spectral collocation uses. *)
 
-val interpolate :
-  nodes:float array -> bw:float array -> values:float array -> float -> float
-(** Second-form barycentric interpolation; exact (no division) when the
-    query coincides with a node. *)
-
 val resample_matrix : colloc -> float array -> Mat.t
 (** [R] of shape [(len times) × (m+1)]: [R_{kj} = ℓ_j(t_k)], the
     cardinal functions of [colloc.all] evaluated at the output times —
@@ -89,11 +84,6 @@ val caputo_colloc : colloc -> alpha:float -> Mat.t
     Caputo operator of the solver's zero-initial-state convention (all
     initial derivatives 0). Integer [α = q] dispatches to [q] exact
     powers of {!diff_matrix} restricted to the same rows/columns, so
-    [caputo_colloc ~alpha:1.0] is bit-identical to {!diff_colloc}.
+    [caputo_colloc ~alpha:1.0] is bit-identical to that restriction of
+    {!diff_matrix}.
     Raises [Invalid_argument] for [α ≤ 0]. *)
-
-val diff_colloc : colloc -> Mat.t
-(** The classical ([α = 1]) anchored collocation matrix — the
-    [m × m] row/column restriction of {!diff_matrix}; the reference
-    the [α = 1] reduction of {!caputo_colloc} is bit-checked
-    against. *)

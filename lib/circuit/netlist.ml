@@ -102,8 +102,6 @@ let node_count t = Name_index.length t.nodes
 let find t name =
   List.find_opt (fun inst -> inst.name = name) t.rev_instances
 
-let cardinality t = List.length t.rev_instances
-
 let r name plus minus value = { name; plus; minus; element = Resistor value }
 let c name plus minus value = { name; plus; minus; element = Capacitor value }
 let l name plus minus value = { name; plus; minus; element = Inductor value }

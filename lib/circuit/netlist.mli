@@ -63,9 +63,6 @@ val is_ground : string -> bool
 
 val find : t -> string -> instance option
 
-val cardinality : t -> int
-(** Number of element instances. *)
-
 (** Constructors for the common elements (node order: plus, minus). *)
 
 val r : string -> string -> string -> float -> instance

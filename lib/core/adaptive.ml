@@ -169,8 +169,6 @@ let solve ?(tol = 1e-4) ?health ?budget ?h_init ?h_min ?h_max ~t_end
       end
       else begin
         incr rejected;
-        if h_trial <= h_min *. 1.000001 then
-          failwith "Adaptive.solve: tolerance unreachable at minimum step";
         h := Float.max h_min (0.5 *. h_trial)
       end
     end

@@ -39,8 +39,8 @@ val solve :
   Sim_result.t * stats
 (** [tol] is the per-step local error tolerance relative to the state
     scale (default [1e-4]). [h_init] defaults to [t_end/100]; [h_min]
-    to [t_end·1e-9]; [h_max] to [t_end/4]. Raises [Failure] if the
-    controller hits [h_min] without meeting [tol].
+    to [t_end·1e-9]; [h_max] to [t_end/4]. A step at [h_min] is
+    accepted even above [tol], with a logged warning.
 
     A trial step whose solution contains NaN/Inf is never fed to the
     error estimate (whose NaN comparisons would reject forever):

@@ -125,8 +125,8 @@ let output_sink c x0 m =
 
 (* Everything plant-dependent, computed once at [compile]: the pencil,
    the column history (with its lag operators and kernel spectra) and
-   the factored (pinned) column-0 block. A query writes no model-level
-   state except under a lock (the factor cache) or through an Atomic
+   the factored column-0 block. A query writes no model-level state
+   except under a lock (the pencil's factor cache) or through an Atomic
    (the counters), so queries may run on several domains at once. *)
 type plan = Spectral of Spectral_solver.t | Column of Engine.history
 
@@ -137,10 +137,9 @@ type t = {
   memory_len : int option;
   plan : plan;
   pencil : Engine.pencil;
-  fcache : Engine.cache;
-      (* one cache per model: every block this model ever factors
-         (prefactor at compile, cache misses at query) lives here, and
-         the pencil replays one symbolic analysis for all of them *)
+      (* one pencil per model: every block this model ever factors
+         (prefactor at compile, cache misses at query) is cached on it,
+         and it replays one symbolic analysis for all of them *)
   queries : int Atomic.t;
 }
 
@@ -152,21 +151,21 @@ let queries t = Atomic.get t.queries
 
 let backend t = Engine.backend t.pencil
 
-(* Per-model factor statistics, read from this model's own cache. The
+(* Per-model factor statistics, read from this model's own pencil. The
    [compiled.factor_reuse] metrics counter aggregates over every model
    in the process — useless to a server that hosts many plants and
-   must report (and test) reuse per plant — whereas the
-   [Engine.Factor_cache] hit/miss counters live on the cache record
-   itself, so the model's cache is exactly the per-plant view. *)
+   must report (and test) reuse per plant — whereas the hit/miss
+   counters live on the pencil's cache, and the model's pencil is
+   exactly the per-plant view. *)
 let factor_reuse t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factor_reuse sp
-  | Column _ -> Engine.Factor_cache.hits t.fcache
+  | Column _ -> fst (Engine.pencil_lookups t.pencil)
 
 let factorisations t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factorisations sp
-  | Column _ -> Engine.Factor_cache.misses t.fcache
+  | Column _ -> snd (Engine.pencil_lookups t.pencil)
 
 let basis t = match t.plan with Spectral _ -> `Spectral | Column _ -> `Bpf
 
@@ -182,9 +181,8 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
       @ [ sys.Multi_term.a ])
   in
-  let fcache = Engine.Factor_cache.create () in
   let model plan window memory_len =
-    { sys; grid; window; memory_len; plan; pencil; fcache; queries = Atomic.make 0 }
+    { sys; grid; window; memory_len; plan; pencil; queries = Atomic.make 0 }
   in
   match basis with
   | `Spectral ->
@@ -197,9 +195,8 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
         invalid_arg "Opm: ?memory_len requires the block-pulse basis";
       model (Spectral (Spectral_solver.compile ?health ~grid sys)) None None
   | `Bpf ->
-      (* pinning and prefactoring are gated on uniformity: an adaptive
-         grid would pin one entry per distinct step, and the pinned set
-         is unbounded; its first query factors instead *)
+      (* prefactoring is gated on uniformity: an adaptive grid has one
+         block per distinct step, and its first query factors them *)
       let uniform =
         match grid with Grid.Uniform _ -> true | Grid.Adaptive _ -> false
       in
@@ -234,13 +231,9 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
       in
       if uniform then
         ignore
-          (Engine.prepare { Engine.default with health; fcache = Some fcache } pencil history
+          (Engine.prepare { Engine.default with health } pencil history
             : Engine.plan);
       model (Column history) window memory_len
-
-let compile_linear ?backend ?basis ?health ?window ?memory_len ~grid sys =
-  compile ?backend ?basis ?health ?window ?memory_len ~grid
-    (Multi_term.of_linear sys)
 
 let compile_fractional ?backend ?basis ?health ?window ?memory_len ~grid
     ~alpha sys =
@@ -266,7 +259,7 @@ let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0
   Trace.with_span "compiled_solve" @@ fun () ->
   if t.window = None then global_checkpoint checkpoint resume_from;
   count_query t;
-  let ctx = { Engine.health; budget; fcache = Some t.fcache } in
+  let ctx = { Engine.health; budget } in
   let bu = forcing (mul_rows t.sys.Multi_term.b) u ax0 in
   let hits =
     match t.window with

@@ -16,9 +16,8 @@ open Opm_signal
       uniform grid the banded lag operators and fractional kernels of
       {!Engine.toeplitz}, O(m) each; on an adaptive grid the dense
       operational matrices [D^{α_k}]), and the factored column-0 block
-      — {!Engine.prepare} inserts it {e pinned} into the model's
-      {!Engine.Factor_cache} so the bounded cache can never evict it
-      mid-sweep;
+      — {!Engine.prepare} caches it on the model's pencil, which serves
+      it to every later query;
     - {b input-dependent}, per {!solve} query: project the sources to
       [U·D^r] (p×m), and {!Engine.prepare}/{!Engine.run} the column
       recurrence against the cached factor, fed [B·u_i] one column at a
@@ -32,7 +31,7 @@ open Opm_signal
 
     A windowed model is the same column model with a window width: its
     queries run the one column loop through {!Window.run}, sharing the
-    factor cache across windows {e and} queries.
+    pencil's factor cache across windows {e and} queries.
 
     {b Re-entrant queries.} One [t] may be queried from several domains
     at once. A query writes no model-level state except under a lock
@@ -84,9 +83,9 @@ val compile :
     on an adaptive grid.
 
     Adaptive grids compile too — the operational matrices are still
-    amortised — but skip prefactoring and pinning (one pinned entry per
-    distinct step would be unbounded); the first query factors and the
-    bounded cache carries the factors to later queries.
+    amortised — but skip prefactoring (one block per distinct step);
+    the first query factors and the pencil's bounded cache carries the
+    factors to later queries.
 
     [?basis:`Spectral] compiles the Jacobi-Gauss collocation operator
     instead ([Grid.size grid] becomes the collocation-node count; the
@@ -96,17 +95,6 @@ val compile :
     query a back-solve. Spectral models are global by construction —
     [?window]/[?memory_len] raise [Invalid_argument], and so do
     adaptive grids. *)
-
-val compile_linear :
-  ?backend:backend ->
-  ?basis:basis ->
-  ?health:Opm_robust.Health.t ->
-  ?window:int ->
-  ?memory_len:int ->
-  grid:Grid.t ->
-  Descriptor.t ->
-  t
-(** [compile] of {!Multi_term.of_linear}. *)
 
 val compile_fractional :
   ?backend:backend ->
@@ -179,15 +167,15 @@ val queries : t -> int
 (** Queries answered so far. *)
 
 val factor_reuse : t -> int
-(** Pencil lookups served from {e this model's} factor cache — the
-    per-plant counterpart of the process-global [compiled.factor_reuse]
-    metrics counter (which sums every model in the process and
-    therefore cannot attribute reuse to a plant). On a uniform-grid
-    model this increments once per query. *)
+(** Pencil lookups served from the factor cache of {e this model's}
+    pencil — the per-plant counterpart of the process-global
+    [compiled.factor_reuse] metrics counter (which sums every model in
+    the process and therefore cannot attribute reuse to a plant). On a
+    uniform-grid model this increments once per query. *)
 
 val factorisations : t -> int
-(** Pencil factorisations {e this model} has performed (cache misses of
-    its own cache, the compile-time prefactorisation included). A
+(** Pencil factorisations {e this model} has performed (misses of its
+    pencil's cache, the compile-time prefactorisation included). A
     healthy uniform-grid model reports [1] for its whole lifetime —
     the factor-once contract a serving layer asserts per plant. *)
 

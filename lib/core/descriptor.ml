@@ -49,10 +49,6 @@ let e_dense sys = Csr.to_dense sys.e
 
 let a_dense sys = Csr.to_dense sys.a
 
-let observe_states sys =
-  let n = order sys in
-  { sys with c = Mat.eye n; output_names = Array.copy sys.state_names }
-
 let scalar ~e ~a ~b =
   of_dense
     ~e:(Mat.of_arrays [| [| e |] |])

@@ -51,9 +51,6 @@ val e_dense : t -> Mat.t
 
 val a_dense : t -> Mat.t
 
-val observe_states : t -> t
-(** Replace [C] by the identity: observe every state variable. *)
-
 val scalar : e:float -> a:float -> b:float -> t
 (** 1-state system [e·d^α x = a·x + b·u], [y = x] — handy in tests. *)
 

@@ -110,93 +110,6 @@ let budget_factor ?(bytes = 0) budget =
 
 let same_key a b = List.for_all2 (fun (x : float) y -> x = y) a b
 
-(* Bounded key → factorisation cache. An assoc list keyed on the exact
-   float step is pathological on fully-adaptive grids: every column
-   misses, so each lookup scans the whole list (O(m²) total) and the
-   list grows without bound. A hashtable gives O(1) lookups and a
-   capacity cap bounds the memory; on overflow the cache is reset —
-   adaptive grids that miss every time pay exactly one factorisation
-   per column either way, while uniform and few-distinct-step grids
-   stay fully cached.
-
-   The key is polymorphic; the engine keys its blocks on the full
-   (α₁…α_K, h) identity of the pencil plus the column coefficients (see
-   [column_key]), never on the diagonal coefficients alone: (2/h)^α
-   collides for different (α, h) pairs (at h = 2 it is 1.0 for every
-   α), so a diagonal-only key would silently reuse the wrong
-   factorisation once a cache is shared across solves.
-
-   One mutex guards the tables and the counters, and a miss factors
-   under it: queries of one compiled model look the cache up from
-   several domains, and two of them missing the same key must factor it
-   once, so that the counters stay exact. *)
-module Factor_cache = struct
-  type ('k, 'f) t = {
-    capacity : int;
-    lock : Mutex.t;
-    table : ('k, 'f) Hashtbl.t;
-    pinned : ('k, 'f) Hashtbl.t;
-        (* pinned entries live outside the capacity bound and survive
-           the overflow reset: a sweep interleaving many (α, h) keys can
-           blow the bounded table away mid-run, and without pinning that
-           evicts the one factor every window (or every compiled query)
-           is about to ask for again *)
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let default_capacity = 64
-
-  let create ?(capacity = default_capacity) () =
-    if capacity < 1 then invalid_arg "Engine.Factor_cache.create: capacity < 1";
-    {
-      capacity;
-      lock = Mutex.create ();
-      table = Hashtbl.create capacity;
-      pinned = Hashtbl.create 4;
-      hits = 0;
-      misses = 0;
-    }
-
-  let length c =
-    Mutex.protect c.lock (fun () -> Hashtbl.length c.table + Hashtbl.length c.pinned)
-
-  let pinned_count c = Mutex.protect c.lock (fun () -> Hashtbl.length c.pinned)
-
-  let hits c = Mutex.protect c.lock (fun () -> c.hits)
-
-  let misses c = Mutex.protect c.lock (fun () -> c.misses)
-
-  (* the entry and whether it was a hit *)
-  let lookup ?(pin = false) c h factor =
-    Mutex.protect c.lock @@ fun () ->
-    match Hashtbl.find_opt c.pinned h with
-    | Some f ->
-        c.hits <- c.hits + 1;
-        (f, true)
-    | None -> (
-        match Hashtbl.find_opt c.table h with
-        | Some f ->
-            c.hits <- c.hits + 1;
-            if pin then begin
-              Hashtbl.remove c.table h;
-              Hashtbl.add c.pinned h f
-            end;
-            (f, true)
-        | None ->
-            c.misses <- c.misses + 1;
-            let f = factor h in
-            if pin then Hashtbl.add c.pinned h f
-            else begin
-              if Hashtbl.length c.table >= c.capacity then
-                Hashtbl.reset c.table;
-              Hashtbl.add c.table h f
-            end;
-            (f, false))
-
-  let find_or_add ?pin c h factor = fst (lookup ?pin c h factor)
-end
-
 (* ------------------------------------------------------------------ *)
 (* Fallback cascade                                                    *)
 
@@ -293,8 +206,6 @@ type block =
              in place: later columns sharing the cached block reuse the
              strongest factorisation reached so far *)
     }
-
-type cache = (float list, block) Factor_cache.t
 
 let dense_block ~column dmat =
   let dmat = fault_factor_dense ~column dmat in
@@ -399,6 +310,22 @@ let solve_col ?health ~column blk rhs =
 
 type ops = Dense_ops of Mat.t array | Sparse_ops of Csr.t array
 
+(* The factorised blocks of one pencil, keyed by [column_key] (see
+   {b Factor cache} in engine.mli for why the key is the full (α, h)
+   identity and why the table resets past [cache_capacity]). One mutex
+   guards the table and the counters, and a miss factors under it: the
+   queries of one compiled model look the cache up from several
+   domains, and two of them missing one key must factor it once, so
+   that the counters stay exact. *)
+type cache = {
+  lock : Mutex.t;
+  table : (float list, block) Hashtbl.t;
+  mutable hits : int;
+  mutable misses : int;
+}
+
+let cache_capacity = 64
+
 type pencil = {
   ops : ops;  (* [M_1 … M_J]; the last operator is [A] *)
   n : int;
@@ -407,6 +334,7 @@ type pencil = {
          pattern (the union of the operators'), so one symbolic analysis
          is recorded at the first factorisation and replayed numerically
          by the rest *)
+  cache : cache;
 }
 
 let make_pencil ops =
@@ -422,7 +350,10 @@ let make_pencil ops =
     (fun (r, c) ->
       if r <> n || c <> n then invalid_arg "Engine.pencil: operator dimension mismatch")
     dims;
-  { ops; n; sym = ref None }
+  let cache =
+    { lock = Mutex.create (); table = Hashtbl.create cache_capacity; hits = 0; misses = 0 }
+  in
+  { ops; n; sym = ref None; cache }
 
 let pencil backend ms =
   let n = match ms with m0 :: _ -> fst (Csr.dims m0) | [] -> 0 in
@@ -435,6 +366,23 @@ let pencil backend ms =
 let backend p = match p.ops with Dense_ops _ -> `Dense | Sparse_ops _ -> `Sparse
 
 let size p = p.n
+
+let pencil_lookups p = Mutex.protect p.cache.lock (fun () -> (p.cache.hits, p.cache.misses))
+
+(* the cached block for [key] and whether it was a hit *)
+let lookup p key factor =
+  let c = p.cache in
+  Mutex.protect c.lock @@ fun () ->
+  match Hashtbl.find_opt c.table key with
+  | Some blk ->
+      c.hits <- c.hits + 1;
+      (blk, true)
+  | None ->
+      c.misses <- c.misses + 1;
+      let blk = factor () in
+      if Hashtbl.length c.table >= cache_capacity then Hashtbl.reset c.table;
+      Hashtbl.add c.table key blk;
+      (blk, false)
 
 let nops p =
   match p.ops with Dense_ops a -> Array.length a | Sparse_ops a -> Array.length a
@@ -488,8 +436,8 @@ let factor ?health ?budget p ~column c =
                − Σ_{k: β_k>0} E_k Σ_{l≥1} κ_k[l]·x_{i−l}
 
    with p_k = (1−q)^{n_k}·(1+q)^{N−n_k} and
-   - M_0 = Σ_k s_k E_k − A, the historical block (same coefficients,
-     cache key and pinned factor);
+   - M_0 = Σ_k s_k E_k − A, the historical block (same coefficients
+     and cache key);
    - M_l = Σ_{k: β_k=0} s_k·p_k[l]·E_k − C(N,l)·A for 1 ≤ l ≤ N;
    - κ_k = s_k·ρ_{β_k}·p_k = s_k·(1−q)^{α_k}·(1+q)^{N−α_k}.
    Integer orders become an N-lag banded recurrence, and each
@@ -585,14 +533,6 @@ let columns = function
   | Triangular { d; _ } -> fst (Mat.dims d.(0))
   | Alternating steps -> Array.length steps
 
-(* one step for every column: one block serves the whole horizon, and
-   pinning it costs exactly one entry (an adaptive grid would pin one
-   entry per distinct step, and the pinned set is unbounded) *)
-let uniform = function
-  | Banded _ -> true
-  | Triangular _ -> false
-  | Alternating s -> Array.for_all (fun (h : float) -> h = s.(0)) s
-
 (* the coefficients c(i) of column i's block Σ_j c_j·M_j *)
 let column_coeffs history i =
   match history with
@@ -603,10 +543,10 @@ let column_coeffs history i =
   | Alternating steps -> [| 2.0 /. steps.(i); -1.0 |]
 
 (* Cache key of column i's block. The differential form carries the
-   term orders and, on a uniform grid, the step, so a cache shared
-   across solves never confuses two (α, h) pencils with coincident
-   diagonals; the order-1 form solves (2/h·E − A), α pinned to 1 but
-   carried in the key anyway. *)
+   term orders and, on a uniform grid, the step, so a pencil prepared
+   against histories of different orders never confuses two (α, h)
+   blocks with coincident diagonals; the order-1 form solves
+   (2/h·E − A), α fixed at 1 but carried in the key anyway. *)
 let column_key history i =
   match history with
   | Banded b -> b.orders @ (b.step :: Array.to_list b.scales)
@@ -666,21 +606,15 @@ let toeplitz_spectra b =
 (* ------------------------------------------------------------------ *)
 (* Prepare / run                                                       *)
 
-type ctx = {
-  health : Health.t option;
-  budget : Budget.t option;
-  fcache : cache option;
-}
+type ctx = { health : Health.t option; budget : Budget.t option }
 
-let default = { health = None; budget = None; fcache = None }
+let default = { health = None; budget = None }
 
 type plan = {
   ctx : ctx;
   pencil : pencil;
   history : history;
   m : int;
-  cache : cache;
-  pin : bool;
   key0 : float list;
   block0 : block;
   lags : ops;  (* a banded history's M_1 … M_N *)
@@ -702,13 +636,9 @@ let prepare ctx pencil history =
   | Banded _ | Triangular _ | Alternating _ -> ());
   let m = columns history in
   if m < 1 then invalid_arg "Engine.prepare: empty horizon";
-  let cache =
-    match ctx.fcache with Some c -> c | None -> Factor_cache.create ()
-  in
-  let pin = uniform history in
   let key0 = column_key history 0 in
   let block0, hit =
-    Factor_cache.lookup ~pin cache key0 (fun _ ->
+    lookup pencil key0 (fun () ->
         factor ?health:ctx.health ?budget:ctx.budget pencil ~column:0
           (column_coeffs history 0))
   in
@@ -724,8 +654,6 @@ let prepare ctx pencil history =
     pencil;
     history;
     m;
-    cache;
-    pin;
     key0;
     block0;
     lags;
@@ -942,7 +870,7 @@ type boundary = { width : int; memory : int option; at : int -> unit }
 
 let run ?boundary ?replay p ~bu ~emit =
   Trace.with_span (span_name p) @@ fun () ->
-  let { health; budget; _ } = p.ctx in
+  let { health; budget } = p.ctx in
   (* per-run memo in front of the cache, seeded with the prepared
      column-0 block: on a uniform grid every column shares one key, so
      a prepare/run pair costs exactly one cache access — which makes the
@@ -953,7 +881,7 @@ let run ?boundary ?replay p ~bu ~emit =
     let key = column_key p.history i in
     if not (same_key key (fst !memo)) then begin
       let blk, hit =
-        Factor_cache.lookup ~pin:p.pin p.cache key (fun _ ->
+        lookup p.pencil key (fun () ->
             factor ?health ?budget p.pencil ~column:i (column_coeffs p.history i))
       in
       if hit then p.hits <- p.hits + 1 else p.misses <- p.misses + 1;

@@ -80,68 +80,6 @@ open Opm_robust
     convolver is built and no fractional history is summed, on either
     route. *)
 
-(** Bounded factorisation cache keyed by an arbitrary hashable key. A
-    hashtable keyed on the exact key gives O(1) lookups (the former
-    assoc list scanned linearly — O(m²) over a fully-adaptive grid —
-    and grew without bound); when [capacity] distinct keys are exceeded
-    the cache resets, bounding memory while keeping uniform and
-    few-distinct-step grids fully cached.
-
-    {b Key discipline.} The engine keys its blocks on the full
-    [(α₁…α_K, h)] identity of the pencil plus the column coefficients,
-    never on the diagonal coefficients alone: [(2/h)^α] coincides for
-    different [(α, h)] pairs (at [h = 2] it is [1.0] for {e every} α),
-    so a diagonal-only key would silently reuse the wrong factorisation
-    when a process mixes differentiation orders on one grid. One cache
-    serves one operator set: share a cache only between runs of the
-    same [E_k], [A].
-
-    The cache is safe to share between domains: one mutex guards the
-    tables and the counters, and a miss factors under it, so two
-    domains missing one key factor it once and [hits]/[misses] stay
-    exact. *)
-module Factor_cache : sig
-  type ('k, 'f) t
-
-  val default_capacity : int
-  (** 64. *)
-
-  val create : ?capacity:int -> unit -> ('k, 'f) t
-  (** Raises [Invalid_argument] if [capacity < 1]. *)
-
-  val find_or_add : ?pin:bool -> ('k, 'f) t -> 'k -> ('k -> 'f) -> 'f
-  (** [find_or_add c k factor] returns the cached factorisation for key
-      [k], calling [factor k] (and evicting on overflow) on a miss.
-
-      [~pin:true] marks the entry {e pinned}: pinned entries live
-      outside the capacity bound and survive the overflow reset, so a
-      sweep interleaving more than [capacity] other [(α, h)] keys can
-      never evict the hot pencil factor mid-run. Pinning is an upgrade
-      — a key already cached unpinned is migrated. Pinned entries are
-      expected to be few (the hot pencils of live windows / compiled
-      models); they are released only with the cache itself. *)
-
-  val length : ('k, 'f) t -> int
-  (** Currently cached entries, pinned included; the unpinned portion
-      is always [<= capacity]. *)
-
-  val pinned_count : ('k, 'f) t -> int
-
-  val hits : ('k, 'f) t -> int
-  (** Cache accesses served from the table (pinned or not). A
-      {!prepare}/{!run} pair consults the cache once on a uniform grid —
-      consecutive columns are served by a per-run memo — so [hits] and
-      [misses] count engine runs, not columns. *)
-
-  val misses : ('k, 'f) t -> int
-end
-
-type block
-(** A factorised column block, either backend; the sparse one is
-    upgraded in place by the fallback cascade. *)
-
-type cache = (float list, block) Factor_cache.t
-
 (** {1 Pencil} *)
 
 type pencil
@@ -149,7 +87,21 @@ type pencil
     [A]. The sparse pencil owns the symbolic analysis of its first
     factorisation: every block it factors shares one sparsity pattern,
     so the rest replay the recorded elimination numerically
-    ({!Slu.factor_hinted}). *)
+    ({!Slu.factor_hinted}).
+
+    {b Factor cache.} A pencil also owns the column blocks it has
+    factorised, so a pencil prepared and run many times (a compiled
+    model's queries, its windows) factors each block once. Blocks are
+    keyed on the full [(α₁…α_K, h)] identity of the history plus the
+    column coefficients, never on the coefficients alone: [(2/h)^α]
+    coincides for different [(α, h)] pairs (at [h = 2] it is [1.0] for
+    {e every} α), and one pencil may be prepared against histories of
+    different orders. At most 64 blocks are kept; on overflow the
+    cache resets, so a fully-adaptive grid holds bounded memory while
+    uniform and few-distinct-step grids stay fully cached. The cache is
+    safe to share between domains: one mutex guards it and its
+    counters, and a miss factors under it, so two domains missing one
+    key factor it once and the counts stay exact. *)
 
 val pencil : [ `Auto | `Dense | `Sparse ] -> Csr.t list -> pencil
 (** [pencil backend [M_1; …; A]]. [`Auto] picks the sparse LU for
@@ -161,6 +113,13 @@ val backend : pencil -> [ `Dense | `Sparse ]
 
 val size : pencil -> int
 (** The state count [n]. *)
+
+val pencil_lookups : pencil -> int * int
+(** [(hits, misses)] of every factor-cache lookup made on this pencil;
+    [misses] is the number of blocks it has factorised. A {!prepare}
+    and its {!run} consult the cache once on a uniform grid (the run
+    serves consecutive columns from a memo), so on a uniform grid the
+    counts count runs, not columns. *)
 
 (** {1 History} *)
 
@@ -180,8 +139,8 @@ val toeplitz : orders:float list -> step:float -> int -> history
     [M_0 x_i = Σ_{l≤N} C(N,l)·bu_{i−l} − Σ_{1≤l≤N} M_l x_{i−l}
               − Σ_{k: β_k>0} E_k Σ_{l≥1} κ_k[l]·x_{i−l}]
 
-    - [M_0 = Σ_k s_k E_k − A]: the column block, its cache key and the
-      pinned factor are those of the plain scan;
+    - [M_0 = Σ_k s_k E_k − A]: the column block and its cache key are
+      those of the plain scan;
     - [M_l = Σ_{k: β_k=0} s_k·p_k[l]·E_k − C(N,l)·A], built once per
       pencil and kept by the history: integer orders, [A] and [B·U]
       cost [O(n·N)] per column;
@@ -203,8 +162,8 @@ val triangular : orders:float list -> Mat.t list -> history
     history is the plain scan [Σ_k E_k Σ_{j<i} d^{(k)}_{ji} x_j]. It
     walks the rows in blocks, so the solved columns stream from memory
     once per query, not once per term; each term still sums its lags in
-    ascending [j], bit for bit as a per-term scan would. The blocks are
-    never pinned and the history never takes the FFT path. Raises
+    ascending [j], bit for bit as a per-term scan would. The history
+    never takes the FFT path. Raises
     [Invalid_argument] on an order/matrix count mismatch or non-square
     or unequal [D_k]. *)
 
@@ -213,23 +172,16 @@ val alternating : float array -> history
 
 (** {1 Prepare / run} *)
 
-type ctx = {
-  health : Health.t option;
-  budget : Budget.t option;
-  fcache : cache option;
-      (** a caller-owned cache shared across runs — windows, compiled
-          queries — so a uniform-grid pencil is factorised once; by
-          default every {!prepare} gets a private one *)
-}
+type ctx = { health : Health.t option; budget : Budget.t option }
 
 val default : ctx
-(** No health collection, no budget, a private cache. *)
+(** No health collection, no budget. *)
 
 type plan
 
 val prepare : ctx -> pencil -> history -> plan
 (** Validate the shapes, look up (or factor) the column-0 block in the
-    cache — pinned on uniform grids — and return the plan. Raises
+    pencil's cache, and return the plan. Raises
     [Invalid_argument] when the history does not fit the pencil (one
     [D_k] per [E_k]; [[E; A]] for the order-1 form) or
     the horizon is empty, {!Opm_error.Error} when the block is
@@ -300,7 +252,7 @@ val solve : plan -> Mat.t -> Mat.t
 val lookups : plan -> int * int
 (** [(hits, misses)] of the factor-cache lookups this plan's {!prepare}
     and runs made — a per-query view that stays exact while other
-    queries share the cache. *)
+    queries share the pencil. *)
 
 val identity : plan -> int * float list
 (** [(m, key)]: the column count and the cache key of the column-0

@@ -73,9 +73,6 @@ let input_count sys = snd (Mat.dims sys.b)
 
 let output_count sys = fst (Mat.dims sys.c)
 
-let max_alpha sys =
-  List.fold_left (fun acc t -> Float.max acc t.alpha) 0.0 sys.terms
-
 let to_first_order sys =
   if sys.input_order <> 0 then
     invalid_arg "Multi_term.to_first_order: differentiated input";

@@ -64,8 +64,6 @@ val input_count : t -> int
 
 val output_count : t -> int
 
-val max_alpha : t -> float
-
 val to_first_order : t -> Descriptor.t
 (** Companion (first-order) realisation of an *integer-order* system
     with orders ⊆ {1, 2} and [input_order = 0]:

@@ -9,7 +9,7 @@ let input_coefficients = Compiled_model.input_coefficients
 
 (* One-shot simulation is literally compile-then-solve: every
    plant-dependent artefact (operational matrices or banded history,
-   FFT plan, pinned pencil factor) is built by [compile] exactly as the
+   FFT plan, pencil factor) is built by [compile] exactly as the
    historical one-shot path built it, so cold behaviour is
    bit-identical while sweep callers can hold on to the compiled model
    and pay the setup once. *)

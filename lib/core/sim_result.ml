@@ -27,8 +27,3 @@ let output r i = Waveform.channel r.outputs i
 let state r i = Waveform.channel r.states i
 
 let health r = r.health
-
-let health_report ?cond_limit r =
-  match r.health with
-  | None -> None
-  | Some h -> Some (Opm_robust.Health.to_string ?cond_limit h)

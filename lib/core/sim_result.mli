@@ -31,6 +31,3 @@ val output : t -> int -> Vec.t
 val state : t -> int -> Vec.t
 
 val health : t -> Opm_robust.Health.t option
-
-val health_report : ?cond_limit:float -> t -> string option
-(** Rendered {!Opm_robust.Health.to_string} of the carried collector. *)

@@ -39,7 +39,7 @@ type stats = {
   factor_hits : int;
       (** pencil-factor lookups served from the cache {e during this
           call}: 1 on a uniform grid whose block a compiled model has
-          prefactored, 0 on a private cache *)
+          prefactored, 0 on a pencil never factored before *)
   factor_misses : int;  (** factorisations actually computed this call *)
   handoff_seconds : float;
       (** total wall time spent at window boundaries: commits,

@@ -229,8 +229,3 @@ let hqr hess =
   end
 
 let eigenvalues a = hqr (hessenberg a)
-
-let spectral_abscissa a =
-  Array.fold_left
-    (fun acc z -> Float.max acc z.Complex.re)
-    neg_infinity (eigenvalues a)

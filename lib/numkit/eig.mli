@@ -24,6 +24,3 @@ val hessenberg : Mat.t -> Mat.t
 
 val eigenvalues : Mat.t -> Complex.t array
 (** All [n] eigenvalues, unordered; conjugate pairs appear adjacently. *)
-
-val spectral_abscissa : Mat.t -> float
-(** [max Re λ] — negative iff the matrix is Hurwitz-stable. *)

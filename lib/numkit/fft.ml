@@ -211,50 +211,6 @@ let mul_spectra ~zr ~zi ~kr ~ki ~wr ~wi size =
     Array.unsafe_set wi u ((ar *. bi) +. (ai *. br))
   done
 
-let conv_real_many xs kernel =
-  let rows = Array.length xs in
-  if rows = 0 then [||]
-  else begin
-    let lx = Array.length xs.(0) in
-    Array.iter
-      (fun x ->
-        if Array.length x <> lx then
-          invalid_arg "Fft.conv_real_many: ragged input rows")
-      xs;
-    let lk = Array.length kernel in
-    if lx = 0 || lk = 0 then Array.make rows [||]
-    else begin
-      let n = lx + lk - 1 in
-      let size = next_power_of_two n in
-      let tw = twiddles size in
-      let kr, ki = kernel_spectrum tw kernel ~lo:0 ~hi:lk size in
-      let out = Array.make rows [||] in
-      let zr = Array.make size 0.0 and zi = Array.make size 0.0 in
-      (* two rows per transform: for a real kernel,
-         (a + ib) ⊛ k = (a ⊛ k) + i·(b ⊛ k), so the re channel carries
-         row 2p and the im channel row 2p+1 through one forward and one
-         inverse FFT *)
-      for p = 0 to ((rows + 1) / 2) - 1 do
-        let r0 = 2 * p in
-        let r1 = r0 + 1 in
-        Array.fill zr lx (size - lx) 0.0;
-        Array.fill zi 0 size 0.0;
-        Array.blit xs.(r0) 0 zr 0 lx;
-        if r1 < rows then Array.blit xs.(r1) 0 zi 0 lx;
-        forward tw zr zi size;
-        mul_spectra ~zr ~zi ~kr ~ki ~wr:zr ~wi:zi size;
-        inverse tw zr zi size;
-        out.(r0) <- Array.sub zr 0 n;
-        if r1 < rows then out.(r1) <- Array.sub zi 0 n
-      done;
-      out
-    end
-  end
-
-let conv_real a b =
-  if Array.length a = 0 || Array.length b = 0 then [||]
-  else (conv_real_many [| a |] b).(0)
-
 (* ------------------------------------------------------------------ *)
 (* Blocked online ("relaxed") convolution.
 

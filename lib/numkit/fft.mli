@@ -36,18 +36,6 @@ val frequencies : int -> float -> float array
 val next_power_of_two : int -> int
 (** Smallest power of two [>= max 1 n]. *)
 
-val conv_real : float array -> float array -> float array
-(** [conv_real a b] is the full linear convolution of two real signals,
-    [c.(d) = Σ_j a.(j)·b.(d−j)], length [|a| + |b| − 1] (or [[||]] when
-    either input is empty). Computed via power-of-two–padded split-format
-    FFTs: O((|a|+|b|) log (|a|+|b|)). *)
-
-val conv_real_many : float array array -> float array -> float array array
-(** [conv_real_many xs kernel] convolves each row of [xs] (all rows the
-    same length) with the shared real [kernel], amortising the kernel
-    transform and packing row pairs into single complex transforms.
-    Row [r] of the result is [conv_real xs.(r) kernel]. *)
-
 (** Blocked online ("relaxed") convolution for causal history sums.
 
     Computes [y(i) = Σ_{l≥1} k(l)·x(i−l)] online, where column [x(i)]

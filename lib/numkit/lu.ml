@@ -176,21 +176,11 @@ let solve_mat lu b =
   done;
   x
 
-let det { lu; sign; _ } =
-  let n, _ = Mat.dims lu in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. Mat.get lu i i
-  done;
-  !d
-
 let solve_dense a b = solve (factor a) b
 
 let inverse a =
   let n, _ = Mat.dims a in
   solve_mat (factor a) (Mat.eye n)
-
-let cond_estimate a = Mat.norm_inf a *. Mat.norm_inf (inverse a)
 
 (* Hager/Higham power iteration on ‖A⁻¹‖₁ using one solve with A and one
    with Aᵀ per step (Higham, "FORTRAN codes for estimating the matrix

@@ -41,16 +41,10 @@ val solve_transpose : t -> Vec.t -> Vec.t
 val solve_mat : t -> Mat.t -> Mat.t
 (** Solve with a matrix right-hand side (column by column). *)
 
-val det : t -> float
-
 val solve_dense : Mat.t -> Vec.t -> Vec.t
 (** One-shot [factor] + [solve]. *)
 
 val inverse : Mat.t -> Mat.t
-
-val cond_estimate : Mat.t -> float
-(** Rough condition-number estimate [‖A‖∞ · ‖A⁻¹‖∞] (forms the inverse;
-    intended for diagnostics on small systems, not hot paths). *)
 
 val inv_norm1_est :
   n:int -> solve:(Vec.t -> Vec.t) -> solve_t:(Vec.t -> Vec.t) -> float
@@ -64,5 +58,5 @@ val cond_est : t -> float
     Typically within a small factor of the true [κ₁(A)] (it is a lower
     bound on [‖A⁻¹‖₁] by construction). The estimate is computed on
     first call and cached on the factor, so cached factorisations
-    (e.g. {i Engine.Factor_cache} entries) carry their estimate for
+    (e.g. the blocks an engine pencil caches) carry their estimate for
     free thereafter. *)

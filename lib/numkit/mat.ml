@@ -30,10 +30,6 @@ let update a i j f =
   let k = (i * a.cols) + j in
   a.data.(k) <- f a.data.(k)
 
-let diag_of a =
-  let n = min a.rows a.cols in
-  Array.init n (fun i -> get a i i)
-
 let of_arrays rows_arr =
   let rows = Array.length rows_arr in
   if rows = 0 then { rows = 0; cols = 0; data = [||] }
@@ -46,9 +42,6 @@ let of_arrays rows_arr =
       rows_arr;
     init rows cols (fun i j -> rows_arr.(i).(j))
   end
-
-let to_arrays a =
-  Array.init a.rows (fun i -> Array.init a.cols (fun j -> get a i j))
 
 let dims a = (a.rows, a.cols)
 
@@ -110,19 +103,6 @@ let mul a b =
   mul_rows a b c 0 a.rows;
   c
 
-(* Row-blocked parallel product. Each domain owns a contiguous block of
-   output rows and runs the identical serial kernel over it, so the
-   result is bit-identical to [mul] for any pool size. *)
-let par_mul pool a b =
-  check_mul a b;
-  let c = zeros a.rows b.cols in
-  (* below ~64k flops the handshake costs more than the product *)
-  if a.rows * a.cols * b.cols < 65536 then mul_rows a b c 0 a.rows
-  else
-    Opm_parallel.Pool.parallel_for pool ~n:a.rows (fun i ->
-        mul_rows a b c i (i + 1));
-  c
-
 let mul_vec a x =
   if a.cols <> Array.length x then invalid_arg "Mat.mul_vec: dimension mismatch";
   let y = Array.make a.rows 0.0 in
@@ -160,11 +140,6 @@ let rec pow a k =
     let half = pow a (k / 2) in
     let sq = mul half half in
     if k mod 2 = 0 then sq else mul sq a
-
-let shift_nilpotent m = init m m (fun i j -> if j = i + 1 then 1.0 else 0.0)
-
-let frobenius_norm a =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a.data)
 
 let norm_inf a =
   let best = ref 0.0 in

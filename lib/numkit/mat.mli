@@ -20,13 +20,8 @@ val init : int -> int -> (int -> int -> float) -> t
 val diag : Vec.t -> t
 (** Square matrix with the given diagonal. *)
 
-val diag_of : t -> Vec.t
-(** Diagonal of a matrix (length [min rows cols]). *)
-
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
-
-val to_arrays : t -> float array array
 
 val get : t -> int -> int -> float
 
@@ -58,11 +53,6 @@ val mul : t -> t -> t
 (** Matrix product. Raises [Invalid_argument] on inner-dimension
     mismatch. *)
 
-val par_mul : Opm_parallel.Pool.t -> t -> t -> t
-(** Row-blocked parallel matrix product: bit-identical to {!mul} for
-    any pool size (each output row is computed by the same serial
-    kernel). Falls back to the serial product below ~64k flops. *)
-
 val mul_vec : t -> Vec.t -> Vec.t
 
 val tmul_vec : t -> Vec.t -> Vec.t
@@ -73,12 +63,6 @@ val kron : t -> t -> t
 
 val pow : t -> int -> t
 (** Non-negative integer matrix power by repeated squaring. *)
-
-val shift_nilpotent : int -> t
-(** [shift_nilpotent m] is the index-[m] nilpotent matrix [Q_m] of the
-    paper's eq. (6): ones on the first superdiagonal, zero elsewhere. *)
-
-val frobenius_norm : t -> float
 
 val norm_inf : t -> float
 (** Maximum absolute row sum. *)

@@ -21,17 +21,4 @@ let binomial_product a b n =
 
 let one_minus_over_one_plus_pow alpha n = binomial_product alpha (-.alpha) n
 
-let eval_nilpotent c q =
-  let n, m = Mat.dims q in
-  if n <> m then invalid_arg "Series.eval_nilpotent: non-square matrix";
-  let len = Array.length c in
-  if len = 0 then Mat.zeros n n
-  else begin
-    let acc = ref (Mat.scale c.(len - 1) (Mat.eye n)) in
-    for k = len - 2 downto 0 do
-      acc := Mat.add (Mat.mul !acc q) (Mat.scale c.(k) (Mat.eye n))
-    done;
-    !acc
-  end
-
 let eval c x = Array.fold_right (fun ck acc -> (acc *. x) +. ck) c 0.0

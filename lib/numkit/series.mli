@@ -24,9 +24,5 @@ val one_minus_over_one_plus_pow : float -> int -> t
     [(k+1)·c_{k+1} = (k−1)·c_{k−1} − 2α·c_k]. For [α = 3/2], [n = 4] this
     yields [1; −3; 4.5; −5.5] (paper eq. 23). *)
 
-val eval_nilpotent : t -> Mat.t -> Mat.t
-(** [eval_nilpotent c q] is [Σ_k c.(k) · q^k] by Horner's rule — exact
-    when [q] is nilpotent of index ≤ [Array.length c]. *)
-
 val eval : t -> float -> float
 (** Scalar Horner evaluation. *)

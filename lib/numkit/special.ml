@@ -41,59 +41,6 @@ let gamma x =
     (* Γ(x) Γ(1−x) = π / sin(πx) *)
     Float.pi /. (sin (Float.pi *. x) *. exp (lgamma (1.0 -. x)))
 
-(* regularised incomplete gamma: series for x < a+1, continued fraction
-   otherwise (Numerical Recipes gser/gcf) *)
-let gammp_series a x =
-  let ap = ref a in
-  let sum = ref (1.0 /. a) in
-  let del = ref !sum in
-  let continue_ = ref true in
-  let iter = ref 0 in
-  while !continue_ && !iter < 1000 do
-    incr iter;
-    ap := !ap +. 1.0;
-    del := !del *. x /. !ap;
-    sum := !sum +. !del;
-    if Float.abs !del < Float.abs !sum *. 1e-16 then continue_ := false
-  done;
-  !sum *. exp ((-.x) +. (a *. log x) -. lgamma a)
-
-let gammq_cf a x =
-  let tiny = 1e-300 in
-  let b = ref (x +. 1.0 -. a) in
-  let c = ref (1.0 /. tiny) in
-  let d = ref (1.0 /. !b) in
-  let h = ref !d in
-  let i = ref 1 in
-  let continue_ = ref true in
-  while !continue_ && !i < 1000 do
-    let an = -.float_of_int !i *. (float_of_int !i -. a) in
-    b := !b +. 2.0;
-    d := (an *. !d) +. !b;
-    if Float.abs !d < tiny then d := tiny;
-    c := !b +. (an /. !c);
-    if Float.abs !c < tiny then c := tiny;
-    d := 1.0 /. !d;
-    let del = !d *. !c in
-    h := !h *. del;
-    if Float.abs (del -. 1.0) < 1e-16 then continue_ := false;
-    incr i
-  done;
-  exp ((-.x) +. (a *. log x) -. lgamma a) *. !h
-
-let gammp a x =
-  if a <= 0.0 || x < 0.0 then invalid_arg "Special.gammp: bad arguments";
-  if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gammp_series a x
-  else 1.0 -. gammq_cf a x
-
-let gammq a x = 1.0 -. gammp a x
-
-let erf x =
-  if x >= 0.0 then gammp 0.5 (x *. x) else -.gammp 0.5 (x *. x)
-
-let erfc x = if x >= 0.0 then gammq 0.5 (x *. x) else 2.0 -. gammq 0.5 (x *. x)
-
 let lgamma_abs g =
   (* log |Γ(g)|, any non-pole g *)
   if g > 0.0 then lgamma g

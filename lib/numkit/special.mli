@@ -14,18 +14,6 @@ val gamma : float -> float
 (** Gamma on the real line, via the reflection formula for [x <= 0].
     Returns [nan] on non-positive integers. *)
 
-val erf : float -> float
-
-val erfc : float -> float
-(** Complementary error function via the regularised incomplete gamma
-    functions (full double precision). *)
-
-val gammp : float -> float -> float
-(** Regularised lower incomplete gamma [P(a, x)], [a > 0], [x >= 0]. *)
-
-val gammq : float -> float -> float
-(** Regularised upper incomplete gamma [Q(a, x) = 1 − P(a, x)]. *)
-
 val mittag_leffler : ?beta:float -> alpha:float -> float -> float
 (** [mittag_leffler ~alpha z] is [E_{α,β}(z) = Σ_k z^k / Γ(αk + β)]
     (default [β = 1]), for real [z]. Negative [z] with [0 < α < 1]: the

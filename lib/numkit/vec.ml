@@ -14,11 +14,6 @@ let of_list = Array.of_list
 
 let to_list = Array.to_list
 
-let linspace a b n =
-  if n < 2 then invalid_arg "Vec.linspace: n < 2";
-  let step = (b -. a) /. float_of_int (n - 1) in
-  Array.init n (fun i -> a +. (float_of_int i *. step))
-
 let map = Array.map
 
 let check_dims name x y =

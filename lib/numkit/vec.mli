@@ -22,10 +22,6 @@ val of_list : float list -> t
 
 val to_list : t -> float list
 
-val linspace : float -> float -> int -> t
-(** [linspace a b n] is [n] evenly spaced points from [a] to [b]
-    inclusive. [n >= 2]. *)
-
 val map : (float -> float) -> t -> t
 
 val map2 : (float -> float -> float) -> t -> t -> t

@@ -93,9 +93,6 @@ let charge_bytes t ~site n =
     | _ -> ()
   end
 
-let release_bytes t n =
-  if n > 0 then t.heap_bytes <- max 0 (t.heap_bytes - n)
-
 let charge_factor ?(bytes = 0) t ~site =
   t.factors <- t.factors + 1;
   (match t.max_factors with

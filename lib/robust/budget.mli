@@ -46,10 +46,6 @@ val charge_factor : ?bytes:int -> t -> site:string -> unit
 val charge_bytes : t -> site:string -> int -> unit
 (** Add [n] bytes to the resident-heap estimate and check the cap. *)
 
-val release_bytes : t -> int -> unit
-(** Subtract bytes when an accounted allocation is dropped (e.g. a
-    factor-cache eviction); clamps at zero. *)
-
 val elapsed_s : t -> float
 val factors : t -> int
 val heap_bytes : t -> int

@@ -14,55 +14,4 @@ let count_non_finite v =
     v;
   (!nans, !infs)
 
-let attempts ~max f =
-  if max < 1 then invalid_arg "Guard.attempts: max < 1";
-  let rec go k = if k >= max then None else
-    match f k with Some _ as r -> r | None -> go (k + 1)
-  in
-  go 0
-
-let rec first_some = function
-  | [] -> None
-  | f :: rest -> ( match f () with Some _ as r -> r | None -> first_some rest)
-
 let protect f = match f () with x -> Ok x | exception e -> Error e
-
-let with_deadline ~seconds ~site f =
-  if not (seconds > 0.0) then invalid_arg "Guard.with_deadline: seconds <= 0";
-  let t0 = Unix.gettimeofday () in
-  let check () =
-    let elapsed_s = Unix.gettimeofday () -. t0 in
-    if elapsed_s > seconds then
-      Opm_error.raise_
-        (Opm_error.Deadline_exceeded { site; elapsed_s; deadline_s = seconds })
-  in
-  f check
-
-(* splitmix64 finaliser — deterministic jitter replayable from [seed] *)
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let unit_float seed k =
-  let bits = mix64 (Int64.of_int ((seed * 0x9e3779b9) + k + 1)) in
-  Int64.to_float (Int64.shift_right_logical bits 11) *. 0x1p-53
-
-let retry ?(attempts = 3) ?(backoff_s = 0.01) ?(factor = 2.0) ?(jitter = 0.1)
-    ?(seed = 0) ?(retry_on = fun _ -> true) f =
-  if attempts < 1 then invalid_arg "Guard.retry: attempts < 1";
-  if backoff_s < 0.0 then invalid_arg "Guard.retry: backoff_s < 0";
-  if jitter < 0.0 || jitter > 1.0 then
-    invalid_arg "Guard.retry: jitter outside [0, 1]";
-  let rec go k =
-    match f k with
-    | x -> x
-    | exception e when k + 1 < attempts && retry_on e ->
-        let base = backoff_s *. (factor ** float_of_int k) in
-        (* jitter scales the delay by a seeded factor in [1-j, 1+j] *)
-        let delay = base *. (1.0 +. (jitter *. ((2.0 *. unit_float seed k) -. 1.0))) in
-        if delay > 0.0 then Unix.sleepf delay;
-        go (k + 1)
-  in
-  go 0

@@ -11,42 +11,6 @@ val is_finite : float array -> bool
 val count_non_finite : float array -> int * int
 (** [(nans, infs)] entry counts. *)
 
-val attempts : max:int -> (int -> 'a option) -> 'a option
-(** [attempts ~max f] calls [f 0], [f 1], … until one returns [Some]
-    or [max] calls have been made. [f] receives the 0-based attempt
-    number. Raises [Invalid_argument] if [max < 1]. *)
-
-val first_some : (unit -> 'a option) list -> 'a option
-(** Run an escalation ladder: evaluate each thunk in order, return the
-    first [Some]. *)
-
 val protect : (unit -> 'a) -> ('a, exn) result
 (** Capture any exception as a value (for cascades that must try the
     next rung even when the previous one raised). *)
-
-val with_deadline : seconds:float -> site:string -> ((unit -> unit) -> 'a) -> 'a
-(** [with_deadline ~seconds ~site f] runs [f check], where [check ()]
-    raises [Opm_error.Deadline_exceeded] once the wall clock has moved
-    more than [seconds] past entry. Enforcement is cooperative: [f]
-    decides where the check-points are (nothing is preempted), so a
-    loop that never calls [check] is never interrupted. Raises
-    [Invalid_argument] if [seconds <= 0]. *)
-
-val retry :
-  ?attempts:int ->
-  ?backoff_s:float ->
-  ?factor:float ->
-  ?jitter:float ->
-  ?seed:int ->
-  ?retry_on:(exn -> bool) ->
-  (int -> 'a) ->
-  'a
-(** [retry f] calls [f 0]; on exception it sleeps an exponential
-    backoff and retries with [f 1], [f 2], … up to [attempts] (default
-    3) total calls, re-raising the last exception. The [k]-th delay is
-    [backoff_s · factor^k] (defaults 0.01 s, ×2) scaled by a jitter
-    factor drawn {e deterministically} from [seed] (splitmix64) in
-    [1 ± jitter] (default ±10%) — two runs with the same seed sleep
-    identical schedules, so retrying code stays replayable.
-    [retry_on] (default: everything) filters which exceptions are
-    retried; others propagate immediately. *)

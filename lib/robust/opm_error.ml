@@ -11,9 +11,6 @@ type t =
       nans : int;
       infs : int;
     }
-  | Ill_conditioned of { cond : float; limit : float; column : int option }
-  | Parse_error of { line : int; message : string }
-  | Resource_limit of { what : string; limit : int }
   | Deadline_exceeded of { site : string; elapsed_s : float; deadline_s : float }
   | Budget_exhausted of { what : string; used : int; limit : int; site : string }
   | Io_error of { path : string; message : string }
@@ -45,14 +42,6 @@ let to_string = function
       Printf.sprintf
         "non-finite result in stage %S%s: %d NaN and %d Inf entries survived \
          every fallback" stage (column_suffix column) nans infs
-  | Ill_conditioned { cond; limit; column } ->
-      Printf.sprintf
-        "ill-conditioned system%s: 1-norm condition estimate %.3g exceeds \
-         limit %.3g" (column_suffix column) cond limit
-  | Parse_error { line; message } ->
-      Printf.sprintf "parse error at line %d: %s" line message
-  | Resource_limit { what; limit } ->
-      Printf.sprintf "resource limit: %s exceeded its bound of %d" what limit
   | Deadline_exceeded { site; elapsed_s; deadline_s } ->
       Printf.sprintf
         "deadline exceeded at %s: %.3f s elapsed against a %.3f s budget \

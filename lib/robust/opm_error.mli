@@ -25,19 +25,6 @@ type t =
       infs : int;
     }
       (** A result vector contained NaN/Inf after every fallback. *)
-  | Ill_conditioned of {
-      cond : float;  (** 1-norm condition estimate *)
-      limit : float;  (** threshold that was exceeded *)
-      column : int option;
-    }
-      (** Reserved for strict modes that promote a condition warning to
-          an error; the engine itself only warns. *)
-  | Parse_error of { line : int; message : string }
-      (** Netlist syntax error (mirror of [Circuit.Parser.Parse_error]
-          for uniform rendering). *)
-  | Resource_limit of { what : string; limit : int }
-      (** A bounded retry loop hit its cap, e.g. adaptive local grid
-          refinement. *)
   | Deadline_exceeded of {
       site : string;  (** cooperative check-point that noticed, e.g.
                           ["engine.column"] or ["window.boundary"] *)

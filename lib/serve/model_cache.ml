@@ -44,8 +44,7 @@ let locked mu f =
 
 (* Drop least-recently-used idle entries until within capacity. Pinned
    entries (refs > 0) are never evicted — a burst of distinct in-flight
-   plants may transiently exceed capacity, same policy as
-   Engine.Factor_cache pinning. Called with [t.mu] held. *)
+   plants may transiently exceed capacity. Called with [t.mu] held. *)
 let evict_to_capacity t =
   let continue = ref true in
   while Hashtbl.length t.table > t.capacity && !continue do

@@ -23,9 +23,9 @@
     Capacity is bounded: beyond [capacity] plants the least-recently
     used {e idle} entry is evicted. In-flight entries are pinned by
     their reference count and never evicted mid-request; pinned entries
-    may transiently push the table over capacity (the same policy as
-    [Engine.Factor_cache]). A compile failure removes the placeholder
-    so later requests retry instead of inheriting a poisoned entry. *)
+    may transiently push the table over capacity. A compile failure
+    removes the placeholder so later requests retry instead of
+    inheriting a poisoned entry. *)
 
 type t
 

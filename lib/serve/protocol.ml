@@ -212,13 +212,10 @@ let fingerprint ~sys ~t_end ~steps ~window ~memory_len ~basis =
 
 let status_of_error (e : Opm_error.t) =
   match e with
-  | Parse_error _ -> (400, "netlist")
   | Singular_pencil _ -> (422, "singular-pencil")
   | Non_finite _ -> (422, "non-finite")
-  | Ill_conditioned _ -> (422, "ill-conditioned")
   | Deadline_exceeded _ -> (503, "deadline")
   | Budget_exhausted _ -> (503, "budget")
-  | Resource_limit _ -> (503, "resource-limit")
   | Io_error _ -> (500, "io")
   | Checkpoint_error _ -> (500, "checkpoint")
   | Fault_injected _ -> (500, "fault-injected")

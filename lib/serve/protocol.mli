@@ -76,11 +76,11 @@ val fingerprint :
     true for sweeps that vary only the sources. *)
 
 val status_of_error : Opm_robust.Opm_error.t -> int * string
-(** Solve-time error → [(status, code)]: parse errors 400; singular /
-    non-finite / ill-conditioned pencils 422 (the request is
-    well-formed but unprocessable); deadline / budget / resource
-    exhaustion 503 (retryable with a bigger budget); I/O, checkpoint
-    and injected faults 500. *)
+(** Solve-time error → [(status, code)]: singular / non-finite pencils
+    422 (the request is well-formed but unprocessable); deadline /
+    budget exhaustion 503 (retryable with a bigger budget); I/O,
+    checkpoint and injected faults 500. Netlist parse errors never reach
+    the solver: {!parse_request} rejects them with 400. *)
 
 val error_body : status:int -> code:string -> message:string -> string
 (** One-line [{"schema":"opm-serve-v1","error":{status,code,message}}]. *)

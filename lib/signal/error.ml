@@ -28,13 +28,3 @@ let average_relative_error_db ~reference y =
            (Waveform.channel y' c)
   done;
   !sum /. float_of_int n
-
-let max_abs_error ~reference y =
-  let y' = Waveform.resample y reference.Waveform.times in
-  let m = ref 0.0 in
-  for c = 0 to Waveform.channel_count reference - 1 do
-    m :=
-      Float.max !m
-        (Vec.max_abs_diff (Waveform.channel reference c) (Waveform.channel y' c))
-  done;
-  !m

@@ -18,5 +18,3 @@ val waveform_error_db : reference:Waveform.t -> Waveform.t -> float
 
 val average_relative_error_db : reference:Waveform.t -> Waveform.t -> float
 (** Table II metric: mean of the per-channel dB errors. *)
-
-val max_abs_error : reference:Waveform.t -> Waveform.t -> float

@@ -67,7 +67,3 @@ let settling_time ?(band = 0.02) w ~channel =
   if !last_outside < 0 then times.(0)
   else if !last_outside = Array.length y - 1 then raise Not_found
   else times.(!last_outside + 1)
-
-let delay_between w ~from_channel ~to_channel ~level =
-  crossing_time w ~channel:to_channel ~level
-  -. crossing_time w ~channel:from_channel ~level

@@ -35,8 +35,3 @@ val settling_time : ?band:float -> Waveform.t -> channel:int -> float
 (** Time after which the channel stays within [band] (default 0.02,
     i.e. 2 %) of {!final_value}, relative to the initial-to-final
     span. *)
-
-val delay_between :
-  Waveform.t -> from_channel:int -> to_channel:int -> level:float -> float
-(** Propagation delay: crossing time of [to_channel] minus crossing
-    time of [from_channel] at the same absolute [level]. *)

@@ -29,17 +29,7 @@ let make ?labels times channels =
 
 let channel_count w = Array.length w.channels
 
-let sample_count w = Array.length w.times
-
 let channel w c = w.channels.(c)
-
-let channel_named w name =
-  let rec find i =
-    if i >= Array.length w.labels then raise Not_found
-    else if w.labels.(i) = name then w.channels.(i)
-    else find (i + 1)
-  in
-  find 0
 
 let of_function ?labels times f =
   let n = Array.length times in
@@ -68,15 +58,11 @@ let interp times values t =
     v0 +. ((v1 -. v0) *. (t -. t0) /. (t1 -. t0))
   end
 
-let sample_at w t = Array.map (fun ch -> interp w.times ch t) w.channels
-
 let resample w new_times =
   let channels =
     Array.map (fun ch -> Array.map (fun t -> interp w.times ch t) new_times) w.channels
   in
   make ~labels:w.labels new_times channels
-
-let map_channels f w = make ~labels:w.labels w.times (Array.map f w.channels)
 
 let bpf_grid ~t_end ~m =
   if m <= 0 then invalid_arg "Waveform.bpf_grid: m <= 0";

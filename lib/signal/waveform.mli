@@ -19,24 +19,13 @@ val make : ?labels:string array -> float array -> float array array -> t
 
 val channel_count : t -> int
 
-val sample_count : t -> int
-
 val channel : t -> int -> float array
-
-val channel_named : t -> string -> float array
-(** Raises [Not_found] for an unknown label. *)
 
 val of_function : ?labels:string array -> float array -> (float -> float array) -> t
 (** Sample a vector function of time on the grid. *)
 
-val sample_at : t -> float -> float array
-(** Linear interpolation between samples; constant extrapolation
-    outside. *)
-
 val resample : t -> float array -> t
 (** Interpolate every channel onto a new grid. *)
-
-val map_channels : (float array -> float array) -> t -> t
 
 val bpf_grid : t_end:float -> m:int -> float array
 (** Midpoints of the [m] BPF intervals of [[0, t_end)] — the natural

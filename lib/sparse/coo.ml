@@ -41,8 +41,6 @@ let rows t = t.rows
 
 let cols t = t.cols
 
-let entry_count t = t.len
-
 (* Two stable counting sorts (by column, then by row) put the triplets
    in (row, col) order with equal keys in insertion order, so duplicates
    are summed in the order they were added. *)

@@ -17,9 +17,6 @@ val rows : t -> int
 
 val cols : t -> int
 
-val entry_count : t -> int
-(** Number of triplets added so far (before duplicate merging). *)
-
 val to_csr : t -> Csr.t
 (** Sort by (row, column), sum duplicates, drop entries that sum to
     zero. Duplicates are summed in insertion order, starting from

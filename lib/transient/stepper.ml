@@ -10,11 +10,6 @@ let m_steps = Metrics.counter "stepper.steps"
 
 type scheme = Backward_euler | Trapezoidal | Gear2
 
-let scheme_name = function
-  | Backward_euler -> "backward-Euler"
-  | Trapezoidal -> "trapezoidal"
-  | Gear2 -> "Gear (BDF2)"
-
 let check_args ~h ~t_end (sys : Descriptor.t) sources =
   if h <= 0.0 then invalid_arg "Stepper.solve: h <= 0";
   if t_end <= 0.0 then invalid_arg "Stepper.solve: t_end <= 0";
@@ -116,16 +111,3 @@ let solve ?symbolic ~scheme ~h ~t_end sys sources =
   in
   let times = run ?symbolic ~scheme ~h ~t_end ~record sys sources in
   Waveform.make ~labels:sys.Descriptor.output_names times channels
-
-let solve_states ?symbolic ~scheme ~h ~t_end sys sources =
-  check_args ~h ~t_end sys sources;
-  let n = Descriptor.order sys in
-  let steps = int_of_float (ceil ((t_end /. h) -. 1e-9)) in
-  let channels = Array.init n (fun _ -> Array.make (steps + 1) 0.0) in
-  let record k x =
-    for i = 0 to n - 1 do
-      channels.(i).(k) <- x.(i)
-    done
-  in
-  let times = run ?symbolic ~scheme ~h ~t_end ~record sys sources in
-  Waveform.make ~labels:sys.Descriptor.state_names times channels

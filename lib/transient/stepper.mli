@@ -15,8 +15,6 @@ open Opm_core
 
 type scheme = Backward_euler | Trapezoidal | Gear2
 
-val scheme_name : scheme -> string
-
 val solve :
   ?symbolic:Slu.symbolic option ref ->
   scheme:scheme ->
@@ -36,13 +34,3 @@ val solve :
     — and runs of {e different} schemes on the same system when the
     caller passes one hint throughout — pay the symbolic work once
     ({!Slu.factor_hinted}). *)
-
-val solve_states :
-  ?symbolic:Slu.symbolic option ref ->
-  scheme:scheme ->
-  h:float ->
-  t_end:float ->
-  Descriptor.t ->
-  Source.t array ->
-  Waveform.t
-(** Same but observing all state variables (ignores [C]). *)

@@ -30,8 +30,7 @@ let test_grid_adaptive () =
   check_int "size" 3 (Grid.size g);
   close "t_end" 1.0 (Grid.t_end g);
   close "mid1" 0.2 (Grid.midpoints g).(1);
-  check_bool "not uniform" false (Grid.is_uniform ~tol:1e-9 g);
-  check_bool "distinct" true (Grid.has_distinct_steps g)
+  check_bool "not uniform" false (Grid.is_uniform ~tol:1e-9 g)
 
 let test_grid_validation () =
   check_bool "m = 0 rejected" true
@@ -49,16 +48,9 @@ let test_grid_geometric () =
   let g = Grid.geometric ~t_end:1.0 ~m:5 ~ratio:1.5 in
   close "sums to t_end" 1.0 (Grid.t_end g) ~tol:1e-12;
   let s = Grid.steps g in
-  close "ratio" 1.5 (s.(1) /. s.(0)) ~tol:1e-12;
-  check_bool "distinct" true (Grid.has_distinct_steps g)
+  close "ratio" 1.5 (s.(1) /. s.(0)) ~tol:1e-12
 
-let test_grid_duplicate_detection () =
-  check_bool "duplicates detected" false
-    (Grid.has_distinct_steps (Grid.adaptive [| 0.1; 0.2; 0.1 |]));
-  check_bool "uniform m>1 not distinct" false
-    (Grid.has_distinct_steps (Grid.uniform ~t_end:1.0 ~m:3))
-
-(* ---------- Block-pulse projection/reconstruction ---------- *)
+(* ---------- Block-pulse projection ---------- *)
 
 let test_bpf_project_constant () =
   let g = Grid.uniform ~t_end:1.0 ~m:8 in
@@ -71,31 +63,6 @@ let test_bpf_project_linear_exact_average () =
   (* interval averages of t: (i + 1/2)·h *)
   close "c0" 0.125 c.(0) ~tol:1e-10;
   close "c3" 0.875 c.(3) ~tol:1e-10
-
-let test_bpf_reconstruct () =
-  let g = Grid.uniform ~t_end:1.0 ~m:4 in
-  let c = [| 1.0; 2.0; 3.0; 4.0 |] in
-  close "in interval 0" 1.0 (Block_pulse.reconstruct g c 0.1);
-  close "in interval 2" 3.0 (Block_pulse.reconstruct g c 0.6);
-  close "boundary belongs right" 2.0 (Block_pulse.reconstruct g c 0.25);
-  close "outside" 0.0 (Block_pulse.reconstruct g c 1.5)
-
-(* regression: t = t_end used to fall through the [t >= b.(m)] rejection
-   and silently evaluate to 0 *)
-let test_bpf_reconstruct_right_endpoint () =
-  let g = Grid.uniform ~t_end:1.0 ~m:4 in
-  let c = [| 1.0; 2.0; 3.0; 4.0 |] in
-  close "exact right endpoint clamps to last interval" 4.0
-    (Block_pulse.reconstruct g c 1.0);
-  close "just past the end is still outside" 0.0
-    (Block_pulse.reconstruct g c (1.0 +. 1e-9));
-  let ga = Grid.adaptive [| 0.3; 0.1; 0.6 |] in
-  close "adaptive right endpoint" 7.0
-    (Block_pulse.reconstruct ga [| 5.0; 6.0; 7.0 |] (Grid.t_end ga));
-  (* a single-interval grid: both endpoints map to the only coefficient *)
-  let g1 = Grid.uniform ~t_end:2.0 ~m:1 in
-  close "m = 1 left" 9.0 (Block_pulse.reconstruct g1 [| 9.0 |] 0.0);
-  close "m = 1 right" 9.0 (Block_pulse.reconstruct g1 [| 9.0 |] 2.0)
 
 let test_bpf_project_source_matches_fn () =
   let g = Grid.adaptive [| 0.3; 0.1; 0.6 |] in
@@ -233,10 +200,11 @@ let test_fractional_adaptive_uniform_dispatch () =
        (Block_pulse.fractional_differential_matrix gu 0.5))
     ~tol:1e-9
 
+(* the Riemann–Liouville integral H^α is the triangular inverse of D^α *)
 let test_fractional_integral_inverse () =
   let g = Grid.uniform ~t_end:2.0 ~m:10 in
   let d = Block_pulse.fractional_differential_matrix g 0.7 in
-  let h = Block_pulse.fractional_integral_matrix g 0.7 in
+  let h = Tri.invert_upper d in
   close "H^α D^α = I" 0.0 (Mat.max_abs_diff (Mat.mul h d) (Mat.eye 10)) ~tol:1e-8
 
 let test_fractional_halfderivative_of_t () =
@@ -254,7 +222,7 @@ let test_fractional_halfderivative_of_t () =
 let test_fractional_integral_of_one () =
   (* I^{1/2} 1 = 2√(t/π) as well (Riemann–Liouville) *)
   let g = Grid.uniform ~t_end:1.0 ~m:256 in
-  let h12 = Block_pulse.fractional_integral_matrix g 0.5 in
+  let h12 = Tri.invert_upper (Block_pulse.fractional_differential_matrix g 0.5) in
   let ones = Array.make 256 1.0 in
   let ic = Mat.tmul_vec h12 ones in
   let mids = Grid.midpoints g in
@@ -371,24 +339,15 @@ let test_haar_constant_coefficient () =
    below m *)
 let legendre_integrate ~m f =
   let c = Jacobi.collocation ~t_end:1.0 ~m in
-  (c.Jacobi.nodes, Lu.solve_dense (Jacobi.diff_colloc c) (Array.map f c.Jacobi.nodes))
+  let d = Jacobi.diff_matrix c in
+  (* the anchored block: rows and columns of the m collocation nodes *)
+  let anchored = Mat.init m m (fun i j -> Mat.get d (i + 1) (j + 1)) in
+  (c.Jacobi.nodes, Lu.solve_dense anchored (Array.map f c.Jacobi.nodes))
 
 let test_legendre_integral_row0 () =
   (* ∫₀ᵗ SL₀ = t *)
   let nodes, z = legendre_integrate ~m:4 (fun _ -> 1.0) in
   Array.iteri (fun i t -> close (Printf.sprintf "∫SL₀ at %g" t) t z.(i) ~tol:1e-12) nodes
-
-let test_legendre_project_reconstruct_poly () =
-  (* a degree-3 polynomial is interpolated exactly on {0} ∪ 5 nodes *)
-  let f t = 1.0 +. (2.0 *. t) -. (3.0 *. t *. t) +. (t *. t *. t) in
-  let c = Jacobi.collocation ~t_end:1.0 ~m:5 in
-  let values = Array.map f c.Jacobi.all in
-  List.iter
-    (fun t ->
-      close (Printf.sprintf "at %g" t) (f t)
-        (Jacobi.interpolate ~nodes:c.Jacobi.all ~bw:c.Jacobi.bw ~values t)
-        ~tol:1e-12)
-    [ 0.1; 0.4; 0.9 ]
 
 let test_legendre_integration_action () =
   (* ∫₀ᵗ SL₁ = ∫₀ᵗ (2τ−1) dτ = t² − t *)
@@ -439,14 +398,11 @@ let () =
           t "adaptive" test_grid_adaptive;
           t "validation" test_grid_validation;
           t "geometric" test_grid_geometric;
-          t "duplicate detection" test_grid_duplicate_detection;
         ] );
       ( "block-pulse",
         [
           t "project constant" test_bpf_project_constant;
           t "project linear" test_bpf_project_linear_exact_average;
-          t "reconstruct" test_bpf_reconstruct;
-          t "reconstruct right endpoint" test_bpf_reconstruct_right_endpoint;
           t "project source = quadrature" test_bpf_project_source_matches_fn;
         ] );
       ( "operational",
@@ -492,7 +448,6 @@ let () =
       ( "legendre",
         [
           t "integral row 0" test_legendre_integral_row0;
-          t "project/reconstruct polynomial" test_legendre_project_reconstruct_poly;
           t "integration action" test_legendre_integration_action;
           t "P_n values" test_legendre_values;
           t "Gauss orthogonality" test_legendre_gauss_orthogonality;

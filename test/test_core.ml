@@ -46,11 +46,6 @@ let test_descriptor_validation () =
        false
      with Invalid_argument _ -> true)
 
-let test_descriptor_observe_states () =
-  let sys = Descriptor.random_stable ~n:5 ~p:1 ~q:1 () in
-  let all = Descriptor.observe_states sys in
-  check_int "outputs = states" 5 (Descriptor.output_count all)
-
 let test_descriptor_random_stable_is_stable () =
   (* diagonally dominant negative: simulate and check decay *)
   let sys = Descriptor.random_stable ~seed:7 ~n:8 ~p:1 ~q:1 () in
@@ -89,7 +84,7 @@ let test_multi_term_of_linear () =
   let sys = Descriptor.scalar ~e:2.0 ~a:(-1.0) ~b:1.0 in
   let mt = Multi_term.of_linear sys in
   check_int "one term" 1 (List.length mt.Multi_term.terms);
-  close "alpha" 1.0 (Multi_term.max_alpha mt);
+  close "alpha" 1.0 (List.hd mt.Multi_term.terms).Multi_term.alpha;
   check_int "input order" 0 mt.Multi_term.input_order
 
 let test_multi_term_second_order () =
@@ -98,7 +93,8 @@ let test_multi_term_second_order () =
       ~m0:(Csr.scale 5.0 (Csr.eye 3))
       ~b:(Mat.zeros 3 1) ~c:(Mat.eye 3) ()
   in
-  close "max alpha" 2.0 (Multi_term.max_alpha mt);
+  close "max alpha" 2.0
+    (List.fold_left (fun acc t -> Float.max acc t.Multi_term.alpha) 0.0 mt.Multi_term.terms);
   (* A = −M₀ *)
   close "a sign" (-5.0) (Csr.get mt.Multi_term.a 1 1)
 
@@ -254,38 +250,27 @@ let test_linear_salt_skip_bit_identity () =
     done
   done
 
-(* regression: the step-size → factorisation cache was an unbounded
-   assoc list keyed on the exact float step, so a fully-adaptive grid
-   both scanned the whole list per column (O(m²)) and grew without
-   bound. The Hashtbl replacement must stay capacity-bounded while
-   keeping the fast path exact on a 512-step adaptive grid. *)
+(* Each pencil owns a factor cache keyed on the block's full identity
+   and bounded at 64 entries (reset on overflow). A fully-adaptive grid
+   factors once per distinct step; a uniform grid factors once, at
+   compile, and every later query is served from the cache. *)
 let test_factor_cache_bounded () =
-  let cache = Engine.Factor_cache.create () in
+  let sys = Multi_term.of_linear (Descriptor.random_stable ~seed:61 ~n:3 ~p:1 ~q:1 ()) in
   let m = 512 in
-  let grid = Grid.geometric ~t_end:1.0 ~m ~ratio:1.005 in
-  let steps = Grid.steps grid in
-  Array.iter
-    (fun h ->
-      let f = Engine.Factor_cache.find_or_add cache h (fun h -> 2.0 /. h) in
-      close "cached value" (2.0 /. h) f ~tol:0.0)
-    steps;
-  check_bool "cache stays bounded on an all-distinct-step grid" true
-    (Engine.Factor_cache.length cache <= Engine.Factor_cache.default_capacity);
-  check_int "every distinct step is a miss" m (Engine.Factor_cache.misses cache);
-  (* a uniform grid is one miss and m − 1 hits *)
-  let uniform = Engine.Factor_cache.create () in
-  Array.iter
-    (fun h -> ignore (Engine.Factor_cache.find_or_add uniform h (fun h -> h)))
-    (Grid.steps (Grid.uniform ~t_end:1.0 ~m));
-  check_int "uniform grid factorises once" 1 (Engine.Factor_cache.misses uniform);
-  check_int "uniform grid hits the cache" (m - 1) (Engine.Factor_cache.hits uniform);
-  check_bool "tiny capacity accepted" true
-    (Engine.Factor_cache.length (Engine.Factor_cache.create ~capacity:1 ()) = 0);
-  check_bool "capacity 0 rejected" true
-    (try
-       ignore (Engine.Factor_cache.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
+  let adaptive =
+    Compiled_model.compile ~grid:(Grid.geometric ~t_end:1.0 ~m ~ratio:1.005) sys
+  in
+  ignore (Compiled_model.solve adaptive [| step |] : Sim_result.t);
+  check_int "every distinct step is a factorisation" m
+    (Compiled_model.factorisations adaptive);
+  let m = 16 in
+  let uniform = Compiled_model.compile ~grid:(Grid.uniform ~t_end:1.0 ~m) sys in
+  for _ = 1 to m do
+    ignore (Compiled_model.solve uniform [| step |] : Sim_result.t)
+  done;
+  check_int "uniform grid factorises once" 1 (Compiled_model.factorisations uniform);
+  check_bool "uniform grid hits the cache" true
+    (Compiled_model.factor_reuse uniform >= m - 1)
 
 let test_linear_fast_path_adaptive_512 () =
   (* end-to-end: the cached fast path on a 512-step fully-adaptive grid
@@ -646,7 +631,7 @@ let test_backend_agreement () =
 let test_result_waveform_shape () =
   let grid = Grid.uniform ~t_end:1.0 ~m:16 in
   let r = Opm.simulate_linear ~grid rc [| step |] in
-  check_int "samples" 16 (Waveform.sample_count r.Sim_result.outputs);
+  check_int "samples" 16 (Array.length r.Sim_result.outputs.Waveform.times);
   check_int "channels" 1 (Waveform.channel_count r.Sim_result.outputs);
   check_int "state channels" 1 (Waveform.channel_count r.Sim_result.states);
   close "times are midpoints" (Grid.midpoints grid).(3)
@@ -1258,7 +1243,6 @@ let () =
         [
           t "dims" test_descriptor_dims;
           t "validation" test_descriptor_validation;
-          t "observe states" test_descriptor_observe_states;
           t "random stable decays" test_descriptor_random_stable_is_stable;
         ] );
       ( "multi-term",

@@ -7,6 +7,37 @@ let close ?(tol = 1e-9) msg expected actual =
 
 let check_bool = Alcotest.(check bool)
 
+(* determinant by Gaussian elimination with partial pivoting, the
+   reference for the trace/determinant identities below *)
+let det a =
+  let n = fst (Mat.dims a) in
+  let m = Mat.copy a in
+  let d = ref 1.0 in
+  for k = 0 to n - 1 do
+    let p = ref k in
+    for i = k + 1 to n - 1 do
+      if Float.abs (Mat.get m i k) > Float.abs (Mat.get m !p k) then p := i
+    done;
+    if !p <> k then begin
+      d := -. !d;
+      for j = 0 to n - 1 do
+        let t = Mat.get m k j in
+        Mat.set m k j (Mat.get m !p j);
+        Mat.set m !p j t
+      done
+    end;
+    let piv = Mat.get m k k in
+    d := !d *. piv;
+    if piv <> 0.0 then
+      for i = k + 1 to n - 1 do
+        let f = Mat.get m i k /. piv in
+        for j = k to n - 1 do
+          Mat.set m i j (Mat.get m i j -. (f *. Mat.get m k j))
+        done
+      done
+  done;
+  !d
+
 (* ---------- Vec ---------- *)
 
 let test_vec_basics () =
@@ -24,13 +55,6 @@ let test_vec_axpy () =
   Vec.axpy 3.0 x y;
   close "axpy 0" 13.0 y.(0);
   close "axpy 1" 7.0 y.(1)
-
-let test_vec_linspace () =
-  let v = Vec.linspace 0.0 1.0 5 in
-  Alcotest.(check int) "length" 5 (Vec.dim v);
-  close "first" 0.0 v.(0);
-  close "mid" 0.5 v.(2);
-  close "last" 1.0 v.(4)
 
 let test_vec_mismatch () =
   Alcotest.check_raises "dot mismatch"
@@ -73,7 +97,7 @@ let test_mat_kron_mixed_product () =
   check_bool "mixed product" true (Mat.approx_equal ~tol:1e-12 lhs rhs)
 
 let test_mat_pow () =
-  let q = Mat.shift_nilpotent 4 in
+  let q = Mat.init 4 4 (fun i j -> if j = i + 1 then 1.0 else 0.0) in
   check_bool "Q^4 = 0" true (Mat.approx_equal (Mat.pow q 4) (Mat.zeros 4 4));
   check_bool "Q^0 = I" true (Mat.approx_equal (Mat.pow q 0) (Mat.eye 4));
   close "Q^2 entry" 1.0 (Mat.get (Mat.pow q 2) 0 2);
@@ -99,13 +123,6 @@ let test_lu_solve_known () =
   let x = Lu.solve_dense a [| 5.0; 10.0 |] in
   close "x0" 1.0 x.(0);
   close "x1" 3.0 x.(1)
-
-let test_lu_det () =
-  let a = Mat.of_arrays [| [| 2.0; 0.0 |]; [| 0.0; 3.0 |] |] in
-  close "diag det" 6.0 (Lu.det (Lu.factor a));
-  (* swap rows: determinant flips sign *)
-  let b = Mat.of_arrays [| [| 0.0; 3.0 |]; [| 2.0; 0.0 |] |] in
-  close "swap det" (-6.0) (Lu.det (Lu.factor b))
 
 let test_lu_inverse () =
   let a =
@@ -148,7 +165,7 @@ let prop_lu_residual =
 
 (* factor_profile skips only exact-zero row tails, so on a matrix with
    ragged row ends and weak diagonal (forcing swaps that move the ends)
-   it must reproduce factor's solution and determinant exactly *)
+   it must reproduce factor's solution exactly *)
 let prop_lu_profile_matches_dense =
   QCheck.Test.make ~count:50 ~name:"lu: profile factor equals dense factor"
     QCheck.(pair (int_range 1 16) (int_range 0 10000))
@@ -168,8 +185,7 @@ let prop_lu_profile_matches_dense =
           | _ -> false)
       | dense ->
           let profile = Lu.factor_profile a in
-          Lu.solve dense b = Lu.solve profile b
-          && Lu.det dense = Lu.det profile)
+          Lu.solve dense b = Lu.solve profile b)
 
 (* ---------- Tri ---------- *)
 
@@ -332,14 +348,10 @@ let prop_eig_trace_det =
       done;
       let sum = Array.fold_left (fun acc z -> acc +. z.Complex.re) 0.0 e in
       let prod = Array.fold_left Complex.mul Complex.one e in
-      let det = Lu.det (Lu.factor a) in
+      let det = det a in
       Float.abs (sum -. !tr) < 1e-7 *. Float.max 1.0 (Float.abs !tr)
       && Float.abs (prod.Complex.re -. det) < 1e-6 *. Float.max 1.0 (Float.abs det)
       && Float.abs prod.Complex.im < 1e-6 *. Float.max 1.0 (Float.abs det))
-
-let test_spectral_abscissa () =
-  let a = Mat.of_arrays [| [| -2.0; 1.0 |]; [| 0.0; -5.0 |] |] in
-  close "max Re" (-2.0) (Eig.spectral_abscissa a) ~tol:1e-10
 
 (* ---------- Expm ---------- *)
 
@@ -378,7 +390,7 @@ let prop_expm_trace_det =
       for i = 0 to n - 1 do
         tr := !tr +. Mat.get a i i
       done;
-      let det = Lu.det (Lu.factor (Expm.expm a)) in
+      let det = det (Expm.expm a) in
       Float.abs (det -. exp !tr) < 1e-9 *. Float.max 1.0 (exp !tr))
 
 let test_phi1_values () =
@@ -547,17 +559,6 @@ let prop_series_power_addition =
         (fun x y -> Float.abs (x -. y) < 1e-7 *. (1.0 +. Float.abs y))
         prod pab)
 
-let test_series_eval_nilpotent () =
-  let q = Mat.shift_nilpotent 4 in
-  let c = [| 1.0; -3.0; 4.5; -5.5 |] in
-  let m = Series.eval_nilpotent c q in
-  (* Toeplitz structure: row 0 = coefficients *)
-  close "m00" 1.0 (Mat.get m 0 0);
-  close "m01" (-3.0) (Mat.get m 0 1);
-  close "m03" (-5.5) (Mat.get m 0 3);
-  close "m12" (-3.0) (Mat.get m 1 2);
-  close "m10" 0.0 (Mat.get m 1 0)
-
 let test_series_eval_scalar () =
   (* 2 + 3x + 4x² at x = −3: 2 − 9 + 36 = 29 *)
   close "horner" 29.0 (Series.eval [| 2.0; 3.0; 4.0 |] (-3.0)) ~tol:1e-12
@@ -583,18 +584,6 @@ let test_lgamma_recurrence () =
         ~tol:1e-10)
     [ 0.3; 1.7; 4.2; 10.5 ]
 
-let test_erf_values () =
-  close "erf(0)" 0.0 (Special.erf 0.0) ~tol:1e-14;
-  close "erf(1)" 0.8427007929497149 (Special.erf 1.0) ~tol:1e-10;
-  close "erf(−1)" (-0.8427007929497149) (Special.erf (-1.0)) ~tol:1e-10;
-  close "erfc(1)" (1.0 -. 0.8427007929497149) (Special.erfc 1.0) ~tol:1e-10;
-  close "erf+erfc" 1.0 (Special.erf 2.3 +. Special.erfc 2.3) ~tol:1e-12
-
-let test_gammp_gammq () =
-  close "P + Q = 1" 1.0 (Special.gammp 2.5 1.7 +. Special.gammq 2.5 1.7) ~tol:1e-12;
-  (* P(1, x) = 1 − e^{−x} *)
-  close "P(1,2)" (1.0 -. exp (-2.0)) (Special.gammp 1.0 2.0) ~tol:1e-10
-
 let test_mittag_leffler_exp () =
   (* E_1(z) = e^z *)
   List.iter
@@ -612,7 +601,7 @@ let test_mittag_leffler_half () =
     (fun x ->
       close
         (Printf.sprintf "E_0.5(−%g)" x)
-        (exp (x *. x) *. Special.erfc x)
+        (exp (x *. x) *. Float.erfc x)
         (Special.mittag_leffler ~alpha:0.5 (-.x))
         ~tol:1e-6)
     [ 0.1; 0.5; 1.0; 2.0; 4.0 ]
@@ -706,7 +695,6 @@ let () =
         [
           t "basics" test_vec_basics;
           t "axpy" test_vec_axpy;
-          t "linspace" test_vec_linspace;
           t "dimension mismatch" test_vec_mismatch;
         ] );
       ( "mat",
@@ -723,7 +711,6 @@ let () =
       ( "lu",
         [
           t "solve known" test_lu_solve_known;
-          t "determinant" test_lu_det;
           t "inverse" test_lu_inverse;
           t "singular raises" test_lu_singular;
           t "pivoting" test_lu_needs_pivoting;
@@ -748,7 +735,6 @@ let () =
           t "rotation ±i" test_eig_rotation;
           t "companion roots" test_eig_companion_roots;
           t "hessenberg form" test_eig_hessenberg_form;
-          t "spectral abscissa" test_spectral_abscissa;
           q prop_eig_trace_det;
         ] );
       ( "expm",
@@ -780,7 +766,6 @@ let () =
           t "binomial integer" test_series_binomial_integer;
           t "paper rho_{3/2,4}" test_series_paper_rho;
           t "alpha = 1" test_series_alpha_one;
-          t "eval nilpotent toeplitz" test_series_eval_nilpotent;
           t "eval scalar" test_series_eval_scalar;
           q prop_series_power_addition;
         ] );
@@ -788,8 +773,6 @@ let () =
         [
           t "gamma values" test_gamma_values;
           t "lgamma recurrence" test_lgamma_recurrence;
-          t "erf values" test_erf_values;
-          t "incomplete gamma" test_gammp_gammq;
           t "mittag-leffler α=1" test_mittag_leffler_exp;
           t "mittag-leffler α=1/2" test_mittag_leffler_half;
           t "mittag-leffler α=2" test_mittag_leffler_two;

@@ -101,21 +101,6 @@ let ladder_system () =
   let net = Generators.rc_ladder ~sections:6 ~input () in
   Mna.stamp_linear ~outputs:[ Mna.Node_voltage "n6" ] net
 
-let test_par_mul_identical () =
-  let st = Random.State.make [| 11 |] in
-  let a = Mat.init 57 43 (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let b = Mat.init 43 61 (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let serial = Mat.mul a b in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          close
-            (Printf.sprintf "par_mul = mul, %d domains" domains)
-            0.0
-            (Mat.max_abs_diff serial (Mat.par_mul pool a b))
-            ~tol:0.0))
-    [ 1; 2; 4 ]
-
 let test_ac_sweep_identical () =
   let sys, _ = ladder_system () in
   let sweep pool =
@@ -150,14 +135,6 @@ let test_param_sweep_identical () =
            (fun (v, m) (v', m') -> v = v' && m = m')
            serial parallel))
 
-let test_monte_carlo_identical () =
-  let evaluate x = sin (100.0 *. x) +. (x *. x) in
-  let sampler st = Random.State.float st 10.0 in
-  let serial = Sweep.monte_carlo ~samples:200 ~sampler evaluate in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let parallel = Sweep.monte_carlo ~pool ~samples:200 ~sampler evaluate in
-      check_bool "stats identical" true (serial = parallel))
-
 let test_freq_domain_identical () =
   let sys, srcs = ladder_system () in
   let solve pool =
@@ -186,10 +163,8 @@ let () =
         ] );
       ( "determinism",
         [
-          t "par_mul" test_par_mul_identical;
           t "ac sweep" test_ac_sweep_identical;
           t "parameter sweep" test_param_sweep_identical;
-          t "monte carlo" test_monte_carlo_identical;
           t "freq-domain transient" test_freq_domain_identical;
         ] );
     ]

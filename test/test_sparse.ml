@@ -26,7 +26,6 @@ let test_coo_merge () =
   Coo.add c 2 1 5.0;
   Coo.add c 1 1 (-5.0);
   Coo.add c 1 1 5.0;
-  check_int "entry count pre-merge" 5 (Coo.entry_count c);
   let m = Coo.to_csr c in
   close "duplicates summed" 3.0 (Csr.get m 0 0);
   close "single entry" 5.0 (Csr.get m 2 1);
@@ -52,8 +51,7 @@ let test_coo_growth () =
   for k = 0 to 999 do
     Coo.add c (k mod 100) (k / 10 mod 100) 1.0
   done;
-  check_int "all entries kept" 1000 (Coo.entry_count c);
-  check_bool "csr builds" true (Csr.nnz (Coo.to_csr c) > 0)
+  check_int "all entries kept" 1000 (Csr.nnz (Coo.to_csr c))
 
 (* to_csr's contract against a stable sort-and-merge oracle: entries in
    (row, col) order, each run of duplicates summed left to right from

@@ -3,7 +3,7 @@
    Table-I fractional line — bit-identical with full memory, since a
    window is a slice of the one column loop — the w = m degenerate case,
    short-memory truncation against the documented mass bound, and the
-   Factor_cache (α, h) collision regression.
+   factor-cache (α, h) collision regression.
 
    Random cases are seeded from OPM_PROP_SEED (default 20260806) and
    every failure message carries the replay seed, same protocol as
@@ -280,7 +280,7 @@ let test_invalid_args () =
 
 (* the windowed driver on the banded history of [mt] over a uniform
    [grid], streaming the forcing matrix [bu] and collecting the columns *)
-let window_run ?fcache ?on_window ~w ~grid (mt : Multi_term.t) bu =
+let window_run ?on_window ~w ~grid (mt : Multi_term.t) bu =
   let m = Grid.size grid in
   let pencil =
     Engine.pencil `Auto
@@ -295,7 +295,7 @@ let window_run ?fcache ?on_window ~w ~grid (mt : Multi_term.t) bu =
   in
   let x = Mat.zeros (Multi_term.order mt) m in
   let stats =
-    Window.run ?on_window ~window:w { Engine.default with fcache } pencil history
+    Window.run ?on_window ~window:w Engine.default pencil history
       ~bu:(fun i -> Mat.col bu i)
       ~emit:(fun i xi -> Mat.set_col x i xi)
   in
@@ -353,13 +353,13 @@ let test_factor_reuse_metric () =
       Alcotest.(check int) "window.count" (m / w) windows;
       Alcotest.(check int) "window.factor_reuse: the prefactored block" 1 reuse)
 
-(* ---------- Factor_cache (α, h) collision regression ---------- *)
+(* ---------- factor-cache (α, h) collision regression ---------- *)
 
 (* At h = 2 the diagonal coefficient (2/h)^α = 1 for every α, so a
-   shared cache keyed only on diagonal coefficients would serve the
-   α = 0.5 pencil to the α = 1.5 solve. The (α, h) key discipline must
-   keep them apart (2 misses) and both results equal their
-   unshared-cache references. *)
+   pencil cache keyed only on diagonal coefficients would serve the
+   α = 0.5 block to the α = 1.5 solve on the same pencil. The (α, h)
+   key discipline must keep them apart (2 factorisations) and both
+   results equal their fresh-pencil references bit for bit. *)
 let test_factor_cache_alpha_h_regression () =
   let st = Random.State.make [| 0x9e37; base_seed + 55 |] in
   let sys, srcs = random_system st (base_seed + 55) in
@@ -372,75 +372,28 @@ let test_factor_cache_alpha_h_regression () =
   let bu alpha =
     Mat.mul (mt alpha).Multi_term.b (Opm.input_coefficients ~grid srcs)
   in
-  let solve ?fcache alpha =
-    let mta = mt alpha in
-    let pencil =
-      Engine.pencil `Dense
-        (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
-        @ [ mta.Multi_term.a ])
-    in
+  (* E and A do not depend on α: one pencil serves both orders *)
+  let fresh_pencil () =
+    let mta = mt 0.5 in
+    Engine.pencil `Dense
+      (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
+      @ [ mta.Multi_term.a ])
+  in
+  let solve pencil alpha =
     Engine.solve
-      (Engine.prepare { Engine.default with fcache } pencil
+      (Engine.prepare Engine.default pencil
          (Engine.toeplitz ~orders:[ alpha ] ~step:2.0 m))
       (bu alpha)
   in
-  let shared = Engine.Factor_cache.create () in
-  let x05 = solve ~fcache:shared 0.5 in
-  let x15 = solve ~fcache:shared 1.5 in
+  let shared = fresh_pencil () in
+  let x05 = solve shared 0.5 in
+  let x15 = solve shared 1.5 in
   Alcotest.(check int)
     "distinct α on the h = 2 grid must not share a factorisation" 2
-    (Engine.Factor_cache.misses shared);
+    (snd (Engine.pencil_lookups shared));
   ignore n;
-  check_le "α = 0.5 shared-cache result unchanged"
-    (rel_diff x05 (solve 0.5))
-    1e-15;
-  check_le "α = 1.5 shared-cache result unchanged"
-    (rel_diff x15 (solve 1.5))
-    1e-15
-
-(* Eviction-pinning regression: the Factor_cache is capacity-bounded,
-   and a sweep that interleaves more than [capacity] other (α, h) keys
-   triggers the overflow reset. The windowed run pins its entry and
-   serves every column from its per-run memo, so however hard the
-   shared cache is thrashed from the [on_window] callback it factors
-   once, and the result stays bit-identical to an uninterfered run. *)
-let test_pinned_factor_survives_interleaving () =
-  let st = Random.State.make [| 0x9e37; base_seed + 89 |] in
-  let sys, srcs = random_system st (base_seed + 89) in
-  let mt = Multi_term.of_fractional ~alpha:0.5 sys in
-  let m = 64 and w = 8 in
-  let grid = Grid.uniform ~t_end:2e-5 ~m in
-  let bu = Mat.mul mt.Multi_term.b (Opm.input_coefficients ~grid srcs) in
-  let x_clean, _ = window_run ~w ~grid mt bu in
-  (* capacity 2: the three foreign keys inserted between consecutive
-     windows are guaranteed to overflow the unpinned table every time *)
-  let fcache = Engine.Factor_cache.create ~capacity:2 () in
-  let salt = ref 0 in
-  let pollute () =
-    for _ = 1 to 3 do
-      incr salt;
-      (* a real engine run under a foreign (α, h)-style key, inserted
-         unpinned (no uniform step) — exactly the interleaved-sweep
-         workload *)
-      ignore
-        (Engine.solve
-           (Engine.prepare
-              { Engine.default with fcache = Some fcache }
-              (Engine.pencil `Dense
-                 [ Opm_sparse.Csr.eye 1; Opm_sparse.Csr.scale (-1.0) (Opm_sparse.Csr.eye 1) ])
-              (Engine.triangular ~orders:[ float_of_int !salt ] [ Mat.eye 1 ]))
-           (Mat.zeros 1 1))
-    done
-  in
-  let x, stats =
-    window_run ~fcache ~w ~grid mt bu
-      ~on_window:(fun ~index:_ ~start:_ _ -> pollute ())
-  in
-  Alcotest.(check int) "one factorisation despite cache-thrashing interleaving" 1
-    stats.Window.factor_misses;
-  Alcotest.(check int) "exactly one pinned entry" 1
-    (Engine.Factor_cache.pinned_count fcache);
-  check_bits "interleaved run vs the clean run" x x_clean
+  check_bits "α = 0.5 shared-pencil result" x05 (solve (fresh_pencil ()) 0.5);
+  check_bits "α = 1.5 shared-pencil result" x15 (solve (fresh_pencil ()) 1.5)
 
 (* A ladder whose shunts alternate C and CPE (α = 0.5): the fractional
    term reads only the two CPE nodes of the six states, so the
@@ -514,8 +467,6 @@ let () =
         [
           Alcotest.test_case "(α, h) collision regression" `Quick
             test_factor_cache_alpha_h_regression;
-          Alcotest.test_case "pinned entry survives interleaving" `Quick
-            test_pinned_factor_survives_interleaving;
           Alcotest.test_case "truncation mass bound" `Quick
             test_truncation_mass;
         ] );
