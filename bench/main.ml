@@ -393,11 +393,11 @@ let table2 cli =
 (* Ablation: basis choice (BPF triangular vs Walsh/Haar similarity)    *)
 
 (* the generic column engine on one order-1 differential term with an
-   explicit D (naive history scan, dense LU) *)
+   explicit D (naive history scan, sparse LU) *)
 let column_solve (sys : Descriptor.t) d bu =
   Engine.solve
     (Engine.prepare Engine.default
-       (Engine.pencil `Dense [ sys.Descriptor.e; sys.Descriptor.a ])
+       (Engine.pencil [ sys.Descriptor.e; sys.Descriptor.a ])
        (Engine.triangular ~orders:[ 1.0 ] [ d ]))
     bu
 
@@ -1160,7 +1160,7 @@ let rhs_conv () =
       let pencil, history, bu = Recast_oracle.plan ~grid mt srcs in
       let naive_run () = Engine.solve (Engine.prepare Engine.default pencil history) bu in
       let fft_pencil =
-        Engine.pencil `Auto
+        Engine.pencil
           (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
           @ [ mt.Multi_term.a ])
       in

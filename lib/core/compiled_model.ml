@@ -5,7 +5,6 @@ open Opm_signal
 module Metrics = Opm_obs.Metrics
 module Trace = Opm_obs.Trace
 
-type backend = [ `Auto | `Dense | `Sparse ]
 type basis = [ `Bpf | `Spectral ]
 
 let m_queries = Metrics.counter "compiled.queries"
@@ -128,7 +127,12 @@ let output_sink c x0 m =
    the factored column-0 block. A query writes no model-level state
    except under a lock (the pencil's factor cache) or through an Atomic
    (the counters), so queries may run on several domains at once. *)
-type plan = Spectral of Spectral_solver.t | Column of Engine.history
+type plan =
+  | Spectral of Spectral_solver.t
+  | Column of { pencil : Engine.pencil; history : Engine.history }
+      (* one pencil per model: every block this model ever factors
+         (prefactor at compile, cache misses at query) is cached on it,
+         and it replays one symbolic analysis for all of them *)
 
 type t = {
   sys : Multi_term.t;
@@ -136,10 +140,6 @@ type t = {
   window : int option;  (* a width below the horizon: the windowed driver *)
   memory_len : int option;
   plan : plan;
-  pencil : Engine.pencil;
-      (* one pencil per model: every block this model ever factors
-         (prefactor at compile, cache misses at query) is cached on it,
-         and it replays one symbolic analysis for all of them *)
   queries : int Atomic.t;
 }
 
@@ -148,8 +148,6 @@ let grid t = t.grid
 let system t = t.sys
 
 let queries t = Atomic.get t.queries
-
-let backend t = Engine.backend t.pencil
 
 (* Per-model factor statistics, read from this model's own pencil. The
    [compiled.factor_reuse] metrics counter aggregates over every model
@@ -160,29 +158,23 @@ let backend t = Engine.backend t.pencil
 let factor_reuse t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factor_reuse sp
-  | Column _ -> fst (Engine.pencil_lookups t.pencil)
+  | Column { pencil; _ } -> fst (Engine.pencil_lookups pencil)
 
 let factorisations t =
   match t.plan with
   | Spectral sp -> Spectral_solver.factorisations sp
-  | Column _ -> snd (Engine.pencil_lookups t.pencil)
+  | Column { pencil; _ } -> snd (Engine.pencil_lookups pencil)
 
 let basis t = match t.plan with Spectral _ -> `Spectral | Column _ -> `Bpf
 
-let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
-    ~grid (sys : Multi_term.t) =
+let compile ?(basis = `Bpf) ?health ?window ?memory_len ~grid (sys : Multi_term.t) =
   Trace.with_span "compiled.compile" @@ fun () ->
   let m = Grid.size grid in
   (match window with
   | Some w when w < 1 -> invalid_arg "Opm: window width must be >= 1"
   | _ -> ());
-  let pencil =
-    Engine.pencil backend
-      (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
-      @ [ sys.Multi_term.a ])
-  in
   let model plan window memory_len =
-    { sys; grid; window; memory_len; plan; pencil; queries = Atomic.make 0 }
+    { sys; grid; window; memory_len; plan; queries = Atomic.make 0 }
   in
   match basis with
   | `Spectral ->
@@ -229,16 +221,19 @@ let compile ?(backend = `Auto) ?(basis = `Bpf) ?health ?window ?memory_len
                 Engine.triangular ~orders
                   (List.map (Block_pulse.fractional_differential_matrix grid) orders))
       in
+      let pencil =
+        Engine.pencil
+          (List.map (fun { Multi_term.coeff; _ } -> coeff) sys.Multi_term.terms
+          @ [ sys.Multi_term.a ])
+      in
       if uniform then
         ignore
           (Engine.prepare { Engine.default with health } pencil history
             : Engine.plan);
-      model (Column history) window memory_len
+      model (Column { pencil; history }) window memory_len
 
-let compile_fractional ?backend ?basis ?health ?window ?memory_len ~grid
-    ~alpha sys =
-  compile ?backend ?basis ?health ?window ?memory_len ~grid
-    (Multi_term.of_fractional ~alpha sys)
+let compile_fractional ?basis ?health ?window ?memory_len ~grid ~alpha sys =
+  compile ?basis ?health ?window ?memory_len ~grid (Multi_term.of_fractional ~alpha sys)
 
 let count_query t =
   Atomic.incr t.queries;
@@ -255,7 +250,7 @@ let global_checkpoint checkpoint resume_from =
    [emit]; a windowed model runs the same loop through the windowed
    driver. *)
 let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0 t
-    history u emit =
+    pencil history u emit =
   Trace.with_span "compiled_solve" @@ fun () ->
   if t.window = None then global_checkpoint checkpoint resume_from;
   count_query t;
@@ -265,23 +260,23 @@ let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0
     match t.window with
     | Some window ->
         (Window.run ?memory_len:t.memory_len ?checkpoint ?checkpoint_every ?resume_from
-           ~window ctx t.pencil history ~bu ~emit)
+           ~window ctx pencil history ~bu ~emit)
           .Window.factor_hits
     | None ->
-        let plan = Engine.prepare ctx t.pencil history in
+        let plan = Engine.prepare ctx pencil history in
         Engine.run plan ~bu ~emit;
         fst (Engine.lookups plan)
   in
   Metrics.incr ~by:hits m_factor_reuse
 
 let column_solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
-    history sources emit =
+    pencil history sources emit =
   let u =
     Trace.with_span "opm.project_inputs" @@ fun () ->
     projected_inputs ~grid:t.grid t.sys sources
   in
   column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
-    ?ax0:(x0_shift t.sys x0) t history u emit
+    ?ax0:(x0_shift t.sys x0) t pencil history u emit
 
 let spectral_rejected () =
   invalid_arg
@@ -300,9 +295,9 @@ let solve_coeffs ?health ?budget t u =
   let u = apply_input_order ~grid:t.grid t.sys u in
   match t.plan with
   | Spectral _ -> spectral_rejected ()
-  | Column history ->
+  | Column { pencil; history } ->
       let x = Mat.zeros (Multi_term.order t.sys) m in
-      column_query ?health ?budget t history u (fun i xi -> Mat.set_col x i xi);
+      column_query ?health ?budget t pencil history u (fun i xi -> Mat.set_col x i xi);
       x
 
 let solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources =
@@ -321,10 +316,10 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
     sources =
   match t.plan with
   | Spectral sp -> solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources
-  | Column history ->
+  | Column { pencil; history } ->
       let x = Mat.zeros (Multi_term.order t.sys) (Grid.size t.grid) in
       column_solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
-        history sources
+        pencil history sources
         (match x0 with
         | None -> fun i xi -> Mat.set_col x i xi
         | Some x0 -> fun i xi -> Array.iteri (fun r v -> Mat.set x r i (v +. x0.(r))) xi);
@@ -333,7 +328,7 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
 let solve_outputs ?health ?budget ?x0 t sources =
   match t.plan with
   | Spectral _ -> (solve ?health ?budget ?x0 t sources).Sim_result.outputs
-  | Column history ->
+  | Column { pencil; history } ->
       let ys, emit = output_sink (mul_rows t.sys.Multi_term.c) x0 (Grid.size t.grid) in
-      column_solve ?health ?budget ?x0 t history sources emit;
+      column_solve ?health ?budget ?x0 t pencil history sources emit;
       Waveform.make ~labels:t.sys.Multi_term.output_names (Grid.midpoints t.grid) ys

@@ -12,7 +12,7 @@ open Opm_signal
     work at exactly that line:
 
     - {b plant-dependent}, done once in {!compile}: BPF expansion
-      scaffolding, the {!Engine.pencil}, the column history (on a
+      scaffolding, the sparse {!Engine.pencil}, the column history (on a
       uniform grid the banded lag operators and fractional kernels of
       {!Engine.toeplitz}, O(m) each; on an adaptive grid the dense
       operational matrices [D^{α_k}]), and the factored column-0 block
@@ -48,12 +48,10 @@ open Opm_signal
     model's cache, and each query runs in a ["compiled_solve"] trace
     span ([compile] in a ["compiled.compile"] span). *)
 
-type backend = [ `Auto | `Dense | `Sparse ]
-
 type basis = [ `Bpf | `Spectral ]
 (** The discretisation basis: [`Bpf] (default) is the paper's
     block-pulse expansion with its triangular column recurrence;
-    [`Spectral] is the Jacobi-Gauss collocation backend of
+    [`Spectral] is the Jacobi-Gauss collocation operator of
     {!Spectral_solver} — exponentially convergent on smooth sources, so
     [m ≈ 32] collocation nodes replace thousands of block pulses (see
     DESIGN.md §18 for the when-to-use table and the Gibbs caveat on
@@ -62,7 +60,6 @@ type basis = [ `Bpf | `Spectral ]
 type t
 
 val compile :
-  ?backend:backend ->
   ?basis:basis ->
   ?health:Opm_robust.Health.t ->
   ?window:int ->
@@ -97,7 +94,6 @@ val compile :
     adaptive grids. *)
 
 val compile_fractional :
-  ?backend:backend ->
   ?basis:basis ->
   ?health:Opm_robust.Health.t ->
   ?window:int ->
@@ -171,20 +167,20 @@ val factor_reuse : t -> int
     pencil — the per-plant counterpart of the process-global
     [compiled.factor_reuse] metrics counter (which sums every model in
     the process and therefore cannot attribute reuse to a plant). On a
-    uniform-grid model this increments once per query. *)
+    uniform-grid model this increments once per query. A spectral
+    model builds no pencil and reports the reuse of its collocation
+    factor. *)
 
 val factorisations : t -> int
 (** Pencil factorisations {e this model} has performed (misses of its
     pencil's cache, the compile-time prefactorisation included). A
     healthy uniform-grid model reports [1] for its whole lifetime —
-    the factor-once contract a serving layer asserts per plant. *)
+    the factor-once contract a serving layer asserts per plant. A
+    spectral model reports its collocation factorisations. *)
 
 val grid : t -> Grid.t
 
 val system : t -> Multi_term.t
-
-val backend : t -> [ `Dense | `Sparse ]
-(** The resolved backend ([`Auto] is resolved at compile time). *)
 
 val basis : t -> basis
 (** The basis this model was compiled in. *)

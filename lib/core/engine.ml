@@ -41,21 +41,6 @@ let fault_injected site =
            | None -> "unknown");
        })
 
-(* Factor site, dense backend: Singular is terminal (dense LU already
-   pivots strictly); Nan_poison factors an all-NaN pencil, which the
-   factoriser rejects as structurally singular — both structured. *)
-let fault_factor_dense ~column dmat =
-  match Fault.fire Fault.Factor with
-  | None -> dmat
-  | Some Fault.Latency ->
-      Fault.latency_sleep ();
-      dmat
-  | Some Fault.Singular ->
-      Opm_error.raise_
-        (Opm_error.Singular_pencil { column; step = 0; pivot = 0.0; name = None })
-  | Some Fault.Nan_poison -> Mat.scale Float.nan dmat
-  | Some Fault.Enospc -> fault_injected Fault.Factor
-
 (* Column-solve site: Nan_poison overwrites one solution entry (the
    guard cascade must notice and either re-factor or raise Non_finite —
    never let the NaN reach the result matrix). *)
@@ -163,12 +148,11 @@ let raise_non_finite ~stage ~column x =
   Opm_error.raise_
     (Opm_error.Non_finite { stage; column = Some column; nans; infs })
 
-(* Post-solve guard shared by both backends: escalate non-finite columns
-   through [escalate] (strict pivoting / dense fallback, backend
-   specific), then attempt refinement when the factor's condition
-   estimate crosses {!Health.default_cond_limit}, then book-keep into
-   [health]. On a finite, well-conditioned column this returns [x]
-   untouched. *)
+(* Post-solve guard: escalate non-finite columns through [escalate]
+   (strict pivoting, then the dense fallback), then attempt refinement
+   when the factor's condition estimate crosses
+   {!Health.default_cond_limit}, then book-keep into [health]. On a
+   finite, well-conditioned column this returns [x] untouched. *)
 let guard_column ?health ~column ~solve ~apply ~cond ~escalate x rhs =
   let x = if Guard.is_finite x then x else escalate x in
   let c = cond () in
@@ -191,61 +175,52 @@ let guard_column ?health ~column ~solve ~apply ~cond ~escalate x rhs =
 
 (* --- factorised diagonal blocks ------------------------------------- *)
 
-type sparse_factor = Sfac of Slu.t | Dfac of Lu.t
+(* the sparse LU, or the dense LU of the cascade's last rung *)
+type factors = Sfac of Slu.t | Dfac of Lu.t
 
-type block =
-  | Dense_block of { dmat : Mat.t; dlu : Lu.t }
-  | Sparse_block of {
-      smat : Csr.t;
-      lock : Mutex.t;
-          (* serialises the fallback cascade: the cached block is shared
-             by queries on several domains *)
-      mutable strict_tried : bool;
-      mutable sfac : sparse_factor;
-          (* mutable so the fallback cascade upgrades the factorisation
-             in place: later columns sharing the cached block reuse the
-             strongest factorisation reached so far *)
-    }
-
-let dense_block ~column dmat =
-  let dmat = fault_factor_dense ~column dmat in
-  match Lu.factor dmat with
-  | lu -> Dense_block { dmat; dlu = lu }
-  | exception Lu.Singular k ->
-      Opm_error.raise_
-        (Opm_error.Singular_pencil { column; step = k; pivot = 0.0; name = None })
+type block = {
+  mat : Csr.t;
+  lock : Mutex.t;
+      (* serialises the fallback cascade: the cached block is shared by
+         queries on several domains *)
+  mutable strict_tried : bool;
+  mutable fac : factors;
+      (* mutable so the fallback cascade upgrades the factorisation in
+         place: later columns sharing the cached block reuse the
+         strongest factorisation reached so far *)
+}
 
 (* escalation rung 3: abandon the sparse factorisation entirely *)
-let dense_fallback_factor ?health ~column smat =
+let dense_fallback_factor ?health ~column mat =
   Metrics.incr m_dense_fallback;
   record_event health (Health.Dense_fallback { column });
-  match Lu.factor (Csr.to_dense smat) with
+  match Lu.factor (Csr.to_dense mat) with
   | lu -> Dfac lu
   | exception Lu.Singular k ->
       Opm_error.raise_
         (Opm_error.Singular_pencil { column; step = k; pivot = 0.0; name = None })
 
 (* escalation rung 2: trade fill for stability with strict pivoting *)
-let strict_factor ?health ~column smat =
+let strict_factor ?health ~column mat =
   Metrics.incr m_strict_refactor;
   record_event health (Health.Strict_refactor { column });
-  match Slu.factor ~pivot_tol:1.0 smat with
+  match Slu.factor ~pivot_tol:1.0 mat with
   | f -> Sfac f
-  | exception Slu.Singular _ -> dense_fallback_factor ?health ~column smat
+  | exception Slu.Singular _ -> dense_fallback_factor ?health ~column mat
 
-let sparse_block ?health ~sym ~column smat =
-  (* Factor site, sparse backend: Singular simulates a failed default
-     factorisation, driving the strict-pivoting rung — a recovery, not
-     an error; Nan_poison poisons the pencil, which rides the cascade
-     down to a structured Singular_pencil at the dense rung. *)
-  let smat, forced_strict =
+let factor_block ?health ~sym ~column mat =
+  (* Factor site: Singular simulates a failed default factorisation,
+     driving the strict-pivoting rung — a recovery, not an error;
+     Nan_poison poisons the pencil, which rides the cascade down to a
+     structured Singular_pencil at the dense rung. *)
+  let mat, forced_strict =
     match Fault.fire Fault.Factor with
-    | None -> (smat, false)
+    | None -> (mat, false)
     | Some Fault.Latency ->
         Fault.latency_sleep ();
-        (smat, false)
-    | Some Fault.Singular -> (smat, true)
-    | Some Fault.Nan_poison -> (Csr.scale Float.nan smat, false)
+        (mat, false)
+    | Some Fault.Singular -> (mat, true)
+    | Some Fault.Nan_poison -> (Csr.scale Float.nan mat, false)
     | Some Fault.Enospc -> fault_injected Fault.Factor
   in
   (* [sym] carries the symbolic analysis of a previously factored pencil
@@ -254,61 +229,42 @@ let sparse_block ?health ~sym ~column smat =
      with {!Slu.factor_hinted} falling back to a fresh analysis on any
      mismatch or pivot degradation.  The strict rung below stays
      hint-free: strict pivoting re-derives its own pivot sequence. *)
-  let block strict_tried sfac =
-    Sparse_block { smat; lock = Mutex.create (); strict_tried; sfac }
-  in
-  if forced_strict then block true (strict_factor ?health ~column smat)
+  let block strict_tried fac = { mat; lock = Mutex.create (); strict_tried; fac } in
+  if forced_strict then block true (strict_factor ?health ~column mat)
   else
-    match Slu.factor_hinted ~hint:sym smat with
+    match Slu.factor_hinted ~hint:sym mat with
     | f -> block false (Sfac f)
-    | exception Slu.Singular _ -> block true (strict_factor ?health ~column smat)
+    | exception Slu.Singular _ -> block true (strict_factor ?health ~column mat)
 
-let solve_col ?health ~column blk rhs =
-  match blk with
-  | Dense_block { dmat; dlu } ->
-      let solve = Lu.solve dlu in
-      let x = fault_column ~column (solve rhs) in
-      (* dense LU already pivots strictly, so there is no stronger
-         factorisation to escalate to: a non-finite column is terminal *)
-      let escalate x = raise_non_finite ~stage:"solve-dense" ~column x in
-      guard_column ?health ~column ~solve ~apply:(Mat.mul_vec dmat)
-        ~cond:(fun () -> Lu.cond_est dlu)
-        ~escalate x rhs
-  | Sparse_block b ->
-      let solve_with f rhs =
-        match f with Sfac f -> Slu.solve f rhs | Dfac f -> Lu.solve f rhs
-      in
-      let solve rhs = solve_with b.sfac rhs in
-      let f0 = b.sfac in
-      let x = fault_column ~column (solve_with f0 rhs) in
-      let escalate x =
-        Mutex.protect b.lock @@ fun () ->
-        (* another query may have escalated the block since [f0] was
-           read: carry on from the strongest factorisation so far *)
-        let x = ref (if b.sfac == f0 then x else solve rhs) in
-        if (not b.strict_tried) && not (Guard.is_finite !x) then begin
-          b.strict_tried <- true;
-          b.sfac <- strict_factor ?health ~column b.smat;
-          x := solve rhs
-        end;
-        (match b.sfac with
-        | Sfac _ when not (Guard.is_finite !x) ->
-            b.sfac <- dense_fallback_factor ?health ~column b.smat;
-            x := solve rhs
-        | Sfac _ | Dfac _ -> ());
-        if not (Guard.is_finite !x) then
-          raise_non_finite ~stage:"solve-sparse" ~column !x;
-        !x
-      in
-      guard_column ?health ~column ~solve ~apply:(Csr.mul_vec b.smat)
-        ~cond:(fun () ->
-          match b.sfac with Sfac f -> Slu.cond_est f | Dfac f -> Lu.cond_est f)
-        ~escalate x rhs
+let solve_col ?health ~column b rhs =
+  let solve_with f rhs = match f with Sfac f -> Slu.solve f rhs | Dfac f -> Lu.solve f rhs in
+  let solve rhs = solve_with b.fac rhs in
+  let f0 = b.fac in
+  let x = fault_column ~column (solve_with f0 rhs) in
+  let escalate x =
+    Mutex.protect b.lock @@ fun () ->
+    (* another query may have escalated the block since [f0] was read:
+       carry on from the strongest factorisation so far *)
+    let x = ref (if b.fac == f0 then x else solve rhs) in
+    if (not b.strict_tried) && not (Guard.is_finite !x) then begin
+      b.strict_tried <- true;
+      b.fac <- strict_factor ?health ~column b.mat;
+      x := solve rhs
+    end;
+    (match b.fac with
+    | Sfac _ when not (Guard.is_finite !x) ->
+        b.fac <- dense_fallback_factor ?health ~column b.mat;
+        x := solve rhs
+    | Sfac _ | Dfac _ -> ());
+    if not (Guard.is_finite !x) then raise_non_finite ~stage:"solve-sparse" ~column !x;
+    !x
+  in
+  guard_column ?health ~column ~solve ~apply:(Csr.mul_vec b.mat)
+    ~cond:(fun () -> match b.fac with Sfac f -> Slu.cond_est f | Dfac f -> Lu.cond_est f)
+    ~escalate x rhs
 
 (* ------------------------------------------------------------------ *)
 (* Pencil                                                              *)
-
-type ops = Dense_ops of Mat.t array | Sparse_ops of Csr.t array
 
 (* The factorised blocks of one pencil, keyed by [column_key] (see
    {b Factor cache} in engine.mli for why the key is the full (α, h)
@@ -327,7 +283,7 @@ type cache = {
 let cache_capacity = 64
 
 type pencil = {
-  ops : ops;  (* [M_1 … M_J]; the last operator is [A] *)
+  ops : Csr.t array;  (* [M_1 … M_J]; the last operator is [A] *)
   n : int;
   sym : Slu.symbolic option ref;
       (* every block this pencil ever factors shares one sparsity
@@ -337,33 +293,17 @@ type pencil = {
   cache : cache;
 }
 
-let make_pencil ops =
-  let dims =
-    match ops with
-    | Dense_ops a -> Array.map Mat.dims a
-    | Sparse_ops a -> Array.map Csr.dims a
-  in
-  if Array.length dims < 2 then
-    invalid_arg "Engine.pencil: needs at least one E term and A";
-  let n = fst dims.(0) in
+let pencil ms =
+  let ops = Array.of_list ms in
+  if Array.length ops < 2 then invalid_arg "Engine.pencil: needs at least one E term and A";
+  let n = fst (Csr.dims ops.(0)) in
   Array.iter
-    (fun (r, c) ->
-      if r <> n || c <> n then invalid_arg "Engine.pencil: operator dimension mismatch")
-    dims;
+    (fun m -> if Csr.dims m <> (n, n) then invalid_arg "Engine.pencil: operator dimension mismatch")
+    ops;
   let cache =
     { lock = Mutex.create (); table = Hashtbl.create cache_capacity; hits = 0; misses = 0 }
   in
   { ops; n; sym = ref None; cache }
-
-let pencil backend ms =
-  let n = match ms with m0 :: _ -> fst (Csr.dims m0) | [] -> 0 in
-  match backend with
-  | `Sparse -> make_pencil (Sparse_ops (Array.of_list ms))
-  | `Auto when n > 64 -> make_pencil (Sparse_ops (Array.of_list ms))
-  | `Dense | `Auto ->
-      make_pencil (Dense_ops (Array.of_list (List.map Csr.to_dense ms)))
-
-let backend p = match p.ops with Dense_ops _ -> `Dense | Sparse_ops _ -> `Sparse
 
 let size p = p.n
 
@@ -384,43 +324,26 @@ let lookup p key factor =
       Hashtbl.add c.table key blk;
       (blk, false)
 
-let nops p =
-  match p.ops with Dense_ops a -> Array.length a | Sparse_ops a -> Array.length a
-
-let apply_ops ops j v =
-  match ops with
-  | Dense_ops a -> Mat.mul_vec a.(j) v
-  | Sparse_ops a -> Csr.mul_vec a.(j) v
-
-let apply p j v = apply_ops p.ops j v
+let apply p j v = Csr.mul_vec p.ops.(j) v
 
 (* Σ_j c_j·M_j, assembled from the A term up and adding the others in
    order, which reproduces the historical per-form pencils
    (−A + Σ d_ii E_k, 2/h·E − A, E − H_ii·A) bit for bit: negation and
    scaling by ±1 are exact, and IEEE addition commutes. A zero
    coefficient adds nothing and is skipped. *)
-let combine ~scale ~add ms c =
+let sum ms c =
   let last = Array.length c - 1 in
-  let acc = ref (scale c.(last) ms.(last)) in
+  let acc = ref (Csr.scale c.(last) ms.(last)) in
   for j = 0 to last - 1 do
-    if c.(j) <> 0.0 then acc := add !acc c.(j) ms.(j)
+    if c.(j) <> 0.0 then acc := Csr.add ~alpha:1.0 ~beta:c.(j) !acc ms.(j)
   done;
   !acc
 
-let dense_sum = combine ~scale:Mat.scale ~add:(fun acc c m -> Mat.add acc (Mat.scale c m))
-
-let sparse_sum = combine ~scale:Csr.scale ~add:(fun acc c m -> Csr.add ~alpha:1.0 ~beta:c acc m)
-
 (* Factor the column block Σ_j c_j·M_j. *)
 let factor ?health ?budget p ~column c =
-  match p.ops with
-  | Dense_ops ms ->
-      budget_factor ~bytes:(p.n * p.n * 8) budget;
-      Trace.with_span "factor" (fun () -> dense_block ~column (dense_sum ms c))
-  | Sparse_ops ms ->
-      let acc = sparse_sum ms c in
-      budget_factor ~bytes:(Csr.nnz acc * 16) budget;
-      Trace.with_span "factor" (fun () -> sparse_block ?health ~sym:p.sym ~column acc)
+  let mat = sum p.ops c in
+  budget_factor ~bytes:(Csr.nnz mat * 16) budget;
+  Trace.with_span "factor" (fun () -> factor_block ?health ~sym:p.sym ~column mat)
 
 (* ------------------------------------------------------------------ *)
 (* History strategies                                                  *)
@@ -454,7 +377,7 @@ type banded = {
          fractional one: the E_k coefficients of M_l *)
   frac : int array;  (* the term of each fractional kernel *)
   kernels : Vec.t array;  (* κ of each fractional term, one weight per column *)
-  lags : (pencil * ops * int array) option Atomic.t;
+  lags : (pencil * Csr.t array * int array) option Atomic.t;
       (* M_1 … M_N of the pencil last prepared against, and the support
          of its fractional terms *)
   spectra : Fft.Blocked_conv.spectra option Atomic.t;
@@ -560,16 +483,7 @@ let column_key history i =
 let frac_support pencil b =
   let seen = Array.make pencil.n false in
   Array.iter
-    (fun k ->
-      match pencil.ops with
-      | Dense_ops ms ->
-          let e = ms.(k) in
-          for r = 0 to pencil.n - 1 do
-            for c = 0 to pencil.n - 1 do
-              if Mat.get e r c <> 0.0 then seen.(c) <- true
-            done
-          done
-      | Sparse_ops ms -> Csr.iter (fun _ c v -> if v <> 0.0 then seen.(c) <- true) ms.(k))
+    (fun k -> Csr.iter (fun _ c v -> if v <> 0.0 then seen.(c) <- true) pencil.ops.(k))
     b.frac;
   Array.of_list (List.filter (fun c -> seen.(c)) (List.init pencil.n Fun.id))
 
@@ -581,11 +495,7 @@ let lag_ops pencil b =
   | Some _ | None ->
       let coeffs l = Array.append b.band.(l) [| -.b.binom.(l + 1) |] in
       let lags = Array.length b.band in
-      let ops =
-        match pencil.ops with
-        | Dense_ops ms -> Dense_ops (Array.init lags (fun l -> dense_sum ms (coeffs l)))
-        | Sparse_ops ms -> Sparse_ops (Array.init lags (fun l -> sparse_sum ms (coeffs l)))
-      in
+      let ops = Array.init lags (fun l -> sum pencil.ops (coeffs l)) in
       let support = frac_support pencil b in
       Atomic.set b.lags (Some (pencil, ops, support));
       (ops, support)
@@ -617,7 +527,7 @@ type plan = {
   m : int;
   key0 : float list;
   block0 : block;
-  lags : ops;  (* a banded history's M_1 … M_N *)
+  lags : Csr.t array;  (* a banded history's M_1 … M_N *)
   fractional : (Fft.Blocked_conv.spectra * int array) option;
       (* and its kernels' spectra with the support rows the convolver
          keeps; [None] when the support is empty (no fractional term,
@@ -629,9 +539,9 @@ type plan = {
 
 let prepare ctx pencil history =
   (match history with
-  | (Banded _ | Triangular _) when nterms history <> nops pencil - 1 ->
+  | (Banded _ | Triangular _) when nterms history <> Array.length pencil.ops - 1 ->
       invalid_arg "Engine.prepare: one D_k per E_k"
-  | Alternating _ when nops pencil <> 2 ->
+  | Alternating _ when Array.length pencil.ops <> 2 ->
       invalid_arg "Engine.prepare: the order-1 form takes [E; A]"
   | Banded _ | Triangular _ | Alternating _ -> ());
   let m = columns history in
@@ -647,7 +557,7 @@ let prepare ctx pencil history =
     | Banded b ->
         let lags, support = lag_ops pencil b in
         (lags, if Array.length support = 0 then None else Some (toeplitz_spectra b, support))
-    | Triangular _ | Alternating _ -> (Dense_ops [||], None)
+    | Triangular _ | Alternating _ -> ([||], None)
   in
   {
     ctx;
@@ -755,7 +665,7 @@ let column_history p bu =
           Vec.axpy b.binom.(l) ring.((i - l) mod (lags + 1)) rhs
         done;
         for l = 1 to min lags i do
-          Vec.axpy (-1.0) (apply_ops p.lags (l - 1) cols.((i - l) mod keep)) rhs
+          Vec.axpy (-1.0) (Csr.mul_vec p.lags.(l - 1) cols.((i - l) mod keep)) rhs
         done;
         (match !conv with
         | Some (cv, support) when Fft.Blocked_conv.pushed cv > 0 ->
@@ -859,12 +769,12 @@ let column_history p bu =
         finish = ignore;
       }
 
+(* the benchmark's per-layer ledger maps these span names to the column
+   layer *)
 let span_name p =
-  match (p.history, p.pencil.ops) with
-  | (Banded _ | Triangular _), Dense_ops _ -> "engine.solve_dense"
-  | (Banded _ | Triangular _), Sparse_ops _ -> "engine.solve_sparse"
-  | Alternating _, Dense_ops _ -> "engine.solve_linear_dense"
-  | Alternating _, Sparse_ops _ -> "engine.solve_linear_sparse"
+  match p.history with
+  | Banded _ | Triangular _ -> "engine.solve_sparse"
+  | Alternating _ -> "engine.solve_linear_sparse"
 
 type boundary = { width : int; memory : int option; at : int -> unit }
 

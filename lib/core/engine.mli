@@ -35,30 +35,30 @@ open Opm_robust
 
     {2 Guardrails}
 
-    Every column solve runs behind a fallback cascade. A non-finite
-    column escalates — for the sparse backend: re-factor with strict
-    partial pivoting ([pivot_tol = 1.0]), then fall back to a dense LU
-    of the same block — and a factor whose Hager 1-norm condition
-    estimate exceeds {!Health.default_cond_limit} gets one step of
-    iterative refinement, kept only when it strictly reduces the
-    residual. On well-conditioned inputs every guard is a bit-identical
-    no-op. When the cascade is exhausted the engine raises the
-    structured {!Opm_error.Error} ([Singular_pencil] from the
-    factorisations, [Non_finite] from the solves) instead of a bare
-    backend exception. A [health] collector additionally receives
-    per-column NaN/Inf counts, the maximum residual
-    [‖(Σ_j c_j(i) M_j) x_i − rhs_i‖∞], the worst condition estimate, and
-    the fallback events taken — collection never changes the result.
+    Every column block is factored by the sparse LU of {!Slu}, and
+    every column solve runs behind a fallback cascade. A non-finite
+    column escalates: re-factor with strict partial pivoting
+    ([pivot_tol = 1.0]), then fall back to a dense LU of the same block.
+    A factor whose Hager 1-norm condition estimate exceeds
+    {!Health.default_cond_limit} gets one step of iterative refinement,
+    kept only when it strictly reduces the residual. On well-conditioned
+    inputs every guard is a bit-identical no-op. When the cascade is
+    exhausted the engine raises the structured {!Opm_error.Error}
+    ([Singular_pencil] from the factorisations, [Non_finite] from the
+    solves) instead of a bare LU exception. A [health] collector
+    additionally receives per-column NaN/Inf counts, the maximum
+    residual [‖(Σ_j c_j(i) M_j) x_i − rhs_i‖∞], the worst condition
+    estimate, and the fallback events taken — collection never changes
+    the result.
 
     A [budget] arms cooperative resource enforcement: the wall-clock
     deadline is checked before every column, and each factorisation is
-    charged (with an estimated footprint — [n²·8] bytes dense, [nnz·16]
-    sparse) before it runs; on breach a structured
-    [Opm_error.Deadline_exceeded] / [Budget_exhausted] is raised. The
-    engine also carries four fault-injection sites ([factor],
-    [column-solve], [fft-block], and [window-handoff] at window
-    boundaries, see {i Opm_robust.Fault}); when no plan is armed each
-    site is a single atomic load.
+    charged (with an estimated footprint of [nnz·16] bytes) before it
+    runs; on breach a structured [Opm_error.Deadline_exceeded] /
+    [Budget_exhausted] is raised. The engine also carries four
+    fault-injection sites ([factor], [column-solve], [fft-block], and
+    [window-handoff] at window boundaries, see {i Opm_robust.Fault});
+    when no plan is armed each site is a single atomic load.
 
     {2 Fast history convolution}
 
@@ -77,17 +77,15 @@ open Opm_robust
     each history vector is scattered back into the full state before
     [E_k] multiplies it; a state outside S only ever meets zeros of
     [E_k]. When S is empty (every fractional [E_k] is zero) no
-    convolver is built and no fractional history is summed, on either
-    route. *)
+    convolver is built and no fractional history is summed. *)
 
 (** {1 Pencil} *)
 
 type pencil
-(** A backend-tagged operator set [M_1 … M_J] whose last operator is
-    [A]. The sparse pencil owns the symbolic analysis of its first
-    factorisation: every block it factors shares one sparsity pattern,
-    so the rest replay the recorded elimination numerically
-    ({!Slu.factor_hinted}).
+(** A sparse operator set [M_1 … M_J] whose last operator is [A]. The
+    pencil owns the symbolic analysis of its first factorisation: every
+    block it factors shares one sparsity pattern, so the rest replay
+    the recorded elimination numerically ({!Slu.factor_hinted}).
 
     {b Factor cache.} A pencil also owns the column blocks it has
     factorised, so a pencil prepared and run many times (a compiled
@@ -103,13 +101,9 @@ type pencil
     counters, and a miss factors under it, so two domains missing one
     key factor it once and the counts stay exact. *)
 
-val pencil : [ `Auto | `Dense | `Sparse ] -> Csr.t list -> pencil
-(** [pencil backend [M_1; …; A]]. [`Auto] picks the sparse LU for
-    systems larger than 64 states and the dense LU otherwise; [`Dense]
-    converts the operators once. Raises [Invalid_argument] on fewer
-    than two operators or mismatched [n×n] dimensions. *)
-
-val backend : pencil -> [ `Dense | `Sparse ]
+val pencil : Csr.t list -> pencil
+(** [pencil [M_1; …; A]]. Raises [Invalid_argument] on fewer than two
+    operators or mismatched [n×n] dimensions. *)
 
 val size : pencil -> int
 (** The state count [n]. *)

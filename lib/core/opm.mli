@@ -8,9 +8,8 @@ open Opm_signal
     coefficient equation column by column ({!Engine}) and packages the
     result as waveforms.
 
-    Backend selection: [`Dense] uses dense LU on the diagonal blocks,
-    [`Sparse] the sparse GP LU; [`Auto] (default) picks sparse for
-    systems larger than 64 states.
+    Every diagonal block is factored by the sparse LU ({!Opm_sparse.Slu}),
+    behind the engine's fallback cascade.
 
     All transient entry points accept [?health], an
     {!Opm_robust.Health.t} collector threaded into the engine's
@@ -33,13 +32,11 @@ open Opm_signal
     [?checkpoint_every]/[?resume_from] (resumable window-boundary
     snapshots — see {!Window.run}; requesting a checkpoint without
     [?window] raises [Invalid_argument]). A mid-run breach on a windowed
-    solve raises {!Window.Interrupted} with the completed prefix. *)
+    solve raises {!Window.Interrupted} with the completed prefix.
 
-type backend = [ `Auto | `Dense | `Sparse ]
-
-(** Basis selection: the transient entry points accept
+    Basis selection: the transient entry points accept
     [?basis:`Spectral] to swap the block-pulse expansion for the
-    Jacobi-Gauss spectral collocation backend ({!Spectral_solver}).
+    Jacobi-Gauss spectral collocation operator ({!Spectral_solver}).
     [Grid.size grid] then counts collocation nodes — a few dozen
     replace thousands of block pulses on smooth sources (exponential
     vs [O(h²)] convergence), while discontinuous sources are BPF
@@ -48,7 +45,6 @@ type backend = [ `Auto | `Dense | `Sparse ]
     grids raise [Invalid_argument]. *)
 
 val simulate_linear :
-  ?backend:backend ->
   ?basis:Compiled_model.basis ->
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
@@ -70,7 +66,6 @@ val simulate_linear :
     transient schemes. *)
 
 val simulate_fractional :
-  ?backend:backend ->
   ?basis:Compiled_model.basis ->
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
@@ -92,7 +87,6 @@ val simulate_fractional :
     {!Block_pulse.fractional_differential_matrix}. *)
 
 val simulate_multi_term :
-  ?backend:backend ->
   ?basis:Compiled_model.basis ->
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->

@@ -107,10 +107,10 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
     (* The fingerprint ties a checkpoint to everything the resumed run
        must share for bit-identity: dimensions, effective window and
        memory widths, the column-0 block key (orders and step, as
-       IEEE-754 bits), backend and a digest of the whole forcing.
-       Computed lazily: a run with neither checkpointing nor resume
-       never pays for the digest. Its kind names the payload: files of
-       an older payload ("general", "linear") fail the match. *)
+       IEEE-754 bits) and a digest of the whole forcing. Computed
+       lazily: a run with neither checkpointing nor resume never pays
+       for the digest. Its kind names the payload: files of an older
+       payload ("general", "linear") fail the match. *)
     let fingerprint =
       lazy
         (Json.Obj
@@ -121,9 +121,6 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
              ("w", Json.Int w);
              ("memory_len", Json.Int k_eff);
              ("key", Checkpoint.encode_floats (Array.of_list key));
-             ( "backend",
-               Json.String
-                 (match Engine.backend pencil with `Dense -> "dense" | `Sparse -> "sparse") );
              ( "bu",
                Json.String
                  (Checkpoint.checksum_of_payload
@@ -140,8 +137,8 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
           | Some _ ->
               cp_fail path
                 "fingerprint mismatch: the checkpoint was written by a run with \
-                 a different system, grid, window width, memory length, backend, \
-                 input matrix or payload"
+                 a different system, grid, window width, memory length, input \
+                 matrix or payload"
           | None -> cp_fail path "missing fingerprint");
           let cols =
             match Json.member "prefix" payload with

@@ -110,8 +110,8 @@ val run :
     [?checkpoint_every]-th window (default 1) and after the final one.
     The payload is the solved prefix, hex-encoded IEEE-754 bits, and a
     fingerprint of ([n], [m], [w], effective memory length, the
-    column-0 block key, backend, a digest of the forcing). The
-    fingerprint's [kind] is ["prefix"]: files of the older ring-state
+    column-0 block key, a digest of the forcing). The fingerprint's
+    [kind] is ["prefix"]: files of the older ring-state
     payload (kind ["general"]) and of the retired order-1 endpoint path
     (kind ["linear"]) are refused with [Checkpoint_error]. Writes are
     atomic (tmp + rename).

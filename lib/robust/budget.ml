@@ -83,14 +83,13 @@ let check_deadline t ~site =
 
 let charge_bytes t ~site n =
   if n > 0 then begin
-    t.heap_bytes <- t.heap_bytes + n;
-    if t.heap_bytes > t.peak_heap_bytes then t.peak_heap_bytes <- t.heap_bytes;
-    match t.max_heap_bytes with
-    | Some limit when t.heap_bytes > limit ->
-        Opm_error.raise_
-          (Opm_error.Budget_exhausted
-             { what = "heap_bytes"; used = t.heap_bytes; limit; site })
-    | _ -> ()
+    let used = t.heap_bytes + n in
+    (match t.max_heap_bytes with
+    | Some limit when used > limit ->
+        Opm_error.raise_ (Opm_error.Budget_exhausted { what = "heap_bytes"; used; limit; site })
+    | _ -> ());
+    t.heap_bytes <- used;
+    if used > t.peak_heap_bytes then t.peak_heap_bytes <- used
   end
 
 let charge_factor ?(bytes = 0) t ~site =

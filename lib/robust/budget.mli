@@ -44,7 +44,9 @@ val charge_factor : ?bytes:int -> t -> site:string -> unit
     raise [Opm_error.Budget_exhausted] if the cap is exceeded. *)
 
 val charge_bytes : t -> site:string -> int -> unit
-(** Add [n] bytes to the resident-heap estimate and check the cap. *)
+(** Add [n] bytes to the resident-heap estimate, unless that would pass
+    the cap: then raise [Opm_error.Budget_exhausted] (its [used] is the
+    refused total) and count nothing. *)
 
 val elapsed_s : t -> float
 val factors : t -> int

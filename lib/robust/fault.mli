@@ -28,7 +28,7 @@
     two server sites from the daemon's accept/connection threads. *)
 
 type site =
-  | Factor  (** pencil factorisation (dense LU / sparse LU) *)
+  | Factor  (** pencil factorisation (sparse LU) *)
   | Column_solve  (** per-column triangular solve *)
   | Fft_block  (** FFT blocked-convolution history query *)
   | Window_handoff  (** column state carried across a window boundary *)

@@ -21,7 +21,7 @@ open Opm_core
 let toeplitz_upper m r = Mat.init m m (fun i j -> if j >= i then r.(j - i) else 0.0)
 
 (* the pencil, history and forcing of the recast system *)
-let plan ?(backend = `Auto) ~grid (mt : Multi_term.t) sources =
+let plan ~grid (mt : Multi_term.t) sources =
   let m = Grid.size grid in
   let h = Grid.t_end grid /. float_of_int m in
   let orders = List.map (fun { Multi_term.alpha; _ } -> alpha) mt.Multi_term.terms in
@@ -35,7 +35,7 @@ let plan ?(backend = `Auto) ~grid (mt : Multi_term.t) sources =
   in
   let lift = toeplitz_upper m (Series.binomial_product 0.0 lags m) in
   let pencil =
-    Engine.pencil backend
+    Engine.pencil
       (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
       @ [ Csr.scale (-1.0) mt.Multi_term.a; mt.Multi_term.a ])
   in
@@ -45,6 +45,6 @@ let plan ?(backend = `Auto) ~grid (mt : Multi_term.t) sources =
   (pencil, history, Mat.mul (Compiled_model.bu_matrix ~grid mt sources) lift)
 
 (* the states X of the recast system *)
-let solve ?backend ~grid mt sources =
-  let pencil, history, bu = plan ?backend ~grid mt sources in
+let solve ~grid mt sources =
+  let pencil, history, bu = plan ~grid mt sources in
   Engine.solve (Engine.prepare Engine.default pencil history) bu

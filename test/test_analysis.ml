@@ -148,15 +148,6 @@ let test_sweep_run_and_extremes () =
   close "min at 2" 0.0 (snd pairs.(2));
   close "max at 0" 4.0 (snd pairs.(0))
 
-let test_sweep_statistics () =
-  let s = Sweep.statistics [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
-  close "mean" 3.0 s.Sweep.mean;
-  close "std" (sqrt 2.5) s.Sweep.std ~tol:1e-12;
-  close "median" 3.0 s.Sweep.median;
-  close "min" 1.0 s.Sweep.min;
-  close "max" 5.0 s.Sweep.max;
-  check_bool "quantile ordering" true (s.Sweep.q05 <= s.Sweep.median && s.Sweep.median <= s.Sweep.q95)
-
 let test_sweep_circuit_study () =
   (* rise time of an RC ladder vs segment resistance: monotone *)
   let rise r =
@@ -289,7 +280,6 @@ let () =
       ( "sweep",
         [
           t "run + extremes" test_sweep_run_and_extremes;
-          t "statistics" test_sweep_statistics;
           t "circuit rise-time study" test_sweep_circuit_study;
         ] );
       ( "poles",

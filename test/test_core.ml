@@ -104,31 +104,23 @@ let random_system seed n =
   let sys = Descriptor.random_stable ~seed ~n ~p:1 ~q:1 () in
   (Descriptor.e_dense sys, Descriptor.a_dense sys)
 
-(* the column engine on explicit (E_k, D_k) terms, naive history scan *)
-let run_terms pencil terms ~bu =
+(* the column engine on explicit dense (E_k, D_k) terms, naive history
+   scan *)
+let solve_terms ~terms ~a ~bu =
   let ds = List.map snd terms in
   Engine.solve
-    (Engine.prepare Engine.default pencil
+    (Engine.prepare Engine.default
+       (Engine.pencil (List.map Csr.of_dense (List.map fst terms @ [ a ])))
        (Engine.triangular ~orders:(List.map (fun _ -> 1.0) ds) ds))
     bu
 
-let solve_dense ~terms ~a ~bu =
-  run_terms
-    (Engine.pencil `Dense (List.map Csr.of_dense (List.map fst terms @ [ a ])))
-    terms ~bu
-
-let solve_sparse ~terms ~a ~bu =
-  run_terms (Engine.pencil `Sparse (List.map fst terms @ [ a ])) terms ~bu
-
 (* the order-1 form: running alternating sum over the given steps *)
-let solve_linear pencil ~steps ~bu =
-  Engine.solve (Engine.prepare Engine.default pencil (Engine.alternating steps)) bu
-
-let solve_linear_dense ~steps ~e ~a ~bu =
-  solve_linear (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) ~steps ~bu
-
-let solve_linear_sparse ~steps ~e ~a ~bu =
-  solve_linear (Engine.pencil `Sparse [ e; a ]) ~steps ~bu
+let solve_linear ~steps ~e ~a ~bu =
+  Engine.solve
+    (Engine.prepare Engine.default
+       (Engine.pencil [ Csr.of_dense e; Csr.of_dense a ])
+       (Engine.alternating steps))
+    bu
 
 let test_engine_column_equals_kron () =
   let e, a = random_system 3 5 in
@@ -137,10 +129,12 @@ let test_engine_column_equals_kron () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 4 |] in
   let bu = Mat.init 5 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x1 = solve_dense ~terms:[ (e, d) ] ~a ~bu in
+  let x1 = solve_terms ~terms:[ (e, d) ] ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms:[ (e, d) ] ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-8
 
+(* the sparse column engine against the dense Kronecker solve of a
+   fractional term *)
 let test_engine_sparse_equals_dense () =
   let e, a = random_system 11 12 in
   let m = 7 in
@@ -148,10 +142,8 @@ let test_engine_sparse_equals_dense () =
   let d = Block_pulse.fractional_differential_matrix grid 0.6 in
   let st = Random.State.make [| 5 |] in
   let bu = Mat.init 12 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let xd = solve_dense ~terms:[ (e, d) ] ~a ~bu in
-  let xs =
-    solve_sparse ~terms:[ (Csr.of_dense e, d) ] ~a:(Csr.of_dense a) ~bu
-  in
+  let xs = solve_terms ~terms:[ (e, d) ] ~a ~bu in
+  let xd = Engine.solve_dense_kron ~terms:[ (e, d) ] ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff xd xs) ~tol:1e-9
 
 let test_engine_multi_term_kron () =
@@ -165,7 +157,7 @@ let test_engine_multi_term_kron () =
   let st = Random.State.make [| 6 |] in
   let bu = Mat.init 4 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let terms = [ (e2, d2); (e1, d1) ] in
-  let x1 = solve_dense ~terms ~a ~bu in
+  let x1 = solve_terms ~terms ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "identical" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-7
 
@@ -177,7 +169,7 @@ let test_engine_residual () =
   let d = Block_pulse.differential_matrix grid in
   let st = Random.State.make [| 7 |] in
   let bu = Mat.init 6 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
-  let x = solve_dense ~terms:[ (e, d) ] ~a ~bu in
+  let x = solve_terms ~terms:[ (e, d) ] ~a ~bu in
   let residual = Mat.sub (Mat.mul (Mat.mul e x) d) (Mat.add (Mat.mul a x) bu) in
   close "residual" 0.0 (Mat.max_abs_diff residual (Mat.zeros 6 m)) ~tol:1e-7
 
@@ -191,22 +183,17 @@ let test_linear_fast_path_equals_generic () =
       let st = Random.State.make [| 8 |] in
       let bu = Mat.init 7 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
       let d = Block_pulse.differential_matrix grid in
-      let x_generic = solve_dense ~terms:[ (e, d) ] ~a ~bu in
-      let x_fast = solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu in
-      close "fast = generic" 0.0 (Mat.max_abs_diff x_fast x_generic) ~tol:1e-8;
-      let x_sparse =
-        solve_linear_sparse ~steps:(Grid.steps grid)
-          ~e:(Csr.of_dense e) ~a:(Csr.of_dense a) ~bu
-      in
-      close "sparse fast = dense fast" 0.0
-        (Mat.max_abs_diff x_sparse x_fast) ~tol:1e-9)
+      let x_generic = solve_terms ~terms:[ (e, d) ] ~a ~bu in
+      let x_fast = solve_linear ~steps:(Grid.steps grid) ~e ~a ~bu in
+      close "fast = generic" 0.0 (Mat.max_abs_diff x_fast x_generic) ~tol:1e-8)
     [ Grid.uniform ~t_end:2.0 ~m:12; Grid.adaptive [| 0.2; 0.5; 0.1; 0.7; 0.3 |] ]
 
 (* regression: the order-1 fast path now skips the E·salt coupling
    matvec whenever the running alternating sum is exactly zero (column
    0, and any column where the sum cancels to ±0.0 in every entry).
    The skip must be invisible: a straight-line replica of the historical
-   recurrence — same pencil, same factorisation, same operation order,
+   recurrence — the pencil 2/h·E − A summed as the engine sums it, the
+   same sparse factorisation and solve, the same operation order,
    coupling matvec applied *unconditionally* — must produce bit-identical
    columns, because E·0 = 0 and adding ±0.0 never changes a float. *)
 let test_linear_salt_skip_bit_identity () =
@@ -218,6 +205,7 @@ let test_linear_salt_skip_bit_identity () =
   let st = Random.State.make [| 21 |] in
   let bu = Mat.init n m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let reference =
+    let e = Csr.of_dense e and a = Csr.of_dense a in
     let x = Mat.zeros n m in
     let salt = Array.make n 0.0 in
     let lu = ref None in
@@ -225,23 +213,23 @@ let test_linear_salt_skip_bit_identity () =
       let h = steps.(i) in
       let rhs = Array.init n (fun r -> Mat.get bu r i) in
       let sign = if i land 1 = 1 then -1.0 else 1.0 in
-      let coupling = Mat.mul_vec e salt in
+      let coupling = Csr.mul_vec e salt in
       Vec.axpy (-4.0 /. h *. sign) coupling rhs;
       let f =
         match !lu with
         | Some f -> f
         | None ->
-            let f = Lu.factor (Mat.sub (Mat.scale (2.0 /. h) e) a) in
+            let f = Slu.factor (Csr.add ~alpha:1.0 ~beta:(2.0 /. h) (Csr.scale (-1.0) a) e) in
             lu := Some f;
             f
       in
-      let xi = Lu.solve f rhs in
+      let xi = Slu.solve f rhs in
       Mat.set_col x i xi;
       Vec.axpy sign xi salt
     done;
     x
   in
-  let fast = solve_linear_dense ~steps ~e ~a ~bu in
+  let fast = solve_linear ~steps ~e ~a ~bu in
   for i = 0 to m - 1 do
     for r = 0 to n - 1 do
       if Mat.get fast r i <> Mat.get reference r i then
@@ -281,8 +269,8 @@ let test_linear_fast_path_adaptive_512 () =
   let st = Random.State.make [| 9 |] in
   let bu = Mat.init 3 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let d = Block_pulse.differential_matrix grid in
-  let x_generic = solve_dense ~terms:[ (e, d) ] ~a ~bu in
-  let x_fast = solve_linear_dense ~steps:(Grid.steps grid) ~e ~a ~bu in
+  let x_generic = solve_terms ~terms:[ (e, d) ] ~a ~bu in
+  let x_fast = solve_linear ~steps:(Grid.steps grid) ~e ~a ~bu in
   close "adaptive 512-step fast path = generic" 0.0
     (Mat.max_abs_diff x_fast x_generic) ~tol:1e-6
 
@@ -291,7 +279,7 @@ let test_engine_dimension_check () =
   let d = Block_pulse.differential_matrix (Grid.uniform ~t_end:1.0 ~m:4) in
   check_bool "bu size mismatch rejected" true
     (try
-       ignore (solve_dense ~terms:[ (e, d) ] ~a ~bu:(Mat.zeros 3 5));
+       ignore (solve_terms ~terms:[ (e, d) ] ~a ~bu:(Mat.zeros 3 5));
        false
      with Invalid_argument _ -> true)
 
@@ -448,7 +436,7 @@ let test_mixed_order_terms () =
   let e = Mat.eye 1 and a = Mat.of_arrays [| [| -1.0 |] |] in
   let bu = Mat.init 1 m (fun _ _ -> 1.0) in
   let terms = [ (e, d1); (e, d12) ] in
-  let x1 = solve_dense ~terms ~a ~bu in
+  let x1 = solve_terms ~terms ~a ~bu in
   let x2 = Engine.solve_dense_kron ~terms ~a ~bu in
   close "column = kron" 0.0 (Mat.max_abs_diff x1 x2) ~tol:1e-9
 
@@ -617,16 +605,7 @@ let test_legendre_solver_x0 () =
     wl.Waveform.times;
   check_bool (Printf.sprintf "spectral discharge (error %.2g)" !err) true (!err < 1e-6)
 
-(* ---------- backends and result packaging ---------- *)
-
-let test_backend_agreement () =
-  let sys = Descriptor.random_stable ~seed:11 ~n:20 ~p:2 ~q:2 () in
-  let grid = Grid.uniform ~t_end:2.0 ~m:32 in
-  let srcs = [| step; Source.Dc 0.25 |] in
-  let rd = Opm.simulate_linear ~backend:`Dense ~grid sys srcs in
-  let rs = Opm.simulate_linear ~backend:`Sparse ~grid sys srcs in
-  close "dense = sparse" 0.0 (Mat.max_abs_diff rd.Sim_result.x rs.Sim_result.x)
-    ~tol:1e-10
+(* ---------- result packaging ---------- *)
 
 let test_result_waveform_shape () =
   let grid = Grid.uniform ~t_end:1.0 ~m:16 in
@@ -709,29 +688,22 @@ let test_toeplitz_oracle () =
                 0.5 +. sin ((0.37 *. float_of_int (i + 1)) +. float_of_int r))
           in
           let kron = Engine.solve_dense_kron ~terms:(List.combine es ds) ~a ~bu in
-          List.iter
-            (fun backend ->
-              let pencil = Engine.pencil backend (List.map Csr.of_dense (es @ [ a ])) in
-              let run history = Engine.solve (Engine.prepare Engine.default pencil history) bu in
-              let x =
-                run
-                  (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m)
-              in
-              let rel reference =
-                Mat.max_abs_diff x reference /. Float.max (Mat.norm_inf reference) 1e-300
-              in
-              let tag =
-                Printf.sprintf "%s α = [%s], m = %d"
-                  (match backend with `Sparse -> "sparse" | _ -> "dense")
-                  (String.concat "; " (List.map string_of_float orders))
-                  m
-              in
-              let within what r =
-                if r > 1e-9 then Alcotest.failf "%s: toeplitz vs %s %.3g > 1e-9" tag what r
-              in
-              within "triangular" (rel (run (Engine.triangular ~orders ds)));
-              within "kron" (rel kron))
-            [ `Dense; `Sparse ])
+          let pencil = Engine.pencil (List.map Csr.of_dense (es @ [ a ])) in
+          let run history = Engine.solve (Engine.prepare Engine.default pencil history) bu in
+          let x = run (Engine.toeplitz ~orders ~step:(t_end /. float_of_int m) m) in
+          let rel reference =
+            Mat.max_abs_diff x reference /. Float.max (Mat.norm_inf reference) 1e-300
+          in
+          let tag =
+            Printf.sprintf "α = [%s], m = %d"
+              (String.concat "; " (List.map string_of_float orders))
+              m
+          in
+          let within what r =
+            if r > 1e-9 then Alcotest.failf "%s: toeplitz vs %s %.3g > 1e-9" tag what r
+          in
+          within "triangular" (rel (run (Engine.triangular ~orders ds)));
+          within "kron" (rel kron))
         [ 1; 2; 7; 32; 33; 48; 64; 65 ])
     systems
 
@@ -775,7 +747,7 @@ let test_oscillator_rounding () =
   let m = 4096 in
   let step = 1.0 /. float_of_int m in
   let w2 = (6.0 *. Float.pi) *. (6.0 *. Float.pi) in
-  let pencil = Engine.pencil `Dense [ Csr.eye 1; Csr.scale (-.w2) (Csr.eye 1) ] in
+  let pencil = Engine.pencil [ Csr.eye 1; Csr.scale (-.w2) (Csr.eye 1) ] in
   List.iter
     (fun (alpha, bound) ->
       let x =
@@ -846,7 +818,7 @@ let fnv1a64_bits x =
   done;
   Printf.sprintf "%016Lx" !h
 
-let frozen_routes (backend : Opm.backend) =
+let frozen_routes () =
   let sys = Descriptor.random_stable ~seed:17 ~n:6 ~p:1 ~q:1 () in
   let src =
     [| Source.Sine { amplitude = 1.0; freq_hz = 0.4; phase = 0.3; offset = 0.2 } |]
@@ -867,105 +839,68 @@ let frozen_routes (backend : Opm.backend) =
   in
   let x r = r.Sim_result.x in
   let frac ?window ?memory_len m =
-    x (Opm.simulate_fractional ~backend ?window ?memory_len ~grid:(uniform m)
-         ~alpha:0.5 sys src)
+    x (Opm.simulate_fractional ?window ?memory_len ~grid:(uniform m) ~alpha:0.5 sys src)
+  in
+  (* the AMD-ordered path at power-grid scale: a second-order NA
+     (n = 768) and a first-order MNA (n = 1 280) pencil *)
+  let net =
+    Opm_circuit.Power_grid.(
+      generate { default_spec with nx = 16; ny = 16; nz = 3; load_count = 8 })
+  in
+  let grid_route stamp () =
+    let mt, srcs = stamp net in
+    x (Opm.simulate_multi_term ~basis:`Bpf ~grid:(Grid.uniform ~t_end:1e-9 ~m:16) mt srcs)
   in
   [
     ("general short", fun () -> frac 64);
     ("general fft", fun () -> frac 512);
-    ( "two-term",
-      fun () ->
-        x (Opm.simulate_multi_term ~backend ~grid:(uniform 64) two_term src) );
-    ( "multi-term fft",
-      fun () ->
-        x (Opm.simulate_multi_term ~backend ~grid:(uniform 512) half_order src) );
-    ( "general adaptive",
-      fun () ->
-        x (Opm.simulate_fractional ~backend ~grid:adaptive ~alpha:0.5 sys src) );
-    ("order-1 uniform", fun () -> x (Opm.simulate_linear ~backend ~grid:(uniform 64) sys src));
-    ("order-1 adaptive", fun () -> x (Opm.simulate_linear ~backend ~grid:adaptive sys src));
+    ("two-term", fun () -> x (Opm.simulate_multi_term ~grid:(uniform 64) two_term src));
+    ("multi-term fft", fun () -> x (Opm.simulate_multi_term ~grid:(uniform 512) half_order src));
+    ("general adaptive", fun () -> x (Opm.simulate_fractional ~grid:adaptive ~alpha:0.5 sys src));
+    ("order-1 uniform", fun () -> x (Opm.simulate_linear ~grid:(uniform 64) sys src));
+    ("order-1 adaptive", fun () -> x (Opm.simulate_linear ~grid:adaptive sys src));
     ("windowed general", fun () -> frac ~window:16 64);
     ("windowed general memory 8", fun () -> frac ~window:16 ~memory_len:8 64);
     ( "windowed order-1",
-      fun () -> x (Opm.simulate_linear ~backend ~window:16 ~grid:(uniform 64) sys src) );
+      fun () -> x (Opm.simulate_linear ~window:16 ~grid:(uniform 64) sys src) );
     ( "compiled query",
       fun () ->
-        let model =
-          Compiled_model.compile_fractional ~backend ~grid:(uniform 64) ~alpha:0.5 sys
-        in
+        let model = Compiled_model.compile_fractional ~grid:(uniform 64) ~alpha:0.5 sys in
         ignore (Compiled_model.solve model src);
         x (Compiled_model.solve model src) );
+    ("power grid NA amd", grid_route (Opm_circuit.Na2.stamp ?outputs:None));
+    ("power grid MNA amd", grid_route (Opm_circuit.Mna.stamp ?outputs:None));
   ]
-  @
-  match backend with
-  | `Sparse ->
-      (* the AMD-ordered path at power-grid scale: a second-order NA
-         (n = 768) and a first-order MNA (n = 1 280) pencil *)
-      let net =
-        Opm_circuit.Power_grid.(
-          generate { default_spec with nx = 16; ny = 16; nz = 3; load_count = 8 })
-      in
-      let grid_route stamp () =
-        let mt, srcs = stamp net in
-        x (Opm.simulate_multi_term ~backend:`Sparse ~basis:`Bpf
-             ~grid:(Grid.uniform ~t_end:1e-9 ~m:16) mt srcs)
-      in
-      [
-        ("power grid NA amd", grid_route (Opm_circuit.Na2.stamp ?outputs:None));
-        ("power grid MNA amd", grid_route (Opm_circuit.Mna.stamp ?outputs:None));
-      ]
-  | `Auto | `Dense -> []
 
 let frozen_digests =
   [
-    ( (`Dense : Opm.backend),
-      [
-          ("general short", "c94fe8bfabfbd0b1");
-          ("general fft", "d4a62739398f0d22");
-          ("two-term", "a7ccc61ed8bc9b10");
-          ("multi-term fft", "206abd7f24c502ea");
-          ("general adaptive", "6fd129340adba265");
-          ("order-1 uniform", "be73f1f2650cfae2");
-          ("order-1 adaptive", "71a55382c072ce4f");
-          ("windowed general", "c94fe8bfabfbd0b1");
-          ("windowed general memory 8", "c19234a74376569c");
-          ("windowed order-1", "be73f1f2650cfae2");
-          ("compiled query", "c94fe8bfabfbd0b1");
-      ] );
-    ( `Sparse,
-      [
-          ("general short", "4682a8983b603a14");
-          ("general fft", "5160a2c0a91e4ae1");
-          ("two-term", "09b169bacb4559cc");
-          ("multi-term fft", "c16ef8cebd1f40a8");
-          ("general adaptive", "2563b438fcc9f5fe");
-          ("order-1 uniform", "223ae2acf69c2ba2");
-          ("order-1 adaptive", "f57d396c8b326a12");
-          ("windowed general", "4682a8983b603a14");
-          ("windowed general memory 8", "5666757a1acc2e93");
-          ("windowed order-1", "223ae2acf69c2ba2");
-          ("compiled query", "4682a8983b603a14");
-          ("power grid NA amd", "ab1143c67dd16384");
-          ("power grid MNA amd", "5773842b2ca54b70");
-      ] );
+    ("general short", "4682a8983b603a14");
+    ("general fft", "5160a2c0a91e4ae1");
+    ("two-term", "09b169bacb4559cc");
+    ("multi-term fft", "c16ef8cebd1f40a8");
+    ("general adaptive", "2563b438fcc9f5fe");
+    ("order-1 uniform", "223ae2acf69c2ba2");
+    ("order-1 adaptive", "f57d396c8b326a12");
+    ("windowed general", "4682a8983b603a14");
+    ("windowed general memory 8", "5666757a1acc2e93");
+    ("windowed order-1", "223ae2acf69c2ba2");
+    ("compiled query", "4682a8983b603a14");
+    ("power grid NA amd", "ab1143c67dd16384");
+    ("power grid MNA amd", "5773842b2ca54b70");
   ]
 
 let test_frozen_bits () =
   (* every route runs before the verdict, so one failure lists each
      moved digest old → new *)
   let mismatches =
-    List.concat_map
-      (fun (backend, expected) ->
-        let tag = match backend with `Sparse -> "sparse" | _ -> "dense" in
-        List.filter_map
-          (fun (name, run) ->
-            let got = fnv1a64_bits (run ()) in
-            match List.assoc_opt name expected with
-            | Some want when want = got -> None
-            | Some want -> Some (Printf.sprintf "%s %s: %s → %s" tag name want got)
-            | None -> Some (Printf.sprintf "%s %s: no frozen digest → %s" tag name got))
-          (frozen_routes backend))
-      frozen_digests
+    List.filter_map
+      (fun (name, run) ->
+        let got = fnv1a64_bits (run ()) in
+        match List.assoc_opt name frozen_digests with
+        | Some want when want = got -> None
+        | Some want -> Some (Printf.sprintf "%s: %s → %s" name want got)
+        | None -> Some (Printf.sprintf "%s: no frozen digest → %s" name got))
+      (frozen_routes ())
   in
   if mismatches <> [] then
     Alcotest.failf "%d route(s) moved:\n  %s" (List.length mismatches)
@@ -999,23 +934,20 @@ let test_fractional_support () =
   let counter name = Opm_obs.Metrics.(counter_value (counter name)) in
   List.iter
     (fun (name, e_frac, fft_blocks) ->
-      List.iter
-        (fun backend ->
-          let mt =
-            Multi_term.make
-              ~terms:[ (Csr.eye 6, 1.0); (e_frac, 0.5) ]
-              ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
-          in
-          let reference = Recast_oracle.solve ~backend ~grid mt src in
-          Opm_obs.Metrics.reset ();
-          let x = (Opm.simulate_multi_term ~backend ~grid mt src).Sim_result.x in
-          let rel = Mat.max_abs_diff x reference /. Mat.norm_inf reference in
-          if not (rel <= 1e-10) then
-            Alcotest.failf "%s: FFT history vs recast scan, rel %.3g > 1e-10" name rel;
-          check_bool (name ^ ": FFT path taken as expected") fft_blocks
-            (counter "engine.rhsconv.blocks" > 0);
-          check_int (name ^ ": no naive columns") 0 (counter "engine.rhsconv.naive_cols"))
-        [ `Dense; `Sparse ])
+      let mt =
+        Multi_term.make
+          ~terms:[ (Csr.eye 6, 1.0); (e_frac, 0.5) ]
+          ~a:sys.Descriptor.a ~b:sys.Descriptor.b ~c:sys.Descriptor.c ()
+      in
+      let reference = Recast_oracle.solve ~grid mt src in
+      Opm_obs.Metrics.reset ();
+      let x = (Opm.simulate_multi_term ~grid mt src).Sim_result.x in
+      let rel = Mat.max_abs_diff x reference /. Mat.norm_inf reference in
+      if not (rel <= 1e-10) then
+        Alcotest.failf "%s: FFT history vs recast scan, rel %.3g > 1e-10" name rel;
+      check_bool (name ^ ": FFT path taken as expected") fft_blocks
+        (counter "engine.rhsconv.blocks" > 0);
+      check_int (name ^ ": no naive columns") 0 (counter "engine.rhsconv.naive_cols"))
     [
       ("support {0, 2, 5}", restrict_cols sys.Descriptor.e [ 0; 2; 5 ], true);
       ("empty support", Csr.zero ~rows:6 ~cols:6, false);
@@ -1032,24 +964,20 @@ let plan_kinds () =
   in
   let half = Multi_term.of_fractional ~alpha:0.5 sys in
   let uniform m = Grid.uniform ~t_end:3.0 ~m in
-  let compile ?backend ?basis ?window ?memory_len grid mt () =
-    Compiled_model.compile ?backend ?basis ?window ?memory_len ~grid mt
+  let compile ?basis ?window ?memory_len grid mt () =
+    Compiled_model.compile ?basis ?window ?memory_len ~grid mt
   in
   [
-    ("order-1 sparse", compile ~backend:`Sparse (uniform 64) (Multi_term.of_linear sys));
-    ( "banded integer order",
-      compile ~backend:`Sparse (uniform 64)
-        (mt [ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]) );
+    ("order-1", compile (uniform 64) (Multi_term.of_linear sys));
+    ("banded integer order", compile (uniform 64) (mt [ (Csr.eye 6, 2.0); (sys.Descriptor.e, 1.0) ]));
     ( "banded fractional short",
       compile (uniform 64) (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
     ( "banded fractional fft",
-      compile ~backend:`Sparse (uniform 512)
-        (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
+      compile (uniform 512) (mt [ (Csr.eye 6, 1.0); (sys.Descriptor.e, 0.5) ]) );
     ( "banded fractional fft, partial support",
       compile (uniform 512)
         (mt [ (Csr.eye 6, 1.0); (restrict_cols sys.Descriptor.e [ 1; 3; 4 ], 0.5) ]) );
-    ( "adaptive triangular",
-      compile ~backend:`Sparse (Grid.geometric ~t_end:3.0 ~m:48 ~ratio:1.03) half );
+    ("adaptive triangular", compile (Grid.geometric ~t_end:3.0 ~m:48 ~ratio:1.03) half);
     ("windowed", compile ~window:16 (uniform 64) half);
     ("windowed memory_len", compile ~window:16 ~memory_len:8 (uniform 64) half);
     ("windowed order-1", compile ~window:16 (uniform 64) (Multi_term.of_linear sys));
@@ -1178,7 +1106,7 @@ let test_spectral_input_order_domains () =
 (* the factor-once contract of a uniform model holds under concurrency:
    one factorisation at compile, one cache hit per query *)
 let test_concurrent_factor_once () =
-  let make = List.assoc "order-1 sparse" (plan_kinds ()) in
+  let make = List.assoc "order-1" (plan_kinds ()) in
   let model = make () in
   Array.init 2 (fun d -> Domain.spawn (fun () -> sweep model ~first:(d * 25) ~count:25))
   |> Array.iter (fun d -> ignore (Domain.join d));
@@ -1200,7 +1128,7 @@ let test_uniform_compile_allocation () =
   in
   let grid = Grid.uniform ~t_end:3.0 ~m:4096 in
   let before = Gc.allocated_bytes () in
-  let model = Compiled_model.compile ~backend:`Dense ~grid mt in
+  let model = Compiled_model.compile ~grid mt in
   let mb = (Gc.allocated_bytes () -. before) /. 1048576.0 in
   ignore (Sys.opaque_identity model);
   if mb >= 16.0 then
@@ -1303,7 +1231,6 @@ let () =
         ] );
       ( "api",
         [
-          t "backend agreement" test_backend_agreement;
           t "result shape" test_result_waveform_shape;
           t "input coefficients" test_input_coefficients;
         ] );

@@ -165,23 +165,10 @@ let solve_term ?health pencil d ~bu =
        (Engine.triangular ~orders:[ 1.0 ] [ d ]))
     bu
 
-let test_singular_dense () =
-  (* second row of both E and A is zero: the pencil d·E − A has a zero
-     row whatever d is, so elimination fails at state index 1 *)
-  let e = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
-  let a = Mat.of_arrays [| [| -1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
-  let grid = Grid.uniform ~t_end:1.0 ~m:4 in
-  let d = Block_pulse.differential_matrix grid in
-  let bu = Mat.init 2 4 (fun _ _ -> 1.0) in
-  match solve_term (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu with
-  | _ -> Alcotest.fail "expected Singular_pencil"
-  | exception Opm_error.Error (Opm_error.Singular_pencil { column; step; _ }) ->
-      check_int "failing time column" 0 column;
-      check_int "failing state" 1 step
-
 let test_singular_sparse_cascade () =
-  (* same singular pencil through the sparse backend: the cascade tries
-     strict pivoting, then a dense factorisation, and only then raises —
+  (* second row of both E and A is zero: the pencil d·E − A has a zero
+     row whatever d is. The cascade tries strict pivoting, then a dense
+     factorisation, which fails at state index 1, and only then raises —
      with the fallback steps visible in the health report *)
   let e = Mat.of_arrays [| [| 1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
   let a = Mat.of_arrays [| [| -1.0; 0.0 |]; [| 0.0; 0.0 |] |] in
@@ -190,9 +177,7 @@ let test_singular_sparse_cascade () =
   let bu = Mat.init 2 4 (fun _ _ -> 1.0) in
   let health = Health.create () in
   match
-    solve_term ~health
-      (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ])
-      d ~bu
+    solve_term ~health (Engine.pencil [ Csr.of_dense e; Csr.of_dense a ]) d ~bu
   with
   | _ -> Alcotest.fail "expected Singular_pencil"
   | exception Opm_error.Error (Opm_error.Singular_pencil { column; step; _ }) ->
@@ -238,7 +223,7 @@ let test_near_singular_refinement () =
     Engine.solve
       (Engine.prepare
          { Engine.default with health = Some health }
-         (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ])
+         (Engine.pencil [ Csr.of_dense e; Csr.of_dense a ])
          (Engine.alternating (Grid.steps grid)))
       bu
   in
@@ -269,23 +254,31 @@ let test_noop_on_well_conditioned () =
   let st = Random.State.make [| 22 |] in
   let bu = Mat.init 8 m (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
   let health = Health.create () in
-  let x_with = solve_term ~health (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu in
-  let x_without = solve_term (Engine.pencil `Dense [ Csr.of_dense e; Csr.of_dense a ]) d ~bu in
+  let pencil () = Engine.pencil [ Csr.of_dense e; Csr.of_dense a ] in
+  let x_with = solve_term ~health (pencil ()) d ~bu in
+  let x_without = solve_term (pencil ()) d ~bu in
   close "bit-identical with/without health" 0.0
     (Mat.max_abs_diff x_with x_without);
   check_int "no fallback events" 0 (Health.fallback_count health);
   check_int "no NaNs" 0 (Health.nans health);
   check_int "every column checked" m (Health.columns health);
-  check_bool "no warnings" true (Health.warnings health = []);
-  let xs_with =
-    solve_term ~health:(Health.create ())
-      (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ])
-      d ~bu
-  in
-  let xs_without =
-    solve_term (Engine.pencil `Sparse [ Csr.of_dense e; Csr.of_dense a ]) d ~bu
-  in
-  close "sparse bit-identical" 0.0 (Mat.max_abs_diff xs_with xs_without)
+  check_bool "no warnings" true (Health.warnings health = [])
+
+(* ---------- budget accounting ---------- *)
+
+(* a refused heap charge is reported with the total it asked for and
+   leaves the estimate and its peak at the admitted bytes *)
+let test_refused_charge_not_counted () =
+  let b = Budget.create ~max_heap_mb:1.0 () in
+  Budget.charge_bytes b ~site:"h" 500_000;
+  (match Budget.charge_bytes b ~site:"h" 800_000 with
+  | () -> Alcotest.fail "expected Budget_exhausted"
+  | exception Opm_error.Error (Opm_error.Budget_exhausted { what; used; limit; _ }) ->
+      Alcotest.(check string) "what" "heap_bytes" what;
+      check_int "used" 1_300_000 used;
+      check_int "limit" 1_048_576 limit);
+  check_int "heap bytes" 500_000 (Budget.heap_bytes b);
+  check_int "peak heap bytes" 500_000 (Budget.peak_heap_bytes b)
 
 (* ---------- health report ---------- *)
 
@@ -467,7 +460,6 @@ let () =
         ] );
       ( "cascade",
         [
-          Alcotest.test_case "singular dense" `Quick test_singular_dense;
           Alcotest.test_case "singular sparse cascade" `Quick
             test_singular_sparse_cascade;
           Alcotest.test_case "singular netlist" `Quick test_singular_netlist;
@@ -475,6 +467,11 @@ let () =
             test_near_singular_refinement;
           Alcotest.test_case "no-op when well-conditioned" `Quick
             test_noop_on_well_conditioned;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "refused heap charge is not counted" `Quick
+            test_refused_charge_not_counted;
         ] );
       ( "health",
         [

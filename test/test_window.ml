@@ -283,7 +283,7 @@ let test_invalid_args () =
 let window_run ?on_window ~w ~grid (mt : Multi_term.t) bu =
   let m = Grid.size grid in
   let pencil =
-    Engine.pencil `Auto
+    Engine.pencil
       (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
       @ [ mt.Multi_term.a ])
   in
@@ -375,7 +375,7 @@ let test_factor_cache_alpha_h_regression () =
   (* E and A do not depend on α: one pencil serves both orders *)
   let fresh_pencil () =
     let mta = mt 0.5 in
-    Engine.pencil `Dense
+    Engine.pencil
       (List.map (fun { Multi_term.coeff; _ } -> coeff) mta.Multi_term.terms
       @ [ mta.Multi_term.a ])
   in
