@@ -1257,7 +1257,7 @@ let compiled_qps () =
   Metrics.set_enabled true;
   Metrics.reset ();
   let t_compile, model =
-    wall (fun () -> Compiled_model.compile_fractional ~grid ~alpha sys)
+    wall (fun () -> Compiled_model.compile ~grid (Multi_term.of_fractional ~alpha sys))
   in
   let t_serve, served =
     wall (fun () ->

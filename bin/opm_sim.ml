@@ -88,7 +88,10 @@ let mode_arg =
   Arg.(value & opt mode_conv Tran & info [ "mode" ] ~docv:"MODE" ~doc)
 
 let t_end_arg =
-  let doc = "Simulation end time in seconds (tran)." in
+  let doc =
+    "Simulation end time in seconds; required, finite and positive for tran, \
+     step-response and impulse-response."
+  in
   Arg.(value & opt (some float) None & info [ "t"; "tend" ] ~docv:"T" ~doc)
 
 let steps_arg =
@@ -291,7 +294,6 @@ let handle_interrupted ~(mt : Multi_term.t) ~t_end ~steps f =
       let grid = Grid.uniform ~t_end:(h *. float_of_int cols) ~m:cols in
       let r =
         Sim_result.make ~grid ~x:partial ~c:mt.Multi_term.c
-          ~state_names:mt.Multi_term.state_names
           ~output_names:mt.Multi_term.output_names ()
       in
       Opm_signal.Waveform.print_csv r.Sim_result.outputs
@@ -318,11 +320,6 @@ let with_state_names names f =
 
 let run_tran ?health ?budget ?checkpoint ?checkpoint_every ?resume_from
     ?window ?memory_len ~basis net outputs t_end steps method_ tol =
-  let t_end =
-    match t_end with
-    | Some t -> t
-    | None -> failwith "transient analysis needs --tend"
-  in
   (match (window, method_) with
   | Some _, (Be | Trap | Gear | Fft | Gl | Exact | Opm_adaptive) ->
       Printf.eprintf
@@ -483,11 +480,6 @@ let run_poles net =
    pencil factorisation made at compile time. *)
 let run_response ~kind net outputs t_end steps =
   let module Mat = Opm_numkit.Mat in
-  let t_end =
-    match t_end with
-    | Some t -> t
-    | None -> failwith "response analysis needs --tend"
-  in
   let mt, _ = Mna.stamp ?outputs net in
   let grid = Grid.uniform ~t_end ~m:steps in
   let p = mt.Multi_term.b.Mat.cols in
@@ -567,9 +559,15 @@ let emit_observability ?resilience ~metrics ~trace ~report ~run_params health
 (* Flag validation (exit 2, one line on stderr): every value-range and
    path problem is caught here, before any netlist parsing or solver
    work, so a bad invocation can never produce a partial run. *)
-let validate_flags ~mode ~method_ ~steps ~window ~memory_len ~basis ~domains
+let validate_flags ~mode ~t_end ~method_ ~steps ~window ~memory_len ~basis ~domains
     ~checkpoint ~resume ~checkpoint_every ~deadline ~max_factors ~max_heap
     ~fault =
+  (match (mode, t_end) with
+  | (Tran | Step_mode | Impulse_mode), None ->
+      usage "--tend is required for --mode %s" (mode_name mode)
+  | _, Some t when not (Float.is_finite t && t > 0.0) ->
+      usage "--tend must be finite and positive (got %g)" t
+  | _ -> ());
   if steps <= 0 then usage "--steps must be positive (got %d)" steps;
   (match window with
   | Some w when w <= 0 -> usage "--window must be positive (got %d)" w
@@ -629,7 +627,7 @@ let run netlist_path mode t_end steps method_ probes tol window memory_len
     trace report checkpoint resume checkpoint_every deadline max_factors
     max_heap fault =
   try
-    validate_flags ~mode ~method_ ~steps ~window ~memory_len ~basis ~domains
+    validate_flags ~mode ~t_end ~method_ ~steps ~window ~memory_len ~basis ~domains
       ~checkpoint ~resume ~checkpoint_every ~deadline ~max_factors ~max_heap
       ~fault;
     (match domains with
@@ -659,12 +657,12 @@ let run netlist_path mode t_end steps method_ probes tol window memory_len
     | Tran ->
         run_tran ?health ?budget ?checkpoint ~checkpoint_every
           ?resume_from:resume ?window ?memory_len ~basis net outputs
-          t_end steps method_ tol
+          (Option.get t_end) steps method_ tol
     | Ac_mode -> run_ac net outputs fstart fstop points
     | Dc_mode -> run_dc net outputs
     | Poles_mode -> run_poles net
-    | Step_mode -> run_response ~kind:`Step net outputs t_end steps
-    | Impulse_mode -> run_response ~kind:`Impulse net outputs t_end steps);
+    | Step_mode -> run_response ~kind:`Step net outputs (Option.get t_end) steps
+    | Impulse_mode -> run_response ~kind:`Impulse net outputs (Option.get t_end) steps);
     let run_params =
       Opm_obs.Json.
         [

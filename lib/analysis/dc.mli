@@ -9,10 +9,6 @@ open Opm_core
     inductors shorted, which is exactly what dropping the [E] term
     does). *)
 
-val operating_point : Descriptor.t -> u0:Vec.t -> Vec.t
-(** Raises [Invalid_argument] on input-size mismatch and
-    {!Opm_sparse.Slu.Singular} if the system has no unique DC solution
-    (e.g. a floating node or a pure integrator). *)
-
 val outputs_at : Descriptor.t -> u0:Vec.t -> Vec.t
-(** [C · operating_point]. *)
+(** [C · x_dc]. Raises [Invalid_argument] unless [u0] has one entry
+    per system input. *)

@@ -24,10 +24,8 @@ let of_descriptor ?(shift = 1.0) (sys : Descriptor.t) =
                 { Complex.re = shift; im = 0.0 }))
   |> Array.of_list
 
-let is_stable ?shift ?(margin = 0.0) sys =
-  Array.for_all
-    (fun z -> z.Complex.re <= -.margin)
-    (of_descriptor ?shift sys)
+let is_stable ?shift sys =
+  Array.for_all (fun z -> z.Complex.re <= 0.0) (of_descriptor ?shift sys)
 
 let fractional_stability_angle ~alpha z =
   Float.abs (Complex.arg z) > alpha *. Float.pi /. 2.0

@@ -16,8 +16,8 @@ val of_descriptor : ?shift:float -> Descriptor.t -> Complex.t array
     pole magnitude if a [Singular] escape occurs). Eigenvalues with
     [|μ|] below [1e-9·max|μ|] are treated as infinite and dropped. *)
 
-val is_stable : ?shift:float -> ?margin:float -> Descriptor.t -> bool
-(** All finite poles satisfy [Re λ <= −margin] (default [margin = 0]). *)
+val is_stable : ?shift:float -> Descriptor.t -> bool
+(** All finite poles satisfy [Re λ <= 0]. *)
 
 val fractional_stability_angle : alpha:float -> Complex.t -> bool
 (** Matignon's criterion for the fractional system

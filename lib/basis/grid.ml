@@ -3,13 +3,19 @@ type t =
   | Adaptive of { steps : float array }
 
 let uniform ~t_end ~m =
-  if t_end <= 0.0 then invalid_arg "Grid.uniform: t_end <= 0";
+  (* written so that NaN fails too *)
+  if not (Float.is_finite t_end && t_end > 0.0) then
+    invalid_arg "Grid.uniform: t_end must be finite and > 0";
   if m <= 0 then invalid_arg "Grid.uniform: m <= 0";
   Uniform { t_end; m }
 
 let adaptive steps =
   if Array.length steps = 0 then invalid_arg "Grid.adaptive: no steps";
-  Array.iter (fun h -> if h <= 0.0 then invalid_arg "Grid.adaptive: step <= 0") steps;
+  Array.iter
+    (fun h ->
+      if not (Float.is_finite h && h > 0.0) then
+        invalid_arg "Grid.adaptive: steps must be finite and > 0")
+    steps;
   Adaptive { steps }
 
 let size = function

@@ -9,10 +9,12 @@ type t =
   | Adaptive of { steps : float array }
 
 val uniform : t_end:float -> m:int -> t
-(** Raises [Invalid_argument] unless [t_end > 0] and [m > 0]. *)
+(** Raises [Invalid_argument] unless [t_end] is finite and [> 0] and
+    [m > 0]. *)
 
 val adaptive : float array -> t
-(** Raises [Invalid_argument] unless all steps are positive. *)
+(** Raises [Invalid_argument] unless there is a step and every step is
+    finite and positive. *)
 
 val size : t -> int
 (** Number of intervals [m]. *)

@@ -69,6 +69,3 @@ let integral_matrix grid = similarity grid (Block_pulse.integral_matrix grid)
 
 let differential_matrix grid =
   similarity grid (Block_pulse.differential_matrix grid)
-
-let fractional_differential_matrix grid alpha =
-  similarity grid (Block_pulse.fractional_differential_matrix grid alpha)

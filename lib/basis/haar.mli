@@ -23,5 +23,3 @@ val inverse_transform : Vec.t -> Vec.t
 val integral_matrix : Grid.t -> Mat.t
 
 val differential_matrix : Grid.t -> Mat.t
-
-val fractional_differential_matrix : Grid.t -> float -> Mat.t

@@ -59,11 +59,6 @@ val jacobi_eval : a:float -> b:float -> deg:int -> float -> float
 val collocation : t_end:float -> m:int -> colloc
 (** The [{0} ∪ Gauss] collocation layout on [[0, t_end]]. *)
 
-val barycentric_weights : float array -> float array
-(** Barycentric weights of a distinct-node set, products scaled by the
-    capacity [(max − min)/4] so they neither overflow nor underflow at
-    the sizes spectral collocation uses. *)
-
 val resample_matrix : colloc -> float array -> Mat.t
 (** [R] of shape [(len times) × (m+1)]: [R_{kj} = ℓ_j(t_k)], the
     cardinal functions of [colloc.all] evaluated at the output times —

@@ -66,13 +66,8 @@ let similarity grid op =
   let w_inv = Mat.scale (1.0 /. float_of_int m) (Mat.transpose w) in
   Mat.mul (Mat.mul w op) w_inv
 
-let integral_matrix grid = similarity grid (Block_pulse.integral_matrix grid)
-
 let differential_matrix grid =
   similarity grid (Block_pulse.differential_matrix grid)
-
-let fractional_differential_matrix grid alpha =
-  similarity grid (Block_pulse.fractional_differential_matrix grid alpha)
 
 let truncate_spectrum ~keep c =
   Array.mapi (fun i v -> if i < keep then v else 0.0) c

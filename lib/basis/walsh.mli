@@ -31,12 +31,8 @@ val bpf_to_walsh : Vec.t -> Vec.t
 val walsh_to_bpf : Vec.t -> Vec.t
 (** Inverse change of basis: [c_B = Wᵀ c_W]. *)
 
-val integral_matrix : Grid.t -> Mat.t
-(** [H_W = W H_B W^{−1}] on a uniform power-of-two grid. *)
-
 val differential_matrix : Grid.t -> Mat.t
-
-val fractional_differential_matrix : Grid.t -> float -> Mat.t
+(** [D_W = W D_B W^{−1}] on a uniform power-of-two grid. *)
 
 val truncate_spectrum : keep:int -> Vec.t -> Vec.t
 (** Zero all Walsh coefficients above sequency index [keep − 1]: the

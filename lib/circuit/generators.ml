@@ -1,21 +1,21 @@
 
-let rc_ladder ?(r = 1e3) ?(c = 1e-9) ~sections ~input () =
+let rc_ladder ?(r = 1e3) ~sections ~input () =
   if sections <= 0 then invalid_arg "Generators.rc_ladder: sections <= 0";
   let net = Netlist.create () in
   Netlist.add net (Netlist.v "Vin" "in" "0" input);
   let node k = if k = 0 then "in" else Printf.sprintf "n%d" k in
   for k = 1 to sections do
     Netlist.add net (Netlist.r (Printf.sprintf "R%d" k) (node (k - 1)) (node k) r);
-    Netlist.add net (Netlist.c (Printf.sprintf "C%d" k) (node k) "0" c)
+    Netlist.add net (Netlist.c (Printf.sprintf "C%d" k) (node k) "0" 1e-9)
   done;
   net
 
-let rc_two_time_scale ?(tau_fast = 1e-6) ?(tau_slow = 1e-4) ~input () =
+let rc_two_time_scale ~input () =
   let r1 = 1e3 in
-  let c1 = tau_fast /. r1 in
+  let c1 = 1e-6 /. r1 in
   (* large second stage decoupled through a big resistor *)
   let r2 = 1e5 in
-  let c2 = tau_slow /. r2 in
+  let c2 = 1e-4 /. r2 in
   Netlist.of_list
     [
       Netlist.v "Vin" "in" "0" input;

@@ -3,17 +3,14 @@ open Opm_signal
 (** Parametric circuit generators used by the examples, tests and the
     benchmark workloads. *)
 
-val rc_ladder :
-  ?r:float -> ?c:float -> sections:int -> input:Source.t -> unit -> Netlist.t
+val rc_ladder : ?r:float -> sections:int -> input:Source.t -> unit -> Netlist.t
 (** Classic RC ladder: [V_in — R — n1 — R — n2 … ], each internal node
-    with [C] to ground. Defaults [r = 1 kΩ], [c = 1 nF]. The input is a
-    voltage source at node ["in"]. *)
+    with 1 nF to ground. Default [r = 1 kΩ]. The input is a voltage
+    source at node ["in"]. *)
 
-val rc_two_time_scale :
-  ?tau_fast:float -> ?tau_slow:float -> input:Source.t -> unit -> Netlist.t
-(** Two cascaded RC stages with time constants [tau_fast ≪ tau_slow]
-    (defaults 1 µs and 100 µs) — the stiff benchmark for the adaptive
-    step ablation. *)
+val rc_two_time_scale : input:Source.t -> unit -> Netlist.t
+(** Two cascaded RC stages with time constants 1 µs and 100 µs — the
+    stiff benchmark for the adaptive step ablation. *)
 
 val random_rlc : ?seed:int -> nodes:int -> input:Source.t -> unit -> Netlist.t
 (** Random passive RLC network for differential testing, deterministic

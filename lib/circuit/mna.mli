@@ -41,6 +41,3 @@ val stamp_fractional :
     order [α] (plus resistors and sources), return the single-term
     fractional descriptor [(sys, α, sources)] of paper eq. (19);
     [None] if the netlist does not have that shape. *)
-
-val state_names : Netlist.t -> string array
-(** ["v(node)" …; "i(L…)" …; "i(V…)" …] in stamping order. *)

@@ -28,7 +28,7 @@ type walk = {
    before the driver gives up with a structured error *)
 let max_non_finite_retries = 3
 
-let solve ?(tol = 1e-4) ?health ?budget ?h_init ?h_min ?h_max ~t_end
+let solve ?(tol = 1e-4) ?health ?budget ?h_init ~t_end
     (sys : Descriptor.t) sources =
   Trace.with_span "adaptive.solve" @@ fun () ->
   if t_end <= 0.0 then invalid_arg "Adaptive.solve: t_end <= 0";
@@ -37,8 +37,7 @@ let solve ?(tol = 1e-4) ?health ?budget ?h_init ?h_min ?h_max ~t_end
   if Array.length sources <> p then
     invalid_arg "Adaptive.solve: source count mismatch";
   let h_init = Option.value h_init ~default:(t_end /. 100.0) in
-  let h_min = Option.value h_min ~default:(t_end *. 1e-9) in
-  let h_max = Option.value h_max ~default:(t_end /. 4.0) in
+  let h_min = t_end *. 1e-9 and h_max = t_end /. 4.0 in
   let e = Descriptor.e_dense sys and a = Descriptor.a_dense sys in
   let factorizations = ref 0 in
   (* small cache keyed by the step length: repeated h values (e.g. after
@@ -182,8 +181,7 @@ let solve ?(tol = 1e-4) ?health ?budget ?h_init ?h_min ?h_max ~t_end
   let x = Mat.zeros n m in
   Array.iteri (fun i col -> Mat.set_col x i col) cols;
   let result =
-    Sim_result.make ?health ~grid ~x ~c:sys.Descriptor.c
-      ~state_names:sys.Descriptor.state_names
+    Sim_result.make ~grid ~x ~c:sys.Descriptor.c
       ~output_names:sys.Descriptor.output_names ()
   in
   (result, { accepted = m; rejected = !rejected; factorizations = !factorizations })

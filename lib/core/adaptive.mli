@@ -31,16 +31,14 @@ val solve :
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
   ?h_init:float ->
-  ?h_min:float ->
-  ?h_max:float ->
   t_end:float ->
   Descriptor.t ->
   Source.t array ->
   Sim_result.t * stats
 (** [tol] is the per-step local error tolerance relative to the state
-    scale (default [1e-4]). [h_init] defaults to [t_end/100]; [h_min]
-    to [t_end·1e-9]; [h_max] to [t_end/4]. A step at [h_min] is
-    accepted even above [tol], with a logged warning.
+    scale (default [1e-4]). [h_init] defaults to [t_end/100]. Steps
+    stay within [[t_end·1e-9, t_end/4]]; a step at the floor
+    [t_end·1e-9] is accepted even above [tol], with a logged warning.
 
     A trial step whose solution contains NaN/Inf is never fed to the
     error estimate (whose NaN comparisons would reject forever):

@@ -145,8 +145,6 @@ type t = {
 
 let grid t = t.grid
 
-let system t = t.sys
-
 let queries t = Atomic.get t.queries
 
 (* Per-model factor statistics, read from this model's own pencil. The
@@ -232,9 +230,6 @@ let compile ?(basis = `Bpf) ?health ?window ?memory_len ~grid (sys : Multi_term.
             : Engine.plan);
       model (Column { pencil; history }) window memory_len
 
-let compile_fractional ?basis ?health ?window ?memory_len ~grid ~alpha sys =
-  compile ?basis ?health ?window ?memory_len ~grid (Multi_term.of_fractional ~alpha sys)
-
 let count_query t =
   Atomic.incr t.queries;
   Metrics.incr m_queries
@@ -259,9 +254,8 @@ let column_query ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?ax0
   let hits =
     match t.window with
     | Some window ->
-        (Window.run ?memory_len:t.memory_len ?checkpoint ?checkpoint_every ?resume_from
-           ~window ctx pencil history ~bu ~emit)
-          .Window.factor_hits
+        Window.run ?memory_len:t.memory_len ?checkpoint ?checkpoint_every ?resume_from
+          ~window ctx pencil history ~bu ~emit
     | None ->
         let plan = Engine.prepare ctx pencil history in
         Engine.run plan ~bu ~emit;
@@ -283,7 +277,7 @@ let spectral_rejected () =
     "Compiled_model: spectral-basis models sample sources at the \
      collocation nodes — use solve, not BPF coefficients"
 
-let solve_coeffs ?health ?budget t u =
+let solve_coeffs t u =
   let p = Multi_term.input_count t.sys in
   let m = Grid.size t.grid in
   let ur, uc = Mat.dims u in
@@ -297,7 +291,7 @@ let solve_coeffs ?health ?budget t u =
   | Spectral _ -> spectral_rejected ()
   | Column { pencil; history } ->
       let x = Mat.zeros (Multi_term.order t.sys) m in
-      column_query ?health ?budget t pencil history u (fun i xi -> Mat.set_col x i xi);
+      column_query t pencil history u (fun i xi -> Mat.set_col x i xi);
       x
 
 let solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources =
@@ -307,9 +301,8 @@ let solve_spectral ?health ?budget ?checkpoint ?resume_from ?x0 t sp sources =
   Metrics.incr m_factor_reuse;
   result
 
-let result ?health t x =
-  Sim_result.make ?health ~grid:t.grid ~x ~c:t.sys.Multi_term.c
-    ~state_names:t.sys.Multi_term.state_names
+let result t x =
+  Sim_result.make ~grid:t.grid ~x ~c:t.sys.Multi_term.c
     ~output_names:t.sys.Multi_term.output_names ()
 
 let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
@@ -323,12 +316,12 @@ let solve ?health ?budget ?checkpoint ?checkpoint_every ?resume_from ?x0 t
         (match x0 with
         | None -> fun i xi -> Mat.set_col x i xi
         | Some x0 -> fun i xi -> Array.iteri (fun r v -> Mat.set x r i (v +. x0.(r))) xi);
-      result ?health t x
+      result t x
 
-let solve_outputs ?health ?budget ?x0 t sources =
+let solve_outputs ?budget ?x0 t sources =
   match t.plan with
-  | Spectral _ -> (solve ?health ?budget ?x0 t sources).Sim_result.outputs
+  | Spectral _ -> (solve ?budget ?x0 t sources).Sim_result.outputs
   | Column { pencil; history } ->
       let ys, emit = output_sink (mul_rows t.sys.Multi_term.c) x0 (Grid.size t.grid) in
-      column_solve ?health ?budget ?x0 t pencil history sources emit;
+      column_solve ?budget ?x0 t pencil history sources emit;
       Waveform.make ~labels:t.sys.Multi_term.output_names (Grid.midpoints t.grid) ys

@@ -93,17 +93,6 @@ val compile :
     [?window]/[?memory_len] raise [Invalid_argument], and so do
     adaptive grids. *)
 
-val compile_fractional :
-  ?basis:basis ->
-  ?health:Opm_robust.Health.t ->
-  ?window:int ->
-  ?memory_len:int ->
-  grid:Grid.t ->
-  alpha:float ->
-  Descriptor.t ->
-  t
-(** [compile] of {!Multi_term.of_fractional}. *)
-
 val solve :
   ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
@@ -127,13 +116,12 @@ val solve :
     {!Window.Interrupted}. *)
 
 val solve_outputs :
-  ?health:Opm_robust.Health.t ->
   ?budget:Opm_robust.Budget.t ->
   ?x0:Vec.t ->
   t ->
   Source.t array ->
   Waveform.t
-(** The outputs of one query, [(solve ?health ?budget ?x0 t sources).outputs],
+(** The outputs of one query, [(solve ?budget ?x0 t sources).outputs],
     without the states. On a global block-pulse model it streams: each
     solved column goes straight into [y_i = C·x_i] and no [n×m] matrix
     is built: a query holds its [q×m] outputs and the column state its
@@ -148,8 +136,7 @@ val solve_outputs :
     [solve_outputs t s] equals [(solve t s).outputs] bit for bit on
     every plan kind, with and without [x0]. *)
 
-val solve_coeffs :
-  ?health:Opm_robust.Health.t -> ?budget:Opm_robust.Budget.t -> t -> Mat.t -> Mat.t
+val solve_coeffs : t -> Mat.t -> Mat.t
 (** Raw query: [u] is the [p×m] input-coefficient matrix (already in
     BPF coordinates — see {!input_coefficients}); applies the input
     derivative [U·D^r] when the system has one and returns the raw
@@ -179,8 +166,6 @@ val factorisations : t -> int
     spectral model reports its collocation factorisations. *)
 
 val grid : t -> Grid.t
-
-val system : t -> Multi_term.t
 
 val basis : t -> basis
 (** The basis this model was compiled in. *)

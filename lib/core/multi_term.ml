@@ -70,68 +70,3 @@ let second_order ?input_order ?state_names ?output_names ~m2 ~m1 ~m0 ~b ~c () =
 let order sys = fst (Csr.dims sys.a)
 
 let input_count sys = snd (Mat.dims sys.b)
-
-let output_count sys = fst (Mat.dims sys.c)
-
-let to_first_order sys =
-  if sys.input_order <> 0 then
-    invalid_arg "Multi_term.to_first_order: differentiated input";
-  let n = order sys in
-  let find_order target =
-    List.filter (fun t -> t.alpha = target) sys.terms
-    |> List.fold_left
-         (fun acc t ->
-           match acc with
-           | None -> Some t.coeff
-           | Some prev -> Some (Csr.add prev t.coeff))
-         None
-  in
-  List.iter
-    (fun t ->
-      if t.alpha <> 1.0 && t.alpha <> 2.0 then
-        invalid_arg
-          (Printf.sprintf
-             "Multi_term.to_first_order: order %g is not in {1, 2}" t.alpha))
-    sys.terms;
-  let e1 = find_order 1.0 in
-  match find_order 2.0 with
-  | None ->
-      (* already first order *)
-      let e =
-        match e1 with Some m -> m | None -> Csr.zero ~rows:n ~cols:n
-      in
-      Descriptor.make ~state_names:sys.state_names
-        ~output_names:sys.output_names ~e ~a:sys.a ~b:sys.b ~c:sys.c ()
-  | Some e2 ->
-      let e1 = Option.value e1 ~default:(Csr.zero ~rows:n ~cols:n) in
-      let coo_e = Coo.create ~rows:(2 * n) ~cols:(2 * n) in
-      for i = 0 to n - 1 do
-        Coo.add coo_e i i 1.0
-      done;
-      Csr.iter (fun i j v -> Coo.add coo_e (n + i) (n + j) v) e2;
-      let coo_a = Coo.create ~rows:(2 * n) ~cols:(2 * n) in
-      for i = 0 to n - 1 do
-        Coo.add coo_a i (n + i) 1.0
-      done;
-      Csr.iter (fun i j v -> Coo.add coo_a (n + i) j v) sys.a;
-      Csr.iter (fun i j v -> Coo.add coo_a (n + i) (n + j) (-.v)) e1;
-      let p = input_count sys in
-      let b = Mat.zeros (2 * n) p in
-      for i = 0 to n - 1 do
-        for j = 0 to p - 1 do
-          Mat.set b (n + i) j (Mat.get sys.b i j)
-        done
-      done;
-      let q = output_count sys in
-      let c = Mat.zeros q (2 * n) in
-      for i = 0 to q - 1 do
-        for j = 0 to n - 1 do
-          Mat.set c i j (Mat.get sys.c i j)
-        done
-      done;
-      let state_names =
-        Array.append sys.state_names
-          (Array.map (Printf.sprintf "d/dt %s") sys.state_names)
-      in
-      Descriptor.make ~state_names ~output_names:sys.output_names
-        ~e:(Coo.to_csr coo_e) ~a:(Coo.to_csr coo_a) ~b ~c ()

@@ -61,20 +61,3 @@ val second_order :
 val order : t -> int
 
 val input_count : t -> int
-
-val output_count : t -> int
-
-val to_first_order : t -> Descriptor.t
-(** Companion (first-order) realisation of an *integer-order* system
-    with orders ⊆ {1, 2} and [input_order = 0]:
-
-    [E₂ ẍ + E₁ ẋ = A x + B u]  becomes, with [v = ẋ],
-
-    [[I 0; 0 E₂] d/dt [x; v] = [0 I; A −E₁] [x; v] + [0; B] u].
-
-    This is how classical transient schemes consume a high-order model
-    (at the price of doubling the unknown count — exactly the
-    NA-vs-MNA trade-off of the paper's Table II); OPM instead simulates
-    the high-order form directly. A pure order-1 system converts
-    without augmentation. Raises [Invalid_argument] for fractional or
-    higher orders, or a differentiated input. *)

@@ -18,15 +18,12 @@ let simulate_multi_term ?basis ?health ?budget ?checkpoint ?checkpoint_every
   Compiled_model.solve ?health ?budget ?checkpoint ?checkpoint_every
     ?resume_from ?x0 t sources
 
-let simulate_fractional ?basis ?health ?budget ?checkpoint ?checkpoint_every
-    ?resume_from ?x0 ?window ?memory_len ~grid ~alpha sys sources =
-  simulate_multi_term ?basis ?health ?budget ?checkpoint ?checkpoint_every
-    ?resume_from ?x0 ?window ?memory_len ~grid
+let simulate_fractional ?budget ?checkpoint ?checkpoint_every ?resume_from ?window
+    ?memory_len ~grid ~alpha sys sources =
+  simulate_multi_term ?budget ?checkpoint ?checkpoint_every ?resume_from ?window
+    ?memory_len ~grid
     (Multi_term.of_fractional ~alpha sys)
     sources
 
-let simulate_linear ?basis ?health ?budget ?checkpoint ?checkpoint_every
-    ?resume_from ?x0 ?window ?memory_len ~grid sys sources =
-  simulate_multi_term ?basis ?health ?budget ?checkpoint ?checkpoint_every
-    ?resume_from ?x0 ?window ?memory_len ~grid
-    (Multi_term.of_linear sys) sources
+let simulate_linear ~grid sys sources =
+  simulate_multi_term ~grid (Multi_term.of_linear sys) sources

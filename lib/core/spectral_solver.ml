@@ -9,20 +9,15 @@ module Trace = Opm_obs.Trace
 
 (* The dense Kronecker operator: factor Σ_k (M_kᵀ ⊗ C_k) once, then
    solve Σ_k C_k X M_k = R for many right-hand sides. [make] raises a
-   structured Singular_pencil, records the condition estimate into
-   [health] and charges [budget] one factorisation of (nm)² floats;
-   [solve] raises a structured Non_finite on NaN/Inf. *)
+   structured Singular_pencil and records the condition estimate into
+   [health]; [solve] checks the deadline of [budget] and raises a
+   structured Non_finite on NaN/Inf. *)
 module Operator = struct
   type t = { n : int; m : int; lu : Lu.t }
 
-  let make ?health ?budget ~n ~m terms =
+  let make ?health ~n ~m terms =
     Trace.with_span "spectral.factor" @@ fun () ->
     let nm = n * m in
-    (match budget with
-    | Some bgt ->
-        Budget.check_deadline_now bgt ~site:"spectral.factor";
-        Budget.charge_factor ~bytes:(nm * nm * 8) bgt ~site:"spectral.factor"
-    | None -> ());
     let op = Mat.zeros nm nm in
     let od = op.Mat.data in
     List.iter
@@ -110,15 +105,11 @@ type t = {
   reuse : int Atomic.t;
 }
 
-let colloc t = t.colloc
-
-let grid t = t.grid
-
 let factorisations _ = 1
 
 let factor_reuse t = Atomic.get t.reuse
 
-let compile ?health ?budget ~grid (sys : Multi_term.t) =
+let compile ?health ~grid (sys : Multi_term.t) =
   Trace.with_span "spectral.compile" @@ fun () ->
   (match grid with
   | Grid.Uniform _ -> ()
@@ -136,7 +127,7 @@ let compile ?health ?budget ~grid (sys : Multi_term.t) =
        sys.Multi_term.terms)
     @ [ (Mat.scale (-1.0) (Csr.to_dense sys.Multi_term.a), Mat.eye m) ]
   in
-  let op = Operator.make ?health ?budget ~n ~m terms in
+  let op = Operator.make ?health ~n ~m terms in
   let resample = Jacobi.resample_matrix colloc (Grid.midpoints grid) in
   {
     sys;
@@ -180,8 +171,7 @@ let solve_z ?health ?budget t bu =
   Atomic.incr t.reuse;
   Operator.solve ?health ?budget t.op bu
 
-let solve_nodal ?health ?budget t sources =
-  solve_z ?health ?budget t (bu_nodal t sources)
+let solve_nodal t sources = solve_z t (bu_nodal t sources)
 
 let anchored t z =
   let n, mz = Mat.dims z in
@@ -218,6 +208,5 @@ let solve ?health ?budget ?x0 t sources =
         let rows, cols = Mat.dims x_mid in
         Mat.init rows cols (fun r i -> Mat.get x_mid r i +. x0.(r))
   in
-  Sim_result.make ?health ~grid:t.grid ~x:x_mid ~c:t.sys.Multi_term.c
-    ~state_names:t.sys.Multi_term.state_names
+  Sim_result.make ~grid:t.grid ~x:x_mid ~c:t.sys.Multi_term.c
     ~output_names:t.sys.Multi_term.output_names ()

@@ -21,8 +21,8 @@ open Opm_signal
     thousands of block pulses on smooth sources). Guardrails from
     [lib/robust] apply: the factorisation records a Hager/Higham
     condition estimate into [?health], raises structured
-    [Opm_error.Singular_pencil]/[Non_finite] errors, and charges
-    [?budget] for the factorisation and deadline.
+    [Opm_error.Singular_pencil]/[Non_finite] errors, and a {!solve}
+    checks the deadline of its [?budget].
 
     Inputs are {e sampled} at the collocation nodes (no projection
     integrals); the input derivative of [input_order = r] systems is
@@ -44,7 +44,6 @@ type t
 
 val compile :
   ?health:Opm_robust.Health.t ->
-  ?budget:Opm_robust.Budget.t ->
   grid:Grid.t ->
   Multi_term.t ->
   t
@@ -65,14 +64,9 @@ val solve :
     under the zero-initial-derivative convention, so only the
     right-hand side sees [x₀]), back-solve against the compiled
     factors, and resample the interpolant onto the grid midpoints for
-    the {!Sim_result} waveform views. *)
+    the {!Sim_result} output waveform. *)
 
-val solve_nodal :
-  ?health:Opm_robust.Health.t ->
-  ?budget:Opm_robust.Budget.t ->
-  t ->
-  Source.t array ->
-  Mat.t
+val solve_nodal : t -> Source.t array -> Mat.t
 (** Raw query with zero initial state: the [n × m] state values at the
     Gauss collocation nodes (no resampling, no output projection). *)
 
@@ -82,10 +76,6 @@ val sample : t -> Mat.t -> float array -> Mat.t
     the spectral-accuracy way to compare against references on grids
     much finer than [m] (linear waveform resampling would drown the
     spectral error in interpolation error). *)
-
-val colloc : t -> Jacobi.colloc
-
-val grid : t -> Grid.t
 
 val factorisations : t -> int
 (** Always 1: the compile-time factorisation. *)

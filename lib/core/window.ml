@@ -4,15 +4,6 @@ module Json = Opm_obs.Json
 module Metrics = Opm_obs.Metrics
 module Trace = Opm_obs.Trace
 
-type stats = {
-  windows : int;
-  width : int;
-  memory_len : int;
-  factor_hits : int;
-  factor_misses : int;
-  handoff_seconds : float;
-}
-
 exception
   Interrupted of {
     error : Opm_error.t;
@@ -37,24 +28,6 @@ let () =
 let m_windows = Metrics.counter "window.count"
 let m_factor_reuse = Metrics.counter "window.factor_reuse"
 let h_handoff = Metrics.histogram "window.handoff_seconds"
-
-(* The banded recast of one term, α = N + β with N = ⌊α⌋, keeps the
-   integer band exact and sums the kernel κ = (1−q)^α·(1+q)^{N−α}; a
-   memory cutoff drops only κ's tail. κ alternates and decays like
-   lag^{β−1}. *)
-let truncation_mass ~alpha ~lags ~memory_len =
-  if memory_len < 0 then invalid_arg "Window.truncation_mass: memory_len < 0";
-  if Float.is_integer alpha || lags < 1 || memory_len >= lags then 0.0
-  else begin
-    let kappa = Series.binomial_product alpha (Float.of_int (truncate alpha) -. alpha) (lags + 1) in
-    let total = ref 0.0 and tail = ref 0.0 in
-    for j = 1 to lags do
-      let a = Float.abs kappa.(j) in
-      total := !total +. a;
-      if j > memory_len then tail := !tail +. a
-    done;
-    if !total = 0.0 then 0.0 else !tail /. !total
-  end
 
 let cp_fail path message =
   Opm_error.raise_ (Opm_error.Checkpoint_error { path; message })
@@ -82,7 +55,7 @@ let decode_prefix path n j =
       Array.init c (fun k -> Array.sub a (k * r) r)
   | _ -> cp_fail path "malformed prefix"
 
-let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
+let run ?memory_len ?checkpoint ?(checkpoint_every = 1) ?resume_from
     ~window ctx pencil history ~bu ~emit =
   Trace.with_span "window.solve" @@ fun () ->
   if window < 1 then invalid_arg "Window.run: window width must be >= 1";
@@ -102,7 +75,6 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
     let m, key = Engine.identity plan in
     let w = min window m in
     let k_eff = match memory_len with None -> m | Some k -> min k m in
-    let nwin = (m + w - 1) / w in
     if keep then prefix := Array.make m [||];
     (* The fingerprint ties a checkpoint to everything the resumed run
        must share for bit-identity: dimensions, effective window and
@@ -158,7 +130,7 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
           last_checkpoint := Some path;
           cols
     in
-    let stage = Array.make w [||] and handoff = ref 0.0 in
+    let stage = Array.make w [||] in
     (* the boundary after column c − 1 commits the window [s, c) *)
     let at c =
       let t0 = Unix.gettimeofday () in
@@ -170,9 +142,6 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
       committed := c;
       incr completed;
       Metrics.incr m_windows;
-      Option.iter
-        (fun f -> f ~index:(s / w) ~start:s (mat_of_cols n (Array.sub stage 0 (c - s))))
-        on_window;
       (match checkpoint with
       | Some path when !completed mod checkpoint_every = 0 || c = m ->
           Checkpoint.save ~path
@@ -183,9 +152,7 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
                ]);
           last_checkpoint := Some path
       | Some _ | None -> ());
-      let dt = Unix.gettimeofday () -. t0 in
-      handoff := !handoff +. dt;
-      Metrics.observe h_handoff dt
+      Metrics.observe h_handoff (Unix.gettimeofday () -. t0)
     in
     Engine.run
       ~boundary:
@@ -193,16 +160,9 @@ let run ?memory_len ?on_window ?checkpoint ?(checkpoint_every = 1) ?resume_from
       ~replay:(Array.length resumed, Array.get resumed)
       plan ~bu
       ~emit:(fun i x -> stage.(i mod w) <- x);
-    let hits, misses = Engine.lookups plan in
+    let hits, _ = Engine.lookups plan in
     Metrics.incr ~by:hits m_factor_reuse;
-    {
-      windows = nwin;
-      width = w;
-      memory_len = k_eff;
-      factor_hits = hits;
-      factor_misses = misses;
-      handoff_seconds = !handoff;
-    }
+    hits
   in
   (* a budget or checkpoint-write breach mid-run surfaces as
      [Interrupted] carrying the committed prefix and the last good

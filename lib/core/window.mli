@@ -8,8 +8,8 @@ open Opm_numkit
     horizon of [m] columns is the global {!Engine.run} with a boundary
     hook every [w] columns (the last window possibly shorter). Without
     [?memory_len] its columns are those of the global solve, bit for
-    bit. The hook commits each window to the caller's sink, calls
-    [?on_window], writes the checkpoint, and runs the [window-handoff]
+    bit. The hook commits each window to the caller's sink, writes the
+    checkpoint, and runs the [window-handoff]
     fault site and the ["window.boundary"] deadline check (see
     {!Engine.run}).
 
@@ -25,37 +25,13 @@ open Opm_numkit
     decay like [lag^{β−1}] ([β = α − N]), so a fixed per-column cut of
     [K] lags would not be sound; the window-aligned cutoff keeps at
     least [K] lags for every column. A truncated solve commits a
-    relative error empirically below {!truncation_mass}.
+    relative error empirically below the fraction of [|κ|] weight the
+    cutoff drops (see [test/test_window.ml]).
 
     Observability: [window.count] counts windows, [window.factor_reuse]
     the pencil lookups served from the factor cache, and
     [window.handoff_seconds] observes the time of each boundary (commit,
-    [on_window], checkpoint). The run is one ["window.solve"] span. *)
-
-type stats = {
-  windows : int;  (** number of windows, [⌈m/w⌉] *)
-  width : int;  (** effective window width [min w m] *)
-  memory_len : int;  (** effective history length [K] ([m] for full memory) *)
-  factor_hits : int;
-      (** pencil-factor lookups served from the cache {e during this
-          call}: 1 on a uniform grid whose block a compiled model has
-          prefactored, 0 on a pencil never factored before *)
-  factor_misses : int;  (** factorisations actually computed this call *)
-  handoff_seconds : float;
-      (** total wall time spent at window boundaries: commits,
-          [on_window] and checkpoint writes *)
-}
-
-val truncation_mass : alpha:float -> lags:int -> memory_len:int -> float
-(** [truncation_mass ~alpha ~lags ~memory_len] =
-    [Σ_{K < j ≤ lags} |κ_j| / Σ_{1 ≤ j ≤ lags} |κ_j|] for the banded
-    kernel [κ = (1−q)^α (1+q)^{N−α}], [N = ⌊α⌋], of one term of order
-    [α] (the only part a memory cutoff drops) — the fraction of history
-    weight a [memory_len = K] cutoff discards over a horizon with
-    [lags] ([= m − 1]) reachable lags. [0.] for integer [α] (carried
-    exactly) and whenever nothing is truncated; the windowed-vs-global
-    relative error of a truncated solve is empirically below this mass
-    (see [test/test_window.ml]). *)
+    checkpoint). The run is one ["window.solve"] span. *)
 
 exception
   Interrupted of {
@@ -78,7 +54,6 @@ exception
 
 val run :
   ?memory_len:int ->
-  ?on_window:(index:int -> start:int -> Mat.t -> unit) ->
   ?checkpoint:string ->
   ?checkpoint_every:int ->
   ?resume_from:string ->
@@ -88,13 +63,14 @@ val run :
   Engine.history ->
   bu:(int -> Vec.t) ->
   emit:(int -> Vec.t -> unit) ->
-  stats
+  int
 (** [run ~window:w ctx pencil history ~bu ~emit] prepares the plan and
     runs the column loop with a boundary every [w] columns. Column [i]
     of the forcing is [bu i] ({!Engine.run}). Each window's columns
-    reach [emit i x_i], in order, only once the whole window is solved;
-    [?on_window] then gets its index, starting column and [n×wlen]
-    block. The history must belong to a uniform grid ({!Engine.toeplitz}
+    reach [emit i x_i], in order, only once the whole window is solved.
+    Returns the pencil-factor lookups served from the cache during this
+    call: 1 on a uniform grid whose block a compiled model has
+    prefactored, 0 on a pencil never factored before. The history must belong to a uniform grid ({!Engine.toeplitz}
     or {!Engine.alternating} over one step): the checkpoint fingerprint
     identifies it by its column-0 block. [w ≥ m] is a single window.
 
@@ -120,8 +96,7 @@ val run :
     replays it into the column state ({!Engine.run}'s [?replay]) and
     continues from the next window. The fingerprint must match the
     current call exactly or [Checkpoint_error] is raised. A resumed run
-    is bit-identical to the uninterrupted one. [?on_window] is {e not}
-    re-fired for restored windows.
+    is bit-identical to the uninterrupted one.
 
     Raises [Invalid_argument] when [window < 1], [memory_len < 0] or
     [checkpoint_every < 1]. *)

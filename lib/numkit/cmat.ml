@@ -11,8 +11,6 @@ let init rows cols f =
   done;
   { rows; cols; data }
 
-let eye n = init n n (fun i j -> if i = j then Complex.one else Complex.zero)
-
 let of_real a =
   let rows, cols = Mat.dims a in
   init rows cols (fun i j -> { Complex.re = Mat.get a i j; im = 0.0 })
@@ -29,39 +27,11 @@ let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg ("Cmat." ^ name ^ ": dimension mismatch")
 
-let add a b =
-  check_same "add" a b;
-  { a with data = Array.init (Array.length a.data) (fun k -> Complex.add a.data.(k) b.data.(k)) }
-
 let sub a b =
   check_same "sub" a b;
   { a with data = Array.init (Array.length a.data) (fun k -> Complex.sub a.data.(k) b.data.(k)) }
 
 let scale s a = { a with data = Array.map (Complex.mul s) a.data }
-
-let mul a b =
-  if a.cols <> b.rows then invalid_arg "Cmat.mul: inner dimension mismatch";
-  let c = zeros a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if aik <> Complex.zero then
-        for j = 0 to b.cols - 1 do
-          c.data.((i * c.cols) + j) <-
-            Complex.add c.data.((i * c.cols) + j) (Complex.mul aik (get b k j))
-        done
-    done
-  done;
-  c
-
-let mul_vec a x =
-  if a.cols <> Array.length x then invalid_arg "Cmat.mul_vec: dimension mismatch";
-  Array.init a.rows (fun i ->
-      let s = ref Complex.zero in
-      for j = 0 to a.cols - 1 do
-        s := Complex.add !s (Complex.mul (get a i j) x.(j))
-      done;
-      !s)
 
 let max_abs_diff a b =
   check_same "max_abs_diff" a b;

@@ -9,8 +9,6 @@ type t = { rows : int; cols : int; data : Complex.t array }
 
 val zeros : int -> int -> t
 
-val eye : int -> t
-
 val init : int -> int -> (int -> int -> Complex.t) -> t
 
 val of_real : Mat.t -> t
@@ -19,19 +17,9 @@ val get : t -> int -> int -> Complex.t
 
 val set : t -> int -> int -> Complex.t -> unit
 
-val dims : t -> int * int
-
-val copy : t -> t
-
-val add : t -> t -> t
-
 val sub : t -> t -> t
 
 val scale : Complex.t -> t -> t
-
-val mul : t -> t -> t
-
-val mul_vec : t -> Complex.t array -> Complex.t array
 
 val max_abs_diff : t -> t -> float
 

@@ -236,7 +236,6 @@ let mul_spectra ~zr ~zi ~kr ~ki ~wr ~wi size =
 
 module Blocked_conv = struct
   type spectra = {
-    base : int;  (** naive-tail width; power of two *)
     m : int;  (** horizon (column count) *)
     kernels : float array array;  (** per-term lag coefficients; index = lag *)
     tw : twiddles;  (** sized for the largest level; serves every level *)
@@ -260,14 +259,13 @@ module Blocked_conv = struct
     mutable blocks : int;  (** FFT block convolutions performed (obs) *)
   }
 
-  let default_base = 32
+  (* the naive-tail width and smallest block size; a power of two *)
+  let base = 32
 
   (* the transform size of the top level, 0 without levels *)
-  let top_size ~base nlevels = if nlevels = 0 then 0 else 2 * (base lsl (nlevels - 1))
+  let top_size nlevels = if nlevels = 0 then 0 else 2 * (base lsl (nlevels - 1))
 
-  let spectra ?(base = default_base) ~kernels ~m () =
-    if base < 2 || not (is_power_of_two base) then
-      invalid_arg "Fft.Blocked_conv.spectra: base must be a power of two >= 2";
+  let spectra ~kernels ~m () =
     if m < 1 then invalid_arg "Fft.Blocked_conv.spectra: m < 1";
     if Array.length kernels = 0 then
       invalid_arg "Fft.Blocked_conv.spectra: no kernels";
@@ -275,7 +273,7 @@ module Blocked_conv = struct
       let rec go l = if base lsl l < m then go (l + 1) else l in
       go 0
     in
-    let tw = twiddles (top_size ~base nlevels) in
+    let tw = twiddles (top_size nlevels) in
     let khat =
       Array.init nlevels (fun lvl ->
           let b = base lsl lvl in
@@ -285,11 +283,11 @@ module Blocked_conv = struct
               if hi <= b then None else Some (kernel_spectrum tw kernel ~lo:b ~hi (2 * b)))
             kernels)
     in
-    { base; m; kernels; tw; khat; nlevels }
+    { m; kernels; tw; khat; nlevels }
 
   let create sp ~rows =
     if rows < 1 then invalid_arg "Fft.Blocked_conv.create: rows < 1";
-    let scratch () = Array.make (top_size ~base:sp.base sp.nlevels) 0.0 in
+    let scratch () = Array.make (top_size sp.nlevels) 0.0 in
     {
       sp;
       rows;
@@ -320,7 +318,7 @@ module Blocked_conv = struct
   (* one finished block at level [lvl] ending at column [p] *)
   let flush_block t lvl p =
     let sp = t.sp in
-    let b = sp.base lsl lvl in
+    let b = base lsl lvl in
     let b2 = 2 * b in
     let khat = sp.khat.(lvl) in
     let { zr; zi; wr; wi; _ } = t in
@@ -364,10 +362,10 @@ module Blocked_conv = struct
     done;
     t.pushed <- p0 + 1;
     let p = p0 + 1 in
-    if p < sp.m && p mod sp.base = 0 then
+    if p < sp.m && p mod base = 0 then
       Opm_obs.Trace.with_span "rhs_conv" @@ fun () ->
       for lvl = 0 to sp.nlevels - 1 do
-        if p mod (sp.base lsl lvl) = 0 then flush_block t lvl p
+        if p mod (base lsl lvl) = 0 then flush_block t lvl p
       done
 
   let history t ~term i =
@@ -375,7 +373,7 @@ module Blocked_conv = struct
       invalid_arg "Fft.Blocked_conv.history: column not pushed yet";
     let sp = t.sp in
     let kernel = sp.kernels.(term) in
-    let lmax = min (min (sp.base - 1) i) (Array.length kernel - 1) in
+    let lmax = min (min (base - 1) i) (Array.length kernel - 1) in
     let acc = t.acc.(term) in
     let y = Array.make t.rows 0.0 in
     for r = 0 to t.rows - 1 do

@@ -12,8 +12,6 @@
     Conventions: forward [X_k = Σ_n x_n e^{-2πi kn/N}], inverse divides
     by [N]. *)
 
-val is_power_of_two : int -> bool
-
 val fft : Complex.t array -> Complex.t array
 (** Forward DFT of any length ([length >= 1]). Power-of-two inputs take
     the radix-2 path; others go through Bluestein. *)
@@ -33,16 +31,13 @@ val frequencies : int -> float -> float array
     [0 … n/2] map to [2πk/(n·dt)] and the upper bins to the negative
     frequencies [2π(k−n)/(n·dt)]. *)
 
-val next_power_of_two : int -> int
-(** Smallest power of two [>= max 1 n]. *)
-
 (** Blocked online ("relaxed") convolution for causal history sums.
 
     Computes [y(i) = Σ_{l≥1} k(l)·x(i−l)] online, where column [x(i)]
     only becomes known {e after} [y(i)] has been consumed (the OPM solver
-    uses the history term to produce the next column). Lags below [base]
+    uses the history term to produce the next column). Lags below 32
     are summed naively at query time; lags in [[B, 2B)] for each dyadic
-    block size [B = base·2^ℓ] are batch-convolved by FFT whenever the
+    block size [B = 32·2^ℓ] are batch-convolved by FFT whenever the
     push count reaches a multiple of [B], into a per-column accumulator.
     Work is O(m log² m) per row per kernel over the whole horizon.
 
@@ -63,13 +58,12 @@ val next_power_of_two : int -> int
 module Blocked_conv : sig
   type spectra
 
-  val spectra : ?base:int -> kernels:float array array -> m:int -> unit -> spectra
+  val spectra : kernels:float array array -> m:int -> unit -> spectra
   (** [spectra ~kernels ~m ()] precomputes the kernel spectra of every
       dyadic level for an [m]-column horizon. [kernels.(k).(l)] is the
       lag-[l] coefficient of term [k] (lag 0 is never consumed — history
       is strictly causal); the array is shared, not copied, so it must
-      not change afterwards. [base] (default 32) is the naive-tail width
-      and the smallest FFT block size; it must be a power of two ≥ 2. *)
+      not change afterwards. *)
 
   type t
 

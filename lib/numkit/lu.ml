@@ -178,10 +178,6 @@ let solve_mat lu b =
 
 let solve_dense a b = solve (factor a) b
 
-let inverse a =
-  let n, _ = Mat.dims a in
-  solve_mat (factor a) (Mat.eye n)
-
 (* Hager/Higham power iteration on ‖A⁻¹‖₁ using one solve with A and one
    with Aᵀ per step (Higham, "FORTRAN codes for estimating the matrix
    one-norm", Algorithm 2.4 without the extra-vector safeguard). *)

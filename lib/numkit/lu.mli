@@ -44,8 +44,6 @@ val solve_mat : t -> Mat.t -> Mat.t
 val solve_dense : Mat.t -> Vec.t -> Vec.t
 (** One-shot [factor] + [solve]. *)
 
-val inverse : Mat.t -> Mat.t
-
 val inv_norm1_est :
   n:int -> solve:(Vec.t -> Vec.t) -> solve_t:(Vec.t -> Vec.t) -> float
 (** Hager/Higham estimate of [‖M⁻¹‖₁] for any operator given as a pair

@@ -18,17 +18,9 @@ let init rows cols f =
 
 let eye n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let diag v =
-  let n = Array.length v in
-  init n n (fun i j -> if i = j then v.(i) else 0.0)
-
 let get a i j = a.data.((i * a.cols) + j)
 
 let set a i j x = a.data.((i * a.cols) + j) <- x
-
-let update a i j f =
-  let k = (i * a.cols) + j in
-  a.data.(k) <- f a.data.(k)
 
 let of_arrays rows_arr =
   let rows = Array.length rows_arr in
@@ -171,16 +163,3 @@ let is_upper_triangular ?(tol = 0.0) a =
     done
   done;
   !ok
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to a.rows - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to a.cols - 1 do
-      if j > 0 then Format.fprintf ppf "  ";
-      Format.fprintf ppf "%10.4g" (get a i j)
-    done;
-    Format.fprintf ppf "@]";
-    if i < a.rows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -7,8 +7,6 @@
 
 type t = { rows : int; cols : int; data : float array }
 
-val create : int -> int -> float -> t
-
 val zeros : int -> int -> t
 
 val eye : int -> t
@@ -17,17 +15,12 @@ val eye : int -> t
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] has entry [f i j] at row [i], column [j]. *)
 
-val diag : Vec.t -> t
-(** Square matrix with the given diagonal. *)
-
 val of_arrays : float array array -> t
 (** Rows given as arrays; all rows must have equal length. *)
 
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-
-val update : t -> int -> int -> (float -> float) -> unit
 
 val dims : t -> int * int
 
@@ -40,8 +33,6 @@ val row : t -> int -> Vec.t
 val col : t -> int -> Vec.t
 
 val set_col : t -> int -> Vec.t -> unit
-
-val map : (float -> float) -> t -> t
 
 val add : t -> t -> t
 
@@ -72,5 +63,3 @@ val max_abs_diff : t -> t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 
 val is_upper_triangular : ?tol:float -> t -> bool
-
-val pp : Format.formatter -> t -> unit

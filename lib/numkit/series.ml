@@ -20,5 +20,3 @@ let binomial_product a b n =
   c
 
 let one_minus_over_one_plus_pow alpha n = binomial_product alpha (-.alpha) n
-
-let eval c x = Array.fold_right (fun ck acc -> (acc *. x) +. ck) c 0.0

@@ -23,6 +23,3 @@ val one_minus_over_one_plus_pow : float -> int -> t
     prefactor: {!binomial_product}[ α (−α) n], whose recurrence reads
     [(k+1)·c_{k+1} = (k−1)·c_{k−1} − 2α·c_k]. For [α = 3/2], [n = 4] this
     yields [1; −3; 4.5; −5.5] (paper eq. 23). *)
-
-val eval : t -> float -> float
-(** Scalar Horner evaluation. *)

@@ -1,20 +1,8 @@
 type t = float array
 
-let create n x = Array.make n x
-
 let zeros n = Array.make n 0.0
 
-let init = Array.init
-
 let copy = Array.copy
-
-let dim = Array.length
-
-let of_list = Array.of_list
-
-let to_list = Array.to_list
-
-let map = Array.map
 
 let check_dims name x y =
   if Array.length x <> Array.length y then
@@ -68,10 +56,3 @@ let max_abs_diff x y =
 
 let approx_equal ?(tol = 1e-9) x y =
   Array.length x = Array.length y && max_abs_diff x y <= tol
-
-let pp ppf x =
-  Format.fprintf ppf "[|%a|]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       (fun ppf v -> Format.fprintf ppf "%g" v))
-    (Array.to_list x)

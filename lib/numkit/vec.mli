@@ -7,25 +7,9 @@
 
 type t = float array
 
-val create : int -> float -> t
-(** [create n x] is a vector of [n] copies of [x]. *)
-
 val zeros : int -> t
 
-val init : int -> (int -> float) -> t
-
 val copy : t -> t
-
-val dim : t -> int
-
-val of_list : float list -> t
-
-val to_list : t -> float list
-
-val map : (float -> float) -> t -> t
-
-val map2 : (float -> float -> float) -> t -> t -> t
-(** Raises [Invalid_argument] on dimension mismatch. *)
 
 val add : t -> t -> t
 
@@ -51,5 +35,3 @@ val max_abs_diff : t -> t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Component-wise comparison with absolute tolerance [tol]
     (default [1e-9]); also requires equal dimensions. *)
-
-val pp : Format.formatter -> t -> unit

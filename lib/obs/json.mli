@@ -24,8 +24,6 @@ val to_string : ?indent:bool -> t -> string
     indentation (stable key order — objects print in construction
     order). *)
 
-val to_channel : ?indent:bool -> out_channel -> t -> unit
-
 val to_file : ?indent:bool -> string -> t -> unit
 (** Writes the document followed by a trailing newline. *)
 

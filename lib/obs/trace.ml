@@ -1,7 +1,5 @@
 let enabled_flag = Atomic.make false
 
-let enabled () = Atomic.get enabled_flag
-
 let set_enabled b = Atomic.set enabled_flag b
 
 type span = {

@@ -16,8 +16,6 @@
     - {!to_profile_string}: a flat text profile aggregated by span
       path (calls, total, mean, self time). *)
 
-val enabled : unit -> bool
-
 val set_enabled : bool -> unit
 
 val reset : unit -> unit

@@ -275,28 +275,6 @@ let map t f xs =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let mapi t f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else if Array.length t.workers = 0 || Domain.DLS.get inside_job then
-    Array.mapi f xs
-  else begin
-    let out = Array.make n None in
-    parallel_for t ~n (fun i -> out.(i) <- Some (f i xs.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let init t n f =
-  if n < 0 then invalid_arg "Pool.init: negative length";
-  if n = 0 then [||]
-  else if Array.length t.workers = 0 || Domain.DLS.get inside_job then
-    Array.init n f
-  else begin
-    let out = Array.make n None in
-    parallel_for t ~n (fun i -> out.(i) <- Some (f i));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Process-wide shared pool                                            *)
 

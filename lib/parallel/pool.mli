@@ -23,16 +23,8 @@
 
 type t
 
-val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains − 1] reusable workers.
-    Defaults to {!default_domains}. Raises [Invalid_argument] if
-    [domains < 1]. *)
-
 val domains : t -> int
 (** Total domain count, including the caller. *)
-
-val shutdown : t -> unit
-(** Join all workers. The pool must not be used afterwards. Idempotent. *)
 
 val parallel_for : t -> n:int -> (int -> unit) -> unit
 (** [parallel_for t ~n f] runs [f i] for every [i] in [[0, n)], split
@@ -44,13 +36,10 @@ val parallel_for : t -> n:int -> (int -> unit) -> unit
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; output order matches input order. *)
 
-val mapi : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-
-val init : t -> int -> (int -> 'b) -> 'b array
-(** Parallel [Array.init]. *)
-
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** Create a pool, run the function, always shut the pool down. *)
+(** Create a pool of [domains] (default {!default_domains}: it spawns
+    [domains − 1] workers), run the function, always shut the pool
+    down. Raises [Invalid_argument] if [domains < 1]. *)
 
 val default_domains : unit -> int
 (** Current default pool size (override / [OPM_DOMAINS] / hardware). *)

@@ -92,15 +92,18 @@ let charge_bytes t ~site n =
     if used > t.peak_heap_bytes then t.peak_heap_bytes <- used
   end
 
+(* both caps are checked before anything is counted: a refused
+   factorisation, or one whose bytes are refused, never ran *)
 let charge_factor ?(bytes = 0) t ~site =
-  t.factors <- t.factors + 1;
+  let attempted = t.factors + 1 in
   (match t.max_factors with
-  | Some limit when t.factors > limit ->
+  | Some limit when attempted > limit ->
       Opm_error.raise_
         (Opm_error.Budget_exhausted
-           { what = "factorisations"; used = t.factors; limit; site })
+           { what = "factorisations"; used = attempted; limit; site })
   | _ -> ());
-  charge_bytes t ~site bytes
+  charge_bytes t ~site bytes;
+  t.factors <- attempted
 
 let factors t = t.factors
 let heap_bytes t = t.heap_bytes

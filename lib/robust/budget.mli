@@ -41,14 +41,15 @@ val check_deadline_now : t -> site:string -> unit
 
 val charge_factor : ?bytes:int -> t -> site:string -> unit
 (** Count one factorisation (and optionally its estimated footprint);
-    raise [Opm_error.Budget_exhausted] if the cap is exceeded. *)
+    raise [Opm_error.Budget_exhausted] if either cap would be exceeded.
+    A refused charge counts nothing: neither the factorisation nor its
+    bytes (the error reports the attempted count). *)
 
 val charge_bytes : t -> site:string -> int -> unit
 (** Add [n] bytes to the resident-heap estimate, unless that would pass
     the cap: then raise [Opm_error.Budget_exhausted] (its [used] is the
     refused total) and count nothing. *)
 
-val elapsed_s : t -> float
 val factors : t -> int
 val heap_bytes : t -> int
 val peak_heap_bytes : t -> int

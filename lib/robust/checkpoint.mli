@@ -23,11 +23,6 @@
     decimal text cannot represent NaN/Inf and would tempt lossy
     round-trips. *)
 
-val schema : string
-(** ["opm-checkpoint-v1"]. *)
-
-val version : int
-
 val encode_floats : float array -> Opm_obs.Json.t
 (** 16 lowercase hex digits per element (IEEE-754 bits, big-endian
     digit order); round-trips every bit pattern including NaN/Inf. *)

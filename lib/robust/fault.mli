@@ -45,14 +45,10 @@ val all_sites : site list
 val all_kinds : kind list
 
 val site_to_string : site -> string
-val site_of_string : string -> site option
 val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 
 val plan_of_string : string -> (plan, string) result
 (** Parse [seed:site:nth] or [seed:site:kind:nth]; [nth] is 1-based. *)
-
-val plan_to_string : plan -> string
 
 val arm : plan -> unit
 (** Install the plan and reset all occurrence counters. *)

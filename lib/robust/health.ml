@@ -98,14 +98,14 @@ let counted (s, k) = if k = 1 then s else Printf.sprintf "%s ×%d" s k
 
 let default_cond_limit = 1e8
 
-let warnings ?(cond_limit = default_cond_limit) t =
+let warnings t =
   let w = ref [] in
   let add fmt = Printf.ksprintf (fun s -> w := s :: !w) fmt in
   if t.nans > 0 || t.infs > 0 then
     add "%d NaN and %d Inf entries in the solution" t.nans t.infs;
-  if t.worst_cond > cond_limit then
+  if t.worst_cond > default_cond_limit then
     add "worst condition estimate %.3g exceeds %.3g — expect %.0f-digit loss"
-      t.worst_cond cond_limit
+      t.worst_cond default_cond_limit
       (Float.min 16.0 (Float.max 0.0 (Float.log10 t.worst_cond)));
   if t.total_events > 0 then
     add "%d fallback event(s) taken (run was recoverable, not clean)"
@@ -142,7 +142,7 @@ let event_to_json e =
           ("retry", Json.Int retry);
         ]
 
-let to_json ?cond_limit t =
+let to_json t =
   let open Opm_obs in
   Json.Obj
     [
@@ -155,11 +155,11 @@ let to_json ?cond_limit t =
       ("dropped_events", Json.Int (dropped_events t));
       ("events", Json.List (List.map event_to_json (events t)));
       ( "warnings",
-        Json.List (List.map (fun w -> Json.String w) (warnings ?cond_limit t))
+        Json.List (List.map (fun w -> Json.String w) (warnings t))
       );
     ]
 
-let to_string ?cond_limit t =
+let to_string t =
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   line "simulation health report";
@@ -174,7 +174,7 @@ let to_string ?cond_limit t =
   if dropped_events t > 0 then
     line "    … %d more event(s) beyond the %d-entry cap (counted, not stored)"
       (dropped_events t) event_cap;
-  (match warnings ?cond_limit t with
+  (match warnings t with
   | [] -> line "status: ok"
   | ws ->
       line "status: %d warning(s)" (List.length ws);

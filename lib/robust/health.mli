@@ -23,8 +23,6 @@ type event =
   | Step_halved of { t : float; h : float; retry : int }
       (** adaptive driver halved a step that produced non-finite values *)
 
-val event_to_string : event -> string
-
 type t
 
 val create : unit -> t
@@ -74,16 +72,15 @@ val default_cond_limit : float
 (** [1e8] — above this 1-norm condition estimate the engine attempts
     one step of iterative refinement and the report flags a warning. *)
 
-val warnings : ?cond_limit:float -> t -> string list
+val warnings : t -> string list
 (** Empty iff the run was clean: finite everywhere, no fallback events,
-    worst condition estimate below [cond_limit]
-    (default {!default_cond_limit}). *)
+    worst condition estimate at most {!default_cond_limit}. *)
 
-val to_string : ?cond_limit:float -> t -> string
+val to_string : t -> string
 (** Multi-line report: counters first, then fallback events, then
     warnings (or ["status: ok"]). *)
 
-val to_json : ?cond_limit:float -> t -> Opm_obs.Json.t
+val to_json : t -> Opm_obs.Json.t
 (** The same report as a JSON object
     [{columns, nans, infs, max_residual, worst_cond, events, warnings}]
     — the ["health"] block of an {i Opm_obs.Report} document. A clean

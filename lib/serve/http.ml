@@ -183,17 +183,13 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let write_response fd ~status ?(content_type = "application/json")
-    ?(extra_headers = []) ?(close = false) ~body () =
+let write_response fd ~status ?(close = false) ~body () =
   let buf = Buffer.create (String.length body + 256) in
   Buffer.add_string buf
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string buf (Printf.sprintf "Content-Type: %s\r\n" content_type);
+  Buffer.add_string buf "Content-Type: application/json\r\n";
   Buffer.add_string buf
     (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    extra_headers;
   if close then Buffer.add_string buf "Connection: close\r\n";
   Buffer.add_string buf "\r\n";
   Buffer.add_string buf body;

@@ -26,9 +26,6 @@ type request = {
   body : string;  (** [Content-Length] bytes (possibly empty) *)
 }
 
-val header : request -> string -> string option
-(** Case-insensitive header lookup (first occurrence). *)
-
 val wants_close : request -> bool
 (** Whether the peer asked to close after this exchange
     ([Connection: close], or HTTP/1.0 without [keep-alive]). *)
@@ -49,20 +46,15 @@ val read_request :
     [max_header] (default 16 KiB; status 431) or a read timeout
     (status 408, from a [SO_RCVTIMEO] the server armed). *)
 
-val reason : int -> string
-(** Canonical reason phrase (["Unprocessable Entity"] for 422, …). *)
-
 val write_response :
   Unix.file_descr ->
   status:int ->
-  ?content_type:string ->
-  ?extra_headers:(string * string) list ->
   ?close:bool ->
   body:string ->
   unit ->
   unit
-(** Write a complete response ([Content-Length] framing; default
-    content type [application/json]; [?close] adds
+(** Write a complete response ([Content-Length] framing; content type
+    [application/json]; [?close] adds
     [Connection: close]). Raises [Unix.Unix_error] if the peer is
     gone — callers treat that as a closed connection, never as a
     server failure. *)

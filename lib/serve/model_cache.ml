@@ -136,8 +136,6 @@ let pinned t =
   locked t.mu (fun () ->
       Hashtbl.fold (fun _ e n -> if e.refs > 0 then n + 1 else n) t.table 0)
 
-let hits t = locked t.mu (fun () -> t.hits)
-let misses t = locked t.mu (fun () -> t.misses)
 let evictions t = locked t.mu (fun () -> t.evictions)
 
 let stats_json t =

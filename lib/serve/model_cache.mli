@@ -51,12 +51,6 @@ val length : t -> int
 val pinned : t -> int
 (** Entries with in-flight requests right now. *)
 
-val hits : t -> int
-(** Requests that found their plant resident. *)
-
-val misses : t -> int
-(** Requests that had to compile. *)
-
 val evictions : t -> int
 
 val stats_json : t -> Opm_obs.Json.t

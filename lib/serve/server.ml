@@ -416,7 +416,6 @@ let start ?(config = default_config) () =
   t
 
 let port t = t.bound_port
-let cache t = t.cache
 let requests t = Atomic.get t.request_count
 
 let stop t =

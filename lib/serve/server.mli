@@ -76,8 +76,6 @@ val start : ?config:config -> unit -> t
 val port : t -> int
 (** The bound port — the ephemeral one when [config.port = 0]. *)
 
-val cache : t -> Model_cache.t
-
 val requests : t -> int
 (** Requests parsed so far (all endpoints). *)
 

@@ -169,15 +169,3 @@ let rec integral src a b =
 
 let average src a b =
   if a = b then eval src a else integral src a b /. (b -. a)
-
-let pp ppf = function
-  | Dc v -> Format.fprintf ppf "dc(%g)" v
-  | Step { amplitude; delay } -> Format.fprintf ppf "step(%g@@%g)" amplitude delay
-  | Pulse { low; high; delay; width; period } ->
-      Format.fprintf ppf "pulse(%g->%g@@%g,w=%g,T=%g)" low high delay width period
-  | Sine { amplitude; freq_hz; phase; offset } ->
-      Format.fprintf ppf "sine(A=%g,f=%g,ph=%g,off=%g)" amplitude freq_hz phase offset
-  | Exp_decay { amplitude; tau } -> Format.fprintf ppf "exp(%g,tau=%g)" amplitude tau
-  | Ramp { slope; delay } -> Format.fprintf ppf "ramp(%g@@%g)" slope delay
-  | Pwl points -> Format.fprintf ppf "pwl(%d points)" (List.length points)
-  | Fn _ -> Format.fprintf ppf "fn(<opaque>)"

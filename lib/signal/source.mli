@@ -35,5 +35,3 @@ val average : t -> float -> float -> float
 val pwl : (float * float) list -> t
 (** Validated PWL constructor: raises [Invalid_argument] unless times are
     strictly increasing. *)
-
-val pp : Format.formatter -> t -> unit

@@ -84,4 +84,4 @@ let to_csv w =
     w.times;
   Buffer.contents buf
 
-let print_csv ?(oc = stdout) w = output_string oc (to_csv w)
+let print_csv w = print_string (to_csv w)

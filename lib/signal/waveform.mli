@@ -33,4 +33,5 @@ val bpf_grid : t_end:float -> m:int -> float array
 
 val to_csv : t -> string
 
-val print_csv : ?oc:out_channel -> t -> unit
+val print_csv : t -> unit
+(** {!to_csv} on stdout. *)

@@ -1,5 +1,3 @@
-open Opm_numkit
-
 type t = {
   rows : int;
   cols : int;
@@ -36,10 +34,6 @@ let add t i j v =
   t.ci.(t.len) <- j;
   t.vs.(t.len) <- v;
   t.len <- t.len + 1
-
-let rows t = t.rows
-
-let cols t = t.cols
 
 (* Two stable counting sorts (by column, then by row) put the triplets
    in (row, col) order with equal keys in insertion order, so duplicates
@@ -97,14 +91,3 @@ let to_csr t =
     col_ind = Array.sub col_ind 0 !nnz;
     values = Array.sub values 0 !nnz;
   }
-
-let of_dense d =
-  let r, c = Mat.dims d in
-  let t = create ~rows:r ~cols:c in
-  for i = 0 to r - 1 do
-    for j = 0 to c - 1 do
-      let v = Mat.get d i j in
-      if v <> 0.0 then add t i j v
-    done
-  done;
-  t

@@ -53,18 +53,6 @@ let mul_vec a x =
   done;
   y
 
-let tmul_vec a x =
-  if Array.length x <> a.rows then invalid_arg "Csr.tmul_vec: dimension mismatch";
-  let y = Array.make a.cols 0.0 in
-  for i = 0 to a.rows - 1 do
-    let xi = x.(i) in
-    if xi <> 0.0 then
-      for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-        y.(a.col_ind.(k)) <- y.(a.col_ind.(k)) +. (a.values.(k) *. xi)
-      done
-  done;
-  y
-
 let transpose a =
   let n = nnz a in
   let row_ptr = Array.make (a.cols + 1) 0 in
@@ -87,8 +75,6 @@ let transpose a =
   { rows = a.cols; cols = a.rows; row_ptr; col_ind; values }
 
 let scale s a = { a with values = Array.map (fun v -> s *. v) a.values }
-
-let map f a = { a with values = Array.map f a.values }
 
 (* two passes over the merged rows: the first counts them into
    [row_ptr], the second writes the entries straight into arrays of the

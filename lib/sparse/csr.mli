@@ -23,9 +23,6 @@ val get : t -> int -> int -> float
 
 val mul_vec : t -> Vec.t -> Vec.t
 
-val tmul_vec : t -> Vec.t -> Vec.t
-(** [tmul_vec a x = aᵀ x] without materialising the transpose. *)
-
 val transpose : t -> t
 
 val scale : float -> t -> t
@@ -37,9 +34,6 @@ val add : ?alpha:float -> ?beta:float -> t -> t -> t
     sum that cancels stays an explicit zero: the pattern depends on the
     operands' patterns only, which [Slu.refactor]'s pattern check (and
     with it symbolic reuse) relies on. Allocates only the result. *)
-
-val map : (float -> float) -> t -> t
-(** Map over stored values (pattern unchanged). Zero results are kept. *)
 
 val to_dense : t -> Mat.t
 

@@ -547,9 +547,9 @@ let refactor s (a : Csr.t) =
   Metrics.incr m_reuse;
   { s; l_val; u_val; rscale; norm1; cond1 = Atomic.make None }
 
-let factor_hinted ?pivot_tol ~hint a =
+let factor_hinted ~hint a =
   let fresh () =
-    let s, f = analyze ?pivot_tol a in
+    let s, f = analyze a in
     hint := Some s;
     f
   in

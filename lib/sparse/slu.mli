@@ -115,10 +115,10 @@ val refactor : symbolic -> Csr.t -> t
 val factor : ?pivot_tol:float -> Csr.t -> t
 (** [analyze] without keeping the symbolic part. *)
 
-val factor_hinted : ?pivot_tol:float -> hint:symbolic option ref -> Csr.t -> t
+val factor_hinted : hint:symbolic option ref -> Csr.t -> t
 (** Factor-with-reuse: try {!refactor} against [!hint], and on [None],
     {!Pattern_mismatch}, {!Unstable} or {!Singular} fall back to a fresh
-    {!analyze}, storing its symbolic object back into [hint]. The hint
+    {!analyze} at the default [pivot_tol], storing its symbolic object back into [hint]. The hint
     ref makes reuse *explicit* — callers that must stay bit-identical
     across runs (e.g. serial-vs-parallel sweeps) keep separate hints. *)
 

@@ -8,15 +8,14 @@ type stats = {
   factorizations : int;
 }
 
-let solve ?(tol = 1e-4) ?h_init ?h_min ?h_max ~t_end (sys : Descriptor.t)
+let solve ?(tol = 1e-4) ?h_init ~t_end (sys : Descriptor.t)
     sources =
   if t_end <= 0.0 then invalid_arg "Adaptive_trap.solve: t_end <= 0";
   let n = Descriptor.order sys in
   if Array.length sources <> Descriptor.input_count sys then
     invalid_arg "Adaptive_trap.solve: source count mismatch";
   let h_init = Option.value h_init ~default:(t_end /. 100.0) in
-  let h_min = Option.value h_min ~default:(t_end *. 1e-9) in
-  let h_max = Option.value h_max ~default:(t_end /. 4.0) in
+  let h_min = t_end *. 1e-9 and h_max = t_end /. 4.0 in
   let e = Descriptor.e_dense sys and a = Descriptor.a_dense sys in
   let b = sys.Descriptor.b in
   let factorizations = ref 0 in

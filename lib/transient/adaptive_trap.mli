@@ -17,12 +17,10 @@ type stats = {
 val solve :
   ?tol:float ->
   ?h_init:float ->
-  ?h_min:float ->
-  ?h_max:float ->
   t_end:float ->
   Descriptor.t ->
   Source.t array ->
   Waveform.t * stats
 (** Output waveform on the accepted (non-uniform) time points, starting
-    at [t = 0] with [x(0) = 0]. Defaults match
+    at [t = 0] with [x(0) = 0]. Defaults and step bounds match
     {!Opm_core.Adaptive.solve}. *)

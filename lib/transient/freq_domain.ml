@@ -8,19 +8,13 @@ let cpow s alpha =
   if s = Complex.zero then if alpha = 0.0 then Complex.one else Complex.zero
   else Complex.exp (Complex.mul { Complex.re = alpha; im = 0.0 } (Complex.log s))
 
-let solve ?pool ?damping ~n_samples ~alpha ~t_end (sys : Descriptor.t) sources =
+let solve ?pool ~n_samples ~alpha ~t_end (sys : Descriptor.t) sources =
   if n_samples < 2 then invalid_arg "Freq_domain.solve: n_samples < 2";
   if t_end <= 0.0 then invalid_arg "Freq_domain.solve: t_end <= 0";
   let p = Descriptor.input_count sys in
   if Array.length sources <> p then
     invalid_arg "Freq_domain.solve: source count mismatch";
-  let sigma =
-    match damping with
-    | Some s ->
-        if s < 0.0 then invalid_arg "Freq_domain.solve: damping < 0";
-        s
-    | None -> 3.0 /. t_end
-  in
+  let sigma = 3.0 /. t_end in
   let n = Descriptor.order sys in
   let q = Descriptor.output_count sys in
   let dt = t_end /. float_of_int n_samples in

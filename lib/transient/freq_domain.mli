@@ -19,7 +19,6 @@ open Opm_core
 
 val solve :
   ?pool:Opm_parallel.Pool.t ->
-  ?damping:float ->
   n_samples:int ->
   alpha:float ->
   t_end:float ->
@@ -27,9 +26,8 @@ val solve :
   Source.t array ->
   Waveform.t
 (** Output waveform at the [n_samples] sample instants [t_k = k·T/N].
-    [damping] is the contour abscissa [σ] (default [3/T]; [0] recovers
-    the textbook pure-FFT method). The independent per-bin contour
+    The contour abscissa is [σ = 3/T]. The independent per-bin contour
     solves run on [pool] (default: the shared
     {!Opm_parallel.Pool.global} pool) with bit-identical results.
-    Raises [Invalid_argument] for [n_samples < 2], negative damping, or
-    a source-count mismatch. *)
+    Raises [Invalid_argument] for [n_samples < 2], [t_end <= 0] or a
+    source-count mismatch. *)

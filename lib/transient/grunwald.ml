@@ -15,14 +15,11 @@ let weights ~alpha k =
   done;
   w
 
-let solve ?memory_length ~h ~alpha ~t_end (sys : Descriptor.t) sources =
+let solve ~h ~alpha ~t_end (sys : Descriptor.t) sources =
   Trace.with_span "grunwald.solve" @@ fun () ->
   if h <= 0.0 || t_end <= 0.0 then invalid_arg "Grunwald.solve: bad arguments";
   if Array.length sources <> Descriptor.input_count sys then
     invalid_arg "Grunwald.solve: source count mismatch";
-  (match memory_length with
-  | Some l when l < 1 -> invalid_arg "Grunwald.solve: memory_length < 1"
-  | Some _ | None -> ());
   let n = Descriptor.order sys in
   let steps = int_of_float (ceil ((t_end /. h) -. 1e-9)) in
   Metrics.incr ~by:steps m_steps;
@@ -38,8 +35,7 @@ let solve ?memory_length ~h ~alpha ~t_end (sys : Descriptor.t) sources =
   let xs = Array.make (steps + 1) (Vec.zeros n) in
   for k = 1 to steps do
     let hist = Vec.zeros n in
-    let depth = match memory_length with Some l -> min l k | None -> k in
-    for j = 1 to depth do
+    for j = 1 to k do
       Vec.axpy w.(j) xs.(k - j) hist
     done;
     let rhs = Csr.mul_vec neg_ha_e hist in

@@ -16,19 +16,13 @@ val weights : alpha:float -> int -> float array
 (** First [k+1] GL binomial weights. *)
 
 val solve :
-  ?memory_length:int ->
   h:float ->
   alpha:float ->
   t_end:float ->
   Descriptor.t ->
   Source.t array ->
   Waveform.t
-(** Output waveform at [t_k = k·h], zero initial history.
-
-    [memory_length] enables Podlubny's *short-memory principle*: only
-    the most recent [L] history terms enter the convolution, cutting the
-    cost from [O(n·N²)] to [O(n·N·L)] at the price of a bias that decays
-    like [L^{−α}] (the GL weights have a heavy [j^{−α−1}] tail — exactly
-    the long-memory property that makes FDEs expensive, and that OPM
-    sidesteps by paying [O(m)] dense-triangular column work instead).
-    Default: full memory. *)
+(** Output waveform at [t_k = k·h], zero initial history, with the full
+    memory: every step sums its whole history (the GL weights have a
+    heavy [j^{−α−1}] tail — exactly the long-memory property that makes
+    FDEs expensive). *)

@@ -14,7 +14,10 @@
 #     and `--window 16` alone writes the bytes of that run too;
 #   - `--no-fft-rhs` and `--compile` (removed no-ops) are unknown
 #     options (exit 124), and `OPM_NO_FFT_RHS=1` changes nothing: the
-#     same CSV bytes as the run without it, and no warning line.
+#     same CSV bytes as the run without it, and no warning line;
+#   - `--tend` must be finite and positive (`nan`, `inf`, `0`, `-1` are
+#     usage errors, exit 2) and is required for tran, step-response and
+#     impulse-response (exit 2 without it), but not for ac.
 #
 # Usage: cli_contract.sh <opm_sim.exe>
 set -u
@@ -117,6 +120,25 @@ OPM_NO_FFT_RHS=1 run_cpe cpe_nofft_env
 cmp -s "$tmp/cpe.csv" "$tmp/cpe_nofft_env.csv" \
   || fail "OPM_NO_FFT_RHS=1 CSV differs from the CPE run"
 grep -q -- "warning" "$tmp/cpe_nofft_env.err" && fail "OPM_NO_FFT_RHS=1 printed a warning"
+
+for t in nan inf 0 -1; do
+  "$sim" "$tmp/ladder.sp" --steps 64 --probe n2 "--tend=$t" \
+    > "$tmp/tend.csv" 2> "$tmp/tend.err"
+  code=$?
+  [ "$code" -eq 2 ] || fail "--tend=$t exited $code, expected 2"
+  [ -s "$tmp/tend.csv" ] && fail "--tend=$t printed CSV"
+done
+for mode in tran step-response impulse-response; do
+  "$sim" "$tmp/ladder.sp" --steps 64 --probe n2 --mode "$mode" \
+    > "$tmp/notend.csv" 2> "$tmp/notend.err"
+  code=$?
+  [ "$code" -eq 2 ] || fail "--mode $mode without --tend exited $code, expected 2"
+  grep -q -- "--tend is required" "$tmp/notend.err" \
+    || fail "--mode $mode without --tend did not name --tend"
+done
+"$sim" "$tmp/ladder.sp" --probe n2 --mode ac > "$tmp/ac.csv" 2> "$tmp/ac.err"
+code=$?
+[ "$code" -eq 0 ] || fail "--mode ac without --tend exited $code"
 
 [ "$status" -eq 0 ] && echo "cli-contract: ok"
 exit $status

@@ -57,7 +57,7 @@ let test_dc_u0_mismatch () =
   let sys, _ = Mna.stamp_linear net in
   check_bool "raises" true
     (try
-       ignore (Dc.operating_point sys ~u0:[| 1.0; 2.0 |]);
+       ignore (Dc.outputs_at sys ~u0:[| 1.0; 2.0 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -152,7 +152,7 @@ let test_sweep_circuit_study () =
   (* rise time of an RC ladder vs segment resistance: monotone *)
   let rise r =
     let net =
-      Generators.rc_ladder ~r ~c:1e-9 ~sections:3
+      Generators.rc_ladder ~r ~sections:3
         ~input:(Source.Step { amplitude = 1.0; delay = 0.0 })
         ()
     in
@@ -244,9 +244,9 @@ let test_poles_match_time_domain_decay () =
   let pole = (dominant sys).Complex.re in
   close "pole = −1/RC" (-500.0) pole ~tol:1e-6;
   let r =
-    Opm.simulate_linear ~x0:[| 1.0 |]
+    Opm.simulate_multi_term ~x0:[| 1.0 |]
       ~grid:(Grid.uniform ~t_end:4e-3 ~m:1000)
-      sys
+      (Multi_term.of_linear sys)
       [| Source.Dc 0.0 |]
   in
   let y = Sim_result.output r 0 in

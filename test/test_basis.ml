@@ -44,6 +44,23 @@ let test_grid_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* [t_end <= 0.0] and [h <= 0.0] are both false for NaN: a NaN or
+   infinite horizon or step must still be refused *)
+let test_grid_non_finite () =
+  List.iter
+    (fun v ->
+      check_bool (Printf.sprintf "uniform t_end = %g rejected" v) true
+        (try
+           ignore (Grid.uniform ~t_end:v ~m:4);
+           false
+         with Invalid_argument _ -> true);
+      check_bool (Printf.sprintf "adaptive step %g rejected" v) true
+        (try
+           ignore (Grid.adaptive [| 0.1; v |]);
+           false
+         with Invalid_argument _ -> true))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let test_grid_geometric () =
   let g = Grid.geometric ~t_end:1.0 ~m:5 ~ratio:1.5 in
   close "sums to t_end" 1.0 (Grid.t_end g) ~tol:1e-12;
@@ -275,13 +292,15 @@ let test_walsh_roundtrip () =
     (Vec.approx_equal ~tol:1e-10 x (Walsh.walsh_to_bpf (Walsh.bpf_to_walsh x)))
 
 let test_walsh_operational_consistency () =
+  (* D_W inverts the Walsh image H_W = W·H_B·Wᵀ/m of the BPF integral *)
   let g = Grid.uniform ~t_end:1.0 ~m:8 in
-  let hw = Walsh.integral_matrix g in
+  let w = Walsh.walsh_matrix 8 in
+  let hw =
+    Mat.scale (1.0 /. 8.0)
+      (Mat.mul (Mat.mul w (Block_pulse.integral_matrix g)) (Mat.transpose w))
+  in
   let dw = Walsh.differential_matrix g in
-  close "H_W · D_W = I" 0.0 (Mat.max_abs_diff (Mat.mul hw dw) (Mat.eye 8)) ~tol:1e-9;
-  (* similarity preserves the fractional square property *)
-  let d12 = Walsh.fractional_differential_matrix g 0.5 in
-  close "(D_W^{1/2})² = D_W" 0.0 (Mat.max_abs_diff (Mat.mul d12 d12) dw) ~tol:1e-6
+  close "H_W · D_W = I" 0.0 (Mat.max_abs_diff (Mat.mul hw dw) (Mat.eye 8)) ~tol:1e-9
 
 let test_walsh_requires_pow2 () =
   check_bool "m = 6 rejected" true
@@ -397,6 +416,7 @@ let () =
           t "uniform" test_grid_uniform;
           t "adaptive" test_grid_adaptive;
           t "validation" test_grid_validation;
+          t "non-finite rejected" test_grid_non_finite;
           t "geometric" test_grid_geometric;
         ] );
       ( "block-pulse",

@@ -442,7 +442,7 @@ let test_mixed_order_terms () =
 
 let test_companion_form () =
   (* damped oscillator: OPM on the 2nd-order form vs trapezoidal on the
-     companion first-order form *)
+     companion first-order form [x; ẋ]' = [0 1; −ω² −2ζω] [x; ẋ] + [0; ω²] u *)
   let zeta = 0.4 and w = 3.0 in
   let mt =
     Multi_term.second_order ~m2:(Csr.eye 1)
@@ -451,8 +451,13 @@ let test_companion_form () =
       ~b:(Mat.scale (w *. w) (Mat.eye 1))
       ~c:(Mat.eye 1) ()
   in
-  let first = Multi_term.to_first_order mt in
-  check_int "doubled unknowns" 2 (Descriptor.order first);
+  let first =
+    Descriptor.of_dense ~e:(Mat.eye 2)
+      ~a:(Mat.of_arrays [| [| 0.0; 1.0 |]; [| -.(w *. w); -2.0 *. zeta *. w |] |])
+      ~b:(Mat.of_arrays [| [| 0.0 |]; [| w *. w |] |])
+      ~c:(Mat.of_arrays [| [| 1.0; 0.0 |] |])
+      ()
+  in
   let t_end = 6.0 in
   let m = 3000 in
   let opm = Opm.simulate_multi_term ~grid:(Grid.uniform ~t_end ~m) mt [| step |] in
@@ -462,19 +467,6 @@ let test_companion_form () =
   in
   check_bool "agrees below −55 dB" true
     (Error.waveform_error_db ~reference:opm.Sim_result.outputs trap < -55.0)
-
-let test_companion_first_order_passthrough () =
-  let mt = Multi_term.of_linear rc in
-  let back = Multi_term.to_first_order mt in
-  check_int "no augmentation" 1 (Descriptor.order back)
-
-let test_companion_rejects_fractional () =
-  let mt = Multi_term.of_fractional ~alpha:0.5 rc in
-  check_bool "raises" true
-    (try
-       ignore (Multi_term.to_first_order mt);
-       false
-     with Invalid_argument _ -> true)
 
 let test_input_derivative_handling () =
   (* ẋ = −x + u̇ with u = ramp(slope 1): u̇ = step, so the response must
@@ -494,14 +486,14 @@ let test_input_derivative_handling () =
 let test_x0_discharge () =
   (* ẋ = −x, x(0) = 1: x = e^{−t} *)
   let grid = Grid.uniform ~t_end:5.0 ~m:400 in
-  let r = Opm.simulate_linear ~x0:[| 1.0 |] ~grid rc [| Source.Dc 0.0 |] in
+  let r = Opm.simulate_multi_term ~x0:[| 1.0 |] ~grid (Multi_term.of_linear rc) [| Source.Dc 0.0 |] in
   check_bool "tracks e^{−t}" true (max_err_against (fun t -> exp (-.t)) r < 1e-4)
 
 let test_x0_fractional_discharge () =
   (* d^α x = −x, x(0) = 1: x = E_α(−t^α) *)
   let grid = Grid.uniform ~t_end:2.0 ~m:600 in
   let r =
-    Opm.simulate_fractional ~x0:[| 1.0 |] ~grid ~alpha:0.5 rc [| Source.Dc 0.0 |]
+    Opm.simulate_multi_term ~x0:[| 1.0 |] ~grid (Multi_term.of_fractional ~alpha:0.5 rc) [| Source.Dc 0.0 |]
   in
   let y = Sim_result.output r 0 in
   let mids = Grid.midpoints grid in
@@ -520,8 +512,8 @@ let test_x0_superposition () =
   let sys = Descriptor.random_stable ~seed:21 ~n:5 ~p:1 ~q:1 () in
   let grid = Grid.uniform ~t_end:1.0 ~m:64 in
   let x0 = Array.init 5 (fun i -> 0.3 *. float_of_int (i - 2)) in
-  let both = Opm.simulate_linear ~x0 ~grid sys [| step |] in
-  let only_x0 = Opm.simulate_linear ~x0 ~grid sys [| Source.Dc 0.0 |] in
+  let both = Opm.simulate_multi_term ~x0 ~grid (Multi_term.of_linear sys) [| step |] in
+  let only_x0 = Opm.simulate_multi_term ~x0 ~grid (Multi_term.of_linear sys) [| Source.Dc 0.0 |] in
   let only_u = Opm.simulate_linear ~grid sys [| step |] in
   let sum = Mat.add only_x0.Sim_result.x only_u.Sim_result.x in
   (* subtract the doubly-counted x0 offset: both solutions include x0 in
@@ -532,7 +524,7 @@ let test_x0_size_check () =
   let grid = Grid.uniform ~t_end:1.0 ~m:4 in
   check_bool "raises" true
     (try
-       ignore (Opm.simulate_linear ~x0:[| 1.0; 2.0 |] ~grid rc [| step |]);
+       ignore (Opm.simulate_multi_term ~x0:[| 1.0; 2.0 |] ~grid (Multi_term.of_linear rc) [| step |]);
        false
      with Invalid_argument _ -> true)
 
@@ -557,7 +549,7 @@ let test_integral_form_equals_differential () =
           ~a:(Mat.zeros 6 6)
           ~bu:(Mat.init 6 m (fun r j -> Mat.get buh r j +. ex0.(r)))
       in
-      let rd = Opm.simulate_linear ?x0 ~grid sys src in
+      let rd = Opm.simulate_multi_term ?x0 ~grid (Multi_term.of_linear sys) src in
       close "integral = differential" 0.0 (Mat.max_abs_diff integral rd.Sim_result.x)
         ~tol:1e-10)
     (List.concat_map
@@ -575,7 +567,7 @@ let test_legendre_solver_spectral () =
     Opm.simulate_linear ~grid:(Grid.uniform ~t_end ~m:20000) rc src
   in
   let grid = Grid.uniform ~t_end ~m:14 in
-  let spectral = (Opm.simulate_linear ~basis:`Spectral ~grid rc src).Sim_result.outputs in
+  let spectral = (Opm.simulate_multi_term ~basis:`Spectral ~grid (Multi_term.of_linear rc) src).Sim_result.outputs in
   let err_leg =
     Error.waveform_error_db
       ~reference:(Waveform.resample fine.Sim_result.outputs spectral.Waveform.times)
@@ -594,8 +586,8 @@ let test_legendre_solver_spectral () =
 
 let test_legendre_solver_x0 () =
   let wl =
-    (Opm.simulate_linear ~basis:`Spectral ~x0:[| 1.0 |]
-       ~grid:(Grid.uniform ~t_end:4.0 ~m:16) rc [| Source.Dc 0.0 |])
+    (Opm.simulate_multi_term ~basis:`Spectral ~x0:[| 1.0 |]
+       ~grid:(Grid.uniform ~t_end:4.0 ~m:16) (Multi_term.of_linear rc) [| Source.Dc 0.0 |])
       .Sim_result.outputs
   in
   let y = Waveform.channel wl 0 in
@@ -612,7 +604,7 @@ let test_result_waveform_shape () =
   let r = Opm.simulate_linear ~grid rc [| step |] in
   check_int "samples" 16 (Array.length r.Sim_result.outputs.Waveform.times);
   check_int "channels" 1 (Waveform.channel_count r.Sim_result.outputs);
-  check_int "state channels" 1 (Waveform.channel_count r.Sim_result.states);
+  check_int "state rows" 1 (fst (Mat.dims r.Sim_result.x));
   close "times are midpoints" (Grid.midpoints grid).(3)
     r.Sim_result.outputs.Waveform.times.(3)
 
@@ -862,10 +854,12 @@ let frozen_routes () =
     ("windowed general", fun () -> frac ~window:16 64);
     ("windowed general memory 8", fun () -> frac ~window:16 ~memory_len:8 64);
     ( "windowed order-1",
-      fun () -> x (Opm.simulate_linear ~window:16 ~grid:(uniform 64) sys src) );
+      fun () -> x (Opm.simulate_multi_term ~window:16 ~grid:(uniform 64) (Multi_term.of_linear sys) src) );
     ( "compiled query",
       fun () ->
-        let model = Compiled_model.compile_fractional ~grid:(uniform 64) ~alpha:0.5 sys in
+        let model =
+          Compiled_model.compile ~grid:(uniform 64) (Multi_term.of_fractional ~alpha:0.5 sys)
+        in
         ignore (Compiled_model.solve model src);
         x (Compiled_model.solve model src) );
     ("power grid NA amd", grid_route (Opm_circuit.Na2.stamp ?outputs:None));
@@ -1214,8 +1208,6 @@ let () =
           t "damped oscillator" test_damped_oscillator;
           t "mixed integer + fractional" test_mixed_order_terms;
           t "companion form vs OPM" test_companion_form;
-          t "companion passthrough" test_companion_first_order_passthrough;
-          t "companion rejects fractional" test_companion_rejects_fractional;
           t "input derivative" test_input_derivative_handling;
           t "input derivative recurrence = dense U·D^r" test_input_order_recurrence;
         ] );

@@ -45,16 +45,6 @@ let test_pool_parallel_for () =
           Pool.parallel_for pool ~n:0 (fun _ -> assert false)))
     [ 1; 2; 4 ]
 
-let test_pool_init_mapi () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check (array int))
-        "init" (Array.init 37 (fun i -> 3 * i))
-        (Pool.init pool 37 (fun i -> 3 * i));
-      Alcotest.(check (array int))
-        "mapi"
-        (Array.mapi (fun i x -> i - x) (Array.make 37 5))
-        (Pool.mapi pool (fun i x -> i - x) (Array.make 37 5)))
-
 exception Boom of int
 
 let test_pool_exception () =
@@ -70,7 +60,7 @@ let test_pool_exception () =
                false
              with Boom 57 -> true);
           (* the pool survives a failed job *)
-          let xs = Pool.init pool 10 Fun.id in
+          let xs = Pool.map pool Fun.id (Array.init 10 Fun.id) in
           Alcotest.(check (array int)) "pool reusable after failure"
             (Array.init 10 Fun.id) xs))
     [ 1; 2; 4 ]
@@ -156,7 +146,6 @@ let () =
         [
           t "map" test_pool_map;
           t "parallel_for" test_pool_parallel_for;
-          t "init + mapi" test_pool_init_mapi;
           t "exception propagation" test_pool_exception;
           t "nested parallelism" test_pool_nested;
           t "default override" test_default_domains_override;

@@ -209,15 +209,12 @@ let prop_opm_vs_grunwald =
 (* Blocked_conv against the O(m²) naive
    history sum it replaces: after pushing columns x_0 … x_{i−1}, the
    history at column i for term k must equal
-   Σ_{j<i} kernel_k(i−j) · x_j(r). Random kernels, rows, term counts,
-   block bases and the exact m values the dyadic schedule treats
-   differently (1, powers of two, just-past-a-power, odd primes). *)
-let check_blocked_conv ?rows ?base st m =
+   Σ_{j<i} kernel_k(i−j) · x_j(r). Random kernels, rows, term counts
+   and the exact m values the dyadic schedule treats differently (1,
+   powers of two, just-past-a-power, odd primes). *)
+let check_blocked_conv ?rows st m =
       let rows = match rows with Some r -> r | None -> 1 + Random.State.int st 4 in
       let nterms = 1 + Random.State.int st 2 in
-      let base =
-        match base with Some b -> b | None -> [| 4; 8; 32 |].(Random.State.int st 3)
-      in
       let rand () = Random.State.float st 2.0 -. 1.0 in
       let kernels =
         Array.init nterms (fun _ -> Array.init m (fun _ -> rand ()))
@@ -226,7 +223,7 @@ let check_blocked_conv ?rows ?base st m =
         Array.init m (fun _ -> Array.init rows (fun _ -> rand ()))
       in
       let cv =
-        Fft.Blocked_conv.create (Fft.Blocked_conv.spectra ~base ~kernels ~m ()) ~rows
+        Fft.Blocked_conv.create (Fft.Blocked_conv.spectra ~kernels ~m ()) ~rows
       in
       let scale = float_of_int m in
       for i = 0 to m - 1 do
@@ -240,8 +237,7 @@ let check_blocked_conv ?rows ?base st m =
             done;
             check_le
               (Printf.sprintf
-                 "blocked conv (m = %d, base = %d, term %d, col %d, row %d)" m
-                 base k i r)
+                 "blocked conv (m = %d, term %d, col %d, row %d)" m k i r)
               (abs_float (hist.(r) -. !naive))
               (1e-12 *. scale *. Float.max 1.0 (abs_float !naive))
           done
@@ -252,14 +248,15 @@ let check_blocked_conv ?rows ?base st m =
 let prop_blocked_conv_vs_naive =
   prop ~n:3 (fun st _seed ->
       (* the sizes the dyadic schedule treats differently: degenerate,
-         below-base, a power of two, just past one, an odd prime *)
-      List.iter (check_blocked_conv st) [ 1; 2; 3; 16; 100; 257 ];
-      (* seven dyadic levels at base 32, so every transform size a
+         below the 32-column base, the base and just past it, a power of
+         two, just past one, an odd prime *)
+      List.iter (check_blocked_conv st) [ 1; 2; 3; 16; 32; 33; 100; 256; 257 ];
+      (* seven dyadic levels, so every transform size a
          4096-column horizon flushes (64 … 4096) runs one after the
          other through the convolver's reused scratch and pre-scaled
          spectra, with the last row unpaired at odd row counts *)
       for rows = 1 to 5 do
-        check_blocked_conv ~rows ~base:32 st 2049
+        check_blocked_conv ~rows st 2049
       done)
 
 (* The Toeplitz contract the engine fast path relies on: every row of the
@@ -421,7 +418,7 @@ let prop_compiled_bit_identical =
               let model =
                 if alpha = 1.0 then
                   Compiled_model.compile ?window ~grid (Multi_term.of_linear sys)
-                else Compiled_model.compile_fractional ?window ~grid ~alpha sys
+                else Compiled_model.compile ?window ~grid (Multi_term.of_fractional ~alpha sys)
               in
               let compiled =
                 Array.init nqueries (fun k ->
@@ -437,7 +434,7 @@ let prop_compiled_bit_identical =
                 (fun k (compiled : Sim_result.t) ->
                   let oneshot =
                     if alpha = 1.0 then
-                      Opm.simulate_linear ?window ~grid sys (sources k)
+                      Opm.simulate_multi_term ?window ~grid (Multi_term.of_linear sys) (sources k)
                     else
                       Opm.simulate_fractional ?window ~grid ~alpha sys
                         (sources k)

@@ -370,8 +370,8 @@ let solve_dae ?checkpoint ?resume_from ?(window = dae_w) () =
           L2 n3 n4 0.5m\n\
           R4 n4 0 1k\n")
   in
-  Opm.simulate_linear ?checkpoint ~checkpoint_every:1 ?resume_from
-    ~window ~grid:(Grid.uniform ~t_end:2e-5 ~m:dae_m) sys srcs
+  Opm.simulate_multi_term ?checkpoint ~checkpoint_every:1 ?resume_from
+    ~window ~grid:(Grid.uniform ~t_end:2e-5 ~m:dae_m) (Multi_term.of_linear sys) srcs
 
 let test_kill_resume_dae () =
   kill_resume_differential ~nwin:(dae_m / dae_w)

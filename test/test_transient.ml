@@ -120,35 +120,10 @@ let test_fft_arbitrary_sample_count () =
   let w = Freq_domain.solve ~n_samples:100 ~alpha:0.5 ~t_end:2.0 rc [| step |] in
   Alcotest.(check int) "100 samples" 100 (Array.length w.Waveform.times)
 
-let test_fft_zero_damping_periodic_input () =
-  (* σ = 0 is fine for a signal that is genuinely periodic on [0, T) *)
-  let src = Source.Sine { amplitude = 1.0; freq_hz = 1.0; phase = 0.0; offset = 0.0 } in
-  let w = Freq_domain.solve ~damping:0.0 ~n_samples:256 ~alpha:1.0 ~t_end:4.0 rc [| src |] in
-  (* steady-state: x = (sin wt − w cos wt)/(1+w²), w = 2π; compare away
-     from the initial transient (the σ=0 method yields the periodic
-     steady state, not the transient) *)
-  let w_ang = 2.0 *. Float.pi in
-  let y = Waveform.channel w 0 in
-  let err = ref 0.0 in
-  Array.iteri
-    (fun i t ->
-      if t > 1.0 then
-        let exact =
-          ((sin (w_ang *. t)) -. (w_ang *. cos (w_ang *. t))) /. (1.0 +. (w_ang *. w_ang))
-        in
-        err := Float.max !err (Float.abs (y.(i) -. exact)))
-    w.Waveform.times;
-  check_bool "steady state" true (!err < 0.05)
-
 let test_fft_validation () =
   check_bool "n < 2" true
     (try
        ignore (Freq_domain.solve ~n_samples:1 ~alpha:1.0 ~t_end:1.0 rc [| step |]);
-       false
-     with Invalid_argument _ -> true);
-  check_bool "negative damping" true
-    (try
-       ignore (Freq_domain.solve ~damping:(-1.0) ~n_samples:8 ~alpha:1.0 ~t_end:1.0 rc [| step |]);
        false
      with Invalid_argument _ -> true)
 
@@ -187,31 +162,6 @@ let test_gl_tracks_mittag_leffler () =
     (fun i t -> if t > 0.05 then err := Float.max !err (Float.abs (y.(i) -. exact t)))
     w.Waveform.times;
   check_bool "tracks ML" true (!err < 5e-3)
-
-let test_gl_short_memory () =
-  (* short memory must approach full memory as L grows, and full L is
-     identical to the default *)
-  let exact = Special.ml_step_response ~alpha:0.5 ~lambda:1.0 in
-  let err w =
-    let y = Waveform.channel w 0 in
-    let e = ref 0.0 in
-    Array.iteri
-      (fun i t -> if t > 0.2 then e := Float.max !e (Float.abs (y.(i) -. exact t)))
-      w.Waveform.times;
-    !e
-  in
-  let h = 0.005 and t_end = 2.0 in
-  let full = Grunwald.solve ~h ~alpha:0.5 ~t_end rc [| step |] in
-  let e_full = err full in
-  let e_short l = err (Grunwald.solve ~memory_length:l ~h ~alpha:0.5 ~t_end rc [| step |]) in
-  check_bool "L=20 worse than full" true (e_short 20 > e_full);
-  check_bool "accuracy improves with L" true (e_short 200 < e_short 20);
-  let whole =
-    Grunwald.solve ~memory_length:10000 ~h ~alpha:0.5 ~t_end rc [| step |]
-  in
-  close "L >= N is exact" 0.0
-    (Vec.max_abs_diff (Waveform.channel whole 0) (Waveform.channel full 0))
-    ~tol:1e-14
 
 (* ---------- adaptive trapezoidal ---------- *)
 
@@ -310,10 +260,10 @@ let test_grunwald_hoisted_scale () =
   let step = Source.Step { amplitude = 1.0; delay = 0.0 } in
   (* warm-up keeps one-time costs (factorisation fill-in) out of the
      measured window *)
-  ignore (Grunwald.solve ~memory_length:1 ~h:0.1 ~alpha:0.5 ~t_end:0.5 sys [| step |]);
+  ignore (Grunwald.solve ~h:0.1 ~alpha:0.5 ~t_end:0.5 sys [| step |]);
   let before = Gc.allocated_bytes () in
   let w =
-    Grunwald.solve ~memory_length:1 ~h:0.002 ~alpha:0.5 ~t_end:1.0 sys [| step |]
+    Grunwald.solve ~h:0.002 ~alpha:0.5 ~t_end:1.0 sys [| step |]
   in
   let allocated = Gc.allocated_bytes () -. before in
   check_bool
@@ -345,7 +295,6 @@ let () =
           t "α = 1 RC" test_fft_alpha1_rc;
           t "FFT-2 beats FFT-1" test_fft_sample_count_improves;
           t "non-pow2 sample count" test_fft_arbitrary_sample_count;
-          t "zero damping periodic" test_fft_zero_damping_periodic_input;
           t "validation" test_fft_validation;
         ] );
       ( "grunwald",
@@ -354,7 +303,6 @@ let () =
           t "weights telescope" test_gl_weights_sum_to_zero;
           t "α = 1 is backward Euler" test_gl_alpha1_matches_backward_euler;
           t "tracks Mittag-Leffler" test_gl_tracks_mittag_leffler;
-          t "short-memory principle" test_gl_short_memory;
           t "cross-check vs OPM" test_gl_vs_opm_cross_check;
           t "scaled matrix hoisted out of loop" test_grunwald_hoisted_scale;
         ] );

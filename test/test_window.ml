@@ -76,7 +76,7 @@ let prop_integer_windowed_matches_global =
       let w = m / 8 in
       let grid = Grid.uniform ~t_end:2e-5 ~m in
       let global = Opm.simulate_linear ~grid sys srcs in
-      let windowed = Opm.simulate_linear ~window:w ~grid sys srcs in
+      let windowed = Opm.simulate_multi_term ~window:w ~grid (Multi_term.of_linear sys) srcs in
       check_bits
         (Printf.sprintf "windowed (w = m/8) vs global, seed %d" seed)
         windowed.Sim_result.x global.Sim_result.x)
@@ -113,6 +113,23 @@ let prop_integer_general_path_matches_global =
 
 (* ---------- fractional orders ---------- *)
 
+(* The fraction of history weight a [memory_len = K] cutoff drops over
+   [lags] reachable lags: Σ_{K < j ≤ lags} |κ_j| / Σ_{1 ≤ j ≤ lags} |κ_j|
+   for the banded kernel κ = (1−q)^α (1+q)^{N−α}, N = ⌊α⌋, of one term
+   of order α — the only part of the banded recast a memory cutoff
+   touches. *)
+let truncation_mass ~alpha ~lags ~memory_len =
+  let kappa =
+    Series.binomial_product alpha (Float.of_int (truncate alpha) -. alpha) (lags + 1)
+  in
+  let total = ref 0.0 and tail = ref 0.0 in
+  for j = 1 to lags do
+    let a = Float.abs kappa.(j) in
+    total := !total +. a;
+    if j > memory_len then tail := !tail +. a
+  done;
+  !tail /. !total
+
 let fractional_case ~alpha st seed =
   let sys, srcs = random_system st seed in
   let m = 128 in
@@ -133,7 +150,7 @@ let fractional_case ~alpha st seed =
   let truncated =
     Opm.simulate_fractional ~window:w ~memory_len ~grid ~alpha sys srcs
   in
-  let mass = Window.truncation_mass ~alpha ~lags:(m - 1) ~memory_len in
+  let mass = truncation_mass ~alpha ~lags:(m - 1) ~memory_len in
   if mass <= 0.0 then
     Alcotest.failf "truncation mass should be positive for α = %g" alpha;
   check_le
@@ -216,13 +233,13 @@ let test_order1_dae_windowed () =
   let n = Descriptor.order sys in
   List.iter
     (fun x0 ->
-      let global = Opm.simulate_linear ?x0 ~grid sys srcs in
+      let global = Opm.simulate_multi_term ?x0 ~grid (Multi_term.of_linear sys) srcs in
       List.iter
         (fun w ->
           check_bits
             (Printf.sprintf "DAE ladder, w = %d%s" w
                (if x0 = None then "" else ", x0"))
-            (Opm.simulate_linear ?x0 ~window:w ~grid sys srcs).Sim_result.x
+            (Opm.simulate_multi_term ?x0 ~window:w ~grid (Multi_term.of_linear sys) srcs).Sim_result.x
             global.Sim_result.x)
         [ 1; 7; 16 ])
     [ None; Some (Array.init n (fun i -> 0.05 *. float_of_int (i + 1))) ]
@@ -235,7 +252,7 @@ let test_w_eq_m_is_global () =
   let m = 64 in
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let global = Opm.simulate_linear ~grid sys srcs in
-  let windowed = Opm.simulate_linear ~window:m ~grid sys srcs in
+  let windowed = Opm.simulate_multi_term ~window:m ~grid (Multi_term.of_linear sys) srcs in
   (* w ≥ m must not merely be close: Opm routes it to the very same
      global code path, so the result is bit-identical *)
   if Mat.max_abs_diff windowed.Sim_result.x global.Sim_result.x <> 0.0 then
@@ -248,7 +265,7 @@ let test_short_last_window () =
   (* 50 = 6 full windows + one of 2 columns *)
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let global = Opm.simulate_linear ~grid sys srcs in
-  let windowed = Opm.simulate_linear ~window:w ~grid sys srcs in
+  let windowed = Opm.simulate_multi_term ~window:w ~grid (Multi_term.of_linear sys) srcs in
   check_bits "short last window (m = 50, w = 8)" windowed.Sim_result.x
     global.Sim_result.x
 
@@ -259,8 +276,8 @@ let test_windowed_with_x0 () =
   let x0 = Array.init n (fun i -> 0.1 *. float_of_int (i + 1)) in
   let m = 64 in
   let grid = Grid.uniform ~t_end:2e-5 ~m in
-  let global = Opm.simulate_linear ~x0 ~grid sys srcs in
-  let windowed = Opm.simulate_linear ~x0 ~window:(m / 8) ~grid sys srcs in
+  let global = Opm.simulate_multi_term ~x0 ~grid (Multi_term.of_linear sys) srcs in
+  let windowed = Opm.simulate_multi_term ~x0 ~window:(m / 8) ~grid (Multi_term.of_linear sys) srcs in
   check_bits "windowed with x0" windowed.Sim_result.x global.Sim_result.x
 
 let test_invalid_args () =
@@ -269,63 +286,39 @@ let test_invalid_args () =
   let grid = Grid.uniform ~t_end:2e-5 ~m:16 in
   Alcotest.check_raises "window = 0 rejected"
     (Invalid_argument "Opm: window width must be >= 1") (fun () ->
-      ignore (Opm.simulate_linear ~window:0 ~grid sys srcs));
+      ignore (Opm.simulate_multi_term ~window:0 ~grid (Multi_term.of_linear sys) srcs));
   let adaptive = Grid.geometric ~t_end:2e-5 ~m:16 ~ratio:1.3 in
   (try
-     ignore (Opm.simulate_linear ~window:4 ~grid:adaptive sys srcs);
+     ignore (Opm.simulate_multi_term ~window:4 ~grid:adaptive (Multi_term.of_linear sys) srcs);
      Alcotest.fail "adaptive grid must be rejected by the windowed driver"
    with Invalid_argument _ -> ())
 
 (* ---------- streaming stats, metrics, callbacks ---------- *)
 
-(* the windowed driver on the banded history of [mt] over a uniform
-   [grid], streaming the forcing matrix [bu] and collecting the columns *)
-let window_run ?on_window ~w ~grid (mt : Multi_term.t) bu =
-  let m = Grid.size grid in
-  let pencil =
-    Engine.pencil
-      (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
-      @ [ mt.Multi_term.a ])
-  in
-  let history =
-    Engine.toeplitz
-      ~orders:(List.map (fun { Multi_term.alpha; _ } -> alpha) mt.Multi_term.terms)
-      ~step:(Grid.t_end grid /. float_of_int m)
-      m
-  in
-  let x = Mat.zeros (Multi_term.order mt) m in
-  let stats =
-    Window.run ?on_window ~window:w Engine.default pencil history
-      ~bu:(fun i -> Mat.col bu i)
-      ~emit:(fun i xi -> Mat.set_col x i xi)
-  in
-  (x, stats)
-
-let test_window_stats_and_callback () =
+(* one pencil on a uniform grid and one column loop: the windowed
+   driver factors a single block, every column served by the engine's
+   per-run memo *)
+let test_window_one_factorisation () =
   let st = Random.State.make [| 0x9e37; base_seed + 21 |] in
   let sys, srcs = random_system st (base_seed + 21) in
   let mt = Multi_term.of_fractional ~alpha:0.5 sys in
   let m = 64 and w = 8 in
   let grid = Grid.uniform ~t_end:2e-5 ~m in
   let bu = Mat.mul mt.Multi_term.b (Opm.input_coefficients ~grid srcs) in
-  let seen = ref [] in
-  let x, stats =
-    window_run ~w ~grid mt bu
-      ~on_window:(fun ~index ~start blk ->
-        seen := (index, start, snd (Mat.dims blk)) :: !seen)
+  let pencil =
+    Engine.pencil
+      (List.map (fun { Multi_term.coeff; _ } -> coeff) mt.Multi_term.terms
+      @ [ mt.Multi_term.a ])
   in
-  Alcotest.(check int) "windows" (m / w) stats.Window.windows;
-  Alcotest.(check int) "width" w stats.Window.width;
-  Alcotest.(check int) "full memory by default" m stats.Window.memory_len;
-  (* one pencil on a uniform grid and one column loop: a single
-     factorisation, every column served by the engine's per-run memo *)
-  Alcotest.(check int) "one factorisation" 1 stats.Window.factor_misses;
-  Alcotest.(check int) "callback per window" (m / w) (List.length !seen);
-  List.iter
-    (fun (index, start, cols) ->
-      Alcotest.(check int) "start = index·w" (index * w) start;
-      Alcotest.(check int) "block width" w cols)
-    !seen;
+  let history = Engine.toeplitz ~orders:[ 0.5 ] ~step:(Grid.t_end grid /. float_of_int m) m in
+  let x = Mat.zeros (Multi_term.order mt) m in
+  let hits =
+    Window.run ~window:w Engine.default pencil history
+      ~bu:(fun i -> Mat.col bu i)
+      ~emit:(fun i xi -> Mat.set_col x i xi)
+  in
+  Alcotest.(check (pair int int)) "one factorisation" (0, 1) (Engine.pencil_lookups pencil);
+  Alcotest.(check int) "no cached factor on a fresh pencil" 0 hits;
   Alcotest.(check (pair int int)) "assembled dims" (Multi_term.order mt, m)
     (Mat.dims x)
 
@@ -419,15 +412,6 @@ let test_fft_handoff_partial_support () =
   check_bits "C/CPE ladder, convolver on the CPE rows, windowed vs global"
     windowed.Sim_result.x global.Sim_result.x
 
-let test_truncation_mass () =
-  (* sanity of the bound itself: monotone in memory_len, 0 when nothing
-     is truncated *)
-  let mass k = Window.truncation_mass ~alpha:0.5 ~lags:127 ~memory_len:k in
-  Alcotest.(check (float 0.0)) "no truncation" 0.0 (mass 127);
-  check_le "mass decreases with memory" (mass 64) (mass 16);
-  check_le "mass positive" 1e-12 (mass 16);
-  check_le "mass ≤ 1" (mass 1) 1.0
-
 let () =
   Alcotest.run "window"
     [
@@ -458,8 +442,8 @@ let () =
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "stats + on_window" `Quick
-            test_window_stats_and_callback;
+          Alcotest.test_case "one factorisation per windowed run" `Quick
+            test_window_one_factorisation;
           Alcotest.test_case "factor_reuse metric" `Quick
             test_factor_reuse_metric;
         ] );
@@ -467,7 +451,5 @@ let () =
         [
           Alcotest.test_case "(α, h) collision regression" `Quick
             test_factor_cache_alpha_h_regression;
-          Alcotest.test_case "truncation mass bound" `Quick
-            test_truncation_mass;
         ] );
     ]
